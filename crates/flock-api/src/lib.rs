@@ -312,6 +312,7 @@ pub mod testing {
     use super::{Indirect, Key, Map, OrderedMap, Value};
     use std::collections::BTreeMap;
     use std::ops::Bound;
+    use std::sync::Arc;
     use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
     /// Process-wide lock serializing tests that touch the global lock mode:
@@ -320,32 +321,24 @@ pub mod testing {
     /// not overlap within one test process.
     static MODE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// Run `test` under the full lock-mode × admission-policy matrix
-    /// (lock-free/`Race` first), restoring lock-free + `Race` afterwards.
-    /// Structures built inside `test` via their plain `::new()` constructors
-    /// read [`flock_core::default_admission`] at construction, so every
-    /// combination exercises locks actually stamped with that policy.
-    /// Serialized against every other mode-touching test in the process.
+    /// Run `test` under both lock modes (lock-free first), restoring
+    /// lock-free afterwards. Serialized against every other mode-touching
+    /// test in the process.
     pub fn both_modes(test: impl Fn()) {
-        use flock_core::{Admission, LockMode, set_default_admission, set_lock_mode};
+        use flock_core::{LockMode, set_lock_mode};
         let _guard = MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for mode in [LockMode::LockFree, LockMode::Blocking] {
-            for admission in [Admission::Race, Admission::Fifo] {
-                set_lock_mode(mode);
-                set_default_admission(admission);
-                test();
-            }
+            set_lock_mode(mode);
+            test();
         }
         set_lock_mode(LockMode::LockFree);
-        set_default_admission(Admission::Race);
     }
 
-    /// Run `test` in the default configuration (lock-free mode, `Race`
-    /// admission) while holding the same exclusion as [`both_modes`].
+    /// Run `test` in the (default) lock-free mode while holding the same
+    /// exclusion as [`both_modes`].
     pub fn exclusive(test: impl Fn()) {
         let _guard = MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         flock_core::set_lock_mode(flock_core::LockMode::LockFree);
-        flock_core::set_default_admission(flock_core::Admission::Race);
         test();
     }
 
@@ -586,101 +579,6 @@ pub mod testing {
         }
     }
 
-    /// Hot-lock fairness storm: `threads` workers hammer **one** strict
-    /// [`flock_core::Locked`] cell (built with `admission`) for `window`,
-    /// returning each worker's completed-op count. All workers rendezvous on
-    /// a barrier before the clock starts, so the counts measure admission
-    /// order under contention, not spawn skew. Run it inside [`exclusive`]:
-    /// the strict acquisitions must happen in lock-free mode for the
-    /// admission policy (and helping) to be in play.
-    ///
-    /// `cs_spin` is a pure compute loop run inside the critical section
-    /// (iterations of a dependent multiply-add; ~1ns each). It controls
-    /// what the counts measure: with an empty critical section on an
-    /// oversubscribed host, the scheduled thread completes thousands of
-    /// solo acquisitions per timeslice (every other thread's single pending
-    /// arrival is long since drained), so per-thread counts degenerate into
-    /// CPU-share accounting and say nothing about admission. A critical
-    /// section long enough that draining the published arrivals fills a
-    /// timeslice keeps the lock saturated: completions then flow through
-    /// helping and handoff in admission order, which is the thing a lock
-    /// fairness benchmark is supposed to observe.
-    ///
-    /// `think` is an out-of-lock sleep between operations (pass
-    /// `Duration::ZERO` for a pure back-to-back storm). Think time is what
-    /// decouples completed-op counts from raw CPU share on an
-    /// oversubscribed host: a sleeping thread is not runnable, so its count
-    /// is bounded by cycles of `think + wait-for-service`, not by timeslice
-    /// accounting. Under FIFO admission the wait is uniform — a published
-    /// arrival is served in ticket order by handoff and helping even while
-    /// its owner is descheduled — while under Race admission a thread only
-    /// wins by being *scheduled at an unlocked instant*, a lottery whose
-    /// repeated losers show up directly in the count spread.
-    pub fn hot_lock_storm(
-        admission: flock_core::Admission,
-        threads: usize,
-        window: std::time::Duration,
-        cs_spin: u32,
-        think: std::time::Duration,
-    ) -> Vec<u64> {
-        use std::sync::{Arc, Barrier};
-        use std::time::Instant;
-        let cell = Arc::new(flock_core::Locked::new_with(
-            flock_core::Mutable::new(0u64),
-            admission,
-        ));
-        let start = Arc::new(Barrier::new(threads));
-        let mut counts = vec![0u64; threads];
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cell = Arc::clone(&cell);
-                    let start = Arc::clone(&start);
-                    s.spawn(move || {
-                        start.wait();
-                        let deadline = Instant::now() + window;
-                        let mut n = 0u64;
-                        while Instant::now() < deadline {
-                            cell.with(move |c| {
-                                let cur = c.load();
-                                // Pure local compute (replay-safe: no logged
-                                // effects); black_box keeps it material.
-                                let mut x = cur;
-                                for i in 0..cs_spin as u64 {
-                                    x = std::hint::black_box(
-                                        x.wrapping_mul(6364136223846793005).wrapping_add(i),
-                                    );
-                                }
-                                std::hint::black_box(x);
-                                c.store(cur + 1);
-                            });
-                            n += 1;
-                            if !think.is_zero() {
-                                std::thread::sleep(think);
-                            }
-                        }
-                        n
-                    })
-                })
-                .collect();
-            for (slot, h) in counts.iter_mut().zip(handles) {
-                *slot = h.join().expect("storm worker panicked");
-            }
-        });
-        let total: u64 = counts.iter().sum();
-        let observed = cell.with(|c| c.load());
-        assert_eq!(observed, total, "hot cell lost increments under the storm");
-        counts
-    }
-
-    /// Max/min completed-op ratio of a [`hot_lock_storm`] count vector.
-    /// A starved thread (count 0) maps to `f64::INFINITY`.
-    pub fn fairness_ratio(counts: &[u64]) -> f64 {
-        let max = counts.iter().copied().max().unwrap_or(0) as f64;
-        let min = counts.iter().copied().min().unwrap_or(0) as f64;
-        if min == 0.0 { f64::INFINITY } else { max / min }
-    }
-
     /// Exercise the provided-method surface (`contains`, `update`,
     /// `len_approx`) against the primary operations.
     pub fn default_methods_check<M: Map<u64, u64> + ?Sized>(map: &M) {
@@ -769,9 +667,6 @@ pub mod testing {
         update_atomicity_check_as(map, |k| k, |v| v);
     }
 
-    /// Net count of live [`DropTracked`] instances (creations minus drops).
-    static TRACKED_LIVE: AtomicIsize = AtomicIsize::new(0);
-
     /// Total constructions of [`DropTracked`] (including clones) — the
     /// materialization probe behind [`contains_no_materialize_check`].
     static TRACKED_CONSTRUCTED: AtomicIsize = AtomicIsize::new(0);
@@ -785,25 +680,25 @@ pub mod testing {
     }
 
     /// A drop-counting payload for the indirect-path reclamation check:
-    /// every construction (including clones) bumps a process-global
-    /// counter, every drop decrements it, so leaks and double drops show up
-    /// as a non-zero balance. Use only inside [`exclusive`]-serialized
-    /// tests — the counter is global.
+    /// every construction (including clones) bumps the `live` counter it
+    /// was created against, every drop decrements it, so leaks and double
+    /// drops show up as a non-zero balance. The counter belongs to the
+    /// check that made it — another test's late reclamation cannot move it.
     #[derive(Debug)]
-    pub struct DropTracked(pub u64);
+    pub struct DropTracked(pub u64, Arc<AtomicIsize>);
 
     impl DropTracked {
-        /// A new tracked instance carrying `v`.
-        pub fn new(v: u64) -> Self {
-            TRACKED_LIVE.fetch_add(1, Relaxed);
+        /// A new tracked instance carrying `v`, counted in `live`.
+        pub fn new(v: u64, live: &Arc<AtomicIsize>) -> Self {
+            live.fetch_add(1, Relaxed);
             TRACKED_CONSTRUCTED.fetch_add(1, Relaxed);
-            DropTracked(v)
+            DropTracked(v, Arc::clone(live))
         }
     }
 
     impl Clone for DropTracked {
         fn clone(&self) -> Self {
-            DropTracked::new(self.0)
+            DropTracked::new(self.0, &self.1)
         }
     }
 
@@ -815,7 +710,7 @@ pub mod testing {
 
     impl Drop for DropTracked {
         fn drop(&mut self) {
-            TRACKED_LIVE.fetch_sub(1, Relaxed);
+            self.1.fetch_sub(1, Relaxed);
         }
     }
 
@@ -826,31 +721,31 @@ pub mod testing {
     /// balance is a leak, a negative one a double drop).
     ///
     /// Takes a builder (not a reference) because the map itself must be
-    /// dropped before the balance is taken. Call under [`exclusive`]: the
-    /// drop counter is process-global.
+    /// dropped before the balance is taken.
     pub fn indirect_drop_check<M>(make: impl FnOnce() -> M)
     where
         M: Map<u64, Indirect<DropTracked>>,
     {
-        let before = TRACKED_LIVE.load(Relaxed);
+        let live = Arc::new(AtomicIsize::new(0));
         {
             let map = make();
             std::thread::scope(|s| {
                 for t in 0..4u64 {
-                    let map = &map;
+                    let (map, live) = (&map, &live);
                     s.spawn(move || {
                         let mut state = (t + 1) * 0x9E37_79B9;
                         for i in 0..400u64 {
                             let hot = xorshift(&mut state) % 16;
                             match xorshift(&mut state) % 4 {
                                 0 => {
-                                    let _ = map.insert(hot, Indirect(DropTracked::new(i)));
+                                    let _ = map.insert(hot, Indirect(DropTracked::new(i, live)));
                                 }
                                 1 => {
                                     let _ = map.remove(hot);
                                 }
                                 2 => {
-                                    let _ = map.update(hot, Indirect(DropTracked::new(i + 1_000)));
+                                    let _ = map
+                                        .update(hot, Indirect(DropTracked::new(i + 1_000, live)));
                                 }
                                 _ => {
                                     let _ = map.get(hot);
@@ -872,14 +767,14 @@ pub mod testing {
         // so a genuine leak still fails fast).
         for _ in 0..400 {
             flock_epoch::flush_all();
-            if TRACKED_LIVE.load(Relaxed) == before {
+            if live.load(Relaxed) == 0 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert_eq!(
-            TRACKED_LIVE.load(Relaxed),
-            before,
+            live.load(Relaxed),
+            0,
             "indirect reclamation imbalance: every retired fat value must be \
              dropped exactly once (positive = leak, negative = double drop)"
         );
@@ -894,7 +789,8 @@ pub mod testing {
     where
         M: Map<u64, Indirect<DropTracked>>,
     {
-        assert!(map.insert(5, Indirect(DropTracked::new(50))));
+        let live = Arc::new(AtomicIsize::new(0));
+        assert!(map.insert(5, Indirect(DropTracked::new(50, &live))));
         let base = tracked_constructions();
         for _ in 0..64 {
             assert!(map.contains(5), "present key");
@@ -1753,51 +1649,5 @@ mod tests {
         assert!((&r).insert(5, 6));
         assert_eq!(Map::get(&r, 5), Some(6));
         assert!((&r).has_atomic_update(), "capability forwards through refs");
-    }
-
-    /// Hot-lock storm at 8 threads: FIFO admission must keep the per-thread
-    /// completed-op spread bounded. The `Race` run is the baseline being
-    /// beaten — its CAS-race admission gives no per-thread guarantee, and
-    /// its measured max/min spread routinely lands anywhere from ~1.5x to
-    /// unbounded (a thread that keeps losing the install race completes
-    /// arbitrarily few ops), so only liveness is asserted for it here; the
-    /// quantitative comparison lives in the `-fair` bench series
-    /// (EXPERIMENTS.md §11).
-    #[test]
-    fn no_starvation_under_contention() {
-        use flock_core::Admission;
-        use std::time::Duration;
-        const THREADS: usize = 8;
-        const WINDOW: Duration = Duration::from_millis(200);
-        // ~10µs of critical-section compute: enough to keep the hot lock
-        // saturated (see hot_lock_storm docs) while the 200ms window still
-        // collects thousands of ops per thread.
-        const CS_SPIN: u32 = 10_000;
-        testing::exclusive(|| {
-            let race =
-                testing::hot_lock_storm(Admission::Race, THREADS, WINDOW, CS_SPIN, Duration::ZERO);
-            // Baseline: every thread must at least stay live (helping
-            // guarantees system-wide progress, not individual fairness).
-            assert!(
-                race.iter().sum::<u64>() > 0,
-                "race storm made no progress at all"
-            );
-
-            let fifo =
-                testing::hot_lock_storm(Admission::Fifo, THREADS, WINDOW, CS_SPIN, Duration::ZERO);
-            let ratio = testing::fairness_ratio(&fifo);
-            assert!(
-                fifo.iter().all(|&n| n > 0),
-                "a FIFO waiter was starved outright: {fifo:?}"
-            );
-            // Generous bound: FIFO handoff keeps admission near round-robin,
-            // so the spread should be small; the slack absorbs scheduler
-            // noise on oversubscribed CI boxes, while still being far below
-            // what a pathological Race schedule can produce.
-            assert!(
-                ratio <= 6.0,
-                "FIFO max/min completed-op ratio {ratio:.2} out of bounds: {fifo:?}"
-            );
-        });
     }
 }

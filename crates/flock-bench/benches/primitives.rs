@@ -28,7 +28,6 @@ fn main() {
         let report = BenchReport {
             primitives,
             throughput: Vec::new(),
-            fairness: Vec::new(),
         };
         std::fs::write(&path, report.to_json()).expect("write FLOCK_BENCH_JSON");
         println!("wrote {path}");

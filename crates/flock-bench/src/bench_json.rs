@@ -60,25 +60,6 @@ pub struct ThroughputSample {
     pub mops: f64,
 }
 
-/// One fairness measurement: the hot-lock admission workload (`fair-*`
-/// series) at one thread count. Throughput plus the two per-thread-spread
-/// numbers EXPERIMENTS.md §11 tracks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FairnessSample {
-    /// Series label, e.g. `fair-race`, `fair-fifo`.
-    pub series: String,
-    /// Worker thread count.
-    pub threads: usize,
-    /// Mean throughput in Mop/s.
-    pub mops: f64,
-    /// Max/min per-thread op-count ratio (1.0 = perfectly fair; a starved
-    /// thread is reported as the max count itself, see
-    /// `Measurement::max_min_ratio`).
-    pub max_min_ratio: f64,
-    /// Jain's fairness index `(Σx)²/(n·Σx²)` in `(0, 1]`.
-    pub jain: f64,
-}
-
 /// A full benchmark report: primitives plus structure throughput.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
@@ -86,8 +67,6 @@ pub struct BenchReport {
     pub primitives: Vec<PrimitiveSample>,
     /// Structure throughput results.
     pub throughput: Vec<ThroughputSample>,
-    /// Hot-lock admission fairness results (empty before BENCH_9).
-    pub fairness: Vec<FairnessSample>,
 }
 
 fn json_escape(s: &str) -> String {
@@ -136,24 +115,6 @@ impl BenchReport {
                 comma
             ));
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"fairness\": [\n");
-        for (i, f) in self.fairness.iter().enumerate() {
-            let comma = if i + 1 == self.fairness.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"series\": \"{}\", \"threads\": {}, \"mops\": {:.4}, \"max_min_ratio\": {:.4}, \"jain\": {:.4}}}{}\n",
-                json_escape(&f.series),
-                f.threads,
-                f.mops,
-                f.max_min_ratio,
-                f.jain,
-                comma
-            ));
-        }
         out.push_str("  ]\n}\n");
         out
     }
@@ -174,22 +135,9 @@ impl BenchReport {
                     name,
                     ns_per_op: ns,
                 });
-            } else if let (Some(series), Some(threads), Some(mops), Some(ratio), Some(jain)) = (
-                extract_str(line, "series"),
-                extract_num(line, "threads"),
-                extract_num(line, "mops"),
-                extract_num(line, "max_min_ratio"),
-                extract_num(line, "jain"),
-            ) {
-                // Must be tried before the throughput shape: fairness lines
-                // are a superset of it.
-                report.fairness.push(FairnessSample {
-                    series,
-                    threads: threads as usize,
-                    mops,
-                    max_min_ratio: ratio,
-                    jain,
-                });
+            } else if extract_num(line, "max_min_ratio").is_some() {
+                // A `fair-*` row of BENCH_9.json's fairness section: it has
+                // series/threads/mops too, but it is not a throughput row.
             } else if let (Some(series), Some(threads), Some(mops)) = (
                 extract_str(line, "series"),
                 extract_num(line, "threads"),
@@ -713,15 +661,17 @@ mod tests {
                 threads: 4,
                 mops: 1.2345,
             }],
-            fairness: vec![FairnessSample {
-                series: "fair-fifo".into(),
-                threads: 32,
-                mops: 0.5,
-                max_min_ratio: 1.25,
-                jain: 0.99,
-            }],
         };
-        let parsed = BenchReport::parse_json(&report.to_json());
+        // BENCH_9.json also carries a `fairness` section whose rows have
+        // series/threads/mops too; they must not leak into throughput.
+        let json = report.to_json().replacen(
+            "  ]\n}",
+            "  ],\n  \"fairness\": [\n    {\"series\": \"fair-race\", \"threads\": 32, \
+             \"mops\": 0.5000, \"max_min_ratio\": 1.2500, \"jain\": 0.9900}\n  ]\n}",
+            1,
+        );
+        assert!(json.contains("max_min_ratio"));
+        let parsed = BenchReport::parse_json(&json);
         assert_eq!(parsed.primitives.len(), 2);
         assert_eq!(parsed.primitives[0].name, "a");
         assert!((parsed.primitives[0].ns_per_op - 12.5).abs() < 1e-9);
@@ -729,12 +679,6 @@ mod tests {
         assert_eq!(parsed.throughput[0].series, "hashtable-lf");
         assert_eq!(parsed.throughput[0].threads, 4);
         assert!((parsed.throughput[0].mops - 1.2345).abs() < 1e-9);
-        // Fairness lines carry series/threads/mops too; they must not leak
-        // into the throughput vec.
-        assert_eq!(parsed.fairness.len(), 1);
-        assert_eq!(parsed.fairness[0].series, "fair-fifo");
-        assert!((parsed.fairness[0].max_min_ratio - 1.25).abs() < 1e-9);
-        assert!((parsed.fairness[0].jain - 0.99).abs() < 1e-9);
     }
 
     #[test]
@@ -755,7 +699,6 @@ mod tests {
                 },
             ],
             throughput: vec![],
-            fairness: vec![],
         };
         let new = BenchReport {
             primitives: vec![
@@ -773,7 +716,6 @@ mod tests {
                 },
             ],
             throughput: vec![],
-            fairness: vec![],
         };
         let bad = new.primitive_regressions(&old, 2.0);
         assert_eq!(bad.len(), 1);
@@ -788,7 +730,6 @@ mod tests {
                 ns_per_op: 0.3,
             }],
             throughput: vec![],
-            fairness: vec![],
         };
         let new = BenchReport {
             primitives: vec![PrimitiveSample {
@@ -796,7 +737,6 @@ mod tests {
                 ns_per_op: 1.5, // 5x of 0.3, but under the 1ns floor * 2
             }],
             throughput: vec![],
-            fairness: vec![],
         };
         assert!(new.primitive_regressions(&old, 2.0).is_empty());
     }

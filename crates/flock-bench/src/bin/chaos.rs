@@ -39,16 +39,6 @@
 //!    reclaim resumes once the pin is released.
 //! 4. **Churn** — repeated spawn/join batches under load must reclaim
 //!    thread ids (high-water mark stays one batch wide, not rounds×batch).
-//! 5. **FIFO convoy** — a strict-lock waiter under FIFO admission is parked
-//!    *forever* right after publishing its arrival slot
-//!    ([`Seam::FifoArrived`]): the convoy hazard of any queue-based lock.
-//!    Survivors hammering the same lock must keep completing operations
-//!    (recorded as a `-stall` series), the parked waiter's critical section
-//!    must run exactly once while it is still parked (a releasing owner or
-//!    a deferring younger waiter installs its published descriptor and
-//!    helpers finish it), and its done slot must be skipped — never
-//!    convoyed behind. This is the lock-free progress property the FIFO
-//!    policy is not allowed to trade away for fairness.
 
 use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,7 +51,7 @@ use flock_chaos::{
     ChaosPolicy, Composite, PanicPolicy, Seam, StallPolicy, churn, clear_chaos_policy,
     set_chaos_policy,
 };
-use flock_core::{Admission, Lock, LockMode, Mutable};
+use flock_core::LockMode;
 
 /// Every Flock registry structure (the lock-free-capable side of the
 /// registry; baselines bring their own locks and never cross a seam).
@@ -511,120 +501,6 @@ fn churn_arm(seed: u64) {
     );
 }
 
-/// Arm 5: FIFO convoy — a strict-lock waiter parked forever at its
-/// published arrival ([`Seam::FifoArrived`]) must not stall the queue.
-///
-/// The victim publishes its wait slot and freezes before ever entering the
-/// wait loop, so it holds the oldest ticket for the whole window without
-/// being able to install, help, or retract anything itself. Every survivor's
-/// admission scan therefore finds it first: the only way forward is the
-/// protocol's own — a deferring younger waiter proxy-installs the victim's
-/// published descriptor, helpers run its thunk to done, and from then on
-/// the done slot is skipped by `candidate_eligible`. Three assertions:
-///
-/// * survivors clear a throughput floor (lock-free progress, the property
-///   FIFO admission is not allowed to trade for fairness);
-/// * the victim's critical section executes exactly once *while the victim
-///   is still parked* (counter bookkeeping: shared counter == survivor ops
-///   + 1 before the victim is ever released);
-/// * releasing the victim afterwards changes nothing — it finds its
-///   descriptor done and departs without re-running (still exactly once),
-///   and the lock is left unheld and usable.
-fn fifo_stall_arm(seed: u64) -> ThroughputSample {
-    println!("== fifo stall arm: waiter parked forever at its published arrival ==");
-    flock_core::set_lock_mode(LockMode::LockFree);
-    let stall = StallPolicy::new(Seam::FifoArrived);
-    set_chaos_policy(stall.clone());
-    let lock = Arc::new(Lock::new_with(Admission::Fifo));
-    let counter = Arc::new(Mutable::new(0u64));
-    let survivor_ops = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let mut parked = false;
-    let mut survivors = 0u64;
-    let mut while_parked = 0u64;
-    std::thread::scope(|s| {
-        {
-            let (stall, lock, counter) =
-                (Arc::clone(&stall), Arc::clone(&lock), Arc::clone(&counter));
-            s.spawn(move || {
-                stall.arm_current();
-                let c = Arc::clone(&counter);
-                lock.lock(move || c.store(c.load() + 1));
-            });
-        }
-        parked = stall.wait_parked(1, Duration::from_secs(2));
-        if !parked {
-            // Unblock a late-arriving victim before the assert below so the
-            // scope join cannot hang on it.
-            stall.release_all();
-        }
-        let mut workers = Vec::new();
-        if parked {
-            for _ in 0..WORKERS {
-                let (lock, counter) = (Arc::clone(&lock), Arc::clone(&counter));
-                let (survivor_ops, stop) = (&survivor_ops, &stop);
-                workers.push(s.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        let c = Arc::clone(&counter);
-                        lock.lock(move || c.store(c.load() + 1));
-                        survivor_ops.fetch_add(1, Ordering::Relaxed);
-                    }
-                }));
-            }
-            std::thread::sleep(WINDOW);
-            stop.store(true, Ordering::Release);
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        // Workers are fully drained and the victim is still parked: snapshot
-        // the exactly-once evidence, *then* release (asserting first could
-        // hang the scope join on the parked victim).
-        survivors = survivor_ops.load(Ordering::Relaxed);
-        while_parked = counter.load();
-        stall.release_all();
-    });
-    clear_chaos_policy();
-    assert!(
-        parked,
-        "FIFO waiter never parked at its published arrival (seed {seed})"
-    );
-    let mops = survivors as f64 / WINDOW.as_secs_f64() / 1e6;
-    println!(
-        "locked-fifo       parked=1  {survivors:>8} survivor ops in {WINDOW:?}  ({mops:.4} Mop/s)"
-    );
-    assert!(
-        survivors >= MIN_LF_OPS,
-        "survivors must make progress past the parked FIFO waiter — \
-         {survivors} ops < {MIN_LF_OPS} (seed {seed})"
-    );
-    assert_eq!(
-        while_parked,
-        survivors + 1,
-        "parked waiter's critical section not applied exactly once while it \
-         was still parked (seed {seed})"
-    );
-    assert_eq!(
-        counter.load(),
-        survivors + 1,
-        "releasing the parked waiter re-applied its critical section (seed {seed})"
-    );
-    assert!(
-        !lock.is_locked(),
-        "lock left held after the parked waiter departed (seed {seed})"
-    );
-    assert_eq!(
-        lock.try_lock(|| 7u32),
-        Some(7),
-        "lock unusable after the FIFO stall window (seed {seed})"
-    );
-    ThroughputSample {
-        series: "locked-fifo-stall".into(),
-        threads: WORKERS,
-        mops,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let value = |name: &str| {
@@ -638,11 +514,10 @@ fn main() {
     println!("chaos runner: seed {seed} (replay with --seed {seed})");
 
     let t0 = Instant::now();
-    let mut samples = stall_arm(seed);
+    let samples = stall_arm(seed);
     panic_arm(seed);
     epoch_arm(seed);
     churn_arm(seed);
-    samples.push(fifo_stall_arm(seed));
 
     if let Some(path) = value("--merge-into") {
         let text = std::fs::read_to_string(&path)

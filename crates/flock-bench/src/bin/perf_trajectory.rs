@@ -11,9 +11,9 @@
 //!     --primitives-only --check BENCH_2.json
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use flock_bench::bench_json::{BenchReport, FairnessSample, ThroughputSample, run_primitive_suite};
+use flock_bench::bench_json::{BenchReport, ThroughputSample, run_primitive_suite};
 use flock_bench::{
     Series, run_point, run_point_fat, run_point_read_mostly, run_point_scan, run_point_updates,
     run_point_updates_composite,
@@ -240,107 +240,6 @@ fn throughput_sweep(duration: Duration, repeats: usize) -> Vec<ThroughputSample>
     out
 }
 
-/// Critical-section compute per storm op (see `hot_lock_storm`'s docs):
-/// ~140µs of dependent multiply-adds. Long enough that draining the
-/// published arrivals fills a scheduler slice on an oversubscribed host —
-/// so completions flow through helping/handoff in admission order instead
-/// of collapsing into pure CPU-share accounting — while the accumulated
-/// windows still give every thread hundreds of ops of resolution.
-const FAIR_CS_SPIN: u32 = 100_000;
-
-/// Out-of-lock think time per storm op. The committed series uses ZERO:
-/// on a single-core host a sleeping thread hands the CPU — and therefore
-/// the next release instant — to exactly one runnable waiter, so service
-/// order collapses to the scheduler's wake order under *both* policies
-/// and the series stops discriminating (measured: max/min ≈ 1.0–1.2 for
-/// both at 500µs think). The knob stays because on a multicore host think
-/// time is the standard fairness-bench shape: it creates genuinely
-/// simultaneous wake-up races for Race admission to lose.
-const FAIR_THINK: Duration = Duration::ZERO;
-
-/// Accumulation windows per fairness series. Per-window scheduler-share
-/// noise averages out across windows (the summed counts' spread shrinks
-/// ~√windows) while the admission policy's systematic effect does not, so
-/// more windows make the race-vs-fifo ordering stable, not just tighter.
-const FAIR_REPEATS: usize = 8;
-
-/// Hot-lock admission fairness (ISSUE 10): `threads` workers hammer ONE
-/// strict `Locked` cell built with each admission policy; per-thread op
-/// counts are summed over `repeats` windows and reduced to the max/min
-/// ratio and Jain's index. The `fair-race` rows record the CAS race's
-/// spread; `fair-fifo` is the constant-handoff policy whose whole point is
-/// pulling that spread toward 1.0 at some throughput cost. 8 threads
-/// matches the contended primitives; 32 heavily oversubscribes the CI
-/// container, where the race's cache-luck streaks are longest.
-fn fairness_sweep(window: Duration, repeats: usize) -> Vec<FairnessSample> {
-    use flock_api::testing::hot_lock_storm;
-    use flock_core::Admission;
-    flock_core::set_lock_mode(flock_core::LockMode::LockFree);
-    let repeats = repeats.max(FAIR_REPEATS);
-    // Dev knobs for methodology experiments; the committed BENCH_9 numbers
-    // use the defaults.
-    let repeats = std::env::var("FAIR_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(repeats);
-    let window = std::env::var("FAIR_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(window);
-    let mut out = Vec::new();
-    for threads in [8usize, 32] {
-        for (label, admission) in [
-            ("fair-race", Admission::Race),
-            ("fair-fifo", Admission::Fifo),
-        ] {
-            let mut per_thread = vec![0u64; threads];
-            let mut secs = 0.0f64;
-            for _ in 0..repeats {
-                let t0 = Instant::now();
-                let counts = hot_lock_storm(admission, threads, window, FAIR_CS_SPIN, FAIR_THINK);
-                secs += t0.elapsed().as_secs_f64();
-                for (acc, c) in per_thread.iter_mut().zip(&counts) {
-                    *acc += c;
-                }
-            }
-            // Reuse the workload driver's (tested) fairness reductions.
-            let m = flock_workload::Measurement {
-                name: label,
-                mops_mean: per_thread.iter().sum::<u64>() as f64 / secs / 1e6,
-                mops_stddev: 0.0,
-                total_ops: per_thread.iter().sum(),
-                per_thread_ops: per_thread,
-                config: Config {
-                    threads,
-                    ..Config::default()
-                },
-            };
-            println!(
-                "{:<24} threads={:<2} {:>8.3} Mop/s  max/min={:<8.2} jain={:.3}",
-                label,
-                threads,
-                m.mops_mean,
-                m.max_min_ratio(),
-                m.jain_index()
-            );
-            if std::env::var_os("FAIR_DEBUG").is_some() {
-                let mut sorted = m.per_thread_ops.clone();
-                sorted.sort_unstable();
-                println!("  counts: {sorted:?}");
-            }
-            out.push(FairnessSample {
-                series: label.to_string(),
-                threads,
-                mops: m.mops_mean,
-                max_min_ratio: m.max_min_ratio(),
-                jain: m.jain_index(),
-            });
-        }
-    }
-    out
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -352,44 +251,31 @@ fn main() {
     };
 
     let primitives_only = flag("--primitives-only");
-    let fairness_only = flag("--fairness-only");
     let full = flag("--full");
     let budget = if full {
         Duration::from_millis(500)
     } else {
         Duration::from_millis(200)
     };
-    let (duration, repeats) = if full {
-        (Duration::from_millis(500), 3)
-    } else {
-        (Duration::from_millis(200), 2)
-    };
 
-    let primitives = if fairness_only {
-        Vec::new()
-    } else {
-        println!("== primitive suite (best of batches, lower is better) ==");
-        run_primitive_suite(budget)
-    };
+    println!("== primitive suite (best of batches, lower is better) ==");
+    let primitives = run_primitive_suite(budget);
 
-    let throughput = if primitives_only || fairness_only {
+    let throughput = if primitives_only {
         Vec::new()
     } else {
         println!("== structure throughput (mean of timed runs, higher is better) ==");
+        let (duration, repeats) = if full {
+            (Duration::from_millis(500), 3)
+        } else {
+            (Duration::from_millis(200), 2)
+        };
         throughput_sweep(duration, repeats)
-    };
-
-    let fairness = if primitives_only {
-        Vec::new()
-    } else {
-        println!("== hot-lock admission fairness (max/min → 1.0 is fairer) ==");
-        fairness_sweep(duration, repeats)
     };
 
     let report = BenchReport {
         primitives,
         throughput,
-        fairness,
     };
 
     if let Some(out) = value("--out") {

@@ -1,7 +1,7 @@
 //! Global runtime configuration, unified in **one atomic config word**.
 //!
-//! Three knobs share the word (PR 10; previously `set_lock_mode` and
-//! `set_helping` were two ad-hoc statics with separate orderings):
+//! Two knobs share the word (previously `set_lock_mode` and `set_helping`
+//! were two ad-hoc statics with separate orderings):
 //!
 //! * **Lock mode** (bit 0): lock-free (descriptor + helping) vs blocking
 //!   (TTAS) implementations of every [`Lock`](crate::Lock) operation —
@@ -9,13 +9,8 @@
 //! * **Helping** (bit 1, inverted: set = disabled): the ablation hook that
 //!   turns off helping so its cost/benefit can be measured. Disabling it
 //!   forfeits lock-freedom.
-//! * **Default admission** (bit 2): the [`Admission`] policy
-//!   [`Lock::new`](crate::Lock::new) stamps on newly created locks —
-//!   CAS-race (the paper's implicit policy) or FIFO handoff. Pre-existing
-//!   locks keep the policy they were created with; see the `admission`
-//!   module docs in `lock.rs` for the protocol.
 //!
-//! All three are *configuration*, not protocol state: they are meant to be
+//! Both are *configuration*, not protocol state: they are meant to be
 //! flipped only while no Flock operations are in flight (between benchmark
 //! phases, at test boundaries), and mixing values on live locks is
 //! unsupported. They deliberately live in a **plain std atomic** — not the
@@ -30,19 +25,15 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::admission::Admission;
 use crate::lock::LockMode;
 
 /// Bit 0: set = blocking mode, clear = lock-free mode.
 const MODE_BLOCKING: u32 = 1 << 0;
 /// Bit 1: set = helping **disabled** (clear-by-default keeps the zero word
-/// meaning "lock-free, helping on, race admission").
+/// meaning "lock-free, helping on").
 const HELPING_OFF: u32 = 1 << 1;
-/// Bit 2: set = newly created locks default to FIFO admission.
-const ADMISSION_FIFO: u32 = 1 << 2;
 
-/// The config word. Zero = the defaults: lock-free mode, helping enabled,
-/// race admission.
+/// The config word. Zero = the defaults: lock-free mode, helping enabled.
 static CONFIG: AtomicU32 = AtomicU32::new(0);
 
 #[inline]
@@ -87,29 +78,11 @@ pub(crate) fn helping_enabled() -> bool {
     CONFIG.load(Ordering::Relaxed) & HELPING_OFF == 0
 }
 
-/// Set the [`Admission`] policy that [`Lock::new`](crate::Lock::new) (and
-/// every structure constructor that does not select one explicitly) stamps
-/// on **newly created** locks. Existing locks keep their policy — admission
-/// is a per-lock property fixed at construction.
-pub fn set_default_admission(admission: Admission) {
-    set_bit(ADMISSION_FIFO, admission == Admission::Fifo);
-}
-
-/// The admission policy newly created locks receive by default.
-#[inline]
-pub fn default_admission() -> Admission {
-    if CONFIG.load(Ordering::Relaxed) & ADMISSION_FIFO == 0 {
-        Admission::Race
-    } else {
-        Admission::Fifo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The three knobs pack into one word without clobbering each other.
+    /// The two knobs pack into one word without clobbering each other.
     #[test]
     fn knobs_are_independent() {
         let _guard = crate::lock::TEST_MODE_LOCK
@@ -117,17 +90,12 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         set_lock_mode(LockMode::Blocking);
         set_helping(false);
-        set_default_admission(Admission::Fifo);
         assert_eq!(lock_mode(), LockMode::Blocking);
         assert!(!helping_enabled());
-        assert_eq!(default_admission(), Admission::Fifo);
         set_lock_mode(LockMode::LockFree);
         assert!(!helping_enabled(), "mode write must not clobber helping");
-        assert_eq!(default_admission(), Admission::Fifo);
         set_helping(true);
-        set_default_admission(Admission::Race);
         assert_eq!(lock_mode(), LockMode::LockFree);
         assert!(helping_enabled());
-        assert_eq!(default_admission(), Admission::Race);
     }
 }

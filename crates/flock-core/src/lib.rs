@@ -15,8 +15,8 @@
 //!    observe identical values, so the thunk's effects apply exactly once.
 //!    All the user must do is wrap shared mutable locations in [`Mutable`]
 //!    and allocate/retire through this module.
-//! 2. **Locks** ([`Lock::try_lock`], [`Lock::lock`], [`Lock::unlock_early`],
-//!    and the packaged [`Locked<T>`] cell): ~20 lines over idempotent
+//! 2. **Locks** ([`Lock::try_lock`], [`Lock::lock`], and the packaged
+//!    [`Locked<T>`] cell): ~20 lines over idempotent
 //!    operations (paper Algorithm 3). Locks nest; thunks are generic over
 //!    their result type, and try-locks return `None` instead of waiting —
 //!    which is what optimistic fine-grained data structures want, without
@@ -49,7 +49,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod config;
 mod ctx;
 mod descriptor;
@@ -66,8 +65,7 @@ mod mutable;
 pub mod mutants;
 mod value_slot;
 
-pub use admission::{Admission, AdmissionPolicy, Fifo, Race};
-pub use config::{default_admission, lock_mode, set_default_admission, set_helping, set_lock_mode};
+pub use config::{lock_mode, set_helping, set_lock_mode};
 pub use ctx::in_thunk;
 #[cfg(feature = "model")]
 pub use descriptor::model_drain_descriptor_pool;

@@ -56,7 +56,6 @@ use std::sync::atomic::Ordering;
 use flock_sync::pack::{PackedValue, next_tag, pack, unpack_tag, unpack_val};
 use flock_sync::{Backoff, ThreadCtx, thread_ctx};
 
-use crate::admission::{self, Admission, AdmissionOps};
 use crate::config::{helping_enabled, lock_mode};
 use crate::ctx;
 use crate::descriptor::{self, Descriptor};
@@ -143,31 +142,25 @@ impl Drop for AbortGuard {
     }
 }
 
-/// The lock word: a descriptor pointer with the two low bits free for
-/// flags (descriptors are at least 8-byte aligned). Bit 0 is the locked
-/// flag; bit 1 carries the lock's **admission policy** (set = FIFO),
-/// stamped at construction and preserved by every acquire/release
-/// transition — locked or unlocked, the word always knows its policy, so
-/// release paths (including helpers') never need to consult the `Lock`.
+/// The lock word: a descriptor pointer with the low bit as the locked flag
+/// (descriptors are at least 8-byte aligned, so the bit is free).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct LockWord {
     bits: u64,
 }
 
 const LOCKED_BIT: u64 = 1;
-const FIFO_BIT: u64 = 1 << 1;
-/// The bits that survive every lock/unlock transition.
-const POLICY_MASK: u64 = FIFO_BIT;
 
 impl LockWord {
     pub(crate) const UNLOCKED_EMPTY: LockWord = LockWord { bits: 0 };
-    pub(crate) const UNLOCKED_FIFO: LockWord = LockWord { bits: FIFO_BIT };
+    /// Locked with a null descriptor: the blocking mode's TTAS hold.
+    const LOCKED_NULL: LockWord = LockWord { bits: LOCKED_BIT };
 
-    /// Locked on descriptor `d`, carrying `policy`'s admission bits.
-    pub(crate) fn locked_with(d: *const Descriptor, policy: LockWord) -> Self {
-        debug_assert_eq!(d as usize & 0b11, 0);
+    /// Locked on descriptor `d`.
+    pub(crate) fn locked_with(d: *const Descriptor) -> Self {
+        debug_assert_eq!(d as usize & 1, 0);
         LockWord {
-            bits: d as u64 | LOCKED_BIT | (policy.bits & POLICY_MASK),
+            bits: d as u64 | LOCKED_BIT,
         }
     }
 
@@ -175,28 +168,14 @@ impl LockWord {
         self.bits & LOCKED_BIT != 0
     }
 
-    pub(crate) fn is_fifo(self) -> bool {
-        self.bits & FIFO_BIT != 0
-    }
-
-    /// This word's unlocked form (policy bits kept, descriptor dropped) —
-    /// what every release CAM installs.
+    /// This word's unlocked form (descriptor dropped) — what every release
+    /// installs.
     pub(crate) fn unlocked(self) -> LockWord {
-        LockWord {
-            bits: self.bits & POLICY_MASK,
-        }
-    }
-
-    /// This word's locked-with-null-descriptor form (policy bits kept) —
-    /// the blocking mode's TTAS hold.
-    pub(crate) fn locked_null(self) -> LockWord {
-        LockWord {
-            bits: (self.bits & POLICY_MASK) | LOCKED_BIT,
-        }
+        LockWord::UNLOCKED_EMPTY
     }
 
     pub(crate) fn descriptor(self) -> *const Descriptor {
-        (self.bits & !(LOCKED_BIT | POLICY_MASK)) as usize as *const Descriptor
+        (self.bits & !LOCKED_BIT) as usize as *const Descriptor
     }
 }
 
@@ -261,40 +240,11 @@ impl std::fmt::Debug for Lock {
 }
 
 impl Lock {
-    /// A new, unlocked lock using the process-default [`Admission`] policy
-    /// ([`crate::config::default_admission`]; CAS-race unless configured).
+    /// A new, unlocked lock.
     pub fn new() -> Self {
-        Self::new_with(crate::config::default_admission())
-    }
-
-    /// A new, unlocked lock with an explicit [`Admission`] policy.
-    /// Admission is a per-lock property fixed at construction: it is
-    /// stamped into the lock word's policy bits and every acquire/release
-    /// transition preserves it (see the `admission` module docs).
-    pub fn new_with(admission: Admission) -> Self {
-        let init = match admission {
-            Admission::Race => LockWord::UNLOCKED_EMPTY,
-            Admission::Fifo => LockWord::UNLOCKED_FIFO,
-        };
         Self {
-            word: crate::mutable::Mutable::new(init),
+            word: crate::mutable::Mutable::new(LockWord::UNLOCKED_EMPTY),
         }
-    }
-
-    /// This lock's admission policy (fixed at construction).
-    pub fn admission(&self) -> Admission {
-        if LockWord::from_bits(unpack_val(self.word.raw_packed())).is_fifo() {
-            Admission::Fifo
-        } else {
-            Admission::Race
-        }
-    }
-
-    /// This lock's identity for the wait-slot registry: its address.
-    /// Stable (locks never move while shared) and never zero.
-    #[inline]
-    fn addr(&self) -> usize {
-        self as *const Lock as usize
     }
 
     /// Is the lock currently held? (Racy observation, for diagnostics.)
@@ -393,14 +343,13 @@ impl Lock {
                 let mut backoff = Backoff::new();
                 loop {
                     let w = self.word.raw_packed();
-                    let cur = LockWord::from_bits(unpack_val(w));
-                    if cur.is_locked() {
+                    if LockWord::from_bits(unpack_val(w)).is_locked() {
                         backoff.snooze();
                         continue;
                     }
                     if self.word.raw_cell().ccas(
                         w,
-                        pack(next_tag(unpack_tag(w)), cur.locked_null().to_bits()),
+                        pack(next_tag(unpack_tag(w)), LockWord::LOCKED_NULL.to_bits()),
                     ) {
                         return self.blocking_run(thunk);
                     }
@@ -408,73 +357,21 @@ impl Lock {
                 }
             }
             LockMode::LockFree => thread_ctx::with(|tc| {
+                // Create the descriptor once, then loop attempting to
+                // install it, helping whoever is in the way.
                 let guard = flock_epoch::pin_with(tc);
-                // Resolve the admission policy once from the word's policy
-                // bits (constant for the lock's lifetime) and monomorphize
-                // the wait loop on it. Nested strict acquisitions on FIFO
-                // locks take the Race loop regardless: arrival publication
-                // and slot scans are unlogged state, so a helped replay of
-                // the enclosing thunk could not reproduce them — `policy`
-                // still carries the FIFO bit into the installed word so
-                // top-level waiters' deference keeps working.
-                let policy = LockWord::from_bits(unpack_val(self.word.raw_packed())).unlocked();
-                if policy.is_fifo() && !tc.in_thunk() {
-                    self.strict_lock_free::<admission::Fifo, R, F>(tc, &guard, policy, thunk)
+                let nested = tc.in_thunk();
+                let d = if nested {
+                    idemp::create_descriptor_idempotent(tc, thunk, &guard)
                 } else {
-                    self.strict_lock_free::<admission::Race, R, F>(tc, &guard, policy, thunk)
-                }
-            }),
-        }
-    }
-
-    /// The lock-free strict-acquire wait loop, monomorphized per admission
-    /// policy `P`. At `P = Race` every policy hook inlines to nothing and
-    /// this is exactly the pre-policy loop: create the descriptor once,
-    /// then loop attempting to install it, helping whoever is in the way.
-    /// At `P = Fifo` the waiter additionally publishes its arrival before
-    /// the first iteration (retracted automatically when `arrival` drops on
-    /// any exit path), watches for the lock word being **handed to it** by
-    /// a releasing owner, and defers installation on unlocked words while
-    /// an older eligible arrival is published (bounded — see `admission`).
-    fn strict_lock_free<P, R, F>(
-        &self,
-        tc: &ThreadCtx,
-        guard: &flock_epoch::EpochGuard,
-        policy: LockWord,
-        thunk: F,
-    ) -> R
-    where
-        P: AdmissionOps,
-        R: Send + 'static,
-        F: Fn() -> R + Send + Sync + 'static,
-    {
-        let nested = tc.in_thunk();
-        let d = if nested {
-            idemp::create_descriptor_idempotent(tc, thunk, guard)
-        } else {
-            descriptor::create_descriptor(thunk, guard.epoch(), false)
-        };
-        let mine = LockWord::locked_with(d, policy);
-        let mut arrival = P::arrive(tc, self.addr(), d);
-        let mut backoff = Backoff::new();
-        loop {
-            let cur_packed = self.word.load_packed_in(tc);
-            let cur = LockWord::from_bits(unpack_val(cur_packed));
-            if P::HANDOFF {
-                // A releasing owner may have installed our published
-                // descriptor on our behalf (constant handoff), or helpers
-                // may already have run it to completion after a handoff we
-                // never observed installed.
-                // SAFETY: `d` is ours, live until disposed; the done read
-                // is conservative (a stale false only means another loop
-                // iteration).
-                if std::ptr::eq(cur.descriptor(), d) || unsafe { (*d).is_done() } {
-                    return self.run_and_unlock_self::<R>(tc, d, mine, nested);
-                }
-            }
-            if !cur.is_locked() {
-                match P::admit(self.addr(), &mut arrival) {
-                    admission::Admit::Own => {
+                    descriptor::create_descriptor(thunk, guard.epoch(), false)
+                };
+                let mine = LockWord::locked_with(d);
+                let mut backoff = Backoff::new();
+                loop {
+                    let cur_packed = self.word.load_packed_in(tc);
+                    let cur = LockWord::from_bits(unpack_val(cur_packed));
+                    if !cur.is_locked() {
                         self.word.cam_in(tc, cur, mine);
                         let cur2_packed = self.word.load_packed_in(tc);
                         let cur2 = LockWord::from_bits(unpack_val(cur2_packed));
@@ -491,77 +388,12 @@ impl Lock {
                             return self.run_and_unlock_self::<R>(tc, d, mine, nested);
                         }
                         if cur2.is_locked() {
-                            self.help(tc, cur2_packed, guard);
+                            self.help(tc, cur2_packed, &guard);
                         }
+                    } else {
+                        self.help(tc, cur_packed, &guard);
                     }
-                    admission::Admit::Proxy(older) => {
-                        // Admit the oldest published arrival on its behalf:
-                        // CAM its descriptor onto the unlocked word, then
-                        // loop — the next iteration observes the word
-                        // locked and helps run it. Top level only: a
-                        // replayed nested thunk could scan different slots
-                        // across replays, and its log must stay
-                        // deterministic (same reason `release_word` skips
-                        // the handoff in-thunk). The safety argument for
-                        // installing a descriptor this thread does not own
-                        // is in `admission`'s module docs (proxy
-                        // admission).
-                        if !nested {
-                            let next = LockWord::locked_with(older, cur);
-                            self.word.cam_in(tc, cur, next);
-                            // The scan-to-CAM window can admit a *completed*
-                            // candidate: the older arrival finishes (via a
-                            // handoff plus helpers) and its owner returns
-                            // while this thread is stalled holding the
-                            // Proxy decision. Helpers heal such a word, but
-                            // only threads still interacting with the lock
-                            // are helpers — if this thread's own op also
-                            // completed meanwhile, it exits through the
-                            // handed-to-me fast path above and the stale
-                            // install would outlive all waiters, leaving a
-                            // quiescent lock cosmetically held (spurious
-                            // try_lock failures, version() forever None).
-                            // The installer is the one party guaranteed to
-                            // still be here, so it heals its own install:
-                            // done is sticky, and the packed-guarded CAM
-                            // releases exactly the incarnation verified
-                            // below, so this can never unlock a live later
-                            // reuse of the same descriptor address.
-                            let now_packed = self.word.load_packed_in(tc);
-                            let now = LockWord::from_bits(unpack_val(now_packed));
-                            // SAFETY: `older` stays allocated for this whole
-                            // wait (the scanning thread holds an epoch pin
-                            // and published descriptors retire only through
-                            // the collector — see `admission`'s proxy docs);
-                            // a done read is conservative either way.
-                            if now.is_locked()
-                                && std::ptr::eq(now.descriptor(), older)
-                                && unsafe { (*older).is_done() }
-                            {
-                                self.word.cam_packed_in(tc, now_packed, now.unlocked());
-                            }
-                        }
-                    }
-                }
-            } else {
-                self.help(tc, cur_packed, guard);
-            }
-            backoff.spin();
-        }
-    }
-
-    /// Release a lock **currently held by the running thunk** before the
-    /// thunk finishes — for hand-over-hand locking (paper §4, `unlock`).
-    ///
-    /// Behavior is undefined (though memory-safe) if the calling thunk does
-    /// not hold the lock.
-    pub fn unlock_early(&self) {
-        match lock_mode() {
-            LockMode::Blocking => self.blocking_release(),
-            LockMode::LockFree => thread_ctx::with(|tc| {
-                let cur = self.word.load_in(tc);
-                if cur.is_locked() {
-                    self.word.cam_in(tc, cur, cur.unlocked());
+                    backoff.spin();
                 }
             }),
         }
@@ -598,7 +430,7 @@ impl Lock {
             } else {
                 descriptor::create_descriptor(thunk, guard.epoch(), false)
             };
-            let mine = LockWord::locked_with(d, cur);
+            let mine = LockWord::locked_with(d);
             self.word.cam_in(tc, cur, mine);
 
             // Chaos seam: the install CAM has (possibly) published our
@@ -675,9 +507,6 @@ impl Lock {
             // `done` (idempotent if the panicking runner already set it).
             // SAFETY: as above.
             unsafe { (*d).set_done() };
-            // Abandonment path: plain release, no handoff — a panicking
-            // section forfeits its handoff (waiters re-race; correctness
-            // is unaffected, they are all still competing for the word).
             self.word.cam_in(tc, mine, mine.unlocked());
             // SAFETY: lock word no longer references `d`; pinned (callers).
             unsafe { self.dispose_after_run(tc, d, nested) };
@@ -707,10 +536,7 @@ impl Lock {
                 unsafe { (*d).set_done() };
                 // Unlock by clearing the descriptor pointer so the descriptor
                 // becomes unreachable from the lock word (enables safe reuse).
-                // Under FIFO admission this is where the constant handoff
-                // happens: the word goes straight to the oldest waiter's
-                // descriptor instead of reopening the race.
-                self.release_word(tc, mine);
+                self.word.cam_in(tc, mine, mine.unlocked());
                 // SAFETY: unlock removed the lock word's reference; pinned.
                 unsafe { self.dispose_after_run(tc, d, nested) };
                 // SAFETY: `ctx::run_in` returned without unwinding, so it
@@ -733,8 +559,6 @@ impl Lock {
                     (*d).mark_panicked();
                     (*d).set_done();
                 }
-                // Plain release (no handoff): keep the panic-recovery
-                // sequence minimal, see the pre-check arm above.
                 self.word.cam_in(tc, mine, mine.unlocked());
                 // SAFETY: unlock removed the lock word's reference; pinned.
                 unsafe { self.dispose_after_run(tc, d, nested) };
@@ -742,40 +566,6 @@ impl Lock {
                 std::panic::resume_unwind(payload)
             }
         }
-    }
-
-    /// Release a lock word this thread holds as `mine` (the exact locked
-    /// value it installed, or was handed). Race admission — and every
-    /// nested release, whose slot scans could not be replayed by helpers —
-    /// CAMs straight to the unlocked word. A top-level FIFO release first
-    /// scans the wait-slot registry for the oldest eligible arrival and
-    /// CAMs the word **directly from `mine` to that waiter's descriptor**:
-    /// the constant handoff.
-    ///
-    /// Correctness leans on two things (full argument in the `admission`
-    /// module docs):
-    ///
-    /// * The scan and CAM happen while this thread still holds the lock, so
-    ///   an eligibility-validated candidate (generation matches, not done)
-    ///   is a descriptor whose owner is currently parked in its wait loop —
-    ///   installing it performs exactly the install that waiter wanted.
-    /// * `cam_in` re-reads the word and compares values before swapping: if
-    ///   a helper already completed `d` and released the word (so `mine` is
-    ///   no longer there), the handoff CAM degrades to a silent no-op and
-    ///   whatever the helper installed stands. Nothing but this thread ever
-    ///   installs `mine`'s exact value, so the value comparison cannot be
-    ///   spoofed by an unrelated transition.
-    fn release_word(&self, tc: &ThreadCtx, mine: LockWord) {
-        if mine.is_fifo()
-            && !tc.in_thunk()
-            && let Some(w) =
-                flock_sync::wait_slot::oldest_waiter(self.addr(), admission::candidate_eligible)
-        {
-            let next = LockWord::locked_with(w.desc as usize as *const Descriptor, mine);
-            self.word.cam_in(tc, mine, next);
-            return;
-        }
-        self.word.cam_in(tc, mine, mine.unlocked());
     }
 
     /// Help the descriptor installed on this lock (observed as the full
@@ -934,9 +724,6 @@ impl Lock {
         }
         // Unlock the incarnation we just ran (or observed done). The
         // full-word guard plus `valid` makes this exact (doc comment).
-        // Helpers release without handing off (policy bits preserved):
-        // handoff scans are unlogged, and the completed waiter's own
-        // deference keeps FIFO order among the survivors.
         self.word.cam_packed_in(tc, cur_packed, cur.unlocked());
     }
 
@@ -960,13 +747,12 @@ impl Lock {
 
     fn blocking_try_lock<R, F: Fn() -> R>(&self, thunk: F) -> Option<R> {
         let w = self.word.raw_packed();
-        let cur = LockWord::from_bits(unpack_val(w));
-        if cur.is_locked() {
+        if LockWord::from_bits(unpack_val(w)).is_locked() {
             return None;
         }
         if !self.word.raw_cell().ccas(
             w,
-            pack(next_tag(unpack_tag(w)), cur.locked_null().to_bits()),
+            pack(next_tag(unpack_tag(w)), LockWord::LOCKED_NULL.to_bits()),
         ) {
             return None;
         }
@@ -997,11 +783,11 @@ impl Lock {
         // Only the holder releases; acquire attempts CAS on unlocked words
         // only, so a single CAS from the current (locked) word suffices.
         let w = self.word.raw_packed();
-        let cur = LockWord::from_bits(unpack_val(w));
-        debug_assert!(cur.is_locked());
-        self.word
-            .raw_cell()
-            .ccas(w, pack(next_tag(unpack_tag(w)), cur.unlocked().to_bits()));
+        debug_assert!(LockWord::from_bits(unpack_val(w)).is_locked());
+        self.word.raw_cell().ccas(
+            w,
+            pack(next_tag(unpack_tag(w)), LockWord::UNLOCKED_EMPTY.to_bits()),
+        );
     }
 }
 
@@ -1257,42 +1043,16 @@ mod tests {
     #[test]
     fn lock_word_packing() {
         let d = 0x7f_f000_1230usize as *const Descriptor;
-        let w = LockWord::locked_with(d, LockWord::UNLOCKED_EMPTY);
+        let w = LockWord::locked_with(d);
         assert!(w.is_locked());
-        assert!(!w.is_fifo());
         assert_eq!(w.descriptor(), d);
+        assert_eq!(w.unlocked(), LockWord::UNLOCKED_EMPTY);
         let u = LockWord::UNLOCKED_EMPTY;
         assert!(!u.is_locked());
         assert!(u.descriptor().is_null());
+        assert!(LockWord::LOCKED_NULL.is_locked());
+        assert!(LockWord::LOCKED_NULL.descriptor().is_null());
         assert_eq!(LockWord::from_bits(w.to_bits()), w);
-        // Policy bits ride along through every transition shape.
-        let uf = LockWord::UNLOCKED_FIFO;
-        assert!(!uf.is_locked());
-        assert!(uf.is_fifo());
-        assert!(uf.descriptor().is_null());
-        let wf = LockWord::locked_with(d, uf);
-        assert!(wf.is_locked());
-        assert!(wf.is_fifo());
-        assert_eq!(wf.descriptor(), d, "policy bits masked out of the pointer");
-        assert_eq!(wf.unlocked(), uf, "release keeps the policy");
-        assert!(wf.locked_null().is_fifo());
-        assert!(wf.locked_null().is_locked());
-        assert!(wf.locked_null().descriptor().is_null());
-        assert_eq!(LockWord::locked_with(d, u), w, "race policy adds no bits");
-    }
-
-    #[test]
-    fn admission_is_stamped_per_lock() {
-        let race = Lock::new_with(Admission::Race);
-        let fifo = Lock::new_with(Admission::Fifo);
-        assert_eq!(race.admission(), Admission::Race);
-        assert_eq!(fifo.admission(), Admission::Fifo);
-        // The policy survives acquire/release cycles in the default
-        // (lock-free) mode, including nested and early-unlock paths.
-        assert_eq!(fifo.lock(|| 5u32), 5);
-        assert_eq!(fifo.try_lock(|| 6u32), Some(6));
-        assert_eq!(fifo.admission(), Admission::Fifo);
-        assert!(!fifo.is_locked());
     }
 
     #[test]

@@ -67,18 +67,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Locked<T> {
 }
 
 impl<T> Locked<T> {
-    /// A new unlocked cell protecting `data`, using the process-default
-    /// [`Admission`](crate::Admission) policy.
+    /// A new unlocked cell protecting `data`.
     pub fn new(data: T) -> Self {
-        Self::new_with(data, crate::config::default_admission())
-    }
-
-    /// A new unlocked cell protecting `data` with an explicit
-    /// [`Admission`](crate::Admission) policy for its lock — see
-    /// [`Lock::new_with`].
-    pub fn new_with(data: T, admission: crate::Admission) -> Self {
         Self {
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             data: Arc::new(data),
         }
     }
@@ -98,8 +90,8 @@ impl<T> Locked<T> {
         self.lock.is_locked()
     }
 
-    /// The underlying [`Lock`], for advanced compositions (hand-over-hand
-    /// release via [`Lock::unlock_early`], lock-order diagnostics).
+    /// The underlying [`Lock`], for advanced compositions (lock-order
+    /// diagnostics).
     pub fn lock_ref(&self) -> &Lock {
         &self.lock
     }

@@ -38,17 +38,3 @@ pub static SKIP_GEN_CHECK: AtomicBool = AtomicBool::new(false);
 pub(crate) fn skip_gen_check() -> bool {
     SKIP_GEN_CHECK.load(Ordering::Relaxed)
 }
-
-/// Drop the doneness/generation revalidation from FIFO handoff candidate
-/// selection (`admission::candidate_eligible` accepts any published slot):
-/// a releasing owner can then hand the lock to a **stale** arrival — e.g.
-/// its own just-completed descriptor still published in the
-/// release-to-depart window — installing a done descriptor as the lock
-/// holder. The reincarnation that follows (the slab is recycled into a new
-/// operation while the old install is still being helped) lets a helper run
-/// a thunk against a lock it never acquired: a lost update.
-pub static FIFO_SKIP_VALIDATION: AtomicBool = AtomicBool::new(false);
-
-pub(crate) fn fifo_skip_validation() -> bool {
-    FIFO_SKIP_VALIDATION.load(Ordering::Relaxed)
-}

@@ -24,7 +24,7 @@
 //! removes all root special cases.
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Admission, Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 /// Maximum keys per leaf and separators per internal node ("b").
@@ -50,10 +50,10 @@ impl<K: Key, V: Value> Node<K, V> {
         std::array::from_fn(|_| Mutable::new(std::ptr::null_mut()))
     }
 
-    fn leaf(entries: &[(K, V)], admission: Admission) -> Self {
+    fn leaf(entries: &[(K, V)]) -> Self {
         debug_assert!(entries.len() <= B);
         Self {
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             removed: UpdateOnce::new(false),
             is_leaf: true,
             keys: entries.iter().map(|(k, _)| k.clone()).collect(),
@@ -65,7 +65,7 @@ impl<K: Key, V: Value> Node<K, V> {
         }
     }
 
-    fn internal(seps: &[K], kids: &[*mut Node<K, V>], admission: Admission) -> Self {
+    fn internal(seps: &[K], kids: &[*mut Node<K, V>]) -> Self {
         debug_assert_eq!(kids.len(), seps.len() + 1);
         debug_assert!(seps.len() <= B);
         let children = std::array::from_fn(|i| {
@@ -76,7 +76,7 @@ impl<K: Key, V: Value> Node<K, V> {
             })
         });
         Self {
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             removed: UpdateOnce::new(false),
             is_leaf: false,
             keys: seps.to_vec(),
@@ -132,8 +132,6 @@ pub struct ABTree<K: Key, V: Value> {
     /// Pseudo-root: zero keys, single child = the real root.
     anchor: *mut Node<K, V>,
     label: &'static str,
-    /// Admission policy stamped on every node lock this tree creates.
-    admission: Admission,
     /// Maintained element count backing `len_approx`.
     count: ApproxLen,
 }
@@ -154,23 +152,12 @@ impl<K: Key, V: Value> ABTree<K, V> {
         Self::with_label("abtree")
     }
 
-    /// An empty tree whose node locks all use `admission`
-    /// (see [`flock_core::admission`]).
-    pub fn with_admission(admission: Admission) -> Self {
-        Self::with_label_and_admission("abtree", admission)
-    }
-
     pub(crate) fn with_label(label: &'static str) -> Self {
-        Self::with_label_and_admission(label, flock_core::default_admission())
-    }
-
-    pub(crate) fn with_label_and_admission(label: &'static str, admission: Admission) -> Self {
-        let root = flock_epoch::alloc(Node::leaf(&[], admission));
-        let anchor = flock_epoch::alloc(Node::internal(&[], &[root], admission));
+        let root = flock_epoch::alloc(Node::leaf(&[]));
+        let anchor = flock_epoch::alloc(Node::internal(&[], &[root]));
         Self {
             anchor,
             label,
-            admission,
             count: ApproxLen::new(),
         }
     }
@@ -204,7 +191,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
         c: *mut Node<K, V>,
         k: &K,
     ) -> Option<bool> {
-        let admission = self.admission;
         let (sp_g, sp_p, sp_c) = (Sp(g), Sp(p), Sp(c));
         let k2 = k.clone();
         // SAFETY: pinned caller.
@@ -245,8 +231,8 @@ impl<K: Key, V: Value> ABTree<K, V> {
                         sep = entries[mid].0.clone();
                         let lo = entries[..mid].to_vec();
                         let hi = entries[mid..].to_vec();
-                        left_ptr = flock_core::alloc(move || Node::leaf(&lo, admission));
-                        right_ptr = flock_core::alloc(move || Node::leaf(&hi, admission));
+                        left_ptr = flock_core::alloc(move || Node::leaf(&lo));
+                        right_ptr = flock_core::alloc(move || Node::leaf(&hi));
                     } else {
                         let seps = c.separators();
                         let kids = c.child_ptrs();
@@ -256,10 +242,8 @@ impl<K: Key, V: Value> ABTree<K, V> {
                         let rsep = seps[mid + 1..].to_vec();
                         let rkid = kids[mid + 1..].to_vec();
                         let (lk, rk) = (SendPtrs(lkid), SendPtrs(rkid));
-                        left_ptr =
-                            flock_core::alloc(move || Node::internal(&lsep, &lk.0, admission));
-                        right_ptr =
-                            flock_core::alloc(move || Node::internal(&rsep, &rk.0, admission));
+                        left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lk.0));
+                        right_ptr = flock_core::alloc(move || Node::internal(&rsep, &rk.0));
                     }
                     // New p with the separator spliced in at position pi.
                     let mut nseps = p.separators();
@@ -268,7 +252,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
                     nkids[pi] = left_ptr;
                     nkids.insert(pi + 1, right_ptr);
                     let nk = SendPtrs(nkids);
-                    let new_p = flock_core::alloc(move || Node::internal(&nseps, &nk.0, admission));
+                    let new_p = flock_core::alloc(move || Node::internal(&nseps, &nk.0));
                     p.removed.store(true);
                     c.removed.store(true);
                     g.children[gi].store(new_p);
@@ -291,7 +275,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
 
     /// Insert; `false` if present.
     pub fn insert(&self, k: K, v: V) -> bool {
-        let admission = self.admission;
         let _g = flock_epoch::pin();
         let mut backoff = Backoff::new();
         'restart: loop {
@@ -346,7 +329,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
                 let mut entries = l.leaf_entries();
                 let pos = entries.partition_point(|(ek, _)| ek < &k2);
                 entries.insert(pos, (k2.clone(), v2.clone()));
-                let newl = flock_core::alloc(move || Node::leaf(&entries, admission));
+                let newl = flock_core::alloc(move || Node::leaf(&entries));
                 p.children[slot].store(newl);
                 // SAFETY: replaced above; idempotent retire.
                 unsafe { flock_core::retire(sp_l.ptr()) };
@@ -375,7 +358,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
     /// `None` = the anchor's or root's lock was busy; `Some(applied)`
     /// otherwise.
     fn split_root(&self, root: *mut Node<K, V>) -> Option<bool> {
-        let admission = self.admission;
         let (sp_a, sp_r) = (Sp(self.anchor), Sp(root));
         // SAFETY: pinned caller; anchor immutable.
         let outcome = unsafe { &*self.anchor }.lock.try_lock(move || {
@@ -395,8 +377,8 @@ impl<K: Key, V: Value> ABTree<K, V> {
                     sep = entries[mid].0.clone();
                     let lo = entries[..mid].to_vec();
                     let hi = entries[mid..].to_vec();
-                    left_ptr = flock_core::alloc(move || Node::leaf(&lo, admission));
-                    right_ptr = flock_core::alloc(move || Node::leaf(&hi, admission));
+                    left_ptr = flock_core::alloc(move || Node::leaf(&lo));
+                    right_ptr = flock_core::alloc(move || Node::leaf(&hi));
                 } else {
                     // Child cells stable: we hold the root's lock.
                     let seps = r.separators();
@@ -406,17 +388,12 @@ impl<K: Key, V: Value> ABTree<K, V> {
                     let lkid = SendPtrs(kids[..=mid].to_vec());
                     let rsep = seps[mid + 1..].to_vec();
                     let rkid = SendPtrs(kids[mid + 1..].to_vec());
-                    left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lkid.0, admission));
-                    right_ptr =
-                        flock_core::alloc(move || Node::internal(&rsep, &rkid.0, admission));
+                    left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lkid.0));
+                    right_ptr = flock_core::alloc(move || Node::internal(&rsep, &rkid.0));
                 }
                 let sep2 = sep.clone();
                 let new_root = flock_core::alloc(move || {
-                    Node::internal(
-                        std::slice::from_ref(&sep2),
-                        &[left_ptr, right_ptr],
-                        admission,
-                    )
+                    Node::internal(std::slice::from_ref(&sep2), &[left_ptr, right_ptr])
                 });
                 r.removed.store(true);
                 a.children[0].store(new_root);
@@ -433,7 +410,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
 
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
-        let admission = self.admission;
         let _g = flock_epoch::pin();
         let mut backoff = Backoff::new();
         loop {
@@ -467,7 +443,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
                         let Some(pos) = l.find(&k2) else { return false };
                         let mut entries = l.leaf_entries();
                         entries.remove(pos);
-                        let newl = flock_core::alloc(move || Node::leaf(&entries, admission));
+                        let newl = flock_core::alloc(move || Node::leaf(&entries));
                         p.children[slot].store(newl);
                         // SAFETY: replaced above; idempotent retire.
                         unsafe { flock_core::retire(sp_l.ptr()) };
@@ -513,7 +489,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
                             kids[0] // hoist the single remaining child
                         } else {
                             let nk = SendPtrs(kids);
-                            flock_core::alloc(move || Node::internal(&seps, &nk.0, admission))
+                            flock_core::alloc(move || Node::internal(&seps, &nk.0))
                         };
                         p.removed.store(true);
                         g.children[gi].store(replacement);

@@ -32,7 +32,7 @@
 use std::ops::Bound;
 
 use flock_api::{Key, Map, OrderedMap, Value, key_in_range};
-use flock_core::{Admission, Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 const KEY_BYTES: usize = 8;
@@ -138,7 +138,7 @@ struct ArtNode {
 }
 
 impl ArtNode {
-    fn new(kind: u8, admission: Admission) -> Self {
+    fn new(kind: u8) -> Self {
         let (nkeys, nindex, nchildren) = match kind {
             N4 => (4, 0, 4),
             N16 => (16, 0, 16),
@@ -146,7 +146,7 @@ impl ArtNode {
             _ => (0, 0, 256),
         };
         Self {
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             removed: UpdateOnce::new(false),
             kind,
             keys: (0..nkeys).map(|_| UpdateOnce::new(0u32)).collect(),
@@ -317,8 +317,6 @@ impl ArtNode {
 pub struct ArtTree<K: Key + RadixKey, V: Value> {
     /// Depth-0 node; fixed Node256 so it is never upgraded or removed.
     root: *mut ArtNode,
-    /// Admission policy stamped on every node lock this tree creates.
-    admission: Admission,
     /// Maintained element count backing `len_approx`.
     count: ApproxLen,
     _kv: std::marker::PhantomData<(K, V)>,
@@ -337,15 +335,8 @@ impl<K: Key + RadixKey, V: Value> Default for ArtTree<K, V> {
 impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
     /// An empty tree.
     pub fn new() -> Self {
-        Self::with_admission(flock_core::default_admission())
-    }
-
-    /// An empty tree whose node locks all use `admission`
-    /// (see [`flock_core::admission`]).
-    pub fn with_admission(admission: Admission) -> Self {
         Self {
-            root: flock_epoch::alloc(ArtNode::new(N256, admission)),
-            admission,
+            root: flock_epoch::alloc(ArtNode::new(N256)),
             count: ApproxLen::new(),
             _kv: std::marker::PhantomData,
         }
@@ -779,7 +770,6 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         v: &V,
     ) -> Option<bool> {
         debug_assert!(depth >= 1);
-        let admission = self.admission;
         let r = k.radix();
         let pb = byte_at(r, depth - 1);
         let b = byte_at(r, depth);
@@ -818,7 +808,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                     value: ValueSlot::new(v4.clone()),
                 });
                 let bigger = flock_core::alloc(move || {
-                    let fresh = ArtNode::new(new_kind, admission);
+                    let fresh = ArtNode::new(new_kind);
                     for (eb, ec) in &entries2 {
                         let added = fresh.try_add(*eb, *ec);
                         debug_assert!(added);
@@ -847,7 +837,6 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
     ///
     /// `None` = the node's lock was busy; `Some(false)` = validation failed.
     fn split_leaf(&self, node: *mut ArtNode, depth: usize, c: usize, k: &K, v: &V) -> Option<bool> {
-        let admission = self.admission;
         let kr = k.radix();
         let b = byte_at(kr, depth);
         let sp_n = Sp(node);
@@ -886,7 +875,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
             });
             // Innermost node: both leaves.
             let bottom = flock_core::alloc(|| {
-                let n4 = ArtNode::new(N4, admission);
+                let n4 = ArtNode::new(N4);
                 let added = n4.try_add(byte_at(old_r, j), c);
                 debug_assert!(added);
                 let added = n4.try_add(byte_at(kr, j), tag_leaf(new_leaf));
@@ -898,7 +887,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
             for d in (depth + 1..j).rev() {
                 let prev = head;
                 head = flock_core::alloc(move || {
-                    let wrap = ArtNode::new(N4, admission);
+                    let wrap = ArtNode::new(N4);
                     let added = wrap.try_add(byte_at(kr, d), tag_node(prev));
                     debug_assert!(added);
                     wrap

@@ -19,7 +19,7 @@
 //! same reason the paper's C++ lambdas must capture by value.
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Admission, Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 /// Sentinel markers so head/tail need no special key values.
@@ -48,7 +48,6 @@ impl<K: Key, V: Value> Link<K, V> {
         next: *mut Link<K, V>,
         prev: *mut Link<K, V>,
         kind: u8,
-        admission: Admission,
     ) -> Self {
         Self {
             next: Mutable::new(next),
@@ -56,7 +55,7 @@ impl<K: Key, V: Value> Link<K, V> {
             removed: UpdateOnce::new(false),
             key,
             value: value.map(ValueSlot::new),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             kind,
         }
     }
@@ -97,8 +96,6 @@ pub struct DList<K: Key, V: Value> {
     /// Maintained element count backing `len_approx` (bumped outside the
     /// thunks: exactly one caller sees `Some(true)` per applied op).
     count: ApproxLen,
-    /// Admission policy stamped on every link lock (fixed at construction).
-    admission: Admission,
 }
 
 // SAFETY: all mutation is via Flock locks + epoch reclamation; the raw head
@@ -113,37 +110,22 @@ impl<K: Key, V: Value> Default for DList<K, V> {
 }
 
 impl<K: Key, V: Value> DList<K, V> {
-    /// An empty list using the process-default admission policy.
+    /// An empty list.
     pub fn new() -> Self {
-        Self::with_admission(flock_core::default_admission())
-    }
-
-    /// An empty list whose link locks all use `admission` (see
-    /// [`flock_core::admission`]).
-    pub fn with_admission(admission: Admission) -> Self {
         let head = flock_epoch::alloc(Link::new(
             None,
             None,
             std::ptr::null_mut(),
             std::ptr::null_mut(),
             KIND_HEAD,
-            admission,
         ));
-        let tail = flock_epoch::alloc(Link::new(
-            None,
-            None,
-            std::ptr::null_mut(),
-            head,
-            KIND_TAIL,
-            admission,
-        ));
+        let tail = flock_epoch::alloc(Link::new(None, None, std::ptr::null_mut(), head, KIND_TAIL));
         // SAFETY: fresh, unshared.
         unsafe { (*head).next.store(tail) };
         Self {
             head,
             tail,
             count: ApproxLen::new(),
-            admission,
         }
     }
 
@@ -212,7 +194,6 @@ impl<K: Key, V: Value> DList<K, V> {
             if prev_ok {
                 let (sp_prev, sp_next) = (Sp(prev), Sp(next));
                 let (k2, v2) = (k.clone(), v.clone());
-                let admission = self.admission;
                 match prev_ref.lock.try_lock(move || {
                     // SAFETY: thunk runs under epoch protection (owner's pin
                     // or helper's adopted epoch); links are retired through
@@ -228,7 +209,6 @@ impl<K: Key, V: Value> DList<K, V> {
                             sp_next.ptr(),
                             sp_prev.ptr(),
                             KIND_NORMAL,
-                            admission,
                         )
                     });
                     p.next.store(newl); // splice in

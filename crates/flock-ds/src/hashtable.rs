@@ -38,7 +38,7 @@
 use std::hash::{BuildHasher, Hasher};
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Admission, Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 use crate::mix64;
@@ -107,34 +107,16 @@ impl<K: Key, V: Value> HashTable<K, V> {
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_capacity_and_hasher(capacity, FlockHashBuilder)
     }
-
-    /// A table with at least `capacity` buckets whose bucket locks all use
-    /// `admission` (see [`flock_core::admission`]).
-    pub fn with_capacity_and_admission(capacity: usize, admission: Admission) -> Self {
-        Self::with_capacity_hasher_admission(capacity, FlockHashBuilder, admission)
-    }
 }
 
 impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S> {
     /// A table with at least `capacity` buckets and a caller-supplied
     /// hash-function family (the hasher seam).
     pub fn with_capacity_and_hasher(capacity: usize, hasher: S) -> Self {
-        Self::with_capacity_hasher_admission(capacity, hasher, flock_core::default_admission())
-    }
-
-    /// The fully explicit constructor: capacity, hasher family, and the
-    /// [`Admission`] policy stamped on every bucket lock. All bucket locks
-    /// exist for the table's whole lifetime, so admission is decided here
-    /// once, not per node.
-    pub fn with_capacity_hasher_admission(
-        capacity: usize,
-        hasher: S,
-        admission: Admission,
-    ) -> Self {
         let n = capacity.next_power_of_two().max(16);
         let buckets = (0..n)
             .map(|_| Bucket {
-                lock: Lock::new_with(admission),
+                lock: Lock::new(),
                 head: Mutable::new(std::ptr::null_mut()),
             })
             .collect();

@@ -9,7 +9,7 @@
 //! flag of the matching node.
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Admission, Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 const KIND_NORMAL: u8 = 0;
@@ -30,19 +30,13 @@ struct Node<K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> Node<K, V> {
-    fn new(
-        key: Option<K>,
-        value: Option<V>,
-        next: *mut Node<K, V>,
-        kind: u8,
-        admission: Admission,
-    ) -> Self {
+    fn new(key: Option<K>, value: Option<V>, next: *mut Node<K, V>, kind: u8) -> Self {
         Self {
             next: Mutable::new(next),
             removed: UpdateOnce::new(false),
             key,
             value: value.map(ValueSlot::new),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             kind,
         }
     }
@@ -68,8 +62,6 @@ pub struct LazyList<K: Key, V: Value> {
     tail: *mut Node<K, V>,
     /// Maintained element count backing `len_approx`.
     count: ApproxLen,
-    /// Admission policy stamped on every node lock (fixed at construction).
-    admission: Admission,
 }
 
 // SAFETY: mutation via Flock locks + epoch reclamation; head/tail immutable.
@@ -83,27 +75,14 @@ impl<K: Key, V: Value> Default for LazyList<K, V> {
 }
 
 impl<K: Key, V: Value> LazyList<K, V> {
-    /// An empty list using the process-default admission policy.
+    /// An empty list.
     pub fn new() -> Self {
-        Self::with_admission(flock_core::default_admission())
-    }
-
-    /// An empty list whose node locks all use `admission` (see
-    /// [`flock_core::admission`]).
-    pub fn with_admission(admission: Admission) -> Self {
-        let tail = flock_epoch::alloc(Node::new(
-            None,
-            None,
-            std::ptr::null_mut(),
-            KIND_TAIL,
-            admission,
-        ));
-        let head = flock_epoch::alloc(Node::new(None, None, tail, KIND_HEAD, admission));
+        let tail = flock_epoch::alloc(Node::new(None, None, std::ptr::null_mut(), KIND_TAIL));
+        let head = flock_epoch::alloc(Node::new(None, None, tail, KIND_HEAD));
         Self {
             head,
             tail,
             count: ApproxLen::new(),
-            admission,
         }
     }
 
@@ -163,7 +142,6 @@ impl<K: Key, V: Value> LazyList<K, V> {
             }
             let (sp_pred, sp_curr) = (Sp(pred), Sp(curr));
             let (k2, v2) = (k.clone(), v.clone());
-            let admission = self.admission;
             // SAFETY: epoch-pinned.
             match unsafe { &*pred }.lock.try_lock(move || {
                 // SAFETY: epoch protection via owner pin / helper adoption.
@@ -177,7 +155,6 @@ impl<K: Key, V: Value> LazyList<K, V> {
                         Some(v2.clone()),
                         sp_curr.ptr(),
                         KIND_NORMAL,
-                        admission,
                     )
                 });
                 p.next.store(newn);

@@ -23,7 +23,7 @@ use std::hash::BuildHasher;
 use std::ops::Bound;
 
 use flock_api::{Key, Map, OrderedMap, Value, key_above_lower, key_below_upper, key_in_range};
-use flock_core::{Admission, Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 use crate::hashtable::FlockHashBuilder;
@@ -59,18 +59,13 @@ struct Node<K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> Node<K, V> {
-    fn internal(
-        key: K,
-        left: *mut Node<K, V>,
-        right: *mut Node<K, V>,
-        admission: Admission,
-    ) -> Self {
+    fn internal(key: K, left: *mut Node<K, V>, right: *mut Node<K, V>) -> Self {
         let prio = prio_of(&key);
         Self {
             left: Mutable::new(left),
             right: Mutable::new(right),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: Some(key),
             prio,
             kind: KIND_INTERNAL,
@@ -79,12 +74,12 @@ impl<K: Key, V: Value> Node<K, V> {
         }
     }
 
-    fn root(left: *mut Node<K, V>, admission: Admission) -> Self {
+    fn root(left: *mut Node<K, V>) -> Self {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(std::ptr::null_mut()),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: None,
             prio: u64::MAX, // the root never loses a priority comparison
             kind: KIND_INTERNAL,
@@ -93,13 +88,13 @@ impl<K: Key, V: Value> Node<K, V> {
         }
     }
 
-    fn leaf(entries: &[(K, V)], admission: Admission) -> Self {
+    fn leaf(entries: &[(K, V)]) -> Self {
         debug_assert!(entries.len() <= LEAF_CAP);
         Self {
             left: Mutable::new(std::ptr::null_mut()),
             right: Mutable::new(std::ptr::null_mut()),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: None,
             prio: 0,
             kind: KIND_LEAF,
@@ -140,8 +135,6 @@ impl<K: Key, V: Value> Node<K, V> {
 /// Leaf-oriented treap map with batched leaves.
 pub struct LeafTreap<K: Key, V: Value> {
     root: *mut Node<K, V>,
-    /// Admission policy stamped on every node lock this treap creates.
-    admission: Admission,
     /// Maintained element count backing `len_approx`.
     count: ApproxLen,
 }
@@ -159,17 +152,10 @@ impl<K: Key, V: Value> Default for LeafTreap<K, V> {
 impl<K: Key, V: Value> LeafTreap<K, V> {
     /// An empty treap.
     pub fn new() -> Self {
-        Self::with_admission(flock_core::default_admission())
-    }
-
-    /// An empty treap whose node locks all use `admission`
-    /// (see [`flock_core::admission`]).
-    pub fn with_admission(admission: Admission) -> Self {
-        let empty = flock_epoch::alloc(Node::leaf(&[], admission));
+        let empty = flock_epoch::alloc(Node::leaf(&[]));
         Self {
-            root: flock_epoch::alloc(Node::root(empty, admission)),
+            root: flock_epoch::alloc(Node::root(empty)),
             count: ApproxLen::new(),
-            admission,
         }
     }
 
@@ -192,7 +178,6 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
     /// Insert; `false` if present.
     pub fn insert(&self, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
-        let admission = self.admission;
         let mut backoff = Backoff::new();
         loop {
             let (_, parent, leaf) = self.search(&k);
@@ -216,7 +201,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                 let pos = entries.partition_point(|(ek, _)| ek < &k2);
                 entries.insert(pos, (k2.clone(), v2.clone()));
                 if entries.len() <= LEAF_CAP {
-                    let newl = flock_core::alloc(move || Node::leaf(&entries, admission));
+                    let newl = flock_core::alloc(move || Node::leaf(&entries));
                     cell.store(newl);
                 } else {
                     // Split into two half-leaves under a new routing node.
@@ -227,11 +212,10 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                     let split_key = entries[mid].0.clone();
                     let lo = entries[..mid].to_vec();
                     let hi = entries[mid..].to_vec();
-                    let left = flock_core::alloc(|| Node::leaf(&lo, admission));
-                    let right = flock_core::alloc(|| Node::leaf(&hi, admission));
-                    let newi = flock_core::alloc(move || {
-                        Node::internal(split_key.clone(), left, right, admission)
-                    });
+                    let left = flock_core::alloc(|| Node::leaf(&lo));
+                    let right = flock_core::alloc(|| Node::leaf(&hi));
+                    let newi =
+                        flock_core::alloc(move || Node::internal(split_key.clone(), left, right));
                     cell.store(newi);
                 }
                 // SAFETY: old leaf unlinked above; idempotent retire.
@@ -297,7 +281,6 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         p: *mut Node<K, V>,
         c: *mut Node<K, V>,
     ) -> Option<bool> {
-        let admission = self.admission;
         let (sp_g, sp_p, sp_c) = (Sp(g), Sp(p), Sp(c));
         // SAFETY: pinned by fix_priorities' caller.
         let outcome = unsafe { &*g }.lock.try_lock(move || {
@@ -345,19 +328,19 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                     let new_p = flock_core::alloc(move || {
                         if c_is_left {
                             // Right rotation: p' = (pk, c.right, p.right).
-                            Node::internal(pk2.clone(), cr, p_other, admission)
+                            Node::internal(pk2.clone(), cr, p_other)
                         } else {
                             // Left rotation: p' = (pk, p.left, c.left).
-                            Node::internal(pk2.clone(), p_other, cl, admission)
+                            Node::internal(pk2.clone(), p_other, cl)
                         }
                     });
                     let new_top = flock_core::alloc(move || {
                         if c_is_left {
                             // c' = (ck, c.left, p').
-                            Node::internal(ck.clone(), cl, new_p, admission)
+                            Node::internal(ck.clone(), cl, new_p)
                         } else {
                             // c' = (ck, p', c.right).
-                            Node::internal(ck.clone(), new_p, cr, admission)
+                            Node::internal(ck.clone(), new_p, cr)
                         }
                     });
                     p.removed.store(true);
@@ -382,7 +365,6 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
         let _g = flock_epoch::pin();
-        let admission = self.admission;
         let mut backoff = Backoff::new();
         loop {
             let (gparent, parent, leaf) = self.search(&k);
@@ -410,7 +392,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                         let Some(pos) = l.find(&k2) else { return false };
                         let mut entries = l.entries_snapshot();
                         entries.remove(pos);
-                        let newl = flock_core::alloc(move || Node::leaf(&entries, admission));
+                        let newl = flock_core::alloc(move || Node::leaf(&entries));
                         cell.store(newl);
                         // SAFETY: unlinked above; idempotent retire.
                         unsafe { flock_core::retire(sp_l.ptr()) };

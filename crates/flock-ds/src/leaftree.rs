@@ -15,7 +15,7 @@
 //! locks (wait for the holder — helping it first in lock-free mode).
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Admission, Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 const KIND_INTERNAL: u8 = 0;
@@ -43,17 +43,12 @@ struct Node<K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> Node<K, V> {
-    fn internal(
-        key: K,
-        left: *mut Node<K, V>,
-        right: *mut Node<K, V>,
-        admission: Admission,
-    ) -> Self {
+    fn internal(key: K, left: *mut Node<K, V>, right: *mut Node<K, V>) -> Self {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(right),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: Some(key),
             value: None,
             kind: KIND_INTERNAL,
@@ -62,12 +57,12 @@ impl<K: Key, V: Value> Node<K, V> {
     }
 
     /// The root pseudo-internal: no key, routes everything left.
-    fn root(left: *mut Node<K, V>, admission: Admission) -> Self {
+    fn root(left: *mut Node<K, V>) -> Self {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(std::ptr::null_mut()),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: None,
             value: None,
             kind: KIND_INTERNAL,
@@ -75,12 +70,12 @@ impl<K: Key, V: Value> Node<K, V> {
         }
     }
 
-    fn leaf(key: K, value: V, admission: Admission) -> Self {
+    fn leaf(key: K, value: V) -> Self {
         Self {
             left: Mutable::new(std::ptr::null_mut()),
             right: Mutable::new(std::ptr::null_mut()),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: Some(key),
             value: Some(ValueSlot::new(value)),
             kind: KIND_LEAF,
@@ -88,12 +83,12 @@ impl<K: Key, V: Value> Node<K, V> {
         }
     }
 
-    fn empty_leaf(admission: Admission) -> Self {
+    fn empty_leaf() -> Self {
         Self {
             left: Mutable::new(std::ptr::null_mut()),
             right: Mutable::new(std::ptr::null_mut()),
             removed: UpdateOnce::new(false),
-            lock: Lock::new_with(admission),
+            lock: Lock::new(),
             key: None,
             value: None,
             kind: KIND_EMPTY,
@@ -122,8 +117,6 @@ impl<K: Key, V: Value> Node<K, V> {
 pub struct LeafTree<K: Key, V: Value> {
     root: *mut Node<K, V>,
     strict: bool,
-    /// Admission policy stamped on every node lock this tree creates.
-    admission: Admission,
     label: &'static str,
     /// Maintained element count backing `len_approx`.
     count: ApproxLen,
@@ -159,31 +152,19 @@ where
 impl<K: Key, V: Value> LeafTree<K, V> {
     /// An empty tree using try-locks (the paper's preferred discipline).
     pub fn new() -> Self {
-        Self::build(false, "leaftree", flock_core::default_admission())
+        Self::build(false, "leaftree")
     }
 
     /// An empty tree using strict locks (waits instead of restarting).
     pub fn new_strict() -> Self {
-        Self::build(true, "leaftree-strict", flock_core::default_admission())
+        Self::build(true, "leaftree-strict")
     }
 
-    /// An empty try-lock tree whose node locks all use `admission`
-    /// (see [`flock_core::admission`]).
-    pub fn with_admission(admission: Admission) -> Self {
-        Self::build(false, "leaftree", admission)
-    }
-
-    /// An empty strict-lock tree whose node locks all use `admission`.
-    pub fn new_strict_with_admission(admission: Admission) -> Self {
-        Self::build(true, "leaftree-strict", admission)
-    }
-
-    fn build(strict: bool, label: &'static str, admission: Admission) -> Self {
-        let empty = flock_epoch::alloc(Node::empty_leaf(admission));
+    fn build(strict: bool, label: &'static str) -> Self {
+        let empty = flock_epoch::alloc(Node::empty_leaf());
         Self {
-            root: flock_epoch::alloc(Node::root(empty, admission)),
+            root: flock_epoch::alloc(Node::root(empty)),
             strict,
-            admission,
             label,
             count: ApproxLen::new(),
         }
@@ -208,7 +189,6 @@ impl<K: Key, V: Value> LeafTree<K, V> {
     /// Insert; `false` if present.
     pub fn insert(&self, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
-        let admission = self.admission;
         let mut backoff = Backoff::new();
         loop {
             let (_, parent, leaf) = self.search(&k);
@@ -230,7 +210,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                 }
                 if l.kind == KIND_EMPTY {
                     // Empty slot: replace placeholder with the new leaf.
-                    let newl = flock_core::alloc(|| Node::leaf(k2.clone(), v2.clone(), admission));
+                    let newl = flock_core::alloc(|| Node::leaf(k2.clone(), v2.clone()));
                     cell.store(newl);
                     // SAFETY: placeholder unlinked above; retired once.
                     unsafe { flock_core::retire(sp_leaf.ptr()) };
@@ -243,12 +223,12 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                 // (the loser's outer node is freed, but a plain nested
                 // allocation inside it is not).
                 let lk = l.key.clone().expect("real leaf has a key");
-                let new_leaf = flock_core::alloc(|| Node::leaf(k2.clone(), v2.clone(), admission));
+                let new_leaf = flock_core::alloc(|| Node::leaf(k2.clone(), v2.clone()));
                 let newn = flock_core::alloc(|| {
                     if k2 < lk {
-                        Node::internal(lk.clone(), new_leaf, sp_leaf.ptr(), admission)
+                        Node::internal(lk.clone(), new_leaf, sp_leaf.ptr())
                     } else {
-                        Node::internal(k2.clone(), sp_leaf.ptr(), new_leaf, admission)
+                        Node::internal(k2.clone(), sp_leaf.ptr(), new_leaf)
                     }
                 });
                 cell.store(newn);
@@ -268,7 +248,6 @@ impl<K: Key, V: Value> LeafTree<K, V> {
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
         let _g = flock_epoch::pin();
-        let admission = self.admission;
         let mut backoff = Backoff::new();
         loop {
             let (gparent, parent, leaf) = self.search(&k);
@@ -289,7 +268,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     if cell.load() != sp_leaf.ptr() {
                         return false;
                     }
-                    let empty = flock_core::alloc(move || Node::empty_leaf(admission));
+                    let empty = flock_core::alloc(Node::empty_leaf);
                     cell.store(empty);
                     // SAFETY: unlinked above; idempotent retire.
                     unsafe { flock_core::retire(sp_leaf.ptr()) };

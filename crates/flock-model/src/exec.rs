@@ -303,7 +303,6 @@ impl WorkerPool {
         }
         flock_epoch::model_reset();
         flock_sync::announce::model_reset_global();
-        flock_sync::wait_slot::model_reset_global();
     }
 }
 

@@ -670,23 +670,23 @@ fn validated_read_mutant_no_bracket_is_caught() {
     assert!(f.message.contains("torn pair"), "{}", f.message);
 }
 
-// --------------------------------------------------------- fifo admission
+// ------------------------------------------------------------- strict lock
 
-/// Full-stack FIFO strict locking (ISSUE 10): `driver_ops + 1` increments
-/// through the real policy-monomorphized wait loop on a FIFO lock —
-/// arrival publication, oldest-waiter scans, proxy admission of a
-/// descheduled older arrival (`Admit::Proxy`), release-time constant
-/// handoff, and the handed-to-me fast path are all reachable in the
-/// explored space (DEFER_LIMIT is 3 under the model feature, so the barge
-/// valve is reachable too).
+/// Full-stack strict locking: `driver_ops + 1` increments through the real
+/// `Lock::lock` wait loop — create the descriptor once, then install it or
+/// help whoever is in the way, until it has run. This is the only place
+/// the strict path runs under the checker; the `try_lock` tests above
+/// never loop.
 ///
 /// **Invariants:** (a) thunk effects apply exactly once each — the counter
-/// equals the op count (a handoff that installed a completed or recycled
-/// descriptor would replay effects or lose them); (b) the lock ends
-/// released with no stale handoff left installed — a fresh `try_lock`
-/// must succeed.
-fn fifo_strict_body(driver_ops: usize) {
-    let lock = Arc::new(Lock::new_with(flock_core::Admission::Fifo));
+/// equals the op count (a waiter that re-installed an already-helped
+/// descriptor would replay effects; one that gave up would lose them);
+/// (b) the lock ends released — a fresh `try_lock` succeeds at quiescence.
+/// The sanity mutant for (a)'s bug class is
+/// `try_lock_mutant_log_no_agreement_is_caught`: both paths replay through
+/// the same thunk log.
+fn strict_lock_body(driver_ops: usize) {
+    let lock = Arc::new(Lock::new());
     let counter = Arc::new(Mutable::new(0u64));
 
     let (l2, c2) = (Arc::clone(&lock), Arc::clone(&counter));
@@ -703,75 +703,40 @@ fn fifo_strict_body(driver_ops: usize) {
     assert_eq!(
         counter.load(),
         driver_ops as u64 + 1,
-        "FIFO strict-lock effects not exactly-once (bad handoff target?)"
+        "strict-lock effects not exactly-once"
     );
     assert!(
         lock.try_lock(|| ()).is_some(),
-        "fresh try_lock failed after all strict holders returned \
-         (handoff left a stale install?)"
+        "fresh try_lock failed after all strict holders returned"
     );
     assert!(!lock.is_locked(), "lock leaked a hold");
 }
 
-/// Scope: driver + 1 waiter, 1 op each, FIFO lock, SC, ≤2 preemptions,
-/// exhaustive. The minimal space in which release-time handoff and proxy
-/// admission both occur.
+/// Scope: driver + 1 waiter, 1 op each, SC, ≤2 preemptions, exhaustive.
 #[test]
-fn fifo_handoff_exactly_once() {
+fn strict_lock_exactly_once() {
     let _g = serial();
-    let report = explore(Config::sc(), || fifo_strict_body(1));
+    let report = explore(Config::sc(), || strict_lock_body(1));
     report.assert_exhaustive_ok();
     assert!(report.schedules_run > 100, "space suspiciously small");
 }
 
 /// Scope: driver runs **two** strict ops against the waiter's one, SC, ≤2
-/// preemptions, exhaustive. The second driver op republishes a recycled
-/// pool descriptor under a fresh ticket and generation, so this space
-/// contains the no-lost-wakeup shapes: a handoff racing the served
-/// waiter's retraction, and wait-slot state from a completed acquisition
-/// being rescanned by a later release. A waiter whose published arrival
-/// were handed a completed/stale descriptor — or skipped forever — shows
-/// up as a hang (schedule budget), a wrong count, or a leaked hold.
+/// preemptions, exhaustive. The second driver op reuses a recycled pool
+/// descriptor (fresh generation, same address), so this space contains a
+/// waiter helping one incarnation while the next is being installed.
 #[test]
-fn fifo_handoff_no_lost_wakeup_across_reuse() {
+fn strict_lock_exactly_once_across_reuse() {
     let _g = serial();
     let report = explore(
         Config {
             max_schedules: 1_000_000,
             ..Config::sc()
         },
-        || fifo_strict_body(2),
+        || strict_lock_body(2),
     );
     report.assert_exhaustive_ok();
     assert!(report.schedules_run > 1_000, "space suspiciously small");
-}
-
-/// Sanity mutant: drop the candidate-validation in the wait-slot scan
-/// (generation match + not-done check behind `FIFO_SKIP_VALIDATION`), so
-/// releases and proxies hand the lock to completed or recycled
-/// descriptors. Across descriptor reuse (the two-op driver) the checker
-/// must surface a violation — a replayed/lost increment, a failed
-/// acquisition, or a leaked hold.
-#[test]
-fn fifo_mutant_skip_validation_is_caught() {
-    let _g = serial();
-    let _k = Knob::set(&flock_core::mutants::FIFO_SKIP_VALIDATION);
-    let report = explore(
-        Config {
-            max_schedules: 1_000_000,
-            ..Config::sc()
-        },
-        || fifo_strict_body(2),
-    );
-    let f = report.assert_finds_bug();
-    assert!(
-        f.message.contains("exactly-once")
-            || f.message.contains("fresh try_lock failed")
-            || f.message.contains("lock leaked a hold")
-            || f.message.contains("descriptor thunk called before set"),
-        "unexpected failure mode: {}",
-        f.message
-    );
 }
 
 // --------------------------------------------------------------------- tid

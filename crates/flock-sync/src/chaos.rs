@@ -64,13 +64,6 @@ pub enum Seam {
     /// about to execute. A thread stalled here is the paper's motivating
     /// failure: nothing can help it, so waiters spin until it resumes.
     BlockingCritical,
-    /// FIFO admission: a strict-lock waiter has published its arrival slot
-    /// (wait_slot) but has not yet entered the wait loop. A thread stalled
-    /// here forever is the convoy hazard of any queue-based lock: releasing
-    /// owners may hand the lock to its published descriptor, and survivors
-    /// must still make progress — helpers complete the handed-off thunk,
-    /// and later owners skip the done slot.
-    FifoArrived,
 }
 
 /// A registered fault-injection policy: called at every enabled seam

@@ -29,9 +29,6 @@
 //!   non-default `chaos` feature (the `flock-chaos` crate's substrate).
 //! * [`ttas`] — a test-and-test-and-set spin lock; this is exactly the lock the
 //!   paper uses for the *blocking* mode of Flock locks.
-//! * [`wait_slot`] — per-thread arrival words for FIFO lock admission:
-//!   strict-lock waiters publish (lock, ticket, descriptor) here and the
-//!   releasing owner scans for the oldest eligible waiter to hand off to.
 //! * [`padded`] — `CachePadded<T>` to keep per-thread hot words on their own
 //!   cache lines.
 //!
@@ -51,7 +48,6 @@ pub mod tagged;
 pub mod thread_ctx;
 pub mod tid;
 pub mod ttas;
-pub mod wait_slot;
 
 pub use announce::TagAnnouncements;
 pub use approx_len::ApproxLen;

@@ -114,9 +114,6 @@ impl ThreadCtx {
         let t = self.tid.get();
         if t != TID_UNCLAIMED {
             self.tid.set(TID_UNCLAIMED);
-            // A released id may be re-claimed immediately; it must not
-            // inherit a stale FIFO arrival published by this incarnation.
-            crate::wait_slot::clear(t);
             tid::release_id(ThreadId(t));
         }
     }
@@ -176,10 +173,6 @@ impl Drop for ThreadCtx {
         run_exit_hook(self);
         let t = self.tid.get();
         if t != TID_UNCLAIMED {
-            // Waits always retract their arrival before returning, so this
-            // is a defensive no-op on every normal exit path — but a
-            // recycled id must never inherit a stale FIFO arrival.
-            crate::wait_slot::clear(t);
             tid::release_id(ThreadId(t));
         }
     }

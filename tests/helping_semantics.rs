@@ -7,8 +7,7 @@
 //!   allocations and retires;
 //! * thunk results are typed, replay-deterministic, and distinct from the
 //!   lock-busy signal;
-//! * nested locks compose (atomic multi-structure moves);
-//! * early unlock (hand-over-hand) works.
+//! * nested locks compose (atomic multi-structure moves).
 
 use flock::core::{Lock, LockMode, Locked, Mutable, set_lock_mode};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -247,31 +246,6 @@ fn locked_cells_move_values_atomically() {
     });
     assert_eq!(cell.left.load(), 0);
     assert_eq!(cell.right.load(), 1_000);
-}
-
-#[test]
-fn early_unlock_hand_over_hand() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_lock_mode(LockMode::LockFree);
-    let l1 = Arc::new(Lock::new());
-    let l2 = Arc::new(Lock::new());
-    let log = Arc::new(Mutable::new(0u32));
-
-    let (l1c, l2c, logc) = (Arc::clone(&l1), Arc::clone(&l2), Arc::clone(&log));
-    let ok = l1.try_lock(move || {
-        logc.store(logc.load() + 1);
-        // Couple to the next lock, then release this one early.
-        let (l1d, logd) = (Arc::clone(&l1c), Arc::clone(&logc));
-        l2c.try_lock(move || {
-            l1d.unlock_early();
-            logd.store(logd.load() + 10);
-            true
-        })
-    });
-    assert_eq!(ok, Some(Some(true)));
-    assert!(!l1.is_locked());
-    assert!(!l2.is_locked());
-    assert_eq!(log.load(), 11);
 }
 
 #[test]
