@@ -4,11 +4,10 @@
 //!
 //! Requires the `chaos` feature (which swaps the protocol seam probes from
 //! no-ops to policy dispatch — this binary must **never** share a build
-//! with the perf trajectory):
+//! with anything that measures performance):
 //!
 //! ```sh
-//! cargo run --release -p flock-bench --features chaos --bin chaos -- \
-//!     --seed 7 [--merge-into BENCH_6.json]
+//! cargo run --release -p flock-bench --features chaos --bin chaos -- --seed 7
 //! ```
 //!
 //! Four arms, every one a hard assertion (nonzero exit on violation; the
@@ -25,8 +24,7 @@
 //!    from their committed descriptors). The same
 //!    structures in blocking mode, with the victim parked holding the TTAS
 //!    word ([`Seam::BlockingCritical`]), must demonstrably stall — the
-//!    documented inversion. Both sides are recorded as `-stall` throughput
-//!    series, mergeable into the committed `BENCH_<pr>.json`.
+//!    documented inversion. Both sides print their Mop/s.
 //! 2. **Panic storm** — a saboteur thread's seam crossings inject panics
 //!    mid-thunk while workers hammer the same structure. Every injected
 //!    panic must surface as exactly one observed panic (the saboteur's own
@@ -45,7 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use flock_api::Map;
-use flock_bench::bench_json::{BenchReport, ThroughputSample};
 use flock_bench::make_map;
 use flock_chaos::{
     ChaosPolicy, Composite, PanicPolicy, Seam, StallPolicy, churn, clear_chaos_policy,
@@ -198,8 +195,7 @@ fn stalled_window(
 }
 
 /// Arm 1: lock-free progress under K stalled victims; blocking inversion.
-fn stall_arm(seed: u64) -> Vec<ThroughputSample> {
-    let mut samples = Vec::new();
+fn stall_arm(seed: u64) {
     println!("== stall arm: {K_VICTIMS} victims parked mid-critical-section ==");
     for structure in FLOCK_STRUCTURES {
         flock_core::set_lock_mode(LockMode::LockFree);
@@ -220,11 +216,6 @@ fn stall_arm(seed: u64) -> Vec<ThroughputSample> {
             "{structure}: lock-free mode must make progress past stalled victims — \
              {ops} ops < {MIN_LF_OPS} (seed {seed})"
         );
-        samples.push(ThroughputSample {
-            series: format!("{structure}-lf-stall"),
-            threads: WORKERS,
-            mops,
-        });
     }
     for structure in BLOCKING_INVERSION {
         flock_core::set_lock_mode(LockMode::Blocking);
@@ -246,13 +237,7 @@ fn stall_arm(seed: u64) -> Vec<ThroughputSample> {
             "{structure}-bl: blocking mode was expected to stall behind the parked \
              lock holder, but completed {ops} ops (seed {seed})"
         );
-        samples.push(ThroughputSample {
-            series: format!("{structure}-bl-stall"),
-            threads: WORKERS,
-            mops,
-        });
     }
-    samples
 }
 
 /// Arm 2: panic storm — every injected panic surfaces exactly once, the
@@ -514,20 +499,10 @@ fn main() {
     println!("chaos runner: seed {seed} (replay with --seed {seed})");
 
     let t0 = Instant::now();
-    let samples = stall_arm(seed);
+    stall_arm(seed);
     panic_arm(seed);
     epoch_arm(seed);
     churn_arm(seed);
-
-    if let Some(path) = value("--merge-into") {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read --merge-into {path}: {e}"));
-        let mut report = BenchReport::parse_json(&text);
-        report.throughput.retain(|t| !t.series.ends_with("-stall"));
-        report.throughput.extend(samples);
-        std::fs::write(&path, report.to_json()).expect("write --merge-into file");
-        println!("merged -stall series into {path}");
-    }
 
     println!(
         "chaos runner: all arms passed in {:.1}s (seed {seed})",

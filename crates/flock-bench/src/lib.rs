@@ -1,8 +1,16 @@
-//! # flock-bench — reproduction harness for every figure in the paper
+//! # flock-bench — the figure harness
 //!
-//! One binary per figure (`fig4`, `fig5`, `fig6`, `fig7`), an `ablate`
-//! binary for the §6 design-choice ablations, and a `reproduce` front-end
-//! that runs everything and writes `results/*.csv`.
+//! Reproduces the paper's evaluation: Figures 4–7 and the §6 design-choice
+//! ablations, each setting lock-free mode beside blocking mode and beside
+//! the existing lock-free/lock-based structures of `flock-baselines`. The
+//! whole evaluation is one table, [`PANELS`]; [`plan`] expands it for a
+//! [`Scale`] into the points to measure and [`execute`] runs them through
+//! [`run_point`], writing one CSV per panel. The `figures` binary is the
+//! command line over those three; the only other binary is the `chaos`
+//! fault-injection runner (behind the `chaos` feature).
+//!
+//! This crate does not measure the repo's own performance over time — that
+//! is `benchmark/` (see `BENCHMARK.json`).
 //!
 //! ## Scaling
 //!
@@ -15,74 +23,79 @@
 //! series — who wins, where the blocking lines collapse — is what
 //! EXPERIMENTS.md records against the paper's figures.
 
-pub mod bench_json;
+use std::path::Path;
+use std::time::Duration;
 
-use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-use flock_api::{Key, Map, OrderedMap, Value};
+use flock_api::Map;
 use flock_core::LockMode;
 use flock_ds::{
     abtree::ABTree, arttree::ArtTree, dlist::DList, hashtable::HashTable, lazylist::LazyList,
     leaftreap::LeafTreap, leaftree::LeafTree,
 };
-use flock_workload::{Config, Measurement, SplitMix64};
+use flock_workload::{Config, Measurement};
 
 /// A benchmarkable series: a structure plus the lock mode it runs under
 /// (baselines ignore the mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Series {
     /// Registry name, e.g. `"leaftree"`, `"harris_list"`.
     pub structure: &'static str,
     /// Lock mode for Flock structures; `None` for baselines.
     pub mode: Option<LockMode>,
+    /// The optimization the series runs without (ablations only).
+    pub off: Option<Ablation>,
 }
+
+/// A label suffix and the protocol switch a series runs with turned off.
+pub type Ablation = (&'static str, fn(bool));
 
 impl Series {
     /// Flock structure in lock-free mode (`-lf` suffix in reports).
-    pub fn lf(structure: &'static str) -> Self {
+    pub const fn lf(structure: &'static str) -> Self {
         Self {
             structure,
             mode: Some(LockMode::LockFree),
+            off: None,
         }
     }
 
     /// Flock structure in blocking mode (`-bl` suffix in reports).
-    pub fn bl(structure: &'static str) -> Self {
+    pub const fn bl(structure: &'static str) -> Self {
         Self {
             structure,
             mode: Some(LockMode::Blocking),
+            off: None,
         }
     }
 
     /// Baseline structure (mode-independent).
-    pub fn base(structure: &'static str) -> Self {
+    pub const fn base(structure: &'static str) -> Self {
         Self {
             structure,
             mode: None,
+            off: None,
         }
     }
 
-    /// Display label, e.g. `leaftree-lf`.
-    pub fn label(&self) -> String {
-        match self.mode {
-            Some(LockMode::LockFree) => format!("{}-lf", self.structure),
-            Some(LockMode::Blocking) => format!("{}-bl", self.structure),
-            None => self.structure.to_string(),
+    /// The same series with one protocol switch turned off.
+    pub const fn without(self, suffix: &'static str, switch: fn(bool)) -> Self {
+        Self {
+            off: Some((suffix, switch)),
+            ..self
         }
+    }
+
+    /// Display label, e.g. `leaftree-lf`, `leaftree-lf[no-ccas]`.
+    pub fn label(&self) -> String {
+        let mode = match self.mode {
+            Some(LockMode::LockFree) => "-lf",
+            Some(LockMode::Blocking) => "-bl",
+            None => "",
+        };
+        let off = self.off.map_or("", |(suffix, _)| suffix);
+        format!("{}{mode}{off}", self.structure)
     }
 }
-
-/// The fat-value workload's value type: four words, heap-indirected
-/// through the epoch-managed `ValueRepr` strategy (cannot fit the 48-bit
-/// inline payload).
-pub type FatValue = flock_api::Indirect<[u64; 4]>;
-
-/// Deterministic fat-value constructor for the workload — the same
-/// derivation the conformance harness uses, re-exported so the bench
-/// trajectory and the tests can never diverge on what a "fat value" is.
-pub use flock_api::testing::fat_value;
 
 /// Instantiate every registry structure at a given `(K, V)` pair (all 14
 /// variants are generic since the `ValueRepr` refactor).
@@ -114,47 +127,13 @@ pub fn make_map(structure: &str, key_range: u64) -> Box<dyn Map<u64, u64>> {
     registry!(structure, key_range)
 }
 
-/// Instantiate a structure by registry name at the fat-value shape
-/// `(u64, FatValue)` — the heap-indirected workload of the trajectory.
-pub fn make_map_fat(structure: &str, key_range: u64) -> Box<dyn Map<u64, FatValue>> {
-    registry!(structure, key_range)
-}
-
-/// The ordered subset of the Flock registry — every structure implementing
-/// [`OrderedMap`] (the hash table is the one exclusion).
-pub const ORDERED_STRUCTURES: [&str; 7] = [
-    "dlist",
-    "lazylist",
-    "leaftree",
-    "leaftree-strict",
-    "leaftreap",
-    "abtree",
-    "arttree",
-];
-
-/// Instantiate an **ordered** structure by registry name at the paper's
-/// `(u64, u64)` shape. Panics on the hash table and the baselines — the
-/// scan series is defined only over [`ORDERED_STRUCTURES`].
-pub fn make_ordered_map(structure: &str, _key_range: u64) -> Box<dyn OrderedMap<u64, u64>> {
-    match structure {
-        "dlist" => Box::new(DList::new()),
-        "lazylist" => Box::new(LazyList::new()),
-        "leaftree" => Box::new(LeafTree::new()),
-        "leaftree-strict" => Box::new(LeafTree::new_strict()),
-        "leaftreap" => Box::new(LeafTreap::new()),
-        "abtree" => Box::new(ABTree::new()),
-        "arttree" => Box::new(ArtTree::new()),
-        other => panic!("not an ordered registry structure: {other:?}"),
-    }
-}
-
 /// Scale parameters for a whole reproduction run.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// "Large" key range (paper: 100M; quick: 1M).
     pub large_range: u64,
-    /// "Small" key range (paper and quick: 100K).
-    pub small_range: u64,
+    /// Key ranges of the Figure 5h size sweep.
+    pub size_sweep: Vec<u64>,
     /// Thread counts for thread sweeps (includes oversubscribed points).
     pub thread_sweep: Vec<usize>,
     /// Thread count standing in for the paper's 144 (all hyperthreads).
@@ -175,7 +154,7 @@ impl Scale {
             .unwrap_or(2);
         Self {
             large_range: 1_000_000,
-            small_range: 100_000,
+            size_sweep: vec![1_000, 10_000, 100_000, 1_000_000],
             thread_sweep: vec![1, cores, 2 * cores, 4 * cores],
             full_threads: cores,
             oversub_threads: 2 * cores,
@@ -188,7 +167,7 @@ impl Scale {
     pub fn paper() -> Self {
         Self {
             large_range: 100_000_000,
-            small_range: 100_000,
+            size_sweep: vec![10_000, 100_000, 1_000_000, 10_000_000, 100_000_000],
             thread_sweep: vec![1, 36, 72, 144, 216, 288],
             full_threads: 144,
             oversub_threads: 216,
@@ -196,292 +175,66 @@ impl Scale {
             repeats: 3,
         }
     }
-
-    /// Parse `--paper` / `--quick` from argv.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--paper") {
-            Self::paper()
-        } else {
-            Self::quick()
-        }
-    }
 }
 
-/// Run one series at one configuration; handles the global lock-mode switch
-/// (only while quiescent — the map is created fresh per run).
+/// Run one series at one configuration; handles the global lock-mode and
+/// ablation switches (only while quiescent — the map is created fresh per
+/// run).
 pub fn run_point(series: Series, cfg: &Config) -> Measurement {
     flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
+    if let Some((_, switch)) = series.off {
+        switch(false);
+    }
     let map = make_map(series.structure, cfg.key_range);
     let mut m = flock_workload::run_experiment(&*map, cfg);
     drop(map);
     flock_epoch::flush_all();
+    if let Some((_, switch)) = series.off {
+        switch(true);
+    }
     flock_core::set_lock_mode(LockMode::LockFree);
-    // Patch the label so lf/bl series are distinguishable in reports.
-    m.name = Box::leak(series.label().into_boxed_str());
+    // The series label, so lf/bl/ablated rows are distinguishable in reports.
+    m.name = series.label();
     m
 }
 
-/// Delegating wrapper that forces the **composite** remove+insert
-/// `Map::update` — the non-atomic fallback every registry structure
-/// replaced with a native in-place update. Exists so the trajectory can
-/// price the atomic path against what it replaced
-/// (`update_composite_*` primitives, `-updc` workload series); it is not
-/// part of the registry.
-pub struct CompositeUpdate<M>(pub M);
-
-impl<K: Key, V: Value, M: Map<K, V>> Map<K, V> for CompositeUpdate<M> {
-    fn insert(&self, key: K, value: V) -> bool {
-        self.0.insert(key, value)
-    }
-    fn remove(&self, key: K) -> bool {
-        self.0.remove(key)
-    }
-    fn get(&self, key: K) -> Option<V> {
-        self.0.get(key)
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn update(&self, key: K, value: V) -> bool {
-        // The pre-PR-5 composite, verbatim: observable absence window
-        // between the halves, lost-update race with concurrent inserts.
-        if self.0.remove(key.clone()) {
-            let _ = self.0.insert(key, value);
-            true
-        } else {
-            false
-        }
-    }
-    fn has_atomic_update(&self) -> bool {
-        false
-    }
-    fn len_approx(&self) -> Option<usize> {
-        self.0.len_approx()
-    }
+/// The one parameter a panel sweeps, with the values it takes at a scale
+/// where they depend on it; every other parameter comes from the base.
+#[derive(Debug, Clone, Copy)]
+pub enum Axis {
+    /// Thread count.
+    Threads(fn(&Scale) -> Vec<usize>),
+    /// Zipfian α over [`ALPHAS`].
+    Alpha,
+    /// Update percentage over [`UPDATE_SWEEP`].
+    UpdatePercent,
+    /// Key range.
+    KeyRange(fn(&Scale) -> Vec<u64>),
 }
 
-/// [`run_point`] with the **update-heavy** mix (`update_percent`% native
-/// `Map::update`, rest lookups). Series labels get a `-upd` suffix.
-pub fn run_point_updates(series: Series, cfg: &Config) -> Measurement {
-    flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
-    let map = make_map(series.structure, cfg.key_range);
-    let mut m = flock_workload::run_update_experiment(&*map, cfg);
-    drop(map);
-    flock_epoch::flush_all();
-    flock_core::set_lock_mode(LockMode::LockFree);
-    m.name = Box::leak(format!("{}-upd", series.label()).into_boxed_str());
-    m
-}
-
-/// [`run_point_updates`] through [`CompositeUpdate`]: the same update-heavy
-/// mix forced down the remove+insert fallback. Labels get `-updc`; the
-/// `-upd`/`-updc` pair is the recorded price of atomic update.
-pub fn run_point_updates_composite(series: Series, cfg: &Config) -> Measurement {
-    flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
-    let map = CompositeUpdate(make_map(series.structure, cfg.key_range));
-    let mut m = flock_workload::run_update_experiment(&map, cfg);
-    drop(map);
-    flock_epoch::flush_all();
-    flock_core::set_lock_mode(LockMode::LockFree);
-    m.name = Box::leak(format!("{}-updc", series.label()).into_boxed_str());
-    m
-}
-
-/// [`run_point`] at the fat-value shape: same workload, values built by
-/// [`fat_value`]. Series labels get a `-fat` suffix.
-pub fn run_point_fat(series: Series, cfg: &Config) -> Measurement {
-    flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
-    let map = make_map_fat(series.structure, cfg.key_range);
-    let mut m = flock_workload::run_experiment_as(&*map, cfg, fat_value);
-    drop(map);
-    flock_epoch::flush_all();
-    flock_core::set_lock_mode(LockMode::LockFree);
-    m.name = Box::leak(format!("{}-fat", series.label()).into_boxed_str());
-    m
-}
-
-/// [`run_point`] at the **read-mostly** mix (95% lookups / 5% updates) the
-/// optimistic read path is built for: `update_percent` is pinned to 5
-/// regardless of the incoming config. Series labels get a `-rm` suffix.
-pub fn run_point_read_mostly(series: Series, cfg: &Config) -> Measurement {
-    let cfg = Config {
-        update_percent: 5,
-        ..cfg.clone()
-    };
-    let mut m = run_point(series, &cfg);
-    // `run_point` already stamped the base label; add the mix suffix.
-    m.name = Box::leak(format!("{}-rm", m.name).into_boxed_str());
-    m
-}
-
-/// Keys per range scan in the `-scan` workload.
-pub const SCAN_WIDTH: u64 = 64;
-
-/// [`run_point`]'s counterpart for the **ordered-scan** workload: each
-/// operation is either a [`OrderedMap::range`] over a uniformly-placed
-/// [`SCAN_WIDTH`]-key window (the `100 - update_percent` fraction) or a
-/// point mutation (insert/remove split evenly). One scan counts as one
-/// operation, so Mop/s here are scans/s-scaled, not entries/s. Series
-/// labels get a `-scan` suffix; only [`ORDERED_STRUCTURES`] participate.
-pub fn run_point_scan(series: Series, cfg: &Config) -> Measurement {
-    flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
-    let map = make_ordered_map(series.structure, cfg.key_range);
-    let mut m = run_scan_experiment(&*map, cfg);
-    drop(map);
-    flock_epoch::flush_all();
-    flock_core::set_lock_mode(LockMode::LockFree);
-    m.name = Box::leak(format!("{}-scan", series.label()).into_boxed_str());
-    m
-}
-
-/// The scan experiment protocol: prefill (half the keys, random order, as
-/// the point-op driver does), one discarded warm-up run, `cfg.repeats`
-/// timed runs of the scan/mutate mix; mean ± σ throughput.
-fn run_scan_experiment<M: OrderedMap<u64, u64> + ?Sized>(map: &M, cfg: &Config) -> Measurement {
-    // Prefill mirroring the driver's convention: a key is "in" the initial
-    // set iff its sparsify hash is even; shuffled parallel insertion keeps
-    // the comparison trees balanced in expectation.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(cfg.threads.max(1));
-    let range = cfg.key_range;
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let map = &*map;
-            let lo = range * w as u64 / workers as u64;
-            let hi = range * (w as u64 + 1) / workers as u64;
-            s.spawn(move || {
-                let mut keys: Vec<u64> = (lo..hi)
-                    .filter(|&k| flock_workload::sparsify(k) & 1 == 0)
-                    .collect();
-                let mut rng = SplitMix64::new(cfg.seed ^ ((w as u64 + 1) * 0xF11));
-                for i in (1..keys.len()).rev() {
-                    keys.swap(i, rng.below(i as u64 + 1) as usize);
-                }
-                for k in keys {
-                    map.insert(k, k);
-                }
-            });
-        }
-    });
-    let _ = scan_timed_run(map, cfg, 0);
-    let mut mops = Vec::with_capacity(cfg.repeats);
-    let mut total_ops = 0u64;
-    let mut per_thread_ops = vec![0u64; cfg.threads];
-    for r in 0..cfg.repeats {
-        let t0 = Instant::now();
-        let counts = scan_timed_run(map, cfg, r + 1);
-        let secs = t0.elapsed().as_secs_f64();
-        let ops: u64 = counts.iter().sum();
-        for (acc, c) in per_thread_ops.iter_mut().zip(&counts) {
-            *acc += c;
-        }
-        total_ops += ops;
-        mops.push(ops as f64 / secs / 1e6);
-    }
-    let mean = mops.iter().sum::<f64>() / mops.len() as f64;
-    let var = if mops.len() > 1 {
-        mops.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (mops.len() - 1) as f64
-    } else {
-        0.0
-    };
-    Measurement {
-        name: map.name(),
-        mops_mean: mean,
-        mops_stddev: var.sqrt(),
-        total_ops,
-        per_thread_ops,
-        config: cfg.clone(),
-    }
-}
-
-fn scan_timed_run<M: OrderedMap<u64, u64> + ?Sized>(
-    map: &M,
-    cfg: &Config,
-    run_idx: usize,
-) -> Vec<u64> {
-    let stop = AtomicBool::new(false);
-    let counts: Vec<AtomicU64> = (0..cfg.threads).map(|_| AtomicU64::new(0)).collect();
-    std::thread::scope(|s| {
-        for (t, slot) in counts.iter().enumerate() {
-            let stop = &stop;
-            let map = &*map;
-            s.spawn(move || {
-                let mut rng = SplitMix64::new(
-                    cfg.seed ^ (run_idx as u64) << 32 ^ ((t as u64 + 1) * 0x5CA7_0000),
-                );
-                let mut ops = 0u64;
-                let mut check = 0u32;
-                while {
-                    check += 1;
-                    !check.is_multiple_of(64) || !stop.load(Ordering::Relaxed)
-                } {
-                    let dice = rng.below(100) as u32;
-                    if dice < cfg.update_percent {
-                        let key = rng.below(cfg.key_range);
-                        if dice.is_multiple_of(2) {
-                            map.insert(key, key);
-                        } else {
-                            map.remove(key);
-                        }
-                    } else {
-                        let lo = rng.below(cfg.key_range.saturating_sub(SCAN_WIDTH).max(1));
-                        let hi = lo + SCAN_WIDTH;
-                        std::hint::black_box(
-                            map.range(Bound::Included(&lo), Bound::Excluded(&hi)).len(),
-                        );
-                    }
-                    ops += 1;
-                }
-                slot.store(ops, Ordering::Relaxed);
-            });
-        }
-        std::thread::sleep(cfg.run_duration);
-        stop.store(true, Ordering::SeqCst);
-    });
-    counts.into_iter().map(|c| c.into_inner()).collect()
-}
-
-/// Emit a CSV file under `results/` and echo rows to stdout.
-pub struct Report {
-    rows: Vec<Measurement>,
-    file: String,
-}
-
-impl Report {
-    /// New report writing to `results/<file>.csv`.
-    pub fn new(file: &str) -> Self {
-        println!("# {}", file);
-        println!("{}", Measurement::csv_header());
-        Self {
-            rows: Vec::new(),
-            file: file.to_string(),
-        }
-    }
-
-    /// Record and echo one measurement.
-    pub fn push(&mut self, m: Measurement) {
-        println!("{}", m.csv_row());
-        self.rows.push(m);
-    }
-
-    /// Write `results/<file>.csv`.
-    pub fn write(&self) -> std::io::Result<()> {
-        std::fs::create_dir_all("results")?;
-        let mut out = String::from(Measurement::csv_header());
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.csv_row());
-            out.push('\n');
-        }
-        std::fs::write(format!("results/{}.csv", self.file), out)
-    }
-
-    /// Access the collected rows.
-    pub fn rows(&self) -> &[Measurement] {
-        &self.rows
-    }
+/// One panel of one figure: one CSV file.
+#[derive(Debug, Clone, Copy)]
+pub struct Panel {
+    /// What `figures <figure>` selects: `fig4`…`fig7`, `ablate`.
+    pub figure: &'static str,
+    /// What `--panel <id>` selects; empty for single-panel figures.
+    pub id: &'static str,
+    /// Written as `results/<file>.csv`.
+    pub file: &'static str,
+    /// The lines of the panel; one row per series per sweep point.
+    pub series: &'static [Series],
+    /// Base thread count.
+    pub threads: fn(&Scale) -> usize,
+    /// Base key range.
+    pub keys: fn(&Scale) -> u64,
+    /// Base update percentage.
+    pub update_percent: u32,
+    /// Base zipfian α.
+    pub alpha: f64,
+    /// The swept parameter.
+    pub sweep: Axis,
+    /// RNG seed (one per figure).
+    pub seed: u64,
 }
 
 /// The zipfian parameters every figure sweeps.
@@ -489,39 +242,211 @@ pub const ALPHAS: [f64; 4] = [0.0, 0.75, 0.9, 0.99];
 /// The update percentages of Figure 5b/5f.
 pub const UPDATE_SWEEP: [u32; 4] = [0, 5, 10, 50];
 
+/// Figure 4: try-lock vs strict lock × blocking/lock-free.
+const TRY_VS_STRICT: &[Series] = &[
+    Series::bl("leaftree"),
+    Series::lf("leaftree"),
+    Series::bl("leaftree-strict"),
+    Series::lf("leaftree-strict"),
+];
+/// Figure 5: ours vs two lock-free BSTs and a Bronson-style blocking BST.
+const TREES: &[Series] = &[
+    Series::bl("leaftree"),
+    Series::lf("leaftree"),
+    Series::base("natarajan"),
+    Series::base("ellen"),
+    Series::base("bronson_style_bst"),
+];
+/// Figure 6: the other sets, and the Srivastava-style blocking (a,b)-tree.
+const SETS: &[Series] = &[
+    Series::bl("arttree"),
+    Series::lf("arttree"),
+    Series::bl("leaftreap"),
+    Series::lf("leaftreap"),
+    Series::bl("hashtable"),
+    Series::lf("hashtable"),
+    Series::bl("abtree"),
+    Series::lf("abtree"),
+    Series::base("srivastava_abtree"),
+];
+/// Figure 7: Harris's list (two variants) vs our singly and doubly linked.
+const LISTS: &[Series] = &[
+    Series::base("harris_list"),
+    Series::base("harris_list_opt"),
+    Series::bl("lazylist"),
+    Series::lf("lazylist"),
+    Series::bl("dlist"),
+    Series::lf("dlist"),
+];
+/// §6 ablations: all optimizations on, then without
+/// compare-and-compare-and-swap (the read before the CAS, which the paper
+/// reports is worth "sometimes a factor of two or more" under high
+/// contention), without descriptor reuse-if-unhelped (every descriptor is
+/// retired through the epoch collector), and without helping (a busy
+/// try-lock just fails, forfeiting lock-freedom).
+const ABLATIONS: &[Series] = &[
+    Series::lf("leaftree"),
+    Series::lf("leaftree").without("[no-ccas]", flock_sync::set_ccas_enabled),
+    Series::lf("leaftree").without("[no-reuse]", flock_core::set_descriptor_reuse),
+    Series::lf("leaftree").without("[no-helping]", flock_core::set_helping),
+];
+
+/// The paper's evaluation. Expected shapes: Figure 4, try-lock ≥ strict
+/// lock everywhere, the gap growing with α, in both modes; Figures 5–7,
+/// lock-free mode tracks the CAS-based baselines and the blocking lines
+/// collapse once oversubscribed; ablations at the paper's
+/// highest-contention point (α = 0.99).
+#[rustfmt::skip]
+pub const PANELS: [Panel; 14] = {
+    const FULL: fn(&Scale) -> usize = |s| s.full_threads;
+    const OVERSUB: fn(&Scale) -> usize = |s| s.oversub_threads;
+    const LARGE: fn(&Scale) -> u64 = |s| s.large_range;
+    const SMALL: fn(&Scale) -> u64 = |_| 100_000;
+    const LIST: fn(&Scale) -> u64 = |_| 100;
+    const THREADS: Axis = Axis::Threads(|s| s.thread_sweep.clone());
+    const FULL_OVERSUB: Axis = Axis::Threads(|s| vec![s.full_threads, s.oversub_threads]);
+    const SIZES: Axis = Axis::KeyRange(|s| s.size_sweep.clone());
+    const LIST_SIZES: Axis = Axis::KeyRange(|_| vec![100, 1_000, 10_000]);
+    use Axis::{Alpha, UpdatePercent};
+    // What most panels share: all hardware threads, the large key range,
+    // 50% updates, α = 0.75. Every row names what it sweeps.
+    const P: Panel = Panel {
+        figure: "", id: "", file: "", series: &[], seed: 0, sweep: Alpha,
+        threads: FULL, keys: LARGE, update_percent: 50, alpha: 0.75,
+    };
+    [
+        Panel { figure: "fig4", id: "",  file: "fig4_try_vs_strict",       series: TRY_VS_STRICT, seed: 4, sweep: Alpha, keys: SMALL, ..P },
+        Panel { figure: "fig5", id: "a", file: "fig5a_large_thread_sweep", series: TREES, seed: 5, sweep: THREADS, ..P },
+        Panel { figure: "fig5", id: "b", file: "fig5b_large_update_sweep", series: TREES, seed: 5, sweep: UpdatePercent, ..P },
+        Panel { figure: "fig5", id: "c", file: "fig5c_large_zipf_sweep",   series: TREES, seed: 5, sweep: Alpha, ..P },
+        Panel { figure: "fig5", id: "d", file: "fig5d_large_zipf_oversub", series: TREES, seed: 5, sweep: Alpha, threads: OVERSUB, ..P },
+        Panel { figure: "fig5", id: "e", file: "fig5e_small_thread_sweep", series: TREES, seed: 5, sweep: THREADS, keys: SMALL, ..P },
+        Panel { figure: "fig5", id: "f", file: "fig5f_small_update_sweep", series: TREES, seed: 5, sweep: UpdatePercent, keys: SMALL, ..P },
+        Panel { figure: "fig5", id: "g", file: "fig5g_small_zipf_oversub", series: TREES, seed: 5, sweep: Alpha, threads: OVERSUB, keys: SMALL, update_percent: 5, ..P },
+        Panel { figure: "fig5", id: "h", file: "fig5h_size_sweep_oversub", series: TREES, seed: 5, sweep: SIZES, threads: OVERSUB, update_percent: 5, ..P },
+        Panel { figure: "fig6", id: "a", file: "fig6a_sets_thread_sweep",  series: SETS,  seed: 6, sweep: THREADS, ..P },
+        Panel { figure: "fig6", id: "b", file: "fig6b_sets_zipf_oversub",  series: SETS,  seed: 6, sweep: Alpha, threads: OVERSUB, ..P },
+        Panel { figure: "fig7", id: "a", file: "fig7a_list_size_sweep",    series: LISTS, seed: 7, sweep: LIST_SIZES, update_percent: 5, ..P },
+        Panel { figure: "fig7", id: "b", file: "fig7b_list_thread_sweep",  series: LISTS, seed: 7, sweep: THREADS, keys: LIST, update_percent: 5, ..P },
+        Panel { figure: "ablate", id: "", file: "ablations",               series: ABLATIONS, seed: 8, sweep: FULL_OVERSUB, keys: SMALL, alpha: 0.99, ..P },
+    ]
+};
+
+/// One measurement to take: a series of a panel at one sweep point.
+#[derive(Debug, Clone)]
+pub struct Point {
+    /// The panel (and so the CSV file) the row belongs to.
+    pub panel: &'static Panel,
+    /// The series measured.
+    pub series: Series,
+    /// The configuration measured under.
+    pub cfg: Config,
+}
+
+/// Expand [`PANELS`] at `scale`: panels in table order, within a panel one
+/// row per series (inner) per sweep point (outer) — the CSV row order.
+pub fn plan(scale: &Scale) -> Vec<Point> {
+    let mut points = Vec::new();
+    for panel in &PANELS {
+        let base = Config {
+            threads: (panel.threads)(scale),
+            key_range: (panel.keys)(scale),
+            update_percent: panel.update_percent,
+            zipf_alpha: panel.alpha,
+            run_duration: scale.duration,
+            repeats: scale.repeats,
+            sparsify_keys: false,
+            seed: panel.seed,
+        };
+        let mut swept = Vec::new();
+        let mut at = |set: &dyn Fn(&mut Config)| {
+            let mut cfg = base.clone();
+            set(&mut cfg);
+            swept.push(cfg);
+        };
+        match panel.sweep {
+            Axis::Threads(values) => values(scale).iter().for_each(|&t| at(&|c| c.threads = t)),
+            Axis::Alpha => ALPHAS.iter().for_each(|&a| at(&|c| c.zipf_alpha = a)),
+            Axis::UpdatePercent => UPDATE_SWEEP
+                .iter()
+                .for_each(|&u| at(&|c| c.update_percent = u)),
+            Axis::KeyRange(values) => values(scale).iter().for_each(|&r| at(&|c| c.key_range = r)),
+        }
+        for cfg in swept {
+            for &series in panel.series {
+                // The paper hashes the ART's keys so the trie does not
+                // benefit from dense packing.
+                let mut cfg = cfg.clone();
+                cfg.sparsify_keys = series.structure == "arttree";
+                points.push(Point { panel, series, cfg });
+            }
+        }
+    }
+    points
+}
+
+/// Measure `points` in order, echoing CSV rows to stdout as they finish and
+/// writing `<dir>/<file>.csv` as each panel completes. Points of one panel
+/// must be adjacent, as [`plan`] leaves them.
+pub fn execute(points: &[Point], dir: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    for rows in points.chunk_by(|a, b| a.panel.file == b.panel.file) {
+        let file = rows[0].panel.file;
+        println!("# {file}");
+        println!("{}", Measurement::csv_header());
+        let mut csv = format!("{}\n", Measurement::csv_header());
+        for point in rows {
+            let row = run_point(point.series, &point.cfg).csv_row();
+            println!("{row}");
+            csv.push_str(&row);
+            csv.push('\n');
+        }
+        std::fs::write(dir.join(format!("{file}.csv")), csv)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flock_api::testing::{exclusive, fat_value};
+
+    /// The registry at the fat-value shape: four-word values, heap-indirected
+    /// through the epoch-managed `ValueRepr` strategy.
+    fn make_map_fat(
+        structure: &str,
+        key_range: u64,
+    ) -> Box<dyn Map<u64, flock_api::Indirect<[u64; 4]>>> {
+        registry!(structure, key_range)
+    }
+
+    /// Every registry name: between them the figures plot all 14.
+    fn registry() -> Vec<&'static str> {
+        let mut names: Vec<_> = (PANELS.iter().flat_map(|p| p.series))
+            .map(|s| s.structure)
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 14);
+        names
+    }
 
     #[test]
     fn registry_constructs_every_structure() {
-        for name in [
-            "dlist",
-            "lazylist",
-            "hashtable",
-            "leaftree",
-            "leaftree-strict",
-            "leaftreap",
-            "abtree",
-            "arttree",
-            "harris_list",
-            "harris_list_opt",
-            "natarajan",
-            "ellen",
-            "bronson_style_bst",
-            "srivastava_abtree",
-        ] {
-            let m = make_map(name, 1024);
-            assert!(m.insert(1, 2), "{name}");
-            assert_eq!(m.get(1), Some(2), "{name}");
-            assert!(m.remove(1), "{name}");
-            // And the fat-value instantiation of the same structure.
-            let f = make_map_fat(name, 1024);
-            assert!(f.insert(1, fat_value(2)), "{name} (fat)");
-            assert_eq!(f.get(1), Some(fat_value(2)), "{name} (fat)");
-            assert!(f.remove(1), "{name} (fat)");
-        }
-        flock_epoch::flush_all();
+        exclusive(|| {
+            for name in registry() {
+                let m = make_map(name, 1024);
+                assert!(m.insert(1, 2), "{name}");
+                assert_eq!(m.get(1), Some(2), "{name}");
+                assert!(m.remove(1), "{name}");
+                // And the fat-value instantiation of the same structure.
+                let f = make_map_fat(name, 1024);
+                assert!(f.insert(1, fat_value(2)), "{name} (fat)");
+                assert_eq!(f.get(1), Some(fat_value(2)), "{name} (fat)");
+                assert!(f.remove(1), "{name} (fat)");
+            }
+            flock_epoch::flush_all();
+        });
     }
 
     /// PR 5: the remove+insert composite `update` is **unreachable from
@@ -532,125 +457,25 @@ mod tests {
     /// implementors only.
     #[test]
     fn composite_update_unreachable_from_registry() {
-        for name in [
-            "dlist",
-            "lazylist",
-            "hashtable",
-            "leaftree",
-            "leaftree-strict",
-            "leaftreap",
-            "abtree",
-            "arttree",
-            "harris_list",
-            "harris_list_opt",
-            "natarajan",
-            "ellen",
-            "bronson_style_bst",
-            "srivastava_abtree",
-        ] {
-            let m = make_map(name, 1024);
-            assert!(
-                m.has_atomic_update(),
-                "{name} fell back to the composite update"
-            );
-            assert!(m.insert(1, 2));
-            assert!(m.update(1, 3), "{name}: native update of a present key");
-            assert_eq!(m.get(1), Some(3), "{name}");
-            assert!(!m.update(9, 1), "{name}: update of an absent key");
-            let f = make_map_fat(name, 1024);
-            assert!(f.has_atomic_update(), "{name} (fat)");
-            assert!(f.insert(1, fat_value(2)));
-            assert!(f.update(1, fat_value(3)), "{name} (fat)");
-            assert_eq!(f.get(1), Some(fat_value(3)), "{name} (fat)");
-        }
-        flock_epoch::flush_all();
-    }
-
-    #[test]
-    fn run_point_fat_smoke() {
-        let cfg = Config {
-            threads: 2,
-            key_range: 512,
-            update_percent: 50,
-            zipf_alpha: 0.75,
-            run_duration: Duration::from_millis(20),
-            repeats: 1,
-            sparsify_keys: false,
-            seed: 4,
-        };
-        let m = run_point_fat(Series::lf("hashtable"), &cfg);
-        assert!(m.mops_mean > 0.0, "{}", m.name);
-        assert_eq!(m.name, "hashtable-lf-fat");
-    }
-
-    #[test]
-    fn run_point_updates_smoke() {
-        let cfg = Config {
-            threads: 2,
-            key_range: 512,
-            update_percent: 50,
-            zipf_alpha: 0.75,
-            run_duration: Duration::from_millis(20),
-            repeats: 1,
-            sparsify_keys: false,
-            seed: 5,
-        };
-        let m = run_point_updates(Series::lf("hashtable"), &cfg);
-        assert!(m.mops_mean > 0.0, "{}", m.name);
-        assert_eq!(m.name, "hashtable-lf-upd");
-        let m = run_point_updates_composite(Series::lf("hashtable"), &cfg);
-        assert!(m.mops_mean > 0.0, "{}", m.name);
-        assert_eq!(m.name, "hashtable-lf-updc");
-    }
-
-    #[test]
-    fn run_point_read_mostly_smoke() {
-        let cfg = Config {
-            threads: 2,
-            key_range: 512,
-            update_percent: 50, // overridden to 5 by the runner
-            zipf_alpha: 0.75,
-            run_duration: Duration::from_millis(20),
-            repeats: 1,
-            sparsify_keys: false,
-            seed: 6,
-        };
-        let m = run_point_read_mostly(Series::lf("hashtable"), &cfg);
-        assert!(m.mops_mean > 0.0, "{}", m.name);
-        assert_eq!(m.name, "hashtable-lf-rm");
-        assert_eq!(m.config.update_percent, 5, "read-mostly mix is 95/5");
-    }
-
-    #[test]
-    fn run_point_scan_smoke() {
-        let cfg = Config {
-            threads: 2,
-            key_range: 512,
-            update_percent: 5,
-            zipf_alpha: 0.75,
-            run_duration: Duration::from_millis(20),
-            repeats: 1,
-            sparsify_keys: false,
-            seed: 7,
-        };
-        for structure in ORDERED_STRUCTURES {
-            let m = run_point_scan(Series::lf(structure), &cfg);
-            assert!(m.mops_mean > 0.0, "{}", m.name);
-            assert!(m.name.ends_with("-scan"), "{}", m.name);
-        }
-    }
-
-    #[test]
-    fn ordered_registry_scans_in_order() {
-        for structure in ORDERED_STRUCTURES {
-            let m = make_ordered_map(structure, 1024);
-            for k in [9u64, 3, 7, 1, 5] {
-                assert!(m.insert(k, k * 10), "{structure}");
+        exclusive(|| {
+            for name in registry() {
+                let m = make_map(name, 1024);
+                assert!(
+                    m.has_atomic_update(),
+                    "{name} fell back to the composite update"
+                );
+                assert!(m.insert(1, 2));
+                assert!(m.update(1, 3), "{name}: native update of a present key");
+                assert_eq!(m.get(1), Some(3), "{name}");
+                assert!(!m.update(9, 1), "{name}: update of an absent key");
+                let f = make_map_fat(name, 1024);
+                assert!(f.has_atomic_update(), "{name} (fat)");
+                assert!(f.insert(1, fat_value(2)));
+                assert!(f.update(1, fat_value(3)), "{name} (fat)");
+                assert_eq!(f.get(1), Some(fat_value(3)), "{name} (fat)");
             }
-            assert_eq!(m.scan(3..8), vec![(3, 30), (5, 50), (7, 70)], "{structure}");
-            assert_eq!(m.iter().len(), 5, "{structure}");
-        }
-        flock_epoch::flush_all();
+            flock_epoch::flush_all();
+        });
     }
 
     #[test]
@@ -665,20 +490,108 @@ mod tests {
         let cfg = Config {
             threads: 2,
             key_range: 512,
-            update_percent: 50,
-            zipf_alpha: 0.75,
             run_duration: Duration::from_millis(20),
             repeats: 1,
-            sparsify_keys: false,
-            seed: 3,
+            ..Config::default()
         };
-        for s in [
-            Series::lf("leaftree"),
-            Series::bl("leaftree"),
-            Series::base("natarajan"),
-        ] {
-            let m = run_point(s, &cfg);
-            assert!(m.mops_mean > 0.0, "{}", m.name);
+        // `run_point` flips the process-global lock mode (and, for the
+        // ablated series, a protocol switch), so nothing else may run maps
+        // meanwhile.
+        exclusive(|| {
+            for s in [
+                Series::lf("leaftree"),
+                Series::bl("leaftree"),
+                Series::base("natarajan"),
+                ABLATIONS[3],
+            ] {
+                let m = run_point(s, &cfg);
+                assert!(m.mops_mean > 0.0, "{}", m.name);
+                assert_eq!(m.name, s.label());
+            }
+            assert_eq!(flock_core::lock_mode(), LockMode::LockFree);
+        });
+    }
+
+    /// One line per panel: its file and the values each configuration column
+    /// takes, in row order; before it, its series, when they change.
+    fn shape(points: &[Point]) -> String {
+        let mut out = String::new();
+        let mut series = String::new();
+        for rows in points.chunk_by(|a, b| a.panel.file == b.panel.file) {
+            let n = rows[0].panel.series.len();
+            let labels: Vec<String> = rows[..n].iter().map(|p| p.series.label()).collect();
+            if series != labels.join(" ") {
+                series = labels.join(" ");
+                out += &format!("series {series}\n");
+            }
+            let column = |col: fn(&Config) -> String| {
+                let mut values: Vec<String> = rows.iter().map(|p| col(&p.cfg)).collect();
+                values.dedup();
+                values.join(" ")
+            };
+            out += &format!(
+                "{} | threads {} | keys {} | update {} | alpha {}\n",
+                rows[0].panel.file,
+                column(|c| c.threads.to_string()),
+                column(|c| c.key_range.to_string()),
+                column(|c| c.update_percent.to_string()),
+                column(|c| c.zipf_alpha.to_string()),
+            );
+            // Row order: every series at one sweep point, then the next point.
+            for (i, p) in rows.iter().enumerate() {
+                assert_eq!(p.series.label(), labels[i % n]);
+                let point = &rows[i - i % n].cfg;
+                assert_eq!(p.cfg.threads, point.threads);
+                assert_eq!(p.cfg.key_range, point.key_range);
+                assert_eq!(p.cfg.update_percent, point.update_percent);
+                assert_eq!(p.cfg.zipf_alpha, point.zipf_alpha);
+                assert_eq!(p.cfg.sparsify_keys, p.series.structure == "arttree");
+            }
         }
+        out
+    }
+
+    /// The shape of the figure CSVs — file names, row order, the five
+    /// configuration columns — as the six per-figure binaries that this table
+    /// replaced in PR 16 wrote them at the quick scale on a two-core host.
+    #[test]
+    fn plan_shape() {
+        let two_cores = Scale {
+            thread_sweep: vec![1, 2, 4, 8],
+            full_threads: 2,
+            oversub_threads: 4,
+            ..Scale::quick()
+        };
+        assert_eq!(
+            shape(&plan(&two_cores)),
+            "\
+series leaftree-bl leaftree-lf leaftree-strict-bl leaftree-strict-lf
+fig4_try_vs_strict | threads 2 | keys 100000 | update 50 | alpha 0 0.75 0.9 0.99
+series leaftree-bl leaftree-lf natarajan ellen bronson_style_bst
+fig5a_large_thread_sweep | threads 1 2 4 8 | keys 1000000 | update 50 | alpha 0.75
+fig5b_large_update_sweep | threads 2 | keys 1000000 | update 0 5 10 50 | alpha 0.75
+fig5c_large_zipf_sweep | threads 2 | keys 1000000 | update 50 | alpha 0 0.75 0.9 0.99
+fig5d_large_zipf_oversub | threads 4 | keys 1000000 | update 50 | alpha 0 0.75 0.9 0.99
+fig5e_small_thread_sweep | threads 1 2 4 8 | keys 100000 | update 50 | alpha 0.75
+fig5f_small_update_sweep | threads 2 | keys 100000 | update 0 5 10 50 | alpha 0.75
+fig5g_small_zipf_oversub | threads 4 | keys 100000 | update 5 | alpha 0 0.75 0.9 0.99
+fig5h_size_sweep_oversub | threads 4 | keys 1000 10000 100000 1000000 | update 5 | alpha 0.75
+series arttree-bl arttree-lf leaftreap-bl leaftreap-lf hashtable-bl hashtable-lf abtree-bl abtree-lf \
+srivastava_abtree
+fig6a_sets_thread_sweep | threads 1 2 4 8 | keys 1000000 | update 50 | alpha 0.75
+fig6b_sets_zipf_oversub | threads 4 | keys 1000000 | update 50 | alpha 0 0.75 0.9 0.99
+series harris_list harris_list_opt lazylist-bl lazylist-lf dlist-bl dlist-lf
+fig7a_list_size_sweep | threads 2 | keys 100 1000 10000 | update 5 | alpha 0.75
+fig7b_list_thread_sweep | threads 1 2 4 8 | keys 100 | update 5 | alpha 0.75
+series leaftree-lf leaftree-lf[no-ccas] leaftree-lf[no-reuse] leaftree-lf[no-helping]
+ablations | threads 2 4 | keys 100000 | update 50 | alpha 0.99
+"
+        );
+        // Figure 5h is the one panel whose sweep points change with --paper.
+        let paper = shape(&plan(&Scale::paper()));
+        assert!(
+            paper.contains("keys 10000 100000 1000000 10000000 100000000 | update 5"),
+            "{paper}"
+        );
     }
 }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use crate::rng::SplitMix64;
 use crate::sparsify;
 use crate::zipf::Zipfian;
-use flock_api::{Map, Value};
+use flock_api::Map;
 
 /// One experiment configuration (one point on a paper graph).
 #[derive(Debug, Clone)]
@@ -49,8 +49,8 @@ impl Default for Config {
 /// Aggregated result of one experiment.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Structure name.
-    pub name: &'static str,
+    /// Series label: the structure's name, until the caller relabels it.
+    pub name: String,
     /// Mean throughput over the timed runs, in Mop/s.
     pub mops_mean: f64,
     /// Standard deviation of the throughput, in Mop/s.
@@ -126,28 +126,11 @@ impl Measurement {
     }
 }
 
-/// Warm the allocator by allocating a large number of nodes and freeing
-/// them in random order, as the paper does before its warm-up run to
-/// increase consistency across runs.
-pub fn shuffle_allocator(blocks: usize) {
-    let mut v: Vec<Box<[u8; 64]>> = (0..blocks).map(|_| Box::new([0u8; 64])).collect();
-    let mut rng = SplitMix64::new(0xA110C);
-    // Fisher-Yates, then drop in the shuffled order.
-    for i in (1..v.len()).rev() {
-        v.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    drop(v);
-}
-
 /// Prefill `map` with (deterministically) half of the keys in the range,
 /// inserted in **random order** — sorted insertion would degenerate the
 /// unbalanced trees into chains, whereas the paper's structures are
 /// "balanced in expectation due to random inserts".
-fn prefill<V: Value, M: Map<u64, V> + ?Sized>(
-    map: &M,
-    cfg: &Config,
-    vf: &(impl Fn(u64) -> V + Sync),
-) {
+fn prefill<M: Map<u64, u64> + ?Sized>(map: &M, cfg: &Config) {
     // Parallel prefill: partition the key space over available cores; each
     // worker shuffles its own slice, and workers interleave, so the global
     // insertion order is effectively random.
@@ -170,7 +153,7 @@ fn prefill<V: Value, M: Map<u64, V> + ?Sized>(
                 }
                 for k in keys {
                     let key = if cfg.sparsify_keys { sparsify(k) } else { k };
-                    map.insert(key, vf(k));
+                    map.insert(key, k);
                 }
             });
         }
@@ -178,17 +161,8 @@ fn prefill<V: Value, M: Map<u64, V> + ?Sized>(
 }
 
 /// One timed run; returns completed operations **per worker thread**
-/// (sum for the total). `rmw` selects the update-heavy mix: the
-/// `update_percent` fraction goes through native `Map::update` (an
-/// in-place read-modify-write on every registry structure) instead of the
-/// insert/remove split.
-fn timed_run<V: Value, M: Map<u64, V> + ?Sized>(
-    map: &M,
-    cfg: &Config,
-    run_idx: usize,
-    vf: &(impl Fn(u64) -> V + Sync),
-    rmw: bool,
-) -> Vec<u64> {
+/// (sum for the total).
+fn timed_run<M: Map<u64, u64> + ?Sized>(map: &M, cfg: &Config, run_idx: usize) -> Vec<u64> {
     let stop = AtomicBool::new(false);
     let counts: Vec<AtomicU64> = (0..cfg.threads).map(|_| AtomicU64::new(0)).collect();
     let zipf = Zipfian::new(cfg.key_range, cfg.zipf_alpha);
@@ -197,7 +171,6 @@ fn timed_run<V: Value, M: Map<u64, V> + ?Sized>(
             let stop = &stop;
             let zipf = &zipf;
             let map = &*map;
-            let vf = &vf;
             s.spawn(move || {
                 let mut rng = SplitMix64::new(
                     cfg.seed ^ (run_idx as u64) << 32 ^ ((t as u64 + 1) * 0x1234_5678),
@@ -218,14 +191,9 @@ fn timed_run<V: Value, M: Map<u64, V> + ?Sized>(
                     };
                     let dice = rng.below(100) as u32;
                     if dice < cfg.update_percent {
-                        if rmw {
-                            // Update-heavy mix: in-place value replacement
-                            // of (prefilled) present keys; absent keys are
-                            // a measured no-op.
-                            map.update(key, vf(rank));
-                        } else if dice.is_multiple_of(2) {
+                        if dice.is_multiple_of(2) {
                             // Updates split evenly between insert and delete.
-                            map.insert(key, vf(rank));
+                            map.insert(key, rank);
                         } else {
                             map.remove(key);
                         }
@@ -245,56 +213,17 @@ fn timed_run<V: Value, M: Map<u64, V> + ?Sized>(
 }
 
 /// Run the full experiment protocol on `map`: prefill, one warm-up run,
-/// `cfg.repeats` timed runs; returns mean ± σ throughput. The paper's
-/// `(u64, u64)` shape; see [`run_experiment_as`] for other value types.
+/// `cfg.repeats` timed runs; returns mean ± σ throughput.
 pub fn run_experiment<M: Map<u64, u64> + ?Sized>(map: &M, cfg: &Config) -> Measurement {
-    run_experiment_as(map, cfg, |v| v)
-}
-
-/// [`run_experiment`] generalized over the value type: `vf` maps the
-/// workload's `u64` value stamps into the map's value domain (e.g. a fat
-/// `Indirect<[u64; 4]>` constructor for the fat-value workload).
-pub fn run_experiment_as<V: Value, M: Map<u64, V> + ?Sized>(
-    map: &M,
-    cfg: &Config,
-    vf: impl Fn(u64) -> V + Sync,
-) -> Measurement {
-    run_protocol(map, cfg, vf, false)
-}
-
-/// [`run_experiment_as`] with the **update-heavy** mix: the
-/// `update_percent` fraction of operations goes through native
-/// [`Map::update`] (atomic in-place replacement) on the prefilled key set,
-/// the rest are lookups. Paired with a forced-composite wrapper this
-/// prices the atomic path against the remove+insert fallback.
-pub fn run_update_experiment_as<V: Value, M: Map<u64, V> + ?Sized>(
-    map: &M,
-    cfg: &Config,
-    vf: impl Fn(u64) -> V + Sync,
-) -> Measurement {
-    run_protocol(map, cfg, vf, true)
-}
-
-/// [`run_update_experiment_as`] at the paper's `(u64, u64)` shape.
-pub fn run_update_experiment<M: Map<u64, u64> + ?Sized>(map: &M, cfg: &Config) -> Measurement {
-    run_update_experiment_as(map, cfg, |v| v)
-}
-
-fn run_protocol<V: Value, M: Map<u64, V> + ?Sized>(
-    map: &M,
-    cfg: &Config,
-    vf: impl Fn(u64) -> V + Sync,
-    rmw: bool,
-) -> Measurement {
-    prefill(map, cfg, &vf);
+    prefill(map, cfg);
     // Warm-up run (discarded), as in the paper.
-    let _ = timed_run(map, cfg, 0, &vf, rmw);
+    let _ = timed_run(map, cfg, 0);
     let mut mops = Vec::with_capacity(cfg.repeats);
     let mut total_ops = 0u64;
     let mut per_thread_ops = vec![0u64; cfg.threads];
     for r in 0..cfg.repeats {
         let t0 = Instant::now();
-        let counts = timed_run(map, cfg, r + 1, &vf, rmw);
+        let counts = timed_run(map, cfg, r + 1);
         let secs = t0.elapsed().as_secs_f64();
         let ops: u64 = counts.iter().sum();
         for (acc, c) in per_thread_ops.iter_mut().zip(&counts) {
@@ -310,7 +239,7 @@ fn run_protocol<V: Value, M: Map<u64, V> + ?Sized>(
         0.0
     };
     Measurement {
-        name: map.name(),
+        name: map.name().to_string(),
         mops_mean: mean,
         mops_stddev: var.sqrt(),
         total_ops,
@@ -381,7 +310,7 @@ mod tests {
             key_range: 10_000,
             ..Config::default()
         };
-        prefill(&map, &cfg, &|v| v);
+        prefill(&map, &cfg);
         let n = map.inner.lock().unwrap().len() as f64;
         assert!((4_000.0..6_000.0).contains(&n), "prefill size {n}");
     }
@@ -394,15 +323,10 @@ mod tests {
             sparsify_keys: true,
             ..Config::default()
         };
-        prefill(&map, &cfg, &|v| v);
+        prefill(&map, &cfg);
         let inner = map.inner.lock().unwrap();
         // Hashed keys should leave the dense low range almost empty.
         let dense = inner.keys().filter(|&&k| k < 1_000).count();
         assert!(dense < 10, "{dense} dense keys under sparsify");
-    }
-
-    #[test]
-    fn shuffle_allocator_smoke() {
-        shuffle_allocator(10_000);
     }
 }

@@ -21,10 +21,7 @@ pub mod driver;
 pub mod rng;
 pub mod zipf;
 
-pub use driver::{
-    Config, Measurement, run_experiment, run_experiment_as, run_update_experiment,
-    run_update_experiment_as, shuffle_allocator,
-};
+pub use driver::{Config, Measurement, run_experiment};
 pub use flock_api::Map;
 pub use rng::SplitMix64;
 pub use zipf::Zipfian;
