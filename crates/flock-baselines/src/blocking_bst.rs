@@ -17,7 +17,7 @@
 //! stored as an epoch-managed pointer, and a revive retires the displaced
 //! encoding so concurrent readers keep a stable snapshot.
 //!
-//! Documented divergence (DESIGN.md §4): no AVL rebalancing — the locking
+//! Divergence from the original: no AVL rebalancing — the locking
 //! discipline and optimistic validation match Bronson's practical
 //! concurrent BST, but the shape is that of a randomized BST. Under the
 //! evaluation's random keys the expected depth is `O(log n)`, so the

@@ -31,8 +31,8 @@
 //! (`flock_sync::ApproxLen`, shared with the Flock structures since the
 //! `ValueRepr` refactor) behind `Map::len_approx`.
 //!
-//! Divergences from the original systems are documented per-module and in
-//! DESIGN.md §4 (notably: `blocking_bst` does not rebalance, so it matches
+//! Divergences from the original systems are documented in each module's
+//! docs (notably: `blocking_bst` does not rebalance, so it matches
 //! Bronson's locking discipline but not its AVL shape).
 
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@
 //! * **TAG**: set on the sibling edge to freeze it while the leaf's parent
 //!   is spliced out, so a racing insert below the sibling cannot be lost.
 //!
-//! One deviation, documented in DESIGN.md §4: traversals help *eagerly* —
+//! One deviation from the original: traversals help *eagerly* —
 //! a search that steps over a flagged or tagged edge first completes that
 //! pending deletion and restarts. This keeps the tag chains of the original
 //! at length one, which makes memory reclamation exact (the thread whose

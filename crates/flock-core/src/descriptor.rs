@@ -5,7 +5,10 @@
 //! descriptor on a lock word is how a thread "takes" a lock in lock-free
 //! mode; any contender can then run the descriptor to completion.
 //!
-//! ## Lifecycle (see DESIGN.md §3)
+//! ## Lifecycle and hand-off
+//!
+//! This is the one write-up of who may touch a descriptor when; `Lock::help`
+//! documents the validation that rests on it.
 //!
 //! * **Top-level** descriptors (created outside any thunk) belong to exactly
 //!   one thread. After the owning `try_lock` finishes, the owner reuses the
@@ -18,6 +21,23 @@
 //!   the epoch collector and their `done`/`helped` flags stay sticky until
 //!   the memory is actually freed. This is what makes the raw `done` reads
 //!   in the lock algorithm divergence-free for replayers.
+//!
+//! **The hand-off** between an owner about to reuse and a helper about to
+//! run is a Dekker pair. The helper, pinned, reads the lock word, **marks**
+//! `helped` (`SeqCst`), **adopts** the descriptor's birth epoch (which
+//! publishes the lowered reservation with a `SeqCst` fence), and only then
+//! **revalidates** the lock word and the slab's generation. The owner
+//! releases the lock word (`SeqCst` RMW) and only then reads `helped`
+//! (`SeqCst`). So either the owner sees the mark and retires instead of
+//! reusing — and the helper's adopted epoch keeps the slab, and everything
+//! the thunk can reach, alive for the whole help — or the helper's
+//! revalidation sees the released word and it does nothing at all.
+//!
+//! A helper that fails revalidation has still written its mark, possibly
+//! onto a later incarnation of a pooled slab. That is harmless on live
+//! memory (at worst the incarnation takes the retire path), which is why a
+//! **published** descriptor is never plain-freed: it leaves the pool only
+//! through the epoch collector (`Pool`, [`dispose_top_level`]).
 
 use std::cell::RefCell;
 
@@ -502,7 +522,8 @@ pub(crate) unsafe fn dispose_top_level(d: *mut Descriptor) {
         // can be reused. A *stale* helper may still mark `helped` later;
         // that is why published descriptors never leave the pool through a
         // plain free (see `Pool`).
-        // SAFETY: ownership argument above; see DESIGN.md §3.
+        // SAFETY: ownership argument above; module docs, "Lifecycle and
+        // hand-off".
         let desc = unsafe { &mut *d };
         desc.thunk.clear();
         // SAFETY: no running helper (argument above); stale helpers never

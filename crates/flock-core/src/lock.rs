@@ -4,10 +4,11 @@
 //! locked bit. `try_lock` in lock-free mode:
 //!
 //! 1. Load the lock word (idempotently — this nests).
-//! 2. If unlocked: create a descriptor for the thunk, CAM it in, re-load.
-//!    If we got in (or got helped to completion), run-and-unlock ourselves
-//!    and return the thunk's result. Otherwise help whoever is there and
-//!    report failure.
+//! 2. If unlocked: create a descriptor for the thunk, CAS it in from the
+//!    word just read, re-load. If we got in (or got helped to completion),
+//!    run-and-unlock ourselves — the release is a CAS from that re-load, and
+//!    nothing at all if a helper already released — and return the thunk's
+//!    result. Otherwise help whoever is there and report failure.
 //! 3. If locked: help the installed descriptor, then report failure.
 //!
 //! Helping wraps `run` in the *observe-generation → mark → adopt →
@@ -18,8 +19,9 @@
 //! counter is what makes the full-packed-word comparison exact even across
 //! a `TAG_LIMIT`-install tag wraparound of one lock word (see
 //! [`Lock::help`]); committed reads keep replayers of an enclosing thunk
-//! on identical log positions regardless of which branch they take
-//! (DESIGN.md §3).
+//! on identical log positions regardless of which branch they take (the
+//! owner/helper hand-off itself: `descriptor`'s module docs, "Lifecycle and
+//! hand-off").
 //!
 //! In blocking mode the same lock word acts as a test-and-test-and-set bit
 //! (with the descriptor pointer left null), no descriptor is created, and
@@ -372,7 +374,9 @@ impl Lock {
                     let cur_packed = self.word.load_packed_in(tc);
                     let cur = LockWord::from_bits(unpack_val(cur_packed));
                     if !cur.is_locked() {
-                        self.word.cam_in(tc, cur, mine);
+                        // Install from the read just committed (see
+                        // lock_free_try_lock).
+                        self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
                         let cur2_packed = self.word.load_packed_in(tc);
                         let cur2 = LockWord::from_bits(unpack_val(cur2_packed));
                         // SAFETY: `d` is ours (or the committed nested
@@ -385,7 +389,7 @@ impl Lock {
                         if done || cur2 == mine {
                             // Runs, unlocks and disposes (`d` was created
                             // from a thunk returning `R`; we are pinned).
-                            return self.run_and_unlock_self::<R>(tc, d, mine, nested);
+                            return self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested);
                         }
                         if cur2.is_locked() {
                             self.help(tc, cur2_packed, &guard);
@@ -431,9 +435,13 @@ impl Lock {
                 descriptor::create_descriptor(thunk, guard.epoch(), false)
             };
             let mine = LockWord::locked_with(d);
-            self.word.cam_in(tc, cur, mine);
+            // Install with a CAS from the `cur_packed` just committed, not a
+            // CAM (which would load and commit the word a second time): the
+            // word moved on iff the CAS fails, and then this attempt reports
+            // busy below exactly as a lost CAM would.
+            self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
 
-            // Chaos seam: the install CAM has (possibly) published our
+            // Chaos seam: the install CAS has (possibly) published our
             // descriptor but we have not begun running it. A thread stalled
             // here holds the lock; helpers must complete the committed
             // descriptor without it. No-op in default builds.
@@ -457,7 +465,7 @@ impl Lock {
                 // is a replay: the log makes it recompute the identical
                 // result without re-applying effects. Runs, unlocks and
                 // disposes (we are pinned; `d`'s thunk returns `R`).
-                Some(self.run_and_unlock_self::<R>(tc, d, mine, nested))
+                Some(self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested))
             } else {
                 // Lines 23-26: someone else is (or was) in; help if locked.
                 if cur2.is_locked() {
@@ -470,7 +478,7 @@ impl Lock {
                 if nested {
                     idemp::retire_descriptor_idempotent(tc, d);
                 } else {
-                    // SAFETY: never published (install CAM failed).
+                    // SAFETY: never published (install CAS failed).
                     unsafe { descriptor::recycle_unshared(d) };
                 }
                 None
@@ -482,8 +490,10 @@ impl Lock {
     /// lock, and dispose of the descriptor: the paper's `runAndUnlock` for
     /// the self path, extended with the panic-safety contract (module docs).
     ///
-    /// Callers guarantee `d` was created from a thunk returning `R` and that
-    /// the calling thread is pinned; the run writes the
+    /// Callers guarantee `d` was created from a thunk returning `R`, that
+    /// the calling thread is pinned, and that `cur2_packed` is their
+    /// committed read of the lock word after the install attempt (it showed
+    /// `d` installed, or `d` is done); the run writes the
     /// (replay-deterministic) result into a local slot.
     ///
     /// If a **previous** runner's execution of this thunk panicked
@@ -497,17 +507,17 @@ impl Lock {
         &self,
         tc: &ThreadCtx,
         d: *const Descriptor,
-        mine: LockWord,
+        cur2_packed: u64,
         nested: bool,
     ) -> R {
         // SAFETY: `d` live (see callers).
         if unsafe { (*d).thunk_panicked() } {
-            // `set_done` before the unlock CAM keeps the protocol-wide
+            // `set_done` before the unlock CAS keeps the protocol-wide
             // invariant that an observed unlock implies an observable
             // `done` (idempotent if the panicking runner already set it).
             // SAFETY: as above.
             unsafe { (*d).set_done() };
-            self.word.cam_in(tc, mine, mine.unlocked());
+            self.release_self(tc, d, cur2_packed);
             // SAFETY: lock word no longer references `d`; pinned (callers).
             unsafe { self.dispose_after_run(tc, d, nested) };
             panic!("flock: critical section panicked during helped execution");
@@ -534,9 +544,7 @@ impl Lock {
                 let tainted = unsafe { (*d).thunk_panicked() };
                 // SAFETY: as above.
                 unsafe { (*d).set_done() };
-                // Unlock by clearing the descriptor pointer so the descriptor
-                // becomes unreachable from the lock word (enables safe reuse).
-                self.word.cam_in(tc, mine, mine.unlocked());
+                self.release_self(tc, d, cur2_packed);
                 // SAFETY: unlock removed the lock word's reference; pinned.
                 unsafe { self.dispose_after_run(tc, d, nested) };
                 // SAFETY: `ctx::run_in` returned without unwinding, so it
@@ -559,12 +567,33 @@ impl Lock {
                     (*d).mark_panicked();
                     (*d).set_done();
                 }
-                self.word.cam_in(tc, mine, mine.unlocked());
+                self.release_self(tc, d, cur2_packed);
                 // SAFETY: unlock removed the lock word's reference; pinned.
                 unsafe { self.dispose_after_run(tc, d, nested) };
                 std::mem::forget(abort);
                 std::panic::resume_unwind(payload)
             }
+        }
+    }
+
+    /// The owner's release, after `set_done`: unlock by clearing the
+    /// descriptor pointer, so the descriptor becomes unreachable from the
+    /// lock word (enables safe reuse).
+    ///
+    /// `cur2_packed` is the owner's committed read after its install attempt.
+    /// If it showed `d` installed, release with a CAS from that word: it
+    /// cannot recur while `d` is undisposed, so the CAS fails exactly when a
+    /// helper released first. If it showed anything else, the owner is here
+    /// because `d` is done — a helper ran it to completion and released
+    /// before that read — and nothing of ours is on the word: no CAS, no
+    /// load, no log entry. The branch keys on a committed value, so runners
+    /// of an enclosing thunk stay log-position-synchronized.
+    #[inline]
+    fn release_self(&self, tc: &ThreadCtx, d: *const Descriptor, cur2_packed: u64) {
+        let mine = LockWord::locked_with(d);
+        if LockWord::from_bits(unpack_val(cur2_packed)) == mine {
+            self.word
+                .tagged_cas_after_load_in(tc, cur2_packed, mine.unlocked());
         }
     }
 
@@ -584,7 +613,7 @@ impl Lock {
     /// owner's next recycle (observed in practice as a contended-lock
     /// crash: "descriptor thunk called before set"); a value-only unlock
     /// guard would likewise let the trailing CAM unlock the new incarnation
-    /// mid-run. The install CAM bumps the lock word's tag, so full-word
+    /// mid-run. The install CAS bumps the lock word's tag, so full-word
     /// comparison rejects a reincarnation — except across an exact
     /// `TAG_LIMIT`-install wraparound of this one lock word, where the
     /// packed word itself recurs (the value-reuse hazard every value-based
@@ -604,7 +633,7 @@ impl Lock {
     /// descriptor is never recycled before its unlock), and (b) the mark in
     /// step 2 landed on exactly that incarnation and was never erased by a
     /// pool reset. Its owner therefore observes `helped` (the step-3 fence
-    /// anchors the Dekker pair with the owner's unlock-CAM/reuse-check
+    /// anchors the Dekker pair with the owner's unlock-CAS/reuse-check
     /// sequence) and retires the slab through the epoch collector instead
     /// of recycling it — and since this helper is pinned/adopted, the slab
     /// can neither be freed nor re-enter `create_descriptor` while this
@@ -670,9 +699,9 @@ impl Lock {
         unsafe { (*d).mark_helped() };
         // Step 3: adopt the helped thunk's epoch (paper §6) — publishes
         // with a SeqCst fence before the revalidation reads below. That
-        // fence also anchors the mark_helped/unlock-CAM Dekker pair: the
+        // fence also anchors the mark_helped/unlock-CAS Dekker pair: the
         // mark is sequenced before it, the owner's reuse check is sequenced
-        // after its own SeqCst unlock CAM.
+        // after its own SeqCst unlock CAS.
         // SAFETY: as above.
         let _adopt = guard.adopt(unsafe { (*d).birth_epoch() });
         // Steps 4+5: revalidate word, then generation (this order — the
@@ -745,6 +774,10 @@ impl Lock {
 
     // ----------------------------------------------------------- blocking
 
+    // The blocking arms (here, `lock` and `blocking_release`) bump the tag
+    // by hand instead of asking `flock_sync::announce` for it: blocking mode
+    // has no helpers, so nothing is ever announced for a word while these
+    // run, and the mode flips only at quiescence.
     fn blocking_try_lock<R, F: Fn() -> R>(&self, thunk: F) -> Option<R> {
         let w = self.word.raw_packed();
         if LockWord::from_bits(unpack_val(w)).is_locked() {
@@ -1038,6 +1071,81 @@ mod tests {
             assert!(!a.is_locked());
             assert!(!b.is_locked());
         });
+    }
+
+    /// Committed-read reuse: a nested acquisition commits exactly six
+    /// entries to the enclosing log on the acquired path — lock-word read,
+    /// descriptor, install tag, post-install read, release tag, retire
+    /// marker — so an outer thunk that does nothing else (`try_with2`'s
+    /// shape) stays inside its descriptor's inline block.
+    #[test]
+    fn nested_try_lock_commits_six_log_entries() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        let outer = Lock::new();
+        let inner = Arc::new(Lock::new());
+        let extensions = crate::log::EXTENSIONS_ALLOCATED.get();
+        let observed = outer.try_lock(move || {
+            let before = thread_ctx::with(|tc| tc.log_pos.get());
+            let got = inner.try_lock(|| 7u32);
+            (got, thread_ctx::with(|tc| tc.log_pos.get()) - before)
+        });
+        assert_eq!(observed, Some((Some(7), 6)));
+        assert_eq!(crate::log::EXTENSIONS_ALLOCATED.get(), extensions);
+    }
+
+    /// A helped-to-completion owner whose helper also released before the
+    /// owner's post-install read: the owner replays for its result and must
+    /// leave the lock word alone — by then it may belong to someone else.
+    /// The owner's steps of `lock_free_try_lock` are taken by hand so the
+    /// helper (and a later, unrelated acquisition) sit exactly between the
+    /// install and that read.
+    #[test]
+    fn helped_and_released_owner_does_not_release_again() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        let lock = Arc::new(Lock::new());
+        let n = Arc::new(crate::Mutable::new(0u64));
+        thread_ctx::with(|tc| {
+            let guard = flock_epoch::pin_with(tc);
+            let cur_packed = lock.word.load_packed_in(tc);
+            let n2 = Arc::clone(&n);
+            let thunk = move || {
+                n2.store(n2.load() + 1);
+                n2.load()
+            };
+            let d = descriptor::create_descriptor(thunk, guard.epoch(), false);
+            lock.word
+                .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
+            let installed = lock.word.raw_packed();
+            assert_eq!(
+                LockWord::from_bits(unpack_val(installed)),
+                LockWord::locked_with(d)
+            );
+
+            let l2 = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                thread_ctx::with(|tc| l2.help(tc, installed, &flock_epoch::pin_with(tc)))
+            })
+            .join()
+            .unwrap();
+            assert!(!lock.is_locked(), "the helper ran and released");
+            assert_eq!(n.load(), 1);
+            assert_eq!(lock.try_lock(|| 5u32), Some(5), "someone else's turn");
+
+            let cur2_packed = lock.word.load_packed_in(tc);
+            // SAFETY: `d` is ours and undisposed.
+            assert!(unsafe { (*d).is_done() });
+            let r = lock.run_and_unlock_self::<u64>(tc, d, cur2_packed, false);
+            assert_eq!(r, 1, "the replay recomputes the committed result");
+            assert_eq!(n.load(), 1, "and applies no effect twice");
+            assert_eq!(
+                lock.word.raw_packed(),
+                cur2_packed,
+                "a second release touched the lock word"
+            );
+        });
+        assert_eq!(lock.try_lock(|| 6u32), Some(6));
     }
 
     #[test]

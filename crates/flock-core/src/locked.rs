@@ -367,6 +367,28 @@ mod tests {
         });
     }
 
+    /// A nested acquisition commits six entries to the enclosing log, so
+    /// `try_with2`'s outer thunk fits its descriptor's inline block: no
+    /// transfer allocates a log extension (the inner thunk here commits six
+    /// entries of its own).
+    #[test]
+    fn try_with2_allocates_no_log_extension() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        let a = Arc::new(Locked::new(Mutable::new(100u32)));
+        let b = Arc::new(Locked::new(Mutable::new(0u32)));
+        let before = crate::log::EXTENSIONS_ALLOCATED.get();
+        for _ in 0..100 {
+            let moved = Locked::try_with2(&a, &b, |src, dst| {
+                src.store(src.load() - 1);
+                dst.store(dst.load() + 1);
+            });
+            assert_eq!(moved, Some(()));
+        }
+        assert_eq!(b.load(), 100);
+        assert_eq!(crate::log::EXTENSIONS_ALLOCATED.get(), before);
+    }
+
     /// Panic-safety: a closure that unwinds out of `with` leaves the cell's
     /// lock released, and the data stays usable (no poisoning — shared
     /// state lives in `Mutable` cells that a partial run never corrupts,

@@ -28,6 +28,14 @@ pub struct LogBlock {
     next: AtomicPtr<LogBlock>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Extension blocks the calling thread has allocated, so a test can
+    /// assert that a stretch of its own operations grew no log.
+    pub(crate) static EXTENSIONS_ALLOCATED: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 impl LogBlock {
     /// A fresh block with all entries empty.
     pub fn new() -> Self {
@@ -90,6 +98,8 @@ impl LogBlock {
             return cur;
         }
         let fresh = Box::into_raw(Box::new(LogBlock::new()));
+        #[cfg(test)]
+        EXTENSIONS_ALLOCATED.with(|n| n.set(n.get() + 1));
         match self.next.compare_exchange(
             std::ptr::null_mut(),
             fresh,

@@ -31,11 +31,12 @@
 //! * `load` — read the packed word, commit it to the thunk log, return the
 //!   payload of whatever got committed first.
 //! * `store(v)` — `load` to agree on the old packed word; pick the next tag
-//!   not announced for this location and commit the choice to the log (so all
-//!   helpers build the identical new word); announce the expected tag; check
-//!   the running descriptor is not already done; single CAS; clear the
-//!   announcement. ABA-freedom of tagged words means only the first CAS
-//!   succeeds.
+//!   (`+1`, or on entering a tag window the start of the first window with
+//!   no announcement for this location — `flock_sync::announce`) and commit
+//!   the choice to the log (so all helpers build the identical new word);
+//!   announce the expected tag; check the running descriptor is not already
+//!   done; single CAS; clear the announcement. ABA-freedom of tagged words
+//!   means only the first CAS succeeds.
 //! * `cam(old, new)` — like `store` but aborts (idempotently, after the log
 //!   commit) when the committed old value differs from `old`. CAM returns
 //!   nothing: returning the CAS outcome would externalize a value that can
@@ -281,22 +282,31 @@ impl<V: ValueRepr> Mutable<V> {
     /// new tag, run the announcement protocol, CAS once, and retire the
     /// displaced encoding (idempotently, for indirect reprs).
     ///
+    /// `committed_old` must be a word this caller's
+    /// [`load_packed_in`](Mutable::load_packed_in) returned for this cell in
+    /// the current thunk context, so every runner of the thunk passes the
+    /// identical word. The lock paths call this directly to CAS from a read
+    /// they already committed, where a `cam` would load and commit again.
+    ///
     /// Log-slot discipline: every run of a thunk reaching this point
     /// consumes the identical commit sequence — [fresh-encoding]*, tag
     /// choice, [retire marker]* (indirect-only entries starred) — because
     /// all branches below depend only on committed values, never on timing.
     #[inline]
-    fn tagged_cas_after_load_in(&self, tc: &ThreadCtx, committed_old: u64, new: V) {
+    pub(crate) fn tagged_cas_after_load_in(&self, tc: &ThreadCtx, committed_old: u64, new: V) {
         let old_tag = unpack_tag(committed_old);
+        // One issuer for every tag of every cell (`flock_sync::announce`,
+        // "Window-entry scans"): `+1`, and a table scan one time in
+        // `TAG_WINDOW`, on entering a window.
+        let table = announce::global();
+        let candidate = table.next_free_tag(self.addr(), next_tag(old_tag));
         if !tc.in_thunk() {
             // Top level (or blocking mode): no helpers, no replay. A single
             // tag-bumping CAS; a CAS loop would mask racing stores, which
             // the model forbids anyway, so one attempt keeps semantics
             // identical to the logged path.
             let new_bits = V::encode(new);
-            let installed = self
-                .cell
-                .ccas(committed_old, pack(next_tag(old_tag), new_bits));
+            let installed = self.cell.ccas(committed_old, pack(candidate, new_bits));
             if V::INDIRECT {
                 if installed {
                     // The displaced encoding may still be decoded by
@@ -334,10 +344,8 @@ impl<V: ValueRepr> Mutable<V> {
             V::encode(new)
         };
 
-        // Agree on the tag for the new word. The first committer's choice —
-        // made while scanning announcements — wins; everyone uses it.
-        let table = announce::global();
-        let candidate = table.next_free_tag(self.addr(), next_tag(old_tag));
+        // Agree on the tag for the new word. The first committer's choice
+        // wins; everyone uses it.
         let (chosen, _) = commit_raw_in(tc, candidate as u64);
         let new_word = pack(chosen as u16, new_bits);
 
@@ -723,6 +731,58 @@ mod tests {
             LIVE.load(Relaxed),
             before,
             "an indirect encoding leaked or double-dropped under helping"
+        );
+    }
+
+    /// The announcement table end to end: while another thread holds
+    /// `(cell, t)` announced, a full lap of in-thunk stores never brings the
+    /// cell's tag into `t`'s window; once cleared, the next lap enters it.
+    #[test]
+    #[cfg_attr(miri, ignore)] // two laps of 2^16 stores, too slow under miri
+    fn wrap_skips_window_of_standing_announcement() {
+        use flock_sync::pack::{TAG_LIMIT, TAG_WINDOW};
+        use std::sync::Arc;
+        use std::sync::mpsc::channel;
+
+        let _guard = crate::lock::TEST_MODE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::set_lock_mode(crate::LockMode::LockFree);
+
+        let lock = crate::Lock::new();
+        let m = Arc::new(Mutable::new(0u32));
+        let held = TAG_WINDOW + TAG_WINDOW / 2; // mid-window 1
+        let addr = m.addr();
+        let (announced, wait_announced) = channel();
+        let (clear, wait_clear) = channel();
+        let holder = std::thread::spawn(move || {
+            let me = flock_sync::tid::current();
+            announce::global().announce(me, addr, held);
+            announced.send(()).unwrap();
+            wait_clear.recv().unwrap();
+            announce::global().clear(me);
+        });
+        wait_announced.recv().unwrap();
+
+        // One single-store critical section; the window the tag landed in.
+        let store = |i: u32| {
+            let m2 = Arc::clone(&m);
+            assert!(lock.try_lock(move || m2.store(i)).is_some());
+            unpack_tag(m.raw_packed()) / TAG_WINDOW
+        };
+        let lap = TAG_LIMIT as u32 + 5_000;
+        for i in 0..lap {
+            assert_ne!(
+                store(i),
+                held / TAG_WINDOW,
+                "store {i} entered the window of a standing announcement"
+            );
+        }
+        clear.send(()).unwrap();
+        holder.join().unwrap();
+        assert!(
+            (0..lap).any(|i| store(i) == held / TAG_WINDOW),
+            "a cleared window is entered again on the next lap"
         );
     }
 

@@ -18,7 +18,7 @@
 //! * Deletes are **relaxed**: batches shrink by copy; an emptied leaf is
 //!   spliced together with its separator; internal nodes collapse only when
 //!   reduced to a single child. No proactive merging/borrowing — the classic
-//!   relaxed-(a,b)-tree trade-off (documented in DESIGN.md).
+//!   relaxed-(a,b)-tree trade-off.
 //!
 //! A pseudo-root *anchor* (an internal node with zero keys and one child)
 //! removes all root special cases.

@@ -6,9 +6,9 @@
 //! Follows Leis et al.'s design: four adaptive node widths (Node4 / Node16 /
 //! Node48 / Node256) chosen by fanout, with *lazy expansion* (a leaf is
 //! installed at the shallowest depth where its key prefix is unique).
-//! Simplifications relative to the original ART, documented in DESIGN.md:
-//! no path compression (the paper's benchmark sparsifies keys by hashing, so
-//! long shared prefixes are rare) and no node shrinking on deletes.
+//! Simplifications relative to the original ART: no path compression (the
+//! paper's benchmark sparsifies keys by hashing, so long shared prefixes are
+//! rare) and no node shrinking on deletes.
 //!
 //! A radix tree indexes by digit position, not by comparison, so its keys
 //! need more than `Ord`: [`RadixKey`] maps a key to an order-preserving,

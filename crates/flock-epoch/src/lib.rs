@@ -14,7 +14,8 @@
 //!    restores it afterwards ([`EpochGuard::adopt`]). The adopt publishes the
 //!    lowered reservation with a `SeqCst` fence *before* the caller
 //!    revalidates that the descriptor is still installed, which is what makes
-//!    the hand-off sound (see DESIGN.md §3).
+//!    the hand-off sound (`flock_core`'s `descriptor` module docs,
+//!    "Lifecycle and hand-off").
 //! 2. **Reservation-aware retire/alloc from inside idempotent code.** The
 //!    thunk-log machinery in `flock-core` guarantees each logical retire
 //!    reaches [`retire`] at most once; this crate only has to stamp, bag and

@@ -12,7 +12,8 @@
 //! must catch, proving the harness detects the bug class it exists for.
 //!
 //! Scope bounds shared by the suite: model builds shrink the ABA tag space
-//! to `TAG_LIMIT = 8` (wraparound reachable), `tso` configs model store
+//! to `TAG_LIMIT = 8` in windows of `TAG_WINDOW = 2` (wraparound and window
+//! entry reachable), `tso` configs model store
 //! buffers (the store–load reordering class; see `flock_sync::atomic`),
 //! and thread counts stay ≤ 3 plus the test driver.
 
@@ -22,6 +23,7 @@ use std::sync::Mutex;
 use flock_core::{Lock, Mutable};
 use flock_model::{Config, explore};
 use flock_sync::atomic::{AtomicU64, Ordering};
+use flock_sync::pack::{TAG_LIMIT, TAG_WINDOW, next_tag};
 use flock_sync::{TagAnnouncements, tid};
 
 /// Model tests share process-global registries (thread ids, the epoch
@@ -64,13 +66,18 @@ impl Drop for Knob {
 /// the case that the scan reissues the tag *and* the helper proceeds to
 /// CAS — one side of the Dekker pair must see the other.
 ///
+/// `TAG` is a window start, so the owner's one `next_free_tag` call *is* a
+/// window-entry scan (a mid-window candidate would come back with no table
+/// access at all; the lap that leads to an entry scan is
+/// `window_entry_body`'s subject).
+///
 /// Scope: 2 threads, 1 announcement, TSO, ≤2 preemptions, exhaustive.
 fn dekker_body() {
     let table = Arc::new(TagAnnouncements::new());
     let done = Arc::new(AtomicU64::new(0));
     let lock_word = Arc::new(AtomicU64::new(1)); // 1 = held by the thunk's owner
     const L: usize = 0x1000;
-    const TAG: u16 = 5;
+    const TAG: u16 = 2 * TAG_WINDOW;
 
     let (t2, d2) = (Arc::clone(&table), Arc::clone(&done));
     let helper = flock_model::spawn(move || {
@@ -116,6 +123,112 @@ fn announce_dekker_mutant_skip_fence_is_caught() {
     let report = explore(Config::tso(), dekker_body);
     let f = report.assert_finds_bug();
     assert!(f.message.contains("lost announcement"), "{}", f.message);
+}
+
+/// Window-entry scans: the same Dekker pair, with the scan where production
+/// now has it — not at every issue but only where a lap of the tag space
+/// comes back into the announced tag's window.
+///
+/// The helper announces `(L, TAG)` for a **mid-window** `TAG` and then
+/// done-checks, as in `dekker_body`. The owner's thunk displaced the word
+/// carrying `TAG` (the location now carries `TAG + 1`); the owner sets
+/// `done`, releases the lock, and later holders (one SeqCst RMW pair stands
+/// for their acquisitions) issue tag after tag through the real
+/// `next_free_tag` for one full lap: mid-window candidates come back with no
+/// table access, window starts scan, the entry into `TAG`'s window is the
+/// scan that must see the announcement or be seen by the done-check.
+/// **Invariant (no lost announcement):** never "`TAG` re-issued *and* the
+/// helper proceeds to CAS".
+///
+/// Scope: 2 threads, 1 announcement, one lap of the 8-tag space (4 window
+/// entries), TSO, ≤2 preemptions, exhaustive.
+fn window_entry_body() {
+    let table = Arc::new(TagAnnouncements::new());
+    let done = Arc::new(AtomicU64::new(0));
+    let lock_word = Arc::new(AtomicU64::new(1)); // 1 = held by the thunk's owner
+    const L: usize = 0x3000;
+    const TAG: u16 = 2 * TAG_WINDOW + 1; // mid-window: never scanned for itself
+
+    let (t2, d2) = (Arc::clone(&table), Arc::clone(&done));
+    let helper = flock_model::spawn(move || {
+        let me = tid::current();
+        t2.announce(me, L, TAG);
+        let done_seen = d2.load(Ordering::Acquire) == 1;
+        !done_seen // true = helper would issue its CAS
+    });
+
+    done.store(1, Ordering::Release); // set_done (weak variant)
+    lock_word.swap(0, Ordering::SeqCst); // unlock CAM (SeqCst RMW)
+    lock_word.swap(1, Ordering::SeqCst); // a later holder's acquire (SeqCst RMW)
+    let mut reissued = false;
+    let mut tag = next_tag(TAG); // what the owner's thunk left on the word
+    for _ in 0..TAG_LIMIT {
+        tag = table.next_free_tag(L, next_tag(tag));
+        reissued |= tag == TAG;
+    }
+
+    let would_cas = helper.join();
+    assert!(
+        !(would_cas && reissued),
+        "lost announcement: a lap re-entered the announced tag's window and \
+         re-issued the tag while the announcing helper proceeds with its stale CAS"
+    );
+}
+
+#[test]
+fn announce_window_entry_no_lost_announcement() {
+    let _g = serial();
+    let report = explore(Config::tso(), window_entry_body);
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 10, "space suspiciously small");
+}
+
+/// Sanity mutant: window entry reports every window clean without reading
+/// the table. The lap re-issues the announced tag under a helper whose
+/// done-check ran before `done` was set, and the checker must surface it.
+#[test]
+fn announce_window_entry_mutant_skip_scan_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_sync::announce::mutants::SKIP_WINDOW_SCAN);
+    let report = explore(Config::tso(), window_entry_body);
+    let f = report.assert_finds_bug();
+    assert!(f.message.contains("lost announcement"), "{}", f.message);
+}
+
+/// What the window degrades to under a tiny model tag limit (the
+/// `lock_word_tag_wrap_*` scope): a limit below `2 * TAG_WINDOW` has no two
+/// whole windows, so the window is a single tag — every issue is a window
+/// entry and scans, which is the per-issue behaviour those tests were
+/// written against. At the full model limit the same calls show windows of
+/// `TAG_WINDOW` tags.
+#[test]
+fn tiny_tag_limit_degrades_window_to_one_tag() {
+    let _g = serial();
+    let body = |tiny: bool| {
+        let table = TagAnnouncements::new();
+        let me = tid::current();
+        const L: usize = 0x4000;
+        table.announce(me, L, 1);
+        if tiny {
+            // Tag space {0, 1}, windows {0} and {1}.
+            assert_eq!(table.next_free_tag(L, 1), 0, "announced tag skipped");
+            assert_eq!(
+                table.next_free_tag(L, 0),
+                0,
+                "its neighbour is its own window"
+            );
+            assert_eq!(table.next_free_tag(L, 2), 0, "the limit counts as tag 0");
+        } else {
+            // Windows of two: 1 is mid-window (untouched), 0 enters the
+            // window that holds the announcement.
+            assert_eq!(table.next_free_tag(L, 1), 1);
+            assert_eq!(table.next_free_tag(L, 0), TAG_WINDOW);
+        }
+        table.clear(me);
+    };
+    explore(Config::sc(), move || body(false)).assert_exhaustive_ok();
+    let _t = TagLimit::set(2);
+    explore(Config::sc(), move || body(true)).assert_exhaustive_ok();
 }
 
 // ---------------------------------------------------------------- try_lock

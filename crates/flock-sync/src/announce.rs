@@ -4,23 +4,63 @@
 //! A helper that read a packed word long ago could then perform a stale CAS
 //! that wrongly succeeds. The paper sketches Flock's fix (§6 "ABA"): an
 //! announcement array ensures a tag that is *announced* is never re-issued
-//! for that location.
+//! for that location. This module is the protocol's one write-up; the
+//! callers (`flock_core::Mutable`'s store/CAM tail) only cite it.
 //!
-//! Our concrete protocol (documented in DESIGN.md §3.2):
+//! ## The protocol
 //!
 //! 1. A helper about to use packed word `(t, v)` at location `L` as a
 //!    CAS-expected value first **announces** `(L, t)` in its slot, then issues
-//!    a `SeqCst` fence, then re-validates that the thunk it is helping is not
-//!    yet done. If done, it skips the CAS entirely.
-//! 2. A store choosing the *next* tag for `L` scans the table and skips any
-//!    announced tag for `L`; the chosen tag is committed to the thunk log so
-//!    every helper of the same store uses the identical new word.
+//!    a store–load barrier, then re-validates that the thunk it is helping is
+//!    not yet done. If done, it skips the CAS entirely; either way it clears
+//!    the slot afterwards.
+//! 2. A store choosing the *next* tag for `L` calls
+//!    [`TagAnnouncements::next_free_tag`]; the chosen tag is committed to the
+//!    thunk log so every helper of the same store builds the identical new
+//!    word.
 //!
-//! The hazard-pointer-style argument: if the scanner misses an announcement,
-//! the announcing helper's subsequent done-check must observe `done = true`
-//! (the scan happens under a lock acquired after the helped thunk completed),
-//! so the stale CAS is skipped. If the scan sees the announcement, the tag is
-//! not re-issued. Either way no stale CAS can succeed.
+//! ## Window-entry scans
+//!
+//! The expected word `(t, v)` of a stale helper is dangerous only once `L`
+//! carries tag `t` *again*, i.e. after a full lap of the tag space (the
+//! value-reuse hazard of Hapax Locks, Dice & Kogan). So the table need not
+//! be read on every issue. The tag space is cut into aligned **windows** of
+//! [`TAG_WINDOW`](crate::pack::TAG_WINDOW) tags, and:
+//!
+//! * a candidate strictly inside its window is issued as is, with no table
+//!   access;
+//! * a candidate that is a **window start** is issued only after one scan
+//!   found no standing announcement for `L` with a tag *anywhere in that
+//!   window*; a window that holds one is skipped whole, and the next window
+//!   start is tried the same way.
+//!
+//! Tags of one location only ever advance `+1` or jump to a later window
+//! start, and a non-start tag is only ever the successor of a tag in its own
+//! window. So between the store that displaced `(t, v)` and any later issue
+//! of `t`, the location's tag left `t`'s window and came back in **through
+//! the window start** — through one entry scan `E` that found the window
+//! clean. `E` ran in a critical section on `L`'s lock that began after the
+//! helped thunk was done and unlocked (the lap in between consists of whole
+//! critical sections). That is the same Dekker pair the per-issue scan used
+//! to form, moved to the entry point:
+//!
+//! * `E` sees the helper's announcement `(L, t)`: the window is skipped, and
+//!   `t` is not issued while the announcement stands.
+//! * `E` misses it: then the helper's done-check, which follows its
+//!   announcement, observes `done = true` and the stale CAS is skipped.
+//!
+//! Either way no stale CAS can succeed. Every issuer goes through
+//! `next_free_tag` — in-thunk stores, top-level stores and top-level lock
+//! acquisitions alike — so no window of any `Mutable` is ever entered
+//! unscanned. (The blocking-mode lock arms bump the tag by hand: blocking
+//! mode has no helpers, hence no announcers, and the mode flips only at
+//! quiescence.)
+//!
+//! **Termination.** Each live thread holds at most one announcement, so at
+//! most [`MAX_THREADS`] windows are dirty for one location; there are more
+//! windows than that (asserted below), so a skip loop ends within one lap.
+//! The last window, `[65472, 0xFFFF)`, is one tag short: the reserved
+//! [`TAG_LIMIT`](crate::pack::TAG_LIMIT) is never issued and never announced.
 //!
 //! ## Memory ordering
 //!
@@ -35,21 +75,21 @@
 //!   the seed paid an `xchg` *and* an `mfence` here), the done flag is
 //!   written and checked `SeqCst` (plain `mov`s on TSO reads), and the
 //!   per-slot scan loads are `SeqCst` (also plain `mov`s). Soundness in S:
-//!   `set_done <_S unlock CAM <_S scanner's lock CAS <_S scan load`; if the
-//!   scan load misses the announcement swap it precedes it in S, so the
-//!   announcer's `SeqCst` done-read (which follows its swap in S) must
-//!   observe `set_done` — the announcer skips its CAS. If the scan load
-//!   follows the swap in S it sees the announcement — the tag is not
-//!   re-issued.
+//!   `set_done <_S unlock CAM <_S entering scanner's lock CAS <_S scan
+//!   load`; if the scan load misses the announcement swap it precedes it in
+//!   S, so the announcer's `SeqCst` done-read (which follows its swap in S)
+//!   must observe `set_done` — the announcer skips its CAS. If the scan load
+//!   follows the swap in S it sees the announcement — the window is not
+//!   entered.
 //! * **Weakly-ordered targets** anchor on two `SeqCst` fences — the
 //!   announcer's (already required for its done-check) and one at the start
-//!   of each scan — and make the slot accesses `Relaxed`: one `dmb` beats a
-//!   chain of `ldar`s. With `F_a` the announcer's fence and `F_s` the
-//!   scanner's, the `SeqCst` total order leaves exactly two cases:
+//!   of each entry scan — and make the slot accesses `Relaxed`: one `dmb`
+//!   beats a chain of `ldar`s. With `F_a` the announcer's fence and `F_s`
+//!   the scanner's, the `SeqCst` total order leaves exactly two cases:
 //!
 //!   * `F_a < F_s`: the scanner's post-fence loads must observe the
 //!     announcer's pre-fence `(tag, loc)` stores (or later values) — the
-//!     announcement is seen and the tag is not re-issued.
+//!     announcement is seen and the window is not entered.
 //!   * `F_s < F_a`: the scanner may miss the announcement, but then the
 //!     announcer's post-fence done-load observes `done = true` — `set_done`
 //!     happens-before the unlock CAM, which happens-before the scanner's
@@ -57,7 +97,9 @@
 //!     `F_s` — and the stale CAS is skipped.
 //!
 //!   A torn read (stale `loc` with a newer `tag`, possible under `Relaxed`)
-//!   can only produce a false *positive*, which merely skips a usable tag.
+//!   pairs a location with a tag its announcer never held for it. That can
+//!   skip a usable window, or miss an announcement that was already being
+//!   overwritten — whose CAS is therefore over.
 //!
 //! Scans iterate only up to [`tid::scan_bound`] — the live upper bound of
 //! the active-thread registry. A slot above the bound cannot hold a live
@@ -106,11 +148,28 @@ pub mod mutants {
     pub(crate) fn skip_announce_fence() -> bool {
         SKIP_ANNOUNCE_FENCE.load(Ordering::Relaxed)
     }
+
+    /// Window entry always reports the window clean: a tag is re-issued
+    /// under a standing announcement whose done-check came too early to see
+    /// `done` — the lost announcement the entry scan exists to prevent.
+    pub static SKIP_WINDOW_SCAN: AtomicBool = AtomicBool::new(false);
+
+    pub(crate) fn skip_window_scan() -> bool {
+        SKIP_WINDOW_SCAN.load(Ordering::Relaxed)
+    }
 }
 
 use crate::MAX_THREADS;
+use crate::pack::{tag_limit, tag_window};
 use crate::padded::CachePadded;
 use crate::tid::{self, ThreadId};
+
+// Termination of the window skip loop (module docs): more whole windows
+// than one-slot announcers. Model builds shrink both constants and bound
+// their thread counts instead (see `pack::TAG_WINDOW`).
+#[cfg(not(feature = "model"))]
+const _: () =
+    assert!(crate::pack::TAG_LIMIT as usize / crate::pack::TAG_WINDOW as usize > MAX_THREADS);
 
 /// Sentinel for "no announcement" in a slot's location field.
 const NONE: usize = 0;
@@ -162,9 +221,9 @@ impl TagAnnouncements {
         //   is both the publication and the announcer's store–load barrier
         //   (the caller's done-check is a `SeqCst` load, and `set_done` is
         //   `SeqCst` there too, so the whole Dekker pair lives in the SC
-        //   total order; see `is_announced_ordering` in DESIGN notes and
-        //   the module docs). This replaces the seed's `SeqCst` store +
-        //   `SeqCst` fence — two full barriers — with one.
+        //   total order; see the module docs, "Memory ordering"). This
+        //   replaces the seed's `SeqCst` store + `SeqCst` fence — two full
+        //   barriers — with one.
         // * elsewhere: a Release store; the `SeqCst` fence is the
         //   linearization point, pairing with the scanner's fence.
         slot.tag.store(tag as u64, Ordering::Relaxed);
@@ -191,59 +250,71 @@ impl TagAnnouncements {
 
     /// Is `(loc_addr, tag)` currently announced by any thread?
     ///
-    /// Issues its own scanner-side barrier;
-    /// [`TagAnnouncements::next_free_tag`] amortizes one over all its
-    /// probes instead.
+    /// A per-tag query for tests and diagnostics; issuing goes through
+    /// [`TagAnnouncements::next_free_tag`]. Issues its own scanner-side
+    /// barrier.
     #[inline]
     pub fn is_announced(&self, loc_addr: usize, tag: u16) -> bool {
         scan_fence();
-        self.scan_slots(loc_addr, tag)
+        self.scan_slots(loc_addr, |t| t == tag)
     }
 
-    /// Scan for `(loc_addr, tag)`. Caller must have issued the scanner-side
-    /// barrier ([`scan_fence`]) after acquiring the location's lock (module
-    /// docs, "Memory ordering").
+    /// Does any live slot announce `loc_addr` with a tag satisfying `hit`?
+    /// Caller must have issued the scanner-side barrier ([`scan_fence`])
+    /// after acquiring the location's lock (module docs, "Memory ordering").
     #[inline]
-    fn scan_slots(&self, loc_addr: usize, tag: u16) -> bool {
+    fn scan_slots(&self, loc_addr: usize, hit: impl Fn(u16) -> bool) -> bool {
         // Live-thread bound: slots above it hold no live announcement (the
         // registry raises the bound SeqCst-before a claimer can announce).
         let bound = tid::scan_bound().min(self.slots.len());
-        for slot in &self.slots[..bound] {
+        self.slots[..bound].iter().any(|slot| {
             // Ordering: SCAN_LOAD (per-target, see module docs); the tag
-            // read can always be Relaxed — a torn (loc, tag) pair is only
-            // ever a false positive, and when the loc read is SeqCst its
+            // read can always be Relaxed — when the loc read is SeqCst its
             // release/acquire pairing with the announce store orders the
-            // tag store before it.
-            if slot.loc.load(SCAN_LOAD) == loc_addr
-                && slot.tag.load(Ordering::Relaxed) == tag as u64
-            {
-                return true;
-            }
-        }
-        false
+            // tag store before it, and a torn (loc, tag) pair is harmless
+            // (module docs, "Memory ordering").
+            slot.loc.load(SCAN_LOAD) == loc_addr && hit(slot.tag.load(Ordering::Relaxed) as u16)
+        })
     }
 
-    /// First tag starting from `start` (cyclically, skipping the reserved
-    /// value) that is not announced for `loc_addr`.
+    /// The tag to issue for `loc_addr` when `start` is the successor of its
+    /// current tag: `start` itself while that stays inside its window, and
+    /// otherwise the start of the first window from `start` on (cyclically)
+    /// that holds no standing announcement for `loc_addr`. The reserved
+    /// [`TAG_LIMIT`](crate::pack::TAG_LIMIT) counts as tag 0.
     ///
-    /// At most [`MAX_THREADS`] tags can be announced at once, so this
-    /// terminates within `MAX_THREADS + 1` probes.
+    /// The caller must hold the location's lock (module docs, "Window-entry
+    /// scans"). Only a window start reads the table — one call in
+    /// [`TAG_WINDOW`](crate::pack::TAG_WINDOW).
     #[inline]
     pub fn next_free_tag(&self, loc_addr: usize, start: u16) -> u16 {
-        // One scanner-side barrier for all probes (see module docs): each
-        // probe's loads are sequenced after it, which is all the case
-        // analysis needs.
+        if !start.is_multiple_of(tag_window()) && start < tag_limit() {
+            return start;
+        }
+        self.enter_window(loc_addr, start)
+    }
+
+    /// Window entry: scan, skipping whole windows until one is clean.
+    #[cold]
+    fn enter_window(&self, loc_addr: usize, start: u16) -> u16 {
+        let (limit, width) = (tag_limit(), tag_window());
+        let mut t = if start >= limit { 0 } else { start };
+        #[cfg(feature = "model")]
+        if mutants::skip_window_scan() {
+            return t;
+        }
+        // One scanner-side barrier for all windows probed: each probe's
+        // loads are sequenced after it, which is all the case analysis
+        // needs.
         scan_fence();
-        let mut t = start;
-        if t == crate::pack::TAG_LIMIT {
-            t = 0;
+        // Terminates within a lap: fewer announcers than windows.
+        while self.scan_slots(loc_addr, |a| a / width == t / width) {
+            t = match t.checked_add(width) {
+                Some(next) if next < limit => next,
+                _ => 0,
+            };
         }
-        loop {
-            if !self.scan_slots(loc_addr, t) {
-                return t;
-            }
-            t = crate::pack::next_tag(t);
-        }
+        t
     }
 }
 
@@ -256,7 +327,11 @@ impl Default for TagAnnouncements {
 /// The process-wide announcement table used by `flock-core`.
 pub fn global() -> &'static TagAnnouncements {
     use std::sync::OnceLock;
-    static GLOBAL: OnceLock<TagAnnouncements> = OnceLock::new();
+    // On cache lines of its own: every store of every `Mutable` reads this
+    // handle on its way to `next_free_tag`, so it must not share a line
+    // with a static that other threads write (`Backoff::new`'s seed
+    // counter, which every hashtable write bumps, is a neighbour otherwise).
+    static GLOBAL: CachePadded<OnceLock<TagAnnouncements>> = CachePadded::new(OnceLock::new());
     GLOBAL.get_or_init(TagAnnouncements::new)
 }
 
@@ -277,6 +352,7 @@ pub fn model_reset_global() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::{TAG_LIMIT, TAG_WINDOW};
 
     #[test]
     fn announce_then_clear() {
@@ -294,22 +370,42 @@ mod tests {
     fn next_free_tag_skips_announced() {
         let t = TagAnnouncements::new();
         let me = tid::current();
-        t.announce(me, 0x1000, 5);
-        assert_eq!(t.next_free_tag(0x1000, 5), 6);
-        assert_eq!(t.next_free_tag(0x1000, 4), 4);
-        assert_eq!(t.next_free_tag(0x2000, 5), 5, "other locations unaffected");
+        // A standing announcement in the middle of window 1.
+        let w = TAG_WINDOW;
+        let held = w + w / 2;
+        t.announce(me, 0x1000, held);
+        assert_eq!(t.next_free_tag(0x1000, w), 2 * w, "dirty window skipped");
+        assert_eq!(t.next_free_tag(0x1000, 0), 0, "clean window entered");
+        assert_eq!(
+            t.next_free_tag(0x1000, held),
+            held,
+            "a mid-window candidate comes back untouched: no table access"
+        );
+        assert_eq!(t.next_free_tag(0x2000, w), w, "other locations unaffected");
         t.clear(me);
+        assert_eq!(t.next_free_tag(0x1000, w), w, "cleared window enterable");
     }
 
     #[test]
     fn next_free_tag_wraps_past_reserved() {
         let t = TagAnnouncements::new();
-        // TAG_LIMIT - 1 is the last usable tag; starting there with it
-        // announced must wrap to 0, never yielding TAG_LIMIT.
         let me = tid::current();
-        let last = crate::pack::TAG_LIMIT - 1;
+        // The last window is one tag short in production, `[65472, 0xFFFF)`:
+        // TAG_LIMIT - 1 is its last usable tag.
+        let last = TAG_LIMIT - 1;
+        let last_start = last / TAG_WINDOW * TAG_WINDOW;
+        assert_eq!(t.next_free_tag(0x3000, last), last, "mid-window");
+        assert_eq!(t.next_free_tag(0x3000, last_start), last_start);
         t.announce(me, 0x3000, last);
-        assert_eq!(t.next_free_tag(0x3000, last), 0);
+        assert_eq!(
+            t.next_free_tag(0x3000, last_start),
+            0,
+            "skipping the last window wraps to 0, never to TAG_LIMIT or past it"
+        );
+        // The reserved value as a candidate is tag 0: a window start.
+        assert_eq!(t.next_free_tag(0x3000, TAG_LIMIT), 0);
+        t.announce(me, 0x3000, 1);
+        assert_eq!(t.next_free_tag(0x3000, TAG_LIMIT), TAG_WINDOW);
         t.clear(me);
     }
 

@@ -23,11 +23,25 @@ pub const TAG_LIMIT: u16 = u16::MAX;
 /// Model builds shrink the tag space (scope bounding, not a protocol
 /// change): wraparound — the event the announcement table exists for —
 /// becomes reachable within a model-checkable number of stores. The bit
-/// layout is untouched; only where `next_tag` wraps moves. Must stay above
-/// the number of threads a model test runs (each live thread announces at
-/// most one tag per location, and `next_free_tag` needs a free tag).
+/// layout is untouched; only where `next_tag` wraps moves.
 #[cfg(feature = "model")]
 pub const TAG_LIMIT: u16 = 8;
+
+/// Width of an aligned **tag window**: tags `[k·W, (k+1)·W)` (the last
+/// window stops short at the reserved [`TAG_LIMIT`]). The announcement
+/// table is consulted only when an issued tag *enters* a window (see
+/// `announce`, "Window-entry scans"); inside a window tags are issued `+1`
+/// with no table access. 1024 windows against `MAX_THREADS` = 512 one-slot
+/// announcers: a window free of announcements always exists.
+#[cfg(not(feature = "model"))]
+pub const TAG_WINDOW: u16 = 64;
+
+/// Model builds shrink the window with the tag space: 4 windows of 2 tags,
+/// which must stay above the number of threads a model test runs (each
+/// live thread announces at most one tag per location, and window entry
+/// needs an announcement-free window).
+#[cfg(feature = "model")]
+pub const TAG_WINDOW: u16 = 2;
 
 /// Model-only runtime override of the wrap point (scope bounding knob for
 /// individual model tests; production keeps the compile-time constant).
@@ -35,9 +49,11 @@ pub const TAG_LIMIT: u16 = 8;
 /// The lock-word tag-wrap tests shrink the effective tag space to 2 so a
 /// full `TAG_LIMIT`-install wraparound of one lock word fits inside an
 /// exhaustively explorable schedule space. Settable only while no modeled
-/// operations are in flight; a limit of `n` must stay above the number of
-/// tags concurrently announced per location (see [`TAG_LIMIT`]) — with no
-/// in-thunk stores in the test body, 2 is safe.
+/// operations are in flight. A limit below `2 * TAG_WINDOW` has no two
+/// whole windows to alternate between, so there the window degrades to a
+/// single tag (`tag_window()` returns 1: every issue is a window entry and
+/// scans, and a limit of `n` must stay above the number of tags
+/// concurrently announced per location).
 #[cfg(feature = "model")]
 pub mod model_tag_limit {
     use core::sync::atomic::{AtomicU16, Ordering};
@@ -53,6 +69,27 @@ pub mod model_tag_limit {
     pub fn get() -> u16 {
         LIMIT.load(Ordering::Relaxed)
     }
+}
+
+/// The effective wrap point: [`TAG_LIMIT`], or the model-only runtime
+/// override.
+#[inline(always)]
+pub(crate) fn tag_limit() -> u16 {
+    #[cfg(feature = "model")]
+    return model_tag_limit::get();
+    #[cfg(not(feature = "model"))]
+    TAG_LIMIT
+}
+
+/// The effective window width: [`TAG_WINDOW`], except under a model-only
+/// tag limit too small to hold two whole windows (see `model_tag_limit`).
+#[inline(always)]
+pub(crate) fn tag_window() -> u16 {
+    #[cfg(feature = "model")]
+    if model_tag_limit::get() < 2 * TAG_WINDOW {
+        return 1;
+    }
+    TAG_WINDOW
 }
 
 /// Pack `tag` and a 48-bit `val` into one word.
@@ -81,14 +118,10 @@ pub fn unpack_val(word: u64) -> u64 {
 /// Successor of a tag in the cyclic tag space, skipping the reserved value.
 #[inline(always)]
 pub fn next_tag(tag: u16) -> u16 {
-    #[cfg(feature = "model")]
-    let limit = model_tag_limit::get();
-    #[cfg(not(feature = "model"))]
-    let limit = TAG_LIMIT;
     let next = tag.wrapping_add(1);
     // `>=` (not `==`): the model-only runtime limit may shrink below a tag
     // already in circulation; such a tag wraps on its next bump.
-    if next >= limit { 0 } else { next }
+    if next >= tag_limit() { 0 } else { next }
 }
 
 /// An opaque snapshot of a packed word's full **incarnation** — tag and
