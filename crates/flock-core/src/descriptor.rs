@@ -17,10 +17,34 @@
 //!   epoch collector.
 //! * **Nested** descriptors (created while running an outer thunk) are
 //!   created idempotently — all runners of the outer thunk share one — so no
-//!   single runner owns them: they are always retired idempotently through
-//!   the epoch collector and their `done`/`helped` flags stay sticky until
-//!   the memory is actually freed. This is what makes the raw `done` reads
-//!   in the lock algorithm divergence-free for replayers.
+//!   single runner owns them *once something was helped*. Until then one
+//!   does: while a thread runs its own top-level descriptor, and the thunks
+//!   nested in it that it entered as their owner (an **owner run**), the
+//!   winner of a nested descriptor's retire marker does not retire it but
+//!   links it onto a per-thread deferred list ([`defer_nested`]). The
+//!   top-level dispose drains the list ([`dispose_top_level`]): if the
+//!   top-level descriptor and every deferred one read `helped == false`
+//!   there, each is reset and pooled like an unhelped top-level descriptor;
+//!   if any one was helped, all deferred ones go to the epoch collector.
+//!   Thunks run by `Lock::help`, and everything nested inside them, never
+//!   defer: their nested descriptors are retired idempotently through the
+//!   collector at the marker, as every nested descriptor used to be.
+//!
+//!   Why the drain may reuse: a nested descriptor is reachable through the
+//!   log of the thunk that created it and through the lock word it was
+//!   installed on, and nowhere else. An unhelped top-level descriptor has no
+//!   replayer and will never get one (its lock word is released; a late
+//!   helper fails revalidation and does nothing), so nobody reached the
+//!   nested pointer through that log — and inductively through the log of
+//!   any deferred descriptor in between, each unhelped itself. An unhelped
+//!   nested descriptor has no validated helper through its own lock word
+//!   either. Each `helped` read at the drain follows the release of that
+//!   descriptor's own lock word, which is the hand-off below. Until the
+//!   drain, `done`/`helped` stay sticky on a deferred descriptor exactly as
+//!   they do on a retired one, which is what makes the raw `done` reads in
+//!   the lock algorithm divergence-free for replayers: a validated replayer
+//!   marked some descriptor on its path `helped` first, so nothing it can
+//!   read is reset under it.
 //!
 //! **The hand-off** between an owner about to reuse and a helper about to
 //! run is a Dekker pair. The helper, pinned, reads the lock word, **marks**
@@ -36,11 +60,13 @@
 //! A helper that fails revalidation has still written its mark, possibly
 //! onto a later incarnation of a pooled slab. That is harmless on live
 //! memory (at worst the incarnation takes the retire path), which is why a
-//! **published** descriptor is never plain-freed: it leaves the pool only
-//! through the epoch collector (`Pool`, [`dispose_top_level`]).
+//! **published** descriptor — top-level or nested — is never plain-freed:
+//! it leaves the pool only through the epoch collector (`Pool`,
+//! [`dispose_top_level`]).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
+use flock_sync::ThreadCtx;
 use flock_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::log::LogBlock;
@@ -194,11 +220,19 @@ pub struct Descriptor {
     generation: AtomicU64,
     /// True when the descriptor was created while running another thunk.
     nested: bool,
+    /// Link of the owner thread's deferred list ([`defer_nested`]). Written
+    /// by the one winner of this descriptor's retire marker and read back by
+    /// that same thread at its drain; no other thread touches it.
+    next_deferred: Cell<*mut Descriptor>,
 }
+
+// The nested link must not push the slab out of its 256-byte pool class.
+const _: () = assert!(std::mem::size_of::<Descriptor>() <= 256);
 
 // SAFETY: descriptors are shared across helper threads by design. The thunk
 // is `Send + Sync`; flags and log are atomics; `thunk`/`nested` are written
-// only before publication or with exclusive access (pool reuse / drop).
+// only before publication or with exclusive access (pool reuse / drop);
+// `next_deferred` is single-thread by protocol (see the field).
 unsafe impl Send for Descriptor {}
 unsafe impl Sync for Descriptor {}
 
@@ -213,6 +247,7 @@ impl Descriptor {
             birth_epoch: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             nested: false,
+            next_deferred: Cell::new(std::ptr::null_mut()),
         }
     }
 
@@ -347,14 +382,15 @@ impl Descriptor {
     }
 }
 
-/// Per-thread pool of top-level descriptors (paper §6: "if a descriptor is
-/// never helped, which is the common case, then it can be reused immediately
+/// Per-thread pool of descriptors (paper §6: "if a descriptor is never
+/// helped, which is the common case, then it can be reused immediately
 /// instead of being retired").
 const POOL_CAP: usize = 32;
 
 /// Global switch for the reuse-if-unhelped optimization (ablation hook):
-/// when disabled, every top-level descriptor is retired through the epoch
-/// collector. Not meant to be toggled while operations run.
+/// when disabled, every published descriptor, top-level or nested, is
+/// retired through the epoch collector. Not meant to be toggled while
+/// operations run.
 static REUSE_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 
 /// Enable/disable descriptor reuse (ablation hook).
@@ -384,15 +420,23 @@ struct Pool {
 /// A pooled, fully reset descriptor (thread-local container; never sent).
 struct DescPtr(*mut Descriptor);
 
-impl Drop for Pool {
-    fn drop(&mut self) {
+impl Pool {
+    /// Empty the pool into the collector's orphan bag: the entries may have
+    /// been published, so even fully reset they are reachable through stale
+    /// helpers' pointers, and the orphan retire defers the free past any
+    /// pinned one. Safe in a TLS destructor.
+    fn drain_to_orphans(&self) {
         for DescPtr(raw) in self.items.borrow_mut().drain(..) {
             flock_epoch::debug_track_alloc(raw);
-            // SAFETY: pool entries were fully reset and are reachable only
-            // via possible stale-helper pointers; the orphan retire defers
-            // the free past any pinned helper. TLS-destructor-safe variant.
+            // SAFETY: pooled, so reset and owned by nobody; retired once.
             unsafe { flock_epoch::retire_orphan(raw) };
         }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.drain_to_orphans();
     }
 }
 
@@ -404,23 +448,34 @@ thread_local! {
     };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// What the calling thread's descriptors cost the allocator and the
+    /// collector so far: `(fresh slabs taken, descriptors retired)`. The
+    /// collector's own counters are process-wide, and sibling tests move
+    /// them.
+    pub(crate) static TALLY: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+#[cfg(test)]
+fn tally(fresh: usize, retired: usize) {
+    let (f, r) = TALLY.get();
+    TALLY.set((f + fresh, r + retired));
+}
+
+/// Slab addresses in the calling thread's pool, oldest first.
+#[cfg(test)]
+pub(crate) fn pooled() -> Vec<usize> {
+    POOL.with(|p| p.items.borrow().iter().map(|d| d.0 as usize).collect())
+}
+
 /// Model-engine worker reset: drain the calling thread's descriptor pool
 /// (as its TLS destructor would), so pooled model workers start every
-/// execution with the same (empty) pool a fresh thread has. The drained
-/// descriptors may have been published, so they go through the orphan
-/// retire, exactly like `Pool::drop`; the model engine frees orphans
-/// between executions.
+/// execution with the same (empty) pool a fresh thread has. The model
+/// engine frees orphans between executions.
 #[cfg(feature = "model")]
 pub fn model_drain_descriptor_pool() {
-    POOL.with(|p| {
-        for DescPtr(raw) in p.items.borrow_mut().drain(..) {
-            flock_epoch::debug_track_alloc(raw);
-            // SAFETY: pool entries are fully reset and unreachable except
-            // via possible stale-helper pointers; orphan retire defers the
-            // free past any pinned helper (none live between executions).
-            unsafe { flock_epoch::retire_orphan(raw) };
-        }
-    });
+    POOL.with(Pool::drain_to_orphans);
 }
 
 /// Create (or recycle) a descriptor holding `f`.
@@ -441,7 +496,11 @@ where
         // Fresh slab from the epoch allocator (and through its slab pool
         // when the descriptor fits a size class), so every descriptor has
         // the provenance `flock_epoch::retire` expects.
-        None => flock_epoch::alloc(Descriptor::new()),
+        None => {
+            #[cfg(test)]
+            tally(1, 0);
+            flock_epoch::alloc(Descriptor::new())
+        }
     };
     // SAFETY: pooled entries are unshared-for-writing (stale helpers may
     // still store the atomic flags, which reinitialization below clears);
@@ -455,10 +514,13 @@ where
     d.helped.store(false, Ordering::Relaxed);
     // New incarnation: bump the generation so any helper still holding a
     // pre-recycle observation of this slab fails its generation re-check
-    // (the tag-wrap defense in `Lock::help`). Release pairs with the
-    // Acquire in `generation()`; the bump is also ordered before any
-    // publication of this incarnation by the install CAS / log commit.
-    d.generation.fetch_add(1, Ordering::Release);
+    // (the tag-wrap defense in `Lock::help`). Load + store, not an RMW:
+    // this is the slab's only writer (helpers, stale ones included, only
+    // ever read the counter). Release pairs with the Acquire in
+    // `generation()`; the bump is also ordered before any publication of
+    // this incarnation by the install CAS / log commit.
+    let generation = d.generation.load(Ordering::Relaxed);
+    d.generation.store(generation + 1, Ordering::Release);
     d.thunk.set(f);
     // Ordering: Relaxed — pre-publication write, ordered by the install
     // CAS / log commit that later publishes the descriptor (see
@@ -468,19 +530,19 @@ where
     raw
 }
 
-/// Return an **unshared** descriptor to the pool (install CAM failed at top
-/// level, or the idempotent-create race was lost): no other thread has seen
-/// it, so it can be reset and reused with no grace period.
+/// Reset `d` and push it onto the calling thread's pool; when the pool is
+/// full, hand it to `overflow` instead.
 ///
 /// # Safety
 ///
-/// `d` must come from [`create_descriptor`] and must never have been
-/// published (not CASed into a lock word, not committed to a log).
-pub(crate) unsafe fn recycle_unshared(d: *mut Descriptor) {
-    // SAFETY: unshared per contract, so we have exclusive access.
+/// No other thread may be running `d` or reading its thunk or log (stale
+/// helpers only ever store its atomic flags); `overflow` must be a sound
+/// way to dispose of `d` under that same premise.
+unsafe fn recycle(d: *mut Descriptor, overflow: unsafe fn(*mut Descriptor)) {
+    // SAFETY: exclusive access per contract.
     let desc = unsafe { &mut *d };
     desc.thunk.clear();
-    // SAFETY: exclusive access.
+    // SAFETY: exclusive access; stale helpers never touch the log.
     unsafe { desc.first_block.reset() };
     desc.done.store(false, Ordering::Relaxed);
     desc.panicked.store(false, Ordering::Relaxed);
@@ -496,62 +558,120 @@ pub(crate) unsafe fn recycle_unshared(d: *mut Descriptor) {
         }
     });
     if !pooled {
-        // Pool full: safe to free immediately since never published
-        // (returns the slab to the epoch allocator's pool).
-        // SAFETY: unshared per contract; came from `flock_epoch::alloc`.
-        unsafe { flock_epoch::free_now(d) };
+        // SAFETY: forwarded contract.
+        unsafe { overflow(d) };
     }
 }
 
+/// Hand a **published** descriptor to the epoch collector.
+///
+/// # Safety
+///
+/// [`flock_epoch::retire`]'s contract: pinned, retired once, unreachable
+/// for new readers.
+pub(crate) unsafe fn retire_published(d: *mut Descriptor) {
+    #[cfg(test)]
+    tally(0, 1);
+    // SAFETY: forwarded contract.
+    unsafe { flock_epoch::retire(d) };
+}
+
+/// Return an **unshared** descriptor to the pool (install CAM failed at top
+/// level, or the idempotent-create race was lost): no other thread has seen
+/// it, so it can be reset and reused with no grace period — and, the pool
+/// being full, freed on the spot.
+///
+/// # Safety
+///
+/// `d` must come from [`create_descriptor`] and must never have been
+/// published (not CASed into a lock word, not committed to a log).
+pub(crate) unsafe fn recycle_unshared(d: *mut Descriptor) {
+    // SAFETY: unshared per contract; came from `flock_epoch::alloc`.
+    unsafe { recycle(d, flock_epoch::free_now) };
+}
+
+/// Defer the disposal of nested descriptor `d` to the end of the calling
+/// thread's owner run (module docs, "Lifecycle and hand-off"). Called by
+/// the winner of `d`'s retire marker, so at most once per descriptor.
+pub(crate) fn defer_nested(tc: &ThreadCtx, d: *const Descriptor) {
+    debug_assert!(tc.owner_run.get());
+    // SAFETY: `d` is live (not yet retired — this call stands in for that)
+    // and the marker winner is the link's only writer.
+    unsafe { (*d).next_deferred.set(tc.deferred.get().cast()) };
+    tc.deferred.set(d as *mut ());
+}
+
 /// Dispose of a finished **top-level** descriptor after its `try_lock`
-/// completed: reuse immediately if never helped, otherwise retire through the
-/// epoch collector.
+/// completed, and of every nested descriptor deferred during its run:
+/// reuse immediately what no helper can reach (module docs, "Lifecycle and
+/// hand-off"), retire the rest through the epoch collector.
 ///
 /// # Safety
 ///
 /// Caller must be the unique owner thread of this top-level descriptor, the
 /// lock word must no longer reference it, and the calling thread must be
 /// pinned (for the retire path).
-pub(crate) unsafe fn dispose_top_level(d: *mut Descriptor) {
+pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
+    // No helper committed to running this descriptor before the lock word
+    // stopped referencing it (the helped→revalidate protocol guarantees any
+    // running helper's mark is visible by now). A *stale* helper may still
+    // mark `helped` later; that is why published descriptors never leave
+    // the pool through a plain free (see `Pool`).
     // SAFETY: `d` is valid; owner-only call.
-    let helped = unsafe { (*d).was_helped() };
-    if !helped && reuse_enabled() {
-        // No helper committed to running this descriptor before the lock
-        // word stopped referencing it (the helped→revalidate protocol
-        // guarantees any running helper's mark is visible by now), so it
-        // can be reused. A *stale* helper may still mark `helped` later;
-        // that is why published descriptors never leave the pool through a
-        // plain free (see `Pool`).
-        // SAFETY: ownership argument above; module docs, "Lifecycle and
-        // hand-off".
-        let desc = unsafe { &mut *d };
-        desc.thunk.clear();
-        // SAFETY: no running helper (argument above); stale helpers never
-        // touch the log.
-        unsafe { desc.first_block.reset() };
-        desc.done.store(false, Ordering::Relaxed);
-        desc.panicked.store(false, Ordering::Relaxed);
-        desc.helped.store(false, Ordering::Relaxed);
-        let pooled = POOL.with(|p| {
-            let mut pool = p.items.borrow_mut();
-            if pool.len() < POOL_CAP {
-                flock_epoch::debug_track_dealloc(d, "descriptor-recycle");
-                pool.push(DescPtr(d));
-                true
-            } else {
-                false
+    let unhelped = reuse_enabled() && !unsafe { (*d).was_helped() };
+    let mut deferred: *mut Descriptor = tc.deferred.replace(std::ptr::null_mut()).cast();
+    if !deferred.is_null() {
+        // One verdict for the whole list: every descriptor between the top
+        // level and a deferred one must be unhelped for that one to be
+        // unreachable, and a per-descriptor verdict would buy little.
+        let mut all_unhelped = unhelped;
+        let mut p = deferred;
+        while !p.is_null() {
+            // SAFETY: deferred descriptors stay live until disposed below.
+            unsafe {
+                all_unhelped &= !(*p).was_helped();
+                p = (*p).next_deferred.get();
             }
-        });
-        if !pooled {
-            // Pool full: must not free immediately (stale helpers), so
-            // hand the memory to the collector instead.
-            // SAFETY: unreferenced by the lock word; retired once.
-            unsafe { flock_epoch::retire(d) };
         }
-    } else {
-        // SAFETY: pinned per contract; descriptor unreachable from the lock
-        // word; stray helpers hold epoch protection.
-        unsafe { flock_epoch::retire(d) };
+        // Sanity-mutant hook: recycle deferred descriptors whatever the
+        // marks say, so the model checker can show a replayer running on a
+        // reset descriptor.
+        #[cfg(feature = "model")]
+        if crate::mutants::recycle_helped_nested() {
+            all_unhelped = reuse_enabled();
+        }
+        while !deferred.is_null() {
+            // SAFETY: as above; the link is read before the disposal.
+            let next = unsafe { (*deferred).next_deferred.get() };
+            // SAFETY: unhelped all the way up, so unreachable (module
+            // docs); otherwise pinned per contract, retired once (this
+            // thread won the retire marker), unreachable for new readers.
+            unsafe { dispose_published(deferred, all_unhelped) };
+            deferred = next;
+        }
+    }
+    // SAFETY: ownership argument above when unhelped; otherwise pinned per
+    // contract, unreachable from the lock word, and stray helpers hold
+    // epoch protection.
+    unsafe { dispose_published(d, unhelped) };
+}
+
+/// Dispose of a **published** descriptor that no lock word references any
+/// more: reset and pool it when `reusable`, retire it otherwise. A full pool
+/// retires too — a plain free would race stale helpers' marks.
+///
+/// # Safety
+///
+/// `reusable` asserts [`recycle`]'s premise; either way
+/// [`retire_published`]'s contract must hold.
+unsafe fn dispose_published(d: *mut Descriptor, reusable: bool) {
+    // SAFETY: forwarded contract.
+    unsafe {
+        if reusable {
+            recycle(d, retire_published);
+        } else {
+            retire_published(d);
+        }
     }
 }
 
@@ -668,11 +788,8 @@ mod tests {
             assert!((*d).was_helped());
             (*d).set_done();
             assert!((*d).is_done());
-            // nested descriptors are never pool-recycled in production, but
-            // the unshared path is fine for a test teardown since nothing
-            // else saw it. Reset flags manually to satisfy the debug assert.
-            (*d).done.store(false, Ordering::SeqCst);
-            (*d).helped.store(false, Ordering::SeqCst);
+            // Nothing else saw it, so the unshared path is fine for the
+            // teardown (it resets the flags).
             recycle_unshared(d);
         }
     }

@@ -9,6 +9,9 @@
 //!   marker; only the first performs the epoch retire, so each object is
 //!   retired at most once.
 //!
+//! A nested descriptor's marker winner may defer instead of retiring; see
+//! [`retire_descriptor_idempotent`].
+//!
 //! Outside a thunk, these degrade to plain allocate / epoch-retire.
 
 use flock_sync::ThreadCtx;
@@ -76,15 +79,24 @@ where
     committed as usize as *mut Descriptor
 }
 
-/// Idempotently retire a nested descriptor: the first run performs the epoch
-/// retire; flags stay sticky until the memory is actually reclaimed, which
-/// keeps raw `done` reads divergence-free for late replayers.
+/// Idempotently retire a nested descriptor: the first run past the marker
+/// disposes of it — onto the owner's deferred list inside an owner run, into
+/// the epoch collector otherwise (`descriptor`'s module docs, "Lifecycle and
+/// hand-off"). Either way its flags stay sticky while any validated runner
+/// can still read them, which keeps raw `done` reads divergence-free for
+/// late replayers. The marker is committed on both arms, so log positions
+/// do not depend on who runs the thunk.
 pub(crate) fn retire_descriptor_idempotent(tc: &ThreadCtx, d: *const Descriptor) {
     let (_, first) = ctx::commit_raw_in(tc, RETIRE_MARKER);
-    if first {
+    if !first {
+        return;
+    }
+    if tc.owner_run.get() {
+        descriptor::defer_nested(tc, d);
+    } else {
         // SAFETY: `d` came from `create_descriptor_idempotent`, the lock
         // word no longer references it, and callers hold an epoch guard.
-        unsafe { flock_epoch::retire(d as *mut Descriptor) };
+        unsafe { descriptor::retire_published(d as *mut Descriptor) };
     }
 }
 

@@ -474,7 +474,7 @@ impl Lock {
                 // Our descriptor never ran. Top level: it was never
                 // published, recycle it directly. Nested: its pointer is in
                 // the outer log, so it must go through the idempotent
-                // retire.
+                // retire (which defers it inside an owner run).
                 if nested {
                     idemp::retire_descriptor_idempotent(tc, d);
                 } else {
@@ -510,6 +510,14 @@ impl Lock {
         cur2_packed: u64,
         nested: bool,
     ) -> R {
+        if !nested {
+            // An owner run starts here and ends in `dispose_after_run`,
+            // which all three arms below reach (`descriptor`'s module docs,
+            // "Lifecycle and hand-off"). A nested entry inherits the state:
+            // set inside an owner run, clear inside a helped thunk.
+            debug_assert!(!tc.owner_run.get() && tc.deferred.get().is_null());
+            tc.owner_run.set(true);
+        }
         // SAFETY: `d` live (see callers).
         if unsafe { (*d).thunk_panicked() } {
             // `set_done` before the unlock CAS keeps the protocol-wide
@@ -676,7 +684,9 @@ impl Lock {
                 (*d).mark_helped();
                 let _adopt = guard.adopt((*d).birth_epoch());
                 if self.word.raw_packed() == cur_packed && !(*d).is_done() {
+                    let owner_run = tc.owner_run.replace(false);
                     ctx::run_in(tc, d, std::ptr::null_mut());
+                    tc.owner_run.set(owner_run);
                     (*d).set_done();
                 }
             }
@@ -730,9 +740,15 @@ impl Lock {
                     // Chaos seam: a validated helper about to run the
                     // victim's thunk. No-op in default builds.
                     flock_sync::chaos::probe(flock_sync::chaos::Seam::HelpRun);
+                    // Someone else's thunk: nothing nested in it is this
+                    // thread's to defer, even when the help itself happens
+                    // inside this thread's owner run. Restored on both
+                    // outcomes (the unwind is caught right here).
+                    let owner_run = tc.owner_run.replace(false);
                     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         ctx::run_in(tc, d, std::ptr::null_mut());
                     }));
+                    tc.owner_run.set(owner_run);
                     match run {
                         Ok(()) => (*d).set_done(),
                         Err(payload) => {
@@ -767,8 +783,12 @@ impl Lock {
             // retire marker is committed to the enclosing log.
             idemp::retire_descriptor_idempotent(tc, d);
         } else {
+            // The owner run ends here, before the drain: resetting a
+            // descriptor drops its closure, and a captured value's `Drop`
+            // may take locks of its own.
+            tc.owner_run.set(false);
             // SAFETY: owner-only, unreferenced, pinned — forwarded contract.
-            unsafe { descriptor::dispose_top_level(d as *mut Descriptor) };
+            unsafe { descriptor::dispose_top_level(tc, d as *mut Descriptor) };
         }
     }
 
@@ -1073,25 +1093,263 @@ mod tests {
         });
     }
 
-    /// Committed-read reuse: a nested acquisition commits exactly six
-    /// entries to the enclosing log on the acquired path — lock-word read,
-    /// descriptor, install tag, post-install read, release tag, retire
-    /// marker — so an outer thunk that does nothing else (`try_with2`'s
-    /// shape) stays inside its descriptor's inline block.
-    #[test]
-    fn nested_try_lock_commits_six_log_entries() {
-        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_lock_mode(LockMode::LockFree);
-        let outer = Lock::new();
-        let inner = Arc::new(Lock::new());
+    /// Entries one acquired `inner.try_lock` commits to the enclosing log
+    /// when it is the only thing `outer`'s thunk does (`try_with2`'s shape).
+    #[cfg(not(feature = "model"))] // pins the production window width
+    fn nested_commits(outer: &Lock, inner: &Arc<Lock>) -> usize {
+        let inner = Arc::clone(inner);
         let extensions = crate::log::EXTENSIONS_ALLOCATED.get();
         let observed = outer.try_lock(move || {
             let before = thread_ctx::with(|tc| tc.log_pos.get());
             let got = inner.try_lock(|| 7u32);
             (got, thread_ctx::with(|tc| tc.log_pos.get()) - before)
         });
-        assert_eq!(observed, Some((Some(7), 6)));
-        assert_eq!(crate::log::EXTENSIONS_ALLOCATED.get(), extensions);
+        assert_eq!(
+            crate::log::EXTENSIONS_ALLOCATED.get(),
+            extensions,
+            "the outer thunk left its descriptor's inline block"
+        );
+        let (got, commits) = observed.expect("outer lock is free");
+        assert_eq!(got, Some(7));
+        commits
+    }
+
+    /// Committed-read reuse, and no log entry for a tag every runner can
+    /// derive: a nested acquisition commits exactly four entries to the
+    /// enclosing log on the acquired path — lock-word read, descriptor,
+    /// post-install read, retire marker — so an outer thunk that does
+    /// nothing else stays inside its descriptor's inline block.
+    #[test]
+    #[cfg(not(feature = "model"))]
+    fn nested_try_lock_commits_four_log_entries() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        assert_eq!(nested_commits(&Lock::new(), &Arc::new(Lock::new())), 4);
+    }
+
+    /// The window-entry twin: a tag choice is committed when, and only
+    /// when, the tag being issued enters a tag window — which each runner
+    /// reads off the lock word it already committed.
+    #[test]
+    #[cfg(not(feature = "model"))]
+    fn nested_try_lock_commits_its_tag_choice_on_window_entry() {
+        use flock_sync::pack::TAG_WINDOW;
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        let outer = Lock::new();
+        let inner = Arc::new(Lock::new());
+        // An acquisition bumps the word's tag twice (install, release).
+        for _ in 0..TAG_WINDOW / 2 - 1 {
+            assert_eq!(inner.try_lock(|| ()), Some(()));
+        }
+        assert_eq!(unpack_tag(inner.word.raw_packed()), TAG_WINDOW - 2);
+        assert_eq!(
+            nested_commits(&outer, &inner),
+            5,
+            "the release lands on a window start: lock-word read, descriptor, \
+             post-install read, release tag, retire marker"
+        );
+        assert_eq!(unpack_tag(inner.word.raw_packed()), TAG_WINDOW);
+        assert_eq!(nested_commits(&outer, &inner), 4, "mid-window again");
+        // And an install that enters a window, from one tag earlier.
+        let inner = Arc::new(Lock::new());
+        inner.word.store(LockWord::UNLOCKED_EMPTY); // tag 1, still unlocked
+        for _ in 0..TAG_WINDOW / 2 - 1 {
+            assert_eq!(inner.try_lock(|| ()), Some(()));
+        }
+        assert_eq!(unpack_tag(inner.word.raw_packed()), TAG_WINDOW - 1);
+        assert_eq!(nested_commits(&outer, &inner), 5, "install tag committed");
+        assert_eq!(nested_commits(&outer, &inner), 4);
+    }
+
+    // ------------------------------------------- nested descriptor reuse
+    //
+    // None of these is `cfg_attr(miri, ignore)`: the deferred list is an
+    // intrusive raw-pointer list, and miri should walk it.
+
+    use crate::descriptor::{TALLY, pooled, set_descriptor_reuse};
+    use crate::{Locked, Mutable};
+
+    /// Lock-free mode and the reuse switch for one test; the switch goes
+    /// back on when the test ends, however it ends.
+    struct ReuseTest(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl ReuseTest {
+        fn begin(reuse: bool) -> Self {
+            let guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            set_lock_mode(LockMode::LockFree);
+            set_descriptor_reuse(reuse);
+            ReuseTest(guard)
+        }
+    }
+
+    impl Drop for ReuseTest {
+        fn drop(&mut self) {
+            set_descriptor_reuse(true);
+        }
+    }
+
+    /// No owner run in progress on the calling thread, nothing deferred.
+    fn assert_no_owner_run() {
+        thread_ctx::with(|tc| {
+            assert!(!tc.owner_run.get(), "owner run outlived its dispose");
+            assert!(tc.deferred.get().is_null(), "deferred list not drained");
+        });
+    }
+
+    type Account = Arc<Locked<Mutable<u64>>>;
+
+    fn transfer_cells() -> (Account, Account) {
+        (
+            Arc::new(Locked::new(Mutable::new(1 << 20))),
+            Arc::new(Locked::new(Mutable::new(0))),
+        )
+    }
+
+    fn transfer(a: &Account, b: &Account) {
+        let moved = Locked::try_with2(a, b, |src, dst| {
+            src.store(src.load() - 1);
+            dst.store(dst.load() + 1);
+        });
+        assert_eq!(moved, Some(()), "uncontended transfer found a lock busy");
+    }
+
+    /// The §6 reuse rule for nested descriptors: an uncontended
+    /// `try_with2` loop hands nothing to the collector and, after the first
+    /// call, takes nothing from the allocator — the same two slabs go round
+    /// through the pool.
+    #[test]
+    fn uncontended_try_with2_retires_nothing_and_reuses_two_slabs() {
+        let _t = ReuseTest::begin(true);
+        let (a, b) = transfer_cells();
+        let (fresh0, retired0) = TALLY.get();
+        transfer(&a, &b);
+        let slabs = pooled();
+        assert!(slabs.len() >= 2);
+        let (fresh1, _) = TALLY.get();
+        assert!(fresh1 - fresh0 <= 2, "more than two descriptors allocated");
+        for _ in 0..1_000 {
+            transfer(&a, &b);
+            assert_eq!(pooled(), slabs, "not the same slabs, in the same order");
+        }
+        assert_eq!(TALLY.get(), (fresh1, retired0), "allocated or retired");
+        assert_eq!(b.load(), 1_001);
+        assert_no_owner_run();
+    }
+
+    /// One switch, one meaning: with reuse off the same loop retires every
+    /// descriptor it publishes, nested ones included, as the parent did.
+    #[test]
+    fn try_with2_without_reuse_retires_one_object_per_descriptor() {
+        let _t = ReuseTest::begin(false);
+        let (a, b) = transfer_cells();
+        let (_, retired0) = TALLY.get();
+        let collector0 = flock_epoch::collector_stats().retired;
+        const N: usize = 1_000;
+        for _ in 0..N {
+            transfer(&a, &b);
+        }
+        assert_eq!(TALLY.get().1 - retired0, 2 * N);
+        // The tally counts real hand-offs: the collector's process-wide
+        // counter (which sibling tests only ever raise) moved at least as far.
+        assert!(flock_epoch::collector_stats().retired - collector0 >= 2 * N);
+        assert_no_owner_run();
+    }
+
+    /// A nested acquisition whose install fails never ran and was never on
+    /// a lock word, but its pointer is in the outer log: it is deferred and
+    /// recycled like any other. `lock_free_try_lock`'s nested steps are
+    /// taken by hand so that another thread's whole acquisition sits exactly
+    /// between the read of the inner word and the install from it.
+    #[test]
+    fn failed_nested_install_is_deferred_then_recycled() {
+        let _t = ReuseTest::begin(true);
+        let outer = Lock::new();
+        let inner = Arc::new(Lock::new());
+        let retired0 = TALLY.get().1;
+        let i2 = Arc::clone(&inner);
+        let nested = outer.try_lock(move || {
+            thread_ctx::with(|tc| {
+                let guard = flock_epoch::pin_with(tc);
+                let cur_packed = i2.word.load_packed_in(tc);
+                let d = idemp::create_descriptor_idempotent(tc, || 1u32, &guard);
+                let i3 = Arc::clone(&i2);
+                std::thread::spawn(move || assert_eq!(i3.try_lock(|| ()), Some(())))
+                    .join()
+                    .unwrap();
+                i2.word
+                    .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
+                let cur2 = LockWord::from_bits(unpack_val(i2.word.load_packed_in(tc)));
+                assert!(!cur2.is_locked(), "the install was meant to fail");
+                idemp::retire_descriptor_idempotent(tc, d);
+                assert_eq!(tc.deferred.get(), d as *mut (), "not deferred");
+                d as usize
+            })
+        });
+        assert_no_owner_run();
+        let nested = nested.expect("outer lock is free");
+        assert!(pooled().contains(&nested), "deferred descriptor not pooled");
+        assert_eq!(TALLY.get().1, retired0, "nothing was helped: no retire");
+        assert!(!outer.is_locked() && !inner.is_locked());
+        // The debug-build trackers see every slab accounted for when both
+        // descriptors are taken from the pool again.
+        assert_eq!(nested_ok(&outer, &inner), Some(Some(3)));
+    }
+
+    fn nested_ok(outer: &Lock, inner: &Arc<Lock>) -> Option<Option<u32>> {
+        let inner = Arc::clone(inner);
+        outer.try_lock(move || inner.try_lock(|| 3u32))
+    }
+
+    /// A nested thunk that panics unwinds through two owner arms: both
+    /// locks come back released, the list drained, the descriptors reusable.
+    #[test]
+    fn panicking_nested_thunk_drains_the_deferred_list() {
+        let _t = ReuseTest::begin(true);
+        let outer = Lock::new();
+        let inner = Arc::new(Lock::new());
+        let i2 = Arc::clone(&inner);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            outer.try_lock(move || i2.try_lock(|| -> u32 { panic!("nested boom") }))
+        }));
+        assert!(r.is_err(), "panic must propagate to the outer caller");
+        assert!(!outer.is_locked() && !inner.is_locked());
+        assert_no_owner_run();
+        let retired0 = TALLY.get().1;
+        assert_eq!(nested_ok(&outer, &inner), Some(Some(3)));
+        let (a, b) = transfer_cells();
+        transfer(&a, &b);
+        assert_eq!(TALLY.get().1, retired0);
+        assert_no_owner_run();
+    }
+
+    /// No depth cap: three levels recycle three descriptors.
+    #[test]
+    fn depth_three_recycles_all_three() {
+        let _t = ReuseTest::begin(true);
+        let (a, b, c) = (Lock::new(), Arc::new(Lock::new()), Arc::new(Lock::new()));
+        let three_deep = || {
+            let (b, c) = (Arc::clone(&b), Arc::clone(&c));
+            a.try_lock(move || {
+                let c = Arc::clone(&c);
+                b.try_lock(move || c.try_lock(|| 9u32))
+            })
+        };
+        // The two nested slabs trade places from run to run (the list is
+        // drained innermost-last), so compare the pool as a set.
+        let sorted_pool = || {
+            let mut slabs = pooled();
+            slabs.sort_unstable();
+            slabs
+        };
+        assert_eq!(three_deep(), Some(Some(Some(9))));
+        let slabs = sorted_pool();
+        assert!(slabs.len() >= 3);
+        let tally = TALLY.get();
+        assert_eq!(three_deep(), Some(Some(Some(9))));
+        assert_eq!(sorted_pool(), slabs);
+        assert_eq!(TALLY.get(), tally, "allocated or retired on the second run");
+        assert_no_owner_run();
     }
 
     /// A helped-to-completion owner whose helper also released before the

@@ -78,9 +78,11 @@ impl<T> Locked<T> {
     /// Consume the cell and return the protected data, if no critical
     /// section still references it.
     ///
-    /// `None` can occur transiently in lock-free mode: a descriptor whose
-    /// thunk captured the data may sit in the epoch collector until the
-    /// next flush ([`flock_epoch::flush_all`]).
+    /// `None` can occur transiently in lock-free mode, after contention: a
+    /// descriptor that a helper touched is retired rather than reused, and
+    /// its thunk's handle on the data sits in the epoch collector until the
+    /// next flush ([`flock_epoch::flush_all`]). An unhelped descriptor —
+    /// nested ones included — drops its thunk when its `try_with` returns.
     pub fn try_into_inner(self) -> Option<T> {
         Arc::into_inner(self.data)
     }
@@ -367,10 +369,11 @@ mod tests {
         });
     }
 
-    /// A nested acquisition commits six entries to the enclosing log, so
-    /// `try_with2`'s outer thunk fits its descriptor's inline block: no
-    /// transfer allocates a log extension (the inner thunk here commits six
-    /// entries of its own).
+    /// A nested acquisition commits at most six entries to the enclosing
+    /// log (four, plus one for each of its two tags that enters a tag
+    /// window), so `try_with2`'s outer thunk fits its descriptor's inline
+    /// block: no transfer allocates a log extension (the inner thunk here
+    /// commits four to six entries of its own, for two loads and two stores).
     #[test]
     fn try_with2_allocates_no_log_extension() {
         let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());

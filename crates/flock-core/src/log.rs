@@ -123,10 +123,15 @@ impl LogBlock {
     /// (either the descriptor was never shared, or a reclamation grace period
     /// has passed).
     pub unsafe fn free_extensions(&self) {
-        // Ordering: Acquire swaps — exclusive access per the caller
-        // contract, but the chain pointers were published by other threads'
+        // Ordering: exclusive access per the caller contract, so no RMW —
+        // this runs on every descriptor recycle and almost always finds no
+        // chain. The chain pointers were published by other threads'
         // release CASes, so acquire them before dereferencing.
-        let mut p = self.next.swap(std::ptr::null_mut(), Ordering::Acquire);
+        let mut p = self.next.load(Ordering::Acquire);
+        if p.is_null() {
+            return;
+        }
+        self.next.store(std::ptr::null_mut(), Ordering::Relaxed);
         while !p.is_null() {
             // Detach the tail before dropping: LogBlock's Drop would
             // otherwise free the rest of the chain while this loop still

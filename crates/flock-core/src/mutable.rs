@@ -30,10 +30,11 @@
 //!
 //! * `load` — read the packed word, commit it to the thunk log, return the
 //!   payload of whatever got committed first.
-//! * `store(v)` — `load` to agree on the old packed word; pick the next tag
-//!   (`+1`, or on entering a tag window the start of the first window with
-//!   no announcement for this location — `flock_sync::announce`) and commit
-//!   the choice to the log (so all helpers build the identical new word);
+//! * `store(v)` — `load` to agree on the old packed word; pick the next
+//!   tag: `+1`, which every helper derives alike from that old word, or on
+//!   entering a tag window the start of the first window with no
+//!   announcement for this location (`flock_sync::announce`), a choice that
+//!   is committed to the log so all helpers build the identical new word;
 //!   announce the expected tag; check the running descriptor is not already
 //!   done; single CAS; clear the announcement. ABA-freedom of tagged words
 //!   means only the first CAS succeeds.
@@ -289,9 +290,11 @@ impl<V: ValueRepr> Mutable<V> {
     /// they already committed, where a `cam` would load and commit again.
     ///
     /// Log-slot discipline: every run of a thunk reaching this point
-    /// consumes the identical commit sequence — [fresh-encoding]*, tag
-    /// choice, [retire marker]* (indirect-only entries starred) — because
-    /// all branches below depend only on committed values, never on timing.
+    /// consumes the identical commit sequence — [fresh-encoding]*, [tag
+    /// choice]†, [retire marker]* (starred entries for indirect reprs only;
+    /// the tag choice only when the new tag enters a tag window, one store
+    /// in `TAG_WINDOW`) — because all branches below depend only on
+    /// committed values, never on timing.
     #[inline]
     pub(crate) fn tagged_cas_after_load_in(&self, tc: &ThreadCtx, committed_old: u64, new: V) {
         let old_tag = unpack_tag(committed_old);
@@ -299,7 +302,8 @@ impl<V: ValueRepr> Mutable<V> {
         // "Window-entry scans"): `+1`, and a table scan one time in
         // `TAG_WINDOW`, on entering a window.
         let table = announce::global();
-        let candidate = table.next_free_tag(self.addr(), next_tag(old_tag));
+        let start = next_tag(old_tag);
+        let candidate = table.next_free_tag(self.addr(), start);
         if !tc.in_thunk() {
             // Top level (or blocking mode): no helpers, no replay. A single
             // tag-bumping CAS; a CAS loop would mask racing stores, which
@@ -344,10 +348,18 @@ impl<V: ValueRepr> Mutable<V> {
             V::encode(new)
         };
 
-        // Agree on the tag for the new word. The first committer's choice
-        // wins; everyone uses it.
-        let (chosen, _) = commit_raw_in(tc, candidate as u64);
-        let new_word = pack(chosen as u16, new_bits);
+        // Agree on the tag for the new word. Inside a window the candidate
+        // is `next_tag(old_tag)`, a function of the committed old word that
+        // every runner computes alike: nothing to agree on, nothing logged.
+        // On a window entry it is whatever the issuer's scan found free, so
+        // the first committer's choice wins and everyone uses it. The branch
+        // keys on `committed_old` alone, so all runners take it alike.
+        let chosen = if announce::is_window_entry(start) {
+            commit_raw_in(tc, candidate as u64).0 as u16
+        } else {
+            candidate
+        };
+        let new_word = pack(chosen, new_bits);
 
         // Chaos seam: the new word is committed to the thunk log but not yet
         // installed — a stall here is exactly the window helping exists for
@@ -732,6 +744,37 @@ mod tests {
             before,
             "an indirect encoding leaked or double-dropped under helping"
         );
+    }
+
+    /// A tag choice is committed only when it is a choice: an in-thunk
+    /// store logs its load and nothing else while the new tag stays inside
+    /// its window, and one entry more when it enters one — a branch every
+    /// runner takes off the word that load committed.
+    #[test]
+    #[cfg(not(feature = "model"))] // pins the production window width
+    fn in_thunk_store_commits_its_tag_only_on_window_entry() {
+        use flock_sync::pack::TAG_WINDOW;
+        use std::sync::Arc;
+
+        let _guard = crate::lock::TEST_MODE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::set_lock_mode(crate::LockMode::LockFree);
+
+        let lock = crate::Lock::new();
+        let m = Arc::new(Mutable::new(0u32));
+        // The n-th store of a fresh cell issues tag n.
+        for n in 1..=2 * TAG_WINDOW as u32 + 1 {
+            let m2 = Arc::clone(&m);
+            let commits = lock.try_lock(move || {
+                let before = thread_ctx::with(|tc| tc.log_pos.get());
+                m2.store(n);
+                thread_ctx::with(|tc| tc.log_pos.get()) - before
+            });
+            let expected = if n % TAG_WINDOW as u32 == 0 { 2 } else { 1 };
+            assert_eq!(commits, Some(expected), "store {n}");
+            assert_eq!(unpack_tag(m.raw_packed()) as u32, n);
+        }
     }
 
     /// The announcement table end to end: while another thread holds

@@ -38,3 +38,14 @@ pub static SKIP_GEN_CHECK: AtomicBool = AtomicBool::new(false);
 pub(crate) fn skip_gen_check() -> bool {
     SKIP_GEN_CHECK.load(Ordering::Relaxed)
 }
+
+/// Recycle the nested descriptors an owner run deferred whatever their
+/// `helped` marks (and the top-level descriptor's) say: a validated helper
+/// still replaying one of them — through the enclosing thunk's log or
+/// through the nested lock word — finds its log reset under it, re-commits
+/// fresh reads and applies the thunk's effects a second time.
+pub static RECYCLE_HELPED_NESTED: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn recycle_helped_nested() -> bool {
+    RECYCLE_HELPED_NESTED.load(Ordering::Relaxed)
+}

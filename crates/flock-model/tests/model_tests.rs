@@ -701,6 +701,137 @@ fn lock_word_tag_wrap_mutant_skip_gen_check_is_caught() {
     );
 }
 
+// ------------------------------------------------------ nested acquisition
+
+/// Nested acquisition with deferred descriptor disposal (the §6 reuse rule
+/// extended to nested descriptors; `flock_core::descriptor`, "Lifecycle and
+/// hand-off"): the owner takes `outer`, inside it `inner`, and inside that
+/// increments a counter — twice over, so that the second round draws on
+/// whatever the first round's drain put in the pool. One contender that
+/// only ever helps (the real help path, split along its observe/help seam
+/// like `tag_wrap_body`'s) arrives through the **outer** lock word, where
+/// it replays the outer thunk and reaches the nested descriptor through
+/// its log, or through the **inner** one, where it runs the nested
+/// descriptor directly.
+///
+/// **Invariants:** (a) both rounds acquire both locks — the helper never
+/// acquires, and a correct helper either helps the current incarnation to
+/// completion or does nothing; (b) the store's effect is applied exactly
+/// once per round, which is what fails when a descriptor is reset while a
+/// validated runner can still read it: the replayer finds `done` cleared
+/// and the log empty, re-commits fresh reads and stores again; (c) both
+/// lock words end unlocked; (d) no panic ("descriptor thunk called before
+/// set" is a reset descriptor seen from inside).
+fn nested_body(through_outer: bool) {
+    let outer = Arc::new(Lock::new());
+    let inner = Arc::new(Lock::new());
+    let counter = Arc::new(Mutable::new(0u64));
+
+    let seen_on = Arc::clone(if through_outer { &outer } else { &inner });
+    let helper = flock_model::spawn(move || {
+        let seen = flock_core::model_probe::observe(&seen_on);
+        flock_core::model_probe::help_observed(&seen_on, seen);
+    });
+
+    for round in 1..=2u64 {
+        let (i2, c2) = (Arc::clone(&inner), Arc::clone(&counter));
+        let got = outer.try_lock(move || {
+            let c3 = Arc::clone(&c2);
+            i2.try_lock(move || c3.store(c3.load() + 1))
+        });
+        assert_eq!(
+            got,
+            Some(Some(())),
+            "a nested acquisition failed on locks nobody else ever acquires"
+        );
+        assert_eq!(
+            counter.load(),
+            round,
+            "nested store not applied exactly once (a replayer ran on a reset descriptor?)"
+        );
+    }
+    helper.join();
+
+    assert_eq!(
+        counter.load(),
+        2,
+        "nested store not applied exactly once (a replayer ran on a reset descriptor?)"
+    );
+    assert!(!outer.is_locked(), "outer lock leaked a hold");
+    assert!(!inner.is_locked(), "inner lock leaked a hold");
+}
+
+/// Scope: owner (2 rounds of outer→inner→store) + 1 helper arriving through
+/// the outer lock word, SC, ≤2 preemptions, exhaustive.
+#[test]
+fn nested_try_lock_exactly_once_under_helping() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        || nested_body(true),
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Same scope, the helper arriving through the inner lock word.
+#[test]
+fn nested_try_lock_exactly_once_helped_through_inner_word() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        || nested_body(false),
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Deeper (non-exhaustive, seeded) sweep of both variants at 4
+/// preemptions: same invariants, fixed seed → fully reproducible.
+#[test]
+fn nested_try_lock_seeded_sweep() {
+    let _g = serial();
+    for through_outer in [true, false] {
+        let report = explore(
+            Config {
+                max_preemptions: 4,
+                seed: Some(0x4E57ED),
+                samples: 400,
+                ..Config::sc()
+            },
+            move || nested_body(through_outer),
+        );
+        assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+        assert_eq!(report.pruned, 0);
+    }
+}
+
+/// Sanity mutant: the drain recycles deferred descriptors whatever the
+/// `helped` marks say. Through either lock word, a validated helper paused
+/// inside the nested thunk resumes on a descriptor the owner has reset,
+/// and the checker must surface the second application of the store.
+#[test]
+fn nested_try_lock_mutant_recycle_helped_nested_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::RECYCLE_HELPED_NESTED);
+    for through_outer in [true, false] {
+        let report = explore(Config::sc(), move || nested_body(through_outer));
+        let f = report.assert_finds_bug();
+        assert!(
+            f.message.contains("exactly once")
+                || f.message.contains("descriptor thunk called before set"),
+            "unexpected failure mode (through_outer = {through_outer}): {}",
+            f.message
+        );
+    }
+}
+
 // ---------------------------------------------------------- validated read
 
 /// The optimistic-read discipline (`Lock::version` / `Lock::validate`

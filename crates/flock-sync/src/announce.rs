@@ -15,9 +15,12 @@
 //!    not yet done. If done, it skips the CAS entirely; either way it clears
 //!    the slot afterwards.
 //! 2. A store choosing the *next* tag for `L` calls
-//!    [`TagAnnouncements::next_free_tag`]; the chosen tag is committed to the
-//!    thunk log so every helper of the same store builds the identical new
-//!    word.
+//!    [`TagAnnouncements::next_free_tag`]. Inside a window the answer is the
+//!    successor of the current tag, which every helper of the same store
+//!    computes for itself from the old word it already agreed on; on a
+//!    window entry ([`is_window_entry`]) the answer depends on what the scan
+//!    saw, so there the chosen tag is committed to the thunk log and every
+//!    helper builds the identical new word from the committed choice.
 //!
 //! ## Window-entry scans
 //!
@@ -288,7 +291,7 @@ impl TagAnnouncements {
     /// [`TAG_WINDOW`](crate::pack::TAG_WINDOW).
     #[inline]
     pub fn next_free_tag(&self, loc_addr: usize, start: u16) -> u16 {
-        if !start.is_multiple_of(tag_window()) && start < tag_limit() {
+        if !is_window_entry(start) {
             return start;
         }
         self.enter_window(loc_addr, start)
@@ -316,6 +319,18 @@ impl TagAnnouncements {
         }
         t
     }
+}
+
+/// Does issuing `start` — the successor of a location's current tag — enter
+/// a tag window (a window start, or the reserved
+/// [`TAG_LIMIT`](crate::pack::TAG_LIMIT), which counts as tag 0)? Only then
+/// does [`TagAnnouncements::next_free_tag`] read the table and possibly
+/// return something other than `start`; everywhere else the issued tag is a
+/// pure function of the current one. A property of the tag alone, so every
+/// runner of a thunk that agrees on the current word agrees on this too.
+#[inline(always)]
+pub fn is_window_entry(start: u16) -> bool {
+    start.is_multiple_of(tag_window()) || start >= tag_limit()
 }
 
 impl Default for TagAnnouncements {

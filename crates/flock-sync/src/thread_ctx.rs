@@ -51,6 +51,14 @@ pub struct ThreadCtx {
     /// Log layer: descriptor being run (`*const Descriptor`), null at top
     /// level.
     pub descriptor: Cell<*const ()>,
+    /// Log layer: true while the thread runs its *own* top-level descriptor
+    /// and the thunks nested inside it that it entered as their owner;
+    /// false at top level and inside every thunk it runs as a helper.
+    pub owner_run: Cell<bool>,
+    /// Log layer: head of the intrusive list of nested descriptors
+    /// (`*mut Descriptor`) whose disposal is deferred to the end of the
+    /// current owner run; null outside one.
+    pub deferred: Cell<*mut ()>,
     /// Pool layer: per-size-class magazine heads — intrusive free lists of
     /// slab slots (each free slot's first word stores the next pointer).
     /// Null means empty. Owned by the pool layer the same way the `log_*`
@@ -75,6 +83,8 @@ impl ThreadCtx {
             log_block: Cell::new(std::ptr::null()),
             log_pos: Cell::new(0),
             descriptor: Cell::new(std::ptr::null()),
+            owner_run: Cell::new(false),
+            deferred: Cell::new(std::ptr::null_mut()),
             pool_heads: [const { Cell::new(std::ptr::null_mut()) }; POOL_CLASSES],
             pool_counts: [const { Cell::new(0) }; POOL_CLASSES],
             pool_hits: Cell::new(0),
@@ -130,6 +140,8 @@ impl ThreadCtx {
         self.log_block.set(std::ptr::null());
         self.log_pos.set(0);
         self.descriptor.set(std::ptr::null());
+        self.owner_run.set(false);
+        self.deferred.set(std::ptr::null_mut());
         // Drain the allocator magazines through the registered exit hook,
         // as a real thread exit would, so pooled workers start every
         // execution with empty magazines.
@@ -229,6 +241,8 @@ mod tests {
                 assert_eq!(tc.pin_depth.get(), 0);
                 assert_eq!(tc.log_pos.get(), 0);
                 assert!(tc.descriptor.get().is_null());
+                assert!(!tc.owner_run.get());
+                assert!(tc.deferred.get().is_null());
             });
         })
         .join()
