@@ -46,6 +46,19 @@
 //!   marked some descriptor on its path `helped` first, so nothing it can
 //!   read is reset under it.
 //!
+//! * **Two-lock** descriptors (`Locked::try_with2`) are top-level or nested
+//!   like any other, but are published on two lock words: the owner's
+//!   install puts one on the first, its own thunk puts it on the second.
+//!   Nothing else about them differs — no second descriptor, no second
+//!   log. Their owner releases the second word and then the first, both
+//!   after `set_done`, and reads `helped` only after both (`Lock`'s module
+//!   docs, "One descriptor on two lock words"). The second word is
+//!   released after `done`, not at the end of the thunk, because a word
+//!   released mid-run could be acquired, and its tags issued, by a holder
+//!   whose window-entry scan misses a stale runner's announcement while
+//!   that runner's done-check still reads `false` (`flock_sync::announce`,
+//!   "Window-entry scans").
+//!
 //! **The hand-off** between an owner about to reuse and a helper about to
 //! run is a Dekker pair. The helper, pinned, reads the lock word, **marks**
 //! `helped` (`SeqCst`), **adopts** the descriptor's birth epoch (which
@@ -55,7 +68,12 @@
 //! (`SeqCst`). So either the owner sees the mark and retires instead of
 //! reusing — and the helper's adopted epoch keeps the slab, and everything
 //! the thunk can reach, alive for the whole help — or the helper's
-//! revalidation sees the released word and it does nothing at all.
+//! revalidation sees the released word and it does nothing at all. For a
+//! two-lock descriptor the pair holds per word: a helper that came through
+//! either word and validated did so before the owner's release of that
+//! word (or that word was released by another helper, whose own mark then
+//! precedes the release the owner's read observed), and both releases
+//! precede the owner's `helped` read.
 //!
 //! A helper that fails revalidation has still written its mark, possibly
 //! onto a later incarnation of a pooled slab. That is harmless on live
@@ -74,7 +92,7 @@ use crate::log::LogBlock;
 /// Maximum closure size stored inline in a descriptor; larger thunks spill to
 /// a `Box`. 88 bytes holds ~11 words of captures, comfortably covering the
 /// data-structure operations in `flock-ds`.
-const INLINE_BYTES: usize = 88;
+pub(crate) const INLINE_BYTES: usize = 88;
 const INLINE_WORDS: usize = INLINE_BYTES / 8;
 
 /// Type-erased storage for a `Fn() -> R + Send + Sync + 'static` closure.

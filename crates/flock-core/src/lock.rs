@@ -27,6 +27,41 @@
 //! (with the descriptor pointer left null), no descriptor is created, and
 //! nothing is logged — the paper's runtime-switchable blocking mode.
 //!
+//! ## One descriptor on two lock words
+//!
+//! [`Locked::try_with2`](crate::Locked::try_with2) takes two locks whose
+//! second acquisition is always the whole tail of the first critical
+//! section, so it does not pay for a second (nested) descriptor: its
+//! descriptor `d` is installed on the first word exactly as `try_lock`
+//! installs one, and `d`'s thunk ([`Lock::try_lock_for_running`]) reads
+//! the second word (committed), installs `d` there with the ordinary
+//! announced in-thunk CAS, re-reads it (committed), and either runs the
+//! user's closure inline in `d`'s own log or — another descriptor holds
+//! the word — helps that one and reports busy. Every runner reaches the
+//! same verdict from the same committed reads.
+//!
+//! **Release order.** The owner releases nothing before `set_done`, on all
+//! three arms of [`Lock::run_and_unlock_self`] (normal, tainted, panic):
+//! first the second word — read with `load_packed_in`, released through
+//! the tag issuer iff it shows `locked_with(d)`, which while `d` is
+//! undisposed is `d`'s own current incarnation — then the first word from
+//! its committed post-install read, and only then does it read `helped`.
+//! Releasing the second word only after `done` keeps the window-entry
+//! argument of `flock_sync::announce` as it is for every lock: a later
+//! holder of the second lock, whose window-entry scan might miss a stale
+//! runner's announcement, can only begin after `d` was done, so that
+//! runner's done-check skips its CAS. And both releases precede the
+//! `helped` read, so the Dekker pair of `descriptor`'s "Lifecycle and
+//! hand-off" holds for either word: a helper that arrived through either
+//! one either marked `d` before the owner's read or fails its
+//! revalidation.
+//!
+//! [`Lock::help`] does not know about pairs: a helper finishes `d` and
+//! releases the word it found `d` on. The other word is released by the
+//! owner, or — when the owner is stalled after a helper finished `d`
+//! through the first word — by the second word's next contender, which
+//! helps the done `d` and so releases it.
+//!
 //! ## Panic safety
 //!
 //! A critical section that panics must never poison the lock word, the
@@ -34,12 +69,14 @@
 //! here and in `flock-chaos`; methodology in EXPERIMENTS.md §8):
 //!
 //! * **Blocking mode:** the TTAS bit is released on unwind (a drop guard in
-//!   [`Lock::blocking_run`]) and the panic propagates to the caller.
+//!   [`Lock::blocking_run`], one per bit a two-lock section holds) and the
+//!   panic propagates to the caller.
 //!   Pre-contract, a panic here left the word locked forever.
 //! * **Lock-free mode:** every run site (owner in
 //!   [`Lock::run_and_unlock_self`], helper in [`Lock::help`]) catches the
 //!   unwind, marks the descriptor `panicked` **then** `done`, releases the
-//!   lock, and disposes/skips exactly as after a completed run. The owner
+//!   lock (the owner of a two-word descriptor both words, in the order
+//!   above), and disposes/skips exactly as after a completed run. The owner
 //!   then resumes the panic; a helper swallows it (the panic belongs to the
 //!   victim's critical section — the victim's owner reports it). A sticky
 //!   `panicked` flag keeps any later runner from **replaying** a log that
@@ -328,8 +365,57 @@ impl Lock {
     {
         match lock_mode() {
             LockMode::Blocking => self.blocking_try_lock(thunk),
-            LockMode::LockFree => self.lock_free_try_lock(thunk),
+            LockMode::LockFree => self.lock_free_try_lock(thunk, None),
         }
+    }
+
+    /// [`Lock::try_lock`] over this lock and `second`, for a thunk that
+    /// takes `second` through [`Lock::try_lock_for_running`] before doing
+    /// anything else; `None` when either lock was busy. In lock-free mode
+    /// one descriptor holds both words and its owner releases `second` too
+    /// (module docs, "One descriptor on two lock words").
+    pub(crate) fn try_lock2<R, F>(&self, second: &Lock, thunk: F) -> Option<R>
+    where
+        R: Send + 'static,
+        F: Fn() -> Option<R> + Send + Sync + 'static,
+    {
+        match lock_mode() {
+            LockMode::Blocking => self.blocking_try_lock(thunk),
+            LockMode::LockFree => self.lock_free_try_lock(thunk, Some(second)),
+        }
+        .flatten()
+    }
+
+    /// The thunk half of [`Lock::try_lock2`]: take this lock as the second
+    /// lock of the running critical section and run `body` under it, or
+    /// return `None` when it is busy. Blocking mode takes its test-and-set
+    /// bit, released on return and on unwind. Lock-free mode installs the
+    /// running descriptor and runs `body` inline in its log, or helps
+    /// whoever holds the lock; every branch keys on committed reads, so all
+    /// runners agree.
+    pub(crate) fn try_lock_for_running<R>(&self, body: impl FnOnce() -> R) -> Option<R> {
+        if lock_mode() == LockMode::Blocking {
+            return self.blocking_try_lock(body);
+        }
+        thread_ctx::with(|tc| {
+            debug_assert!(tc.in_thunk());
+            let mine = LockWord::locked_with(tc.descriptor.get().cast());
+            let mut cur_packed = self.word.load_packed_in(tc);
+            if !LockWord::from_bits(unpack_val(cur_packed)).is_locked() {
+                self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
+                // The first committer of this read ran before the
+                // descriptor was done, and nothing releases a word it holds
+                // before then: the read shows `mine` iff the install took.
+                cur_packed = self.word.load_packed_in(tc);
+                if LockWord::from_bits(unpack_val(cur_packed)) == mine {
+                    return Some(body());
+                }
+            }
+            if LockWord::from_bits(unpack_val(cur_packed)).is_locked() {
+                self.help(tc, cur_packed, &flock_epoch::pin_with(tc));
+            }
+            None
+        })
     }
 
     /// Acquire the lock, waiting (and helping, in lock-free mode) until it is
@@ -389,7 +475,7 @@ impl Lock {
                         if done || cur2 == mine {
                             // Runs, unlocks and disposes (`d` was created
                             // from a thunk returning `R`; we are pinned).
-                            return self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested);
+                            return self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, None);
                         }
                         if cur2.is_locked() {
                             self.help(tc, cur2_packed, &guard);
@@ -405,7 +491,9 @@ impl Lock {
 
     // ---------------------------------------------------------- lock-free
 
-    fn lock_free_try_lock<R, F>(&self, thunk: F) -> Option<R>
+    /// `second`: the other lock word of a two-lock descriptor
+    /// ([`Lock::try_lock2`]), which the owner releases too.
+    fn lock_free_try_lock<R, F>(&self, thunk: F, second: Option<&Lock>) -> Option<R>
     where
         R: Send + 'static,
         F: Fn() -> R + Send + Sync + 'static,
@@ -465,7 +553,7 @@ impl Lock {
                 // is a replay: the log makes it recompute the identical
                 // result without re-applying effects. Runs, unlocks and
                 // disposes (we are pinned; `d`'s thunk returns `R`).
-                Some(self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested))
+                Some(self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, second))
             } else {
                 // Lines 23-26: someone else is (or was) in; help if locked.
                 if cur2.is_locked() {
@@ -494,7 +582,9 @@ impl Lock {
     /// the calling thread is pinned, and that `cur2_packed` is their
     /// committed read of the lock word after the install attempt (it showed
     /// `d` installed, or `d` is done); the run writes the
-    /// (replay-deterministic) result into a local slot.
+    /// (replay-deterministic) result into a local slot. `second` is the
+    /// other word of a two-lock descriptor, released first (module docs,
+    /// "One descriptor on two lock words").
     ///
     /// If a **previous** runner's execution of this thunk panicked
     /// (`thunk_panicked` set), the thunk is *not* replayed — its log may end
@@ -509,6 +599,7 @@ impl Lock {
         d: *const Descriptor,
         cur2_packed: u64,
         nested: bool,
+        second: Option<&Lock>,
     ) -> R {
         if !nested {
             // An owner run starts here and ends in `dispose_after_run`,
@@ -525,9 +616,8 @@ impl Lock {
             // `done` (idempotent if the panicking runner already set it).
             // SAFETY: as above.
             unsafe { (*d).set_done() };
-            self.release_self(tc, d, cur2_packed);
-            // SAFETY: lock word no longer references `d`; pinned (callers).
-            unsafe { self.dispose_after_run(tc, d, nested) };
+            // SAFETY: done; pinned (callers).
+            unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, second) };
             panic!("flock: critical section panicked during helped execution");
         }
         let mut out = std::mem::MaybeUninit::<R>::uninit();
@@ -552,9 +642,8 @@ impl Lock {
                 let tainted = unsafe { (*d).thunk_panicked() };
                 // SAFETY: as above.
                 unsafe { (*d).set_done() };
-                self.release_self(tc, d, cur2_packed);
-                // SAFETY: unlock removed the lock word's reference; pinned.
-                unsafe { self.dispose_after_run(tc, d, nested) };
+                // SAFETY: done; pinned (callers).
+                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, second) };
                 // SAFETY: `ctx::run_in` returned without unwinding, so it
                 // wrote `out`.
                 let r = unsafe { out.assume_init() };
@@ -575,13 +664,60 @@ impl Lock {
                     (*d).mark_panicked();
                     (*d).set_done();
                 }
-                self.release_self(tc, d, cur2_packed);
-                // SAFETY: unlock removed the lock word's reference; pinned.
-                unsafe { self.dispose_after_run(tc, d, nested) };
+                // SAFETY: done; pinned (callers).
+                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, second) };
                 std::mem::forget(abort);
                 std::panic::resume_unwind(payload)
             }
         }
+    }
+
+    /// The tail of every arm of [`Lock::run_and_unlock_self`]: release
+    /// `second`, then this lock, and only then dispose of `d` — the dispose
+    /// reads `helped`, and that read must follow the release of every word
+    /// `d` was published on (module docs, "One descriptor on two lock
+    /// words").
+    ///
+    /// # Safety
+    ///
+    /// `d` is done, and the thread is pinned.
+    unsafe fn release_and_dispose(
+        &self,
+        tc: &ThreadCtx,
+        d: *const Descriptor,
+        cur2_packed: u64,
+        nested: bool,
+        second: Option<&Lock>,
+    ) {
+        // The second word is read first (committed, like every lock-path
+        // read) and released from that read iff it shows `d`: while `d` is
+        // undisposed no other incarnation of its slab can be there, and a
+        // helper releasing it concurrently CASes from the same word.
+        let release_second = || {
+            if let Some(second) = second {
+                second.release_self(tc, d, second.word.load_packed_in(tc));
+            }
+        };
+        // Sanity-mutant hooks: the `helped` read moves in front of the
+        // second word's release, or that release is skipped.
+        #[cfg(feature = "model")]
+        if second.is_some() {
+            let early = crate::mutants::helped_before_second_release();
+            if early || crate::mutants::skip_second_release() {
+                self.release_self(tc, d, cur2_packed);
+                // SAFETY: forwarded contract; this arm exists only to be
+                // proven wrong by the checker.
+                unsafe { self.dispose_after_run(tc, d, nested) };
+                if early {
+                    release_second();
+                }
+                return;
+            }
+        }
+        release_second();
+        self.release_self(tc, d, cur2_packed);
+        // SAFETY: neither word references `d` any more; pinned (contract).
+        unsafe { self.dispose_after_run(tc, d, nested) };
     }
 
     /// The owner's release, after `set_done`: unlock by clearing the
@@ -595,7 +731,10 @@ impl Lock {
     /// because `d` is done — a helper ran it to completion and released
     /// before that read — and nothing of ours is on the word: no CAS, no
     /// load, no log entry. The branch keys on a committed value, so runners
-    /// of an enclosing thunk stay log-position-synchronized.
+    /// of an enclosing thunk stay log-position-synchronized. (The second
+    /// word of a two-lock descriptor is released the same way from the
+    /// owner's read after `done`; there "anything else" also covers an
+    /// install that never took.)
     #[inline]
     fn release_self(&self, tc: &ThreadCtx, d: *const Descriptor, cur2_packed: u64) {
         let mine = LockWord::locked_with(d);
@@ -798,7 +937,7 @@ impl Lock {
     // by hand instead of asking `flock_sync::announce` for it: blocking mode
     // has no helpers, so nothing is ever announced for a word while these
     // run, and the mode flips only at quiescence.
-    fn blocking_try_lock<R, F: Fn() -> R>(&self, thunk: F) -> Option<R> {
+    fn blocking_try_lock<R, F: FnOnce() -> R>(&self, thunk: F) -> Option<R> {
         let w = self.word.raw_packed();
         if LockWord::from_bits(unpack_val(w)).is_locked() {
             return None;
@@ -872,6 +1011,14 @@ pub mod model_probe {
             let guard = flock_epoch::pin_with(tc);
             lock.help(tc, observed_packed, &guard);
         });
+    }
+}
+
+#[cfg(test)]
+impl Lock {
+    /// Bump the unlocked word's tag once, as a top-level store does.
+    pub(crate) fn bump_tag(&self) {
+        self.word.store(LockWord::UNLOCKED_EMPTY);
     }
 }
 
@@ -1094,7 +1241,7 @@ mod tests {
     }
 
     /// Entries one acquired `inner.try_lock` commits to the enclosing log
-    /// when it is the only thing `outer`'s thunk does (`try_with2`'s shape).
+    /// when it is the only thing `outer`'s thunk does.
     #[cfg(not(feature = "model"))] // pins the production window width
     fn nested_commits(outer: &Lock, inner: &Arc<Lock>) -> usize {
         let inner = Arc::clone(inner);
@@ -1214,23 +1361,28 @@ mod tests {
         assert_eq!(moved, Some(()), "uncontended transfer found a lock busy");
     }
 
-    /// The §6 reuse rule for nested descriptors: an uncontended
+    /// The §6 reuse rule for a two-lock descriptor: an uncontended
     /// `try_with2` loop hands nothing to the collector and, after the first
-    /// call, takes nothing from the allocator — the same two slabs go round
-    /// through the pool.
+    /// call, takes nothing from the allocator — one slab goes round
+    /// through the pool, out of it for exactly the length of a transfer.
     #[test]
-    fn uncontended_try_with2_retires_nothing_and_reuses_two_slabs() {
+    fn uncontended_try_with2_retires_nothing_and_reuses_one_slab() {
         let _t = ReuseTest::begin(true);
         let (a, b) = transfer_cells();
         let (fresh0, retired0) = TALLY.get();
         transfer(&a, &b);
         let slabs = pooled();
-        assert!(slabs.len() >= 2);
         let (fresh1, _) = TALLY.get();
-        assert!(fresh1 - fresh0 <= 2, "more than two descriptors allocated");
+        assert!(fresh1 - fresh0 <= 1, "more than one descriptor allocated");
+        let taken = &slabs[..slabs.len() - 1];
         for _ in 0..1_000 {
-            transfer(&a, &b);
-            assert_eq!(pooled(), slabs, "not the same slabs, in the same order");
+            let inside = Locked::try_with2(&a, &b, |src, dst| {
+                src.store(src.load() - 1);
+                dst.store(dst.load() + 1);
+                pooled()
+            });
+            assert_eq!(inside.as_deref(), Some(taken), "not one slab taken");
+            assert_eq!(pooled(), slabs, "not the same slab back");
         }
         assert_eq!(TALLY.get(), (fresh1, retired0), "allocated or retired");
         assert_eq!(b.load(), 1_001);
@@ -1238,7 +1390,7 @@ mod tests {
     }
 
     /// One switch, one meaning: with reuse off the same loop retires every
-    /// descriptor it publishes, nested ones included, as the parent did.
+    /// descriptor it publishes — one per transfer.
     #[test]
     fn try_with2_without_reuse_retires_one_object_per_descriptor() {
         let _t = ReuseTest::begin(false);
@@ -1249,11 +1401,43 @@ mod tests {
         for _ in 0..N {
             transfer(&a, &b);
         }
-        assert_eq!(TALLY.get().1 - retired0, 2 * N);
+        assert_eq!(TALLY.get().1 - retired0, N);
         // The tally counts real hand-offs: the collector's process-wide
         // counter (which sibling tests only ever raise) moved at least as far.
-        assert!(flock_epoch::collector_stats().retired - collector0 >= 2 * N);
+        assert!(flock_epoch::collector_stats().retired - collector0 >= N);
         assert_no_owner_run();
+    }
+
+    /// Inside an outer thunk `try_with2` takes `lock_free_try_lock`'s
+    /// nested path (idempotent create, committed reads, retire marker):
+    /// both modes transfer, every lock ends released, and lock-free mode
+    /// recycles the nested two-lock descriptor through the owner's drain.
+    #[test]
+    fn try_with2_nested_in_try_lock() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for mode in [LockMode::LockFree, LockMode::Blocking] {
+            set_lock_mode(mode);
+            let outer = Lock::new();
+            let (a, b) = transfer_cells();
+            let nested = || {
+                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+                outer.try_lock(move || {
+                    Locked::try_with2(&a, &b, |src, dst| {
+                        src.store(src.load() - 1);
+                        dst.store(dst.load() + 1);
+                        dst.load()
+                    })
+                })
+            };
+            assert_eq!(nested(), Some(Some(1)));
+            let tally = TALLY.get();
+            assert_eq!(nested(), Some(Some(2)));
+            assert_eq!(TALLY.get(), tally, "allocated or retired ({mode:?})");
+            assert!(!outer.is_locked() && !a.is_locked() && !b.is_locked());
+            assert_eq!(a.load() + b.load(), 1 << 20, "money conserved");
+            assert_no_owner_run();
+        }
+        set_lock_mode(LockMode::LockFree);
     }
 
     /// A nested acquisition whose install fails never ran and was never on
@@ -1394,7 +1578,7 @@ mod tests {
             let cur2_packed = lock.word.load_packed_in(tc);
             // SAFETY: `d` is ours and undisposed.
             assert!(unsafe { (*d).is_done() });
-            let r = lock.run_and_unlock_self::<u64>(tc, d, cur2_packed, false);
+            let r = lock.run_and_unlock_self::<u64>(tc, d, cur2_packed, false, None);
             assert_eq!(r, 1, "the replay recomputes the committed result");
             assert_eq!(n.load(), 1, "and applies no effect twice");
             assert_eq!(

@@ -81,8 +81,11 @@ impl<T> Locked<T> {
     /// `None` can occur transiently in lock-free mode, after contention: a
     /// descriptor that a helper touched is retired rather than reused, and
     /// its thunk's handle on the data sits in the epoch collector until the
-    /// next flush ([`flock_epoch::flush_all`]). An unhelped descriptor —
-    /// nested ones included — drops its thunk when its `try_with` returns.
+    /// next flush ([`flock_epoch::flush_all`]). A [`Locked::try_with2`]
+    /// thunk holds the first cell's data and the second cell *itself*, so
+    /// for the second cell it is the cell's own `Arc` that stays shared
+    /// until that flush. An unhelped descriptor — nested ones included —
+    /// drops its thunk when its `try_with` or `try_with2` returns.
     pub fn try_into_inner(self) -> Option<T> {
         Arc::into_inner(self.data)
     }
@@ -150,10 +153,16 @@ impl<T: Send + Sync + 'static> Locked<T> {
     /// either lock was busy (after helping the holder in lock-free mode),
     /// `Some(r)` once `f` ran under both locks.
     ///
-    /// The cells are taken as `&Arc<Self>` because the second acquisition
-    /// happens inside the first critical section, which may outlive this
-    /// call in lock-free mode (helpers can replay it) — the thunk keeps its
-    /// own handles alive.
+    /// One thunk is built per call, and it owns its handles — the first
+    /// cell's data, and the second cell, whose lock it takes before running
+    /// `f` — because helpers may run it after this call returned. That is
+    /// why the cells are taken as `&Arc<Self>`. In lock-free mode one
+    /// descriptor holds both lock words: it is installed on the first, its
+    /// thunk installs it on the second and runs `f` in the same log, and
+    /// its owner releases the second word and then the first, both after
+    /// the descriptor is done (`Lock`'s module docs, "One descriptor on two
+    /// lock words"). Blocking mode takes both test-and-set bits, each
+    /// released on return and on unwind.
     ///
     /// # Panics
     ///
@@ -167,22 +176,47 @@ impl<T: Send + Sync + 'static> Locked<T> {
             !Arc::ptr_eq(a, b),
             "Locked::try_with2 requires two distinct cells"
         );
-        let (first, second) = if Arc::as_ptr(a) < Arc::as_ptr(b) {
+        let (first, second) = Self::in_lock_order(a, b);
+        first
+            .lock
+            .try_lock2(&second.lock, Self::pair_thunk(a, b, f))
+    }
+
+    /// `a` and `b` in the order `try_with2` locks them: by address.
+    fn in_lock_order<'c>(a: &'c Arc<Self>, b: &'c Arc<Self>) -> (&'c Arc<Self>, &'c Arc<Self>) {
+        if Arc::as_ptr(a) < Arc::as_ptr(b) {
             (a, b)
         } else {
             (b, a)
-        };
-        let f = Arc::new(f);
-        let (ad, bd) = (Arc::clone(&a.data), Arc::clone(&b.data));
-        let second = Arc::clone(second);
-        first
-            .lock
-            .try_lock(move || {
-                let f = Arc::clone(&f);
-                let (ad, bd) = (Arc::clone(&ad), Arc::clone(&bd));
-                second.lock.try_lock(move || f(&ad, &bd))
+        }
+    }
+
+    /// `try_with2`'s thunk, built once per call: take the second cell's
+    /// lock for the running critical section, then run `f` over `a`'s and
+    /// `b`'s data. It holds two handles — the first cell's data, and the
+    /// second cell for its lock and its data — not three: every reference
+    /// count it takes is one more locked RMW on an account's cache line.
+    fn pair_thunk<R, F>(
+        a: &Arc<Self>,
+        b: &Arc<Self>,
+        f: F,
+    ) -> impl Fn() -> Option<R> + Send + Sync + 'static
+    where
+        R: Send + 'static,
+        F: Fn(&T, &T) -> R + Send + Sync + 'static,
+    {
+        let (first, second) = Self::in_lock_order(a, b);
+        let a_first = Arc::ptr_eq(first, a);
+        let (first, second) = (Arc::clone(&first.data), Arc::clone(second));
+        move || {
+            second.lock.try_lock_for_running(|| {
+                if a_first {
+                    f(&first, &second.data)
+                } else {
+                    f(&second.data, &first)
+                }
             })
-            .flatten()
+        }
     }
 }
 
@@ -369,27 +403,111 @@ mod tests {
         });
     }
 
-    /// A nested acquisition commits at most six entries to the enclosing
-    /// log (four, plus one for each of its two tags that enters a tag
-    /// window), so `try_with2`'s outer thunk fits its descriptor's inline
-    /// block: no transfer allocates a log extension (the inner thunk here
-    /// commits four to six entries of its own, for two loads and two stores).
+    /// A transfer's one descriptor commits exactly six entries to its log
+    /// mid-window — the second word's read and post-install read, and a
+    /// load and a store per cell — plus one for each of its three tag
+    /// choices (the second word's install, the two stores) that enters a
+    /// tag window. So the log outgrows its inline block exactly when at
+    /// least two of them do: every combination is set up here by moving
+    /// the tags to one short of a window start, or not.
     #[test]
     fn try_with2_allocates_no_log_extension() {
+        use crate::log::{EXTENSIONS_ALLOCATED, LOG_BLOCK_ENTRIES};
+        use flock_sync::pack::TAG_WINDOW;
         let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_lock_mode(LockMode::LockFree);
-        let a = Arc::new(Locked::new(Mutable::new(100u32)));
-        let b = Arc::new(Locked::new(Mutable::new(0u32)));
-        let before = crate::log::EXTENSIONS_ALLOCATED.get();
-        for _ in 0..100 {
-            let moved = Locked::try_with2(&a, &b, |src, dst| {
+        for entering in 0..8u32 {
+            let a = Arc::new(Locked::new(Mutable::new(100u32)));
+            let b = Arc::new(Locked::new(Mutable::new(0u32)));
+            let (_, second) = Locked::in_lock_order(&a, &b);
+            let to_window_edge = |bump: &dyn Fn(), enters: bool| {
+                for _ in 0..if enters { TAG_WINDOW - 1 } else { 1 } {
+                    bump();
+                }
+            };
+            to_window_edge(&|| second.lock.bump_tag(), entering & 1 != 0);
+            to_window_edge(&|| a.store(100), entering & 2 != 0);
+            to_window_edge(&|| b.store(0), entering & 4 != 0);
+            let extensions = EXTENSIONS_ALLOCATED.get();
+            let last_pos = Locked::try_with2(&a, &b, |src, dst| {
                 src.store(src.load() - 1);
                 dst.store(dst.load() + 1);
-            });
-            assert_eq!(moved, Some(()));
+                flock_sync::thread_ctx::with(|tc| tc.log_pos.get())
+            })
+            .expect("uncontended transfer found a lock busy");
+            let extensions = EXTENSIONS_ALLOCATED.get() - extensions;
+            let k = entering.count_ones() as usize;
+            assert_eq!(
+                last_pos + extensions * LOG_BLOCK_ENTRIES,
+                6 + k,
+                "entries committed with {k} window entries (mask {entering:03b})"
+            );
+            assert_eq!(extensions, usize::from(k >= 2), "mask {entering:03b}");
+            assert_eq!((a.load(), b.load()), (99, 1));
         }
-        assert_eq!(b.load(), 100);
-        assert_eq!(crate::log::EXTENSIONS_ALLOCATED.get(), before);
+    }
+
+    /// The lock-free thunk of a transfer shaped like the benchmark's (an
+    /// amount and an optional thread id captured) is stored inline in its
+    /// descriptor, not boxed.
+    #[test]
+    fn pair_thunk_fits_inline() {
+        let a = Arc::new(Locked::new(Mutable::new(5u64)));
+        let b = Arc::new(Locked::new(Mutable::new(0u64)));
+        let (amount, sleeper) = (1u64, Some(std::thread::current().id()));
+        let thunk = Locked::pair_thunk(&a, &b, move |from, to| {
+            from.store(from.load() - amount);
+            to.store(to.load() + u64::from(sleeper.is_some()));
+        });
+        assert!(std::mem::size_of_val(&thunk) <= crate::descriptor::INLINE_BYTES);
+    }
+
+    /// Lock-free transfers under contention, oversubscribed: transfers race
+    /// each other and single-cell sections on the same few cells, so
+    /// helpers arrive through the first and the second word of two-lock
+    /// descriptors, and owners are descheduled between the two releases.
+    /// Money is conserved and every lock ends released.
+    #[test]
+    #[cfg_attr(miri, ignore)] // oversubscribed timing stress
+    fn try_with2_contended_lock_free_stress() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        const CELLS: usize = 3;
+        const INITIAL: u64 = 1_000;
+        let cells: Vec<Arc<Locked<Mutable<u64>>>> = (0..CELLS)
+            .map(|_| Arc::new(Locked::new(Mutable::new(INITIAL))))
+            .collect();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (cells, start) = (&cells, &start);
+                s.spawn(move || {
+                    let mut state = t * 0x9E37 + 1;
+                    start.wait();
+                    for _ in 0..10_000 {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let i = (state as usize) % CELLS;
+                        let j = (i + 1 + (state >> 8) as usize % (CELLS - 1)) % CELLS;
+                        if state % 4 == 0 {
+                            let _ = cells[i].try_with(|m| m.store(m.load()));
+                            continue;
+                        }
+                        let _ = Locked::try_with2(&cells[i], &cells[j], |a, b| {
+                            let av = a.load();
+                            if av > 0 {
+                                a.store(av - 1);
+                                b.store(b.load() + 1);
+                            }
+                        });
+                    }
+                });
+            }
+        });
+        let total: u64 = cells.iter().map(|c| c.load()).sum();
+        assert_eq!(total, CELLS as u64 * INITIAL, "money conserved");
+        assert!(cells.iter().all(|c| !c.is_locked()), "a lock leaked a hold");
     }
 
     /// Panic-safety: a closure that unwinds out of `with` leaves the cell's

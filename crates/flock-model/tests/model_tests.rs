@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use flock_core::{Lock, Mutable};
+use flock_core::{Lock, Locked, Mutable};
 use flock_model::{Config, explore};
 use flock_sync::atomic::{AtomicU64, Ordering};
 use flock_sync::pack::{TAG_LIMIT, TAG_WINDOW, next_tag};
@@ -827,6 +827,186 @@ fn nested_try_lock_mutant_recycle_helped_nested_is_caught() {
             f.message.contains("exactly once")
                 || f.message.contains("descriptor thunk called before set"),
             "unexpected failure mode (through_outer = {through_outer}): {}",
+            f.message
+        );
+    }
+}
+
+// ---------------------------------------------------- two-lock descriptor
+
+/// One descriptor on two lock words (`Locked::try_with2`; `flock_core`'s
+/// `lock` module docs, "One descriptor on two lock words"): the owner
+/// transfers between two cells, twice over, so that the second round
+/// reuses the slab the first round's dispose pooled. One contender that
+/// only ever helps (the real help path, split along its observe/help seam
+/// like `nested_body`'s) arrives through the **first** word, where it runs
+/// the whole thunk — including the install on the second word — or through
+/// the **second**, where it finishes the descriptor the thunk installed
+/// there and releases that word only.
+///
+/// **Invariants:** (a) both rounds transfer — the helper never acquires,
+/// and a correct helper either helps the current incarnation to completion
+/// or does nothing; (b) each round's stores apply exactly once, which is
+/// what fails when the owner resets the descriptor while a validated
+/// helper can still run it; (c) both lock words are unlocked whenever a
+/// transfer has returned; (d) no panic ("descriptor thunk called before
+/// set" is a reset descriptor seen from inside — in a helper, whose panic
+/// `help` swallows, too).
+fn two_lock_body(through_first: bool) {
+    watch_reset_runs();
+    RESET_RUN.store(false, core::sync::atomic::Ordering::SeqCst);
+    let a = Arc::new(Locked::new(Mutable::new(0u64)));
+    let b = Arc::new(Locked::new(Mutable::new(0u64)));
+    let (first, second) = if Arc::as_ptr(&a) < Arc::as_ptr(&b) {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
+    let seen_on = Arc::clone(if through_first { first } else { second });
+    let helper = flock_model::spawn(move || {
+        let seen = flock_core::model_probe::observe(seen_on.lock_ref());
+        flock_core::model_probe::help_observed(seen_on.lock_ref(), seen);
+    });
+
+    for round in 1..=2u64 {
+        let got = Locked::try_with2(&a, &b, |x, y| {
+            x.store(x.load() + 1);
+            y.store(y.load() + 1);
+        });
+        assert_eq!(
+            got,
+            Some(()),
+            "a transfer failed on locks nobody else ever acquires"
+        );
+        assert_eq!(
+            (a.load(), b.load()),
+            (round, round),
+            "transfer not applied exactly once (a helper ran a reset descriptor?)"
+        );
+        assert!(!first.is_locked(), "first lock leaked a hold");
+        assert!(!second.is_locked(), "second lock leaked a hold");
+    }
+    helper.join();
+    assert!(
+        !RESET_RUN.load(core::sync::atomic::Ordering::SeqCst),
+        "a helper ran a reset descriptor: descriptor thunk called before set"
+    );
+    assert_eq!(
+        (a.load(), b.load()),
+        (2, 2),
+        "transfer not applied exactly once (a helper ran a reset descriptor?)"
+    );
+    assert!(!a.is_locked() && !b.is_locked(), "a lock leaked a hold");
+}
+
+/// Set when any thread panics with "descriptor thunk called before set".
+/// `Lock::help` catches a helper's panic and swallows it, so a helper
+/// that runs a reset descriptor is seen only here.
+static RESET_RUN: core::sync::atomic::AtomicBool = core::sync::atomic::AtomicBool::new(false);
+
+/// Install (once per process) the panic hook that sets [`RESET_RUN`],
+/// before the default hook runs.
+fn watch_reset_runs() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let message = info
+                .payload()
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str));
+            if message.is_some_and(|m| m.contains("descriptor thunk called before set")) {
+                RESET_RUN.store(true, core::sync::atomic::Ordering::SeqCst);
+            }
+            default(info);
+        }));
+    });
+}
+
+/// Scope: owner (2 transfers) + 1 helper arriving through the first lock
+/// word, SC, ≤2 preemptions, exhaustive.
+#[test]
+fn two_lock_exactly_once_helped_through_first_word() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        || two_lock_body(true),
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Same scope, the helper arriving through the second lock word.
+#[test]
+fn two_lock_exactly_once_helped_through_second_word() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        || two_lock_body(false),
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Deeper (non-exhaustive, seeded) sweep of both variants at 4
+/// preemptions: same invariants, fixed seed → fully reproducible.
+#[test]
+fn two_lock_seeded_sweep() {
+    let _g = serial();
+    for through_first in [true, false] {
+        let report = explore(
+            Config {
+                max_preemptions: 4,
+                seed: Some(0x2_10C),
+                samples: 400,
+                ..Config::sc()
+            },
+            move || two_lock_body(through_first),
+        );
+        assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+        assert_eq!(report.pruned, 0);
+    }
+}
+
+/// Sanity mutant: the owner reads `helped` (and pools the descriptor)
+/// before it releases the second word. A helper that observed the
+/// descriptor on the second word marks it after that read, still finds
+/// the word unreleased and its generation unchanged, and runs a descriptor
+/// the owner has reset.
+#[test]
+fn two_lock_mutant_helped_before_second_release_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::HELPED_BEFORE_SECOND_RELEASE);
+    let report = explore(Config::sc(), || two_lock_body(false));
+    let f = report.assert_finds_bug();
+    assert!(
+        f.message.contains("exactly once")
+            || f.message.contains("descriptor thunk called before set"),
+        "unexpected failure mode: {}",
+        f.message
+    );
+}
+
+/// Sanity mutant: the owner never releases the second word. Unless the
+/// helper came through that word, it is still held when the transfer
+/// returns.
+#[test]
+fn two_lock_mutant_skip_second_release_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::SKIP_SECOND_RELEASE);
+    for through_first in [true, false] {
+        let report = explore(Config::sc(), move || two_lock_body(through_first));
+        let f = report.assert_finds_bug();
+        assert!(
+            f.message.contains("second lock leaked a hold"),
+            "unexpected failure mode (through_first = {through_first}): {}",
             f.message
         );
     }

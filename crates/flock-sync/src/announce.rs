@@ -344,8 +344,8 @@ pub fn global() -> &'static TagAnnouncements {
     use std::sync::OnceLock;
     // On cache lines of its own: every store of every `Mutable` reads this
     // handle on its way to `next_free_tag`, so it must not share a line
-    // with a static that other threads write (`Backoff::new`'s seed
-    // counter, which every hashtable write bumps, is a neighbour otherwise).
+    // with a static that other threads write, whichever statics the linker
+    // happens to place next to it.
     static GLOBAL: CachePadded<OnceLock<TagAnnouncements>> = CachePadded::new(OnceLock::new());
     GLOBAL.get_or_init(TagAnnouncements::new)
 }

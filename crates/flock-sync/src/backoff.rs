@@ -33,8 +33,8 @@ use crate::cpu_relax;
 #[derive(Debug)]
 pub struct Backoff {
     step: u32,
-    /// Per-instance xorshift state; seeded from a thread-distinct counter
-    /// so same-step waiters on different threads draw different waits.
+    /// Per-instance xorshift state; seeded from per-thread state so
+    /// same-step waiters on different threads draw different waits.
     rng: u32,
 }
 
@@ -57,15 +57,10 @@ impl Backoff {
     /// Fresh backoff state with a thread-distinct jitter seed.
     #[inline]
     pub fn new() -> Self {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static SEED: AtomicU32 = AtomicU32::new(0x9E37_79B9);
-        // Weyl-sequence increment: consecutive `Backoff`s (across threads
-        // or within one) start from well-separated rng states. Zero is
-        // excluded below because xorshift fixes it.
-        let seed = SEED.fetch_add(0x9E37_79B9, Ordering::Relaxed);
         Self {
             step: 0,
-            rng: seed | 1,
+            // Zero is excluded because xorshift fixes it.
+            rng: next_seed() | 1,
         }
     }
 
@@ -123,6 +118,39 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.step = 0;
     }
+}
+
+/// The next jitter seed of the calling thread: a hash of (thread index,
+/// per-thread count), so seeds differ across threads and from one
+/// `Backoff` to the next on one thread. Only a thread's first call touches
+/// shared state, to draw its index: one process-wide counter bumped per
+/// call would be a locked RMW on a shared line in every retry loop.
+#[inline]
+fn next_seed() -> u32 {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static THREADS: AtomicU32 = AtomicU32::new(1);
+    thread_local! {
+        /// (thread index, `Backoff`s created); index 0 means not drawn yet.
+        static STATE: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
+    }
+    STATE.with(|s| {
+        let (mut index, count) = s.get();
+        if index == 0 {
+            index = THREADS.fetch_add(1, Ordering::Relaxed);
+        }
+        s.set((index, count.wrapping_add(1)));
+        // The 64-bit finalizer of MurmurHash3: every input bit reaches
+        // every output bit, so neighbouring (index, count) pairs start
+        // far apart.
+        let mut x = (u64::from(index) << 32) | u64::from(count);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        x ^= x >> 33;
+        x as u32
+    })
 }
 
 #[cfg(test)]
