@@ -11,13 +11,24 @@
 //! subsume.
 //!
 //! Reclamation: spliced nodes are retired through the epoch collector by
-//! the unique dchild-CAS winner. Info records are *not* reclaimed during
+//! the unique dchild-CAS winner, once the grandparent no longer shows the
+//! delete's flag — so every helper that found the delete through that flag
+//! was pinned before the retire. Info records are *not* reclaimed during
 //! the tree's lifetime: a Delete info is referenced from two update words
 //! (the owning grandparent and the marked parent), and stale helpers can
 //! hold update words arbitrarily long, so replaced records are parked on a
-//! per-tree garbage list and freed at drop. Update words also carry a
-//! 16-bit sequence stamp so a stale helper's CAS can never succeed
-//! spuriously.
+//! per-tree garbage list and freed at drop.
+//!
+//! Update words and child words both carry a 16-bit sequence stamp, so a
+//! stale helper's CAS can never succeed spuriously. For child words this
+//! matters more than in the original algorithm: an insert here keeps the
+//! old leaf (moved under the new internal, so a native `update` always
+//! finds a key's one leaf), and a later delete of the new sibling hoists
+//! that leaf straight back into the parent. A late helper of the finished
+//! insert would then find the parent's child pointer at its expected value
+//! again and re-link a spliced, retired internal. Each Info instead records
+//! the whole child word it replaces, as read under the flag it was created
+//! against, and its CAS expects exactly that word.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -56,6 +67,22 @@ fn seq_of(w: usize) -> usize {
     w >> SEQ_SHIFT
 }
 
+/// Pointer bits of a child word (the high 16 bits are its sequence stamp).
+const ADDR_MASK: usize = (1 << SEQ_SHIFT) - 1;
+
+#[inline]
+fn node_of<K, V: Value>(w: usize) -> *mut Node<K, V> {
+    (w & ADDR_MASK) as *mut Node<K, V>
+}
+
+/// The child word that replaces `prev` with `to`, sequence bumped by one
+/// (mod 2^16).
+#[inline]
+fn relink<K, V: Value>(prev: usize, to: *mut Node<K, V>) -> usize {
+    debug_assert_eq!(to as usize & !ADDR_MASK, 0);
+    to as usize | (seq_of(prev).wrapping_add(1) << SEQ_SHIFT)
+}
+
 /// Build the update word that replaces `prev`: new info + state, sequence
 /// bumped by one (mod 2^16).
 #[inline]
@@ -78,6 +105,7 @@ struct Node<K, V: Value> {
     /// replaced in place by the native `update`, snapshot-read by `get`.
     value: Option<ValueCell<V>>,
     is_leaf: bool,
+    /// Child words: node pointer | sequence stamp (see the module docs).
     left: AtomicUsize,
     right: AtomicUsize,
     /// Info pointer | state bits; coordinates updates at this internal.
@@ -121,7 +149,8 @@ enum Info<K, V: Value> {
     /// Swap `leaf` under `parent` for `new_internal`.
     Insert {
         parent: *mut Node<K, V>,
-        leaf: *mut Node<K, V>,
+        /// Parent's child word pointing at the leaf, observed at flag time.
+        leaf_word: usize,
         new_internal: *mut Node<K, V>,
     },
     /// Splice `parent` + `leaf` out from under `gparent`.
@@ -131,6 +160,9 @@ enum Info<K, V: Value> {
         leaf: *mut Node<K, V>,
         /// Parent's update word observed at flag time.
         pupdate: usize,
+        /// Grandparent's child word pointing at the parent, observed at
+        /// flag time.
+        parent_word: usize,
     },
 }
 
@@ -164,6 +196,9 @@ struct Search<K, V: Value> {
     leaf: *mut Node<K, V>,
     pupdate: usize,
     gpupdate: usize,
+    /// The child words the search followed to `parent` and to `leaf`.
+    parent_word: usize,
+    leaf_word: usize,
 }
 
 impl<K: Key, V: Value> EllenBst<K, V> {
@@ -182,18 +217,22 @@ impl<K: Key, V: Value> EllenBst<K, V> {
     fn search(&self, k: &KeyClass<K>) -> Search<K, V> {
         let mut gparent = std::ptr::null_mut();
         let mut gpupdate = 0;
+        let mut parent_word = 0;
         let mut parent = self.root;
         // SAFETY: caller pinned.
         let mut pupdate = unsafe { &*parent }.update.load(Ordering::SeqCst);
-        let mut leaf = unsafe { &*parent }.child(k).load(Ordering::SeqCst) as *mut Node<K, V>;
+        let mut leaf_word = unsafe { &*parent }.child(k).load(Ordering::SeqCst);
+        let mut leaf = node_of::<K, V>(leaf_word);
         // SAFETY: pinned.
         while !unsafe { &*leaf }.is_leaf {
             gparent = parent;
             gpupdate = pupdate;
+            parent_word = leaf_word;
             parent = leaf;
             // SAFETY: pinned.
             pupdate = unsafe { &*parent }.update.load(Ordering::SeqCst);
-            leaf = unsafe { &*parent }.child(k).load(Ordering::SeqCst) as *mut Node<K, V>;
+            leaf_word = unsafe { &*parent }.child(k).load(Ordering::SeqCst);
+            leaf = node_of(leaf_word);
         }
         Search {
             gparent,
@@ -201,7 +240,16 @@ impl<K: Key, V: Value> EllenBst<K, V> {
             leaf,
             pupdate,
             gpupdate,
+            parent_word,
+            leaf_word,
         }
+    }
+
+    /// The child cell of `node` holding exactly `word`, if either does.
+    fn cell_holding(node: &Node<K, V>, word: usize) -> Option<&AtomicUsize> {
+        [&node.left, &node.right]
+            .into_iter()
+            .find(|c| c.load(Ordering::SeqCst) == word)
     }
 
     /// Help the operation recorded in update word `w` (non-clean).
@@ -220,7 +268,7 @@ impl<K: Key, V: Value> EllenBst<K, V> {
         // SAFETY: op reachable from a flagged update word; pinned callers.
         let Info::Insert {
             parent,
-            leaf,
+            leaf_word,
             new_internal,
         } = (unsafe { &*op })
         else {
@@ -228,18 +276,13 @@ impl<K: Key, V: Value> EllenBst<K, V> {
         };
         // SAFETY: pinned.
         let p = unsafe { &**parent };
-        // ichild: swing the child pointer from the old leaf.
-        let cell = if p.left.load(Ordering::SeqCst) == *leaf as usize {
-            Some(&p.left)
-        } else if p.right.load(Ordering::SeqCst) == *leaf as usize {
-            Some(&p.right)
-        } else {
-            None
-        };
-        if let Some(cell) = cell {
+        // ichild: swing the child word from the old leaf — the exact word
+        // the insert was flagged against, never a later one showing the
+        // same leaf (module docs).
+        if let Some(cell) = Self::cell_holding(p, *leaf_word) {
             let _ = cell.compare_exchange(
-                *leaf as usize,
-                *new_internal as usize,
+                *leaf_word,
+                relink(*leaf_word, *new_internal),
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             );
@@ -263,6 +306,7 @@ impl<K: Key, V: Value> EllenBst<K, V> {
             gparent,
             parent,
             leaf,
+            parent_word,
             ..
         } = (unsafe { &*op })
         else {
@@ -271,37 +315,23 @@ impl<K: Key, V: Value> EllenBst<K, V> {
         // SAFETY: pinned.
         let g = unsafe { &**gparent };
         let p = unsafe { &**parent };
-        // Sibling of the victim leaf under parent.
-        let sibling = if p.left.load(Ordering::SeqCst) == *leaf as usize {
-            p.right.load(Ordering::SeqCst)
-        } else {
-            p.left.load(Ordering::SeqCst)
-        };
-        // dchild: replace parent with sibling under gparent.
-        let cell = if g.left.load(Ordering::SeqCst) == *parent as usize {
-            Some(&g.left)
-        } else if g.right.load(Ordering::SeqCst) == *parent as usize {
-            Some(&g.right)
-        } else {
-            None
-        };
-        if let Some(cell) = cell
-            && cell
-                .compare_exchange(
-                    *parent as usize,
-                    sibling,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_ok()
-        {
-            // Unique winner: retire the spliced pair.
-            // SAFETY: both now unreachable; retired once.
-            unsafe {
-                flock_epoch::retire(*parent);
-                flock_epoch::retire(*leaf);
-            }
-        }
+        // Sibling of the victim leaf under the (marked, so frozen) parent.
+        let (l, r) = (
+            p.left.load(Ordering::SeqCst),
+            p.right.load(Ordering::SeqCst),
+        );
+        let sibling = node_of::<K, V>(if node_of::<K, V>(l) == *leaf { r } else { l });
+        // dchild: replace parent with sibling under gparent, from the exact
+        // word the delete was flagged against.
+        let spliced = Self::cell_holding(g, *parent_word).is_some_and(|cell| {
+            cell.compare_exchange(
+                *parent_word,
+                relink(*parent_word, sibling),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_ok()
+        });
         // Unflag the grandparent: (op, DFLAG) -> (op, CLEAN), seq bumped.
         let cur = g.update.load(Ordering::SeqCst);
         if info_of::<K, V>(cur) == op && state(cur) == DFLAG {
@@ -311,6 +341,17 @@ impl<K: Key, V: Value> EllenBst<K, V> {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             );
+        }
+        if spliced {
+            // Unique winner: retire the spliced pair — only now, with the
+            // grandparent past `(op, DFLAG)` for good (the stamp never
+            // recurs), so every helper that can still reach them through
+            // `op` found it while pinned, before this retire.
+            // SAFETY: both unreachable; retired once.
+            unsafe {
+                flock_epoch::retire(*parent);
+                flock_epoch::retire(*leaf);
+            }
         }
     }
 
@@ -425,7 +466,7 @@ impl<K: Key, V: Value> EllenBst<K, V> {
             };
             let op = flock_epoch::alloc(Info::Insert {
                 parent: s.parent,
-                leaf: s.leaf,
+                leaf_word: s.leaf_word,
                 new_internal,
             });
             // SAFETY: pinned.
@@ -475,6 +516,7 @@ impl<K: Key, V: Value> EllenBst<K, V> {
                 parent: s.parent,
                 leaf: s.leaf,
                 pupdate: s.pupdate,
+                parent_word: s.parent_word,
             });
             // SAFETY: pinned.
             if self.flag(unsafe { &*s.gparent }, s.gpupdate, op, DFLAG) {
@@ -561,8 +603,8 @@ impl<K: Key, V: Value> EllenBst<K, V> {
             return matches!(node.key, KeyClass::Finite(_)) as usize;
         }
         unsafe {
-            Self::count(node.left.load(Ordering::SeqCst) as *mut Node<K, V>)
-                + Self::count(node.right.load(Ordering::SeqCst) as *mut Node<K, V>)
+            Self::count(node_of(node.left.load(Ordering::SeqCst)))
+                + Self::count(node_of(node.right.load(Ordering::SeqCst)))
         }
     }
 }
@@ -588,8 +630,8 @@ impl<K: Key, V: Value> Drop for EllenBst<K, V> {
                     flock_epoch::free_now(info);
                 }
                 if !(*n).is_leaf {
-                    free((*n).left.load(Ordering::SeqCst) as *mut Node<K, V>);
-                    free((*n).right.load(Ordering::SeqCst) as *mut Node<K, V>);
+                    free::<K, V>(node_of((*n).left.load(Ordering::SeqCst)));
+                    free::<K, V>(node_of((*n).right.load(Ordering::SeqCst)));
                 }
                 flock_epoch::free_now(n);
             }

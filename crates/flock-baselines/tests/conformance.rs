@@ -64,3 +64,54 @@ fn maintained_len_approx_is_exact_when_quiescent() {
         assert_eq!(map.len_approx(), Some(60 + 4 * 125), "{name} after churn");
     }
 }
+
+/// Contended churn on a fresh `EllenBst` per round: four threads racing
+/// inserts, removes and gets on 16 keys, so deletes splice subtrees that
+/// late helpers of finished inserts and deletes still point into. Every
+/// splice must retire its pair exactly once (debug builds' collector
+/// panics on a double retire) and, per key, the successful inserts and
+/// removes must alternate.
+#[test]
+fn ellen_contended_rounds() {
+    use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+    for round in 0..500 {
+        let map = EllenBst::<u64, u64>::new();
+        let net: Vec<AtomicI64> = (0..16).map(|_| AtomicI64::new(0)).collect();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (map, net) = (&map, &net);
+                s.spawn(move || {
+                    let mut state = (round * 4 + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    for _ in 0..2_000 {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let k = state % 16;
+                        match state >> 8 & 3 {
+                            0 => {
+                                if map.insert(k, k) {
+                                    net[k as usize].fetch_add(1, Relaxed);
+                                }
+                            }
+                            1 => {
+                                if map.remove(k) {
+                                    net[k as usize].fetch_sub(1, Relaxed);
+                                }
+                            }
+                            _ => {
+                                if let Some(v) = map.get(k) {
+                                    assert_eq!(v, k, "round {round}: value corrupted");
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        for (k, n) in net.iter().enumerate() {
+            let n = n.load(Relaxed);
+            assert!(n == 0 || n == 1, "round {round}, key {k}: net {n}");
+            assert_eq!(map.contains(k as u64), n == 1, "round {round}, key {k}");
+        }
+    }
+}

@@ -46,18 +46,19 @@
 //!   marked some descriptor on its path `helped` first, so nothing it can
 //!   read is reset under it.
 //!
-//! * **Two-lock** descriptors (`Locked::try_with2`) are top-level or nested
-//!   like any other, but are published on two lock words: the owner's
-//!   install puts one on the first, its own thunk puts it on the second.
+//! * **Lock-set** descriptors (`Lock::try_lock_set`, and `Locked::try_with2`
+//!   on top of it) are top-level or nested like any other, but are
+//!   published on up to three lock words: the owner's install puts one on
+//!   the first, its own thunk puts it on each further word in order.
 //!   Nothing else about them differs — no second descriptor, no second
-//!   log. Their owner releases the second word and then the first, both
-//!   after `set_done`, and reads `helped` only after both (`Lock`'s module
-//!   docs, "One descriptor on two lock words"). The second word is
-//!   released after `done`, not at the end of the thunk, because a word
-//!   released mid-run could be acquired, and its tags issued, by a holder
-//!   whose window-entry scan misses a stale runner's announcement while
-//!   that runner's done-check still reads `false` (`flock_sync::announce`,
-//!   "Window-entry scans").
+//!   log. Their owner releases the further words in reverse order and then
+//!   the first, all after `set_done`, and reads `helped` only after every
+//!   release (`Lock`'s module docs, "One descriptor on a lock set"). The
+//!   further words are released after `done`, not at the end of the thunk,
+//!   because a word released mid-run could be acquired, and its tags
+//!   issued, by a holder whose window-entry scan misses a stale runner's
+//!   announcement while that runner's done-check still reads `false`
+//!   (`flock_sync::announce`, "Window-entry scans").
 //!
 //! **The hand-off** between an owner about to reuse and a helper about to
 //! run is a Dekker pair. The helper, pinned, reads the lock word, **marks**
@@ -69,11 +70,11 @@
 //! reusing — and the helper's adopted epoch keeps the slab, and everything
 //! the thunk can reach, alive for the whole help — or the helper's
 //! revalidation sees the released word and it does nothing at all. For a
-//! two-lock descriptor the pair holds per word: a helper that came through
-//! either word and validated did so before the owner's release of that
-//! word (or that word was released by another helper, whose own mark then
-//! precedes the release the owner's read observed), and both releases
-//! precede the owner's `helped` read.
+//! lock-set descriptor the pair holds per word: a helper that came through
+//! any word and validated did so before the owner's release of that word
+//! (or that word was released by another helper, whose own mark then
+//! precedes the release the owner's read observed), and every release
+//! precedes the owner's `helped` read.
 //!
 //! A helper that fails revalidation has still written its mark, possibly
 //! onto a later incarnation of a pooled slab. That is harmless on live

@@ -27,40 +27,47 @@
 //! (with the descriptor pointer left null), no descriptor is created, and
 //! nothing is logged — the paper's runtime-switchable blocking mode.
 //!
-//! ## One descriptor on two lock words
+//! ## One descriptor on a lock set
 //!
-//! [`Locked::try_with2`](crate::Locked::try_with2) takes two locks whose
-//! second acquisition is always the whole tail of the first critical
-//! section, so it does not pay for a second (nested) descriptor: its
-//! descriptor `d` is installed on the first word exactly as `try_lock`
-//! installs one, and `d`'s thunk ([`Lock::try_lock_for_running`]) reads
-//! the second word (committed), installs `d` there with the ordinary
-//! announced in-thunk CAS, re-reads it (committed), and either runs the
-//! user's closure inline in `d`'s own log or — another descriptor holds
-//! the word — helps that one and reports busy. Every runner reaches the
-//! same verdict from the same committed reads.
+//! [`Lock::try_lock_set`] takes up to three locks whose later acquisitions
+//! are always the whole tail of the first critical section — a transfer
+//! between two [`Locked`](crate::Locked) cells, a tree splice under
+//! grandparent and parent, a split under three ancestors — so it does not
+//! pay for a nested descriptor per extra lock: its descriptor `d` is
+//! installed on the first word exactly as `try_lock` installs one, and
+//! `d`'s thunk takes each further word in order
+//! ([`Lock::try_lock_for_running`]): it reads the word (committed),
+//! installs `d` there with the ordinary announced in-thunk CAS, re-reads it
+//! (committed), and either goes on to the next word — after the last, runs
+//! the caller's closure inline in `d`'s own log — or, another descriptor
+//! holds the word, helps that one and reports busy. Every runner reaches
+//! the same verdict from the same committed reads.
 //!
 //! **Release order.** The owner releases nothing before `set_done`, on all
 //! three arms of [`Lock::run_and_unlock_self`] (normal, tainted, panic):
-//! first the second word — read with `load_packed_in`, released through
-//! the tag issuer iff it shows `locked_with(d)`, which while `d` is
-//! undisposed is `d`'s own current incarnation — then the first word from
-//! its committed post-install read, and only then does it read `helped`.
-//! Releasing the second word only after `done` keeps the window-entry
-//! argument of `flock_sync::announce` as it is for every lock: a later
-//! holder of the second lock, whose window-entry scan might miss a stale
-//! runner's announcement, can only begin after `d` was done, so that
-//! runner's done-check skips its CAS. And both releases precede the
-//! `helped` read, so the Dekker pair of `descriptor`'s "Lifecycle and
-//! hand-off" holds for either word: a helper that arrived through either
-//! one either marked `d` before the owner's read or fails its
-//! revalidation.
+//! first the extra words in reverse order — each read with
+//! `load_packed_in`, released through the tag issuer iff it shows
+//! `locked_with(d)`, which while `d` is undisposed is `d`'s own current
+//! incarnation (a word the thunk never reached shows something else and is
+//! left alone) — then the first word from its committed post-install read,
+//! and only then does it read `helped`. Releasing every extra word only
+//! after `done` keeps the window-entry argument of `flock_sync::announce`
+//! as it is for every lock: a later holder of such a lock, whose
+//! window-entry scan might miss a stale runner's announcement, can only
+//! begin after `d` was done, so that runner's done-check skips its CAS.
+//! And every release precedes the `helped` read, so the Dekker pair of
+//! `descriptor`'s "Lifecycle and hand-off" holds for each word: a helper
+//! that arrived through any one of them either marked `d` before the
+//! owner's read or fails its revalidation. The order also keeps the
+//! value-reuse defence of [`Lock::help`] (cf. Dice & Kogan's *Hapax
+//! Locks*) as it is for one word: `d` is disposed — and its slab possibly
+//! reused at the same address — only once no word of the set shows it.
 //!
-//! [`Lock::help`] does not know about pairs: a helper finishes `d` and
-//! releases the word it found `d` on. The other word is released by the
+//! [`Lock::help`] does not know about sets: a helper finishes `d` and
+//! releases the word it found `d` on. The other words are released by the
 //! owner, or — when the owner is stalled after a helper finished `d`
-//! through the first word — by the second word's next contender, which
-//! helps the done `d` and so releases it.
+//! through some word — by each word's next contender, which helps the done
+//! `d` and so releases it.
 //!
 //! ## Panic safety
 //!
@@ -69,14 +76,14 @@
 //! here and in `flock-chaos`; methodology in EXPERIMENTS.md §8):
 //!
 //! * **Blocking mode:** the TTAS bit is released on unwind (a drop guard in
-//!   [`Lock::blocking_run`], one per bit a two-lock section holds) and the
+//!   [`Lock::blocking_run`], one per bit a lock set holds) and the
 //!   panic propagates to the caller.
 //!   Pre-contract, a panic here left the word locked forever.
 //! * **Lock-free mode:** every run site (owner in
 //!   [`Lock::run_and_unlock_self`], helper in [`Lock::help`]) catches the
 //!   unwind, marks the descriptor `panicked` **then** `done`, releases the
-//!   lock (the owner of a two-word descriptor both words, in the order
-//!   above), and disposes/skips exactly as after a completed run. The owner
+//!   lock (the owner of a lock set every word, in the order above), and
+//!   disposes/skips exactly as after a completed run. The owner
 //!   then resumes the panic; a helper swallows it (the panic belongs to the
 //!   victim's critical section — the victim's owner reports it). A sticky
 //!   `panicked` flag keeps any later runner from **replaying** a log that
@@ -178,6 +185,35 @@ impl Drop for AbortGuard {
             self.0
         );
         std::process::abort();
+    }
+}
+
+/// The further locks of a [`Lock::try_lock_set`], as its thunk holds them.
+struct LockSet<const N: usize>([*const Lock; N]);
+
+// SAFETY: `Lock` is `Sync`; `try_lock_set`'s contract keeps the pointees
+// live for every runner, on whichever thread it runs.
+unsafe impl<const N: usize> Send for LockSet<N> {}
+unsafe impl<const N: usize> Sync for LockSet<N> {}
+
+impl<const N: usize> LockSet<N> {
+    /// Take every lock of the set in order for the running critical
+    /// section and run `body` under them; `None` when one was busy.
+    ///
+    /// # Safety
+    ///
+    /// Every pointer in the set is live.
+    #[inline(always)]
+    unsafe fn run<R>(&self, body: &impl Fn() -> R) -> Option<R> {
+        // SAFETY: forwarded contract.
+        let lock = |i: usize| unsafe { &*self.0[i] };
+        match N {
+            0 => Some(body()),
+            1 => lock(0).try_lock_for_running(body),
+            _ => lock(0)
+                .try_lock_for_running(|| lock(1).try_lock_for_running(body))
+                .flatten(),
+        }
     }
 }
 
@@ -365,35 +401,64 @@ impl Lock {
     {
         match lock_mode() {
             LockMode::Blocking => self.blocking_try_lock(thunk),
-            LockMode::LockFree => self.lock_free_try_lock(thunk, None),
+            LockMode::LockFree => self.lock_free_try_lock(thunk, &[]),
         }
     }
 
-    /// [`Lock::try_lock`] over this lock and `second`, for a thunk that
-    /// takes `second` through [`Lock::try_lock_for_running`] before doing
-    /// anything else; `None` when either lock was busy. In lock-free mode
-    /// one descriptor holds both words and its owner releases `second` too
-    /// (module docs, "One descriptor on two lock words").
-    pub(crate) fn try_lock2<R, F>(&self, second: &Lock, thunk: F) -> Option<R>
+    /// [`Lock::try_lock`] over a **lock set**: this lock and then each lock
+    /// of `rest` in order, with `thunk` run once all of them are held.
+    /// Returns `None` when any of them was busy (after helping its holder
+    /// in lock-free mode), `Some(r)` once `thunk` ran under every lock.
+    ///
+    /// In lock-free mode one descriptor holds every word: it is installed
+    /// on this lock as [`Lock::try_lock`] installs one, its thunk takes the
+    /// locks of `rest` in order and runs `thunk` inline in the same log,
+    /// and its owner releases the words of `rest` in reverse order and then
+    /// this one, all after the descriptor is done (module docs, "One
+    /// descriptor on a lock set"). Blocking mode takes the test-and-set
+    /// bits in order, each released on return and on unwind. A set nested
+    /// in an outer thunk works as a nested `try_lock` does.
+    ///
+    /// The locks must be distinct and taken in the caller's global lock
+    /// order, as nested `try_lock` calls would take them. A set has no
+    /// waiting form: [`Lock::lock`] stays the strict acquisition.
+    ///
+    /// # Safety
+    ///
+    /// Every lock in `rest` outlives every runner of the thunk: helpers may
+    /// run it after this call returned, and they reach the locks of `rest`
+    /// through raw pointers. This holds for a lock in an epoch-reclaimed
+    /// node while the caller is pinned (runners adopt the caller's epoch),
+    /// and for a lock inside an `Arc` that `thunk` holds.
+    pub unsafe fn try_lock_set<const N: usize, R, F>(&self, rest: [&Lock; N], thunk: F) -> Option<R>
     where
         R: Send + 'static,
-        F: Fn() -> Option<R> + Send + Sync + 'static,
+        F: Fn() -> R + Send + Sync + 'static,
     {
+        const { assert!(N <= 2, "a lock set holds at most three locks") };
+        debug_assert!(
+            (0..N).all(|i| !std::ptr::eq(self, rest[i])
+                && (i + 1..N).all(|j| !std::ptr::eq(rest[i], rest[j]))),
+            "a lock set takes distinct locks"
+        );
+        let words = LockSet(rest.map(|l| l as *const Lock));
+        // SAFETY: the caller's contract keeps every pointer in `words` live
+        // for every runner of this thunk.
+        let set_thunk = move || unsafe { words.run(&thunk) };
         match lock_mode() {
-            LockMode::Blocking => self.blocking_try_lock(thunk),
-            LockMode::LockFree => self.lock_free_try_lock(thunk, Some(second)),
+            LockMode::Blocking => self.blocking_try_lock(set_thunk),
+            LockMode::LockFree => self.lock_free_try_lock(set_thunk, &rest),
         }
         .flatten()
     }
 
-    /// The thunk half of [`Lock::try_lock2`]: take this lock as the second
-    /// lock of the running critical section and run `body` under it, or
-    /// return `None` when it is busy. Blocking mode takes its test-and-set
-    /// bit, released on return and on unwind. Lock-free mode installs the
-    /// running descriptor and runs `body` inline in its log, or helps
-    /// whoever holds the lock; every branch keys on committed reads, so all
-    /// runners agree.
-    pub(crate) fn try_lock_for_running<R>(&self, body: impl FnOnce() -> R) -> Option<R> {
+    /// Take this lock as a further lock of the running critical section
+    /// and run `body` under it, or return `None` when it is busy. Blocking
+    /// mode takes its test-and-set bit, released on return and on unwind.
+    /// Lock-free mode installs the running descriptor and runs `body`
+    /// inline in its log, or helps whoever holds the lock; every branch
+    /// keys on committed reads, so all runners agree.
+    fn try_lock_for_running<R>(&self, body: impl FnOnce() -> R) -> Option<R> {
         if lock_mode() == LockMode::Blocking {
             return self.blocking_try_lock(body);
         }
@@ -475,7 +540,7 @@ impl Lock {
                         if done || cur2 == mine {
                             // Runs, unlocks and disposes (`d` was created
                             // from a thunk returning `R`; we are pinned).
-                            return self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, None);
+                            return self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, &[]);
                         }
                         if cur2.is_locked() {
                             self.help(tc, cur2_packed, &guard);
@@ -491,9 +556,9 @@ impl Lock {
 
     // ---------------------------------------------------------- lock-free
 
-    /// `second`: the other lock word of a two-lock descriptor
-    /// ([`Lock::try_lock2`]), which the owner releases too.
-    fn lock_free_try_lock<R, F>(&self, thunk: F, second: Option<&Lock>) -> Option<R>
+    /// `rest`: the further words of a lock set ([`Lock::try_lock_set`]),
+    /// which the owner releases too.
+    fn lock_free_try_lock<R, F>(&self, thunk: F, rest: &[&Lock]) -> Option<R>
     where
         R: Send + 'static,
         F: Fn() -> R + Send + Sync + 'static,
@@ -553,7 +618,7 @@ impl Lock {
                 // is a replay: the log makes it recompute the identical
                 // result without re-applying effects. Runs, unlocks and
                 // disposes (we are pinned; `d`'s thunk returns `R`).
-                Some(self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, second))
+                Some(self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, rest))
             } else {
                 // Lines 23-26: someone else is (or was) in; help if locked.
                 if cur2.is_locked() {
@@ -582,9 +647,9 @@ impl Lock {
     /// the calling thread is pinned, and that `cur2_packed` is their
     /// committed read of the lock word after the install attempt (it showed
     /// `d` installed, or `d` is done); the run writes the
-    /// (replay-deterministic) result into a local slot. `second` is the
-    /// other word of a two-lock descriptor, released first (module docs,
-    /// "One descriptor on two lock words").
+    /// (replay-deterministic) result into a local slot. `rest` holds the
+    /// further words of a lock set, released first (module docs, "One
+    /// descriptor on a lock set").
     ///
     /// If a **previous** runner's execution of this thunk panicked
     /// (`thunk_panicked` set), the thunk is *not* replayed — its log may end
@@ -599,7 +664,7 @@ impl Lock {
         d: *const Descriptor,
         cur2_packed: u64,
         nested: bool,
-        second: Option<&Lock>,
+        rest: &[&Lock],
     ) -> R {
         if !nested {
             // An owner run starts here and ends in `dispose_after_run`,
@@ -617,7 +682,7 @@ impl Lock {
             // SAFETY: as above.
             unsafe { (*d).set_done() };
             // SAFETY: done; pinned (callers).
-            unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, second) };
+            unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, rest) };
             panic!("flock: critical section panicked during helped execution");
         }
         let mut out = std::mem::MaybeUninit::<R>::uninit();
@@ -643,7 +708,7 @@ impl Lock {
                 // SAFETY: as above.
                 unsafe { (*d).set_done() };
                 // SAFETY: done; pinned (callers).
-                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, second) };
+                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, rest) };
                 // SAFETY: `ctx::run_in` returned without unwinding, so it
                 // wrote `out`.
                 let r = unsafe { out.assume_init() };
@@ -665,18 +730,18 @@ impl Lock {
                     (*d).set_done();
                 }
                 // SAFETY: done; pinned (callers).
-                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, second) };
+                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, rest) };
                 std::mem::forget(abort);
                 std::panic::resume_unwind(payload)
             }
         }
     }
 
-    /// The tail of every arm of [`Lock::run_and_unlock_self`]: release
-    /// `second`, then this lock, and only then dispose of `d` — the dispose
-    /// reads `helped`, and that read must follow the release of every word
-    /// `d` was published on (module docs, "One descriptor on two lock
-    /// words").
+    /// The tail of every arm of [`Lock::run_and_unlock_self`]: release the
+    /// words of `rest` in reverse order, then this lock, and only then
+    /// dispose of `d` — the dispose reads `helped`, and that read must
+    /// follow the release of every word `d` was published on (module docs,
+    /// "One descriptor on a lock set").
     ///
     /// # Safety
     ///
@@ -687,36 +752,37 @@ impl Lock {
         d: *const Descriptor,
         cur2_packed: u64,
         nested: bool,
-        second: Option<&Lock>,
+        rest: &[&Lock],
     ) {
-        // The second word is read first (committed, like every lock-path
+        // Each extra word is read first (committed, like every lock-path
         // read) and released from that read iff it shows `d`: while `d` is
         // undisposed no other incarnation of its slab can be there, and a
         // helper releasing it concurrently CASes from the same word.
-        let release_second = || {
-            if let Some(second) = second {
-                second.release_self(tc, d, second.word.load_packed_in(tc));
+        let release = |words: &[&Lock]| {
+            for l in words.iter().rev() {
+                l.release_self(tc, d, l.word.load_packed_in(tc));
             }
         };
-        // Sanity-mutant hooks: the `helped` read moves in front of the
-        // second word's release, or that release is skipped.
+        // Sanity-mutant hooks: the `helped` read moves in front of the last
+        // word's release, or that release is skipped.
         #[cfg(feature = "model")]
-        if second.is_some() {
-            let early = crate::mutants::helped_before_second_release();
-            if early || crate::mutants::skip_second_release() {
+        if let Some((last, others)) = rest.split_last() {
+            let early = crate::mutants::helped_before_last_release();
+            if early || crate::mutants::skip_last_release() {
+                release(others);
                 self.release_self(tc, d, cur2_packed);
                 // SAFETY: forwarded contract; this arm exists only to be
                 // proven wrong by the checker.
                 unsafe { self.dispose_after_run(tc, d, nested) };
                 if early {
-                    release_second();
+                    release(std::slice::from_ref(last));
                 }
                 return;
             }
         }
-        release_second();
+        release(rest);
         self.release_self(tc, d, cur2_packed);
-        // SAFETY: neither word references `d` any more; pinned (contract).
+        // SAFETY: no word references `d` any more; pinned (contract).
         unsafe { self.dispose_after_run(tc, d, nested) };
     }
 
@@ -731,10 +797,10 @@ impl Lock {
     /// because `d` is done — a helper ran it to completion and released
     /// before that read — and nothing of ours is on the word: no CAS, no
     /// load, no log entry. The branch keys on a committed value, so runners
-    /// of an enclosing thunk stay log-position-synchronized. (The second
-    /// word of a two-lock descriptor is released the same way from the
-    /// owner's read after `done`; there "anything else" also covers an
-    /// install that never took.)
+    /// of an enclosing thunk stay log-position-synchronized. (The further
+    /// words of a lock set are released the same way from the owner's
+    /// reads after `done`; there "anything else" also covers an install
+    /// that never took.)
     #[inline]
     fn release_self(&self, tc: &ThreadCtx, d: *const Descriptor, cur2_packed: u64) {
         let mine = LockWord::locked_with(d);
@@ -1440,6 +1506,152 @@ mod tests {
         set_lock_mode(LockMode::LockFree);
     }
 
+    // ------------------------------------------------- three-lock sets
+
+    /// Three locks and a counter; the set's thunk holds the counter.
+    fn three_locks() -> (Lock, Lock, Lock, Arc<Mutable<u64>>) {
+        (
+            Lock::new(),
+            Lock::new(),
+            Lock::new(),
+            Arc::new(Mutable::new(0)),
+        )
+    }
+
+    /// An uncontended three-lock set hands nothing to the collector and,
+    /// after the first call, takes nothing from the allocator: one slab
+    /// holds all three words, out of the pool for exactly one set.
+    #[test]
+    fn uncontended_three_lock_set_retires_nothing_and_reuses_one_slab() {
+        let _t = ReuseTest::begin(true);
+        let (a, b, c, n) = three_locks();
+        let set = |body: fn(&Mutable<u64>) -> Vec<usize>| {
+            let n = Arc::clone(&n);
+            // SAFETY: nobody else touches these locks, so every runner of
+            // the thunk runs inside this call.
+            unsafe { a.try_lock_set([&b, &c], move || body(&n)) }
+        };
+        let (fresh0, retired0) = TALLY.get();
+        assert!(
+            set(|n| {
+                n.store(n.load() + 1);
+                Vec::new()
+            })
+            .is_some()
+        );
+        let slabs = pooled();
+        let (fresh1, _) = TALLY.get();
+        assert!(fresh1 - fresh0 <= 1, "more than one descriptor allocated");
+        let taken = &slabs[..slabs.len() - 1];
+        for _ in 0..1_000 {
+            let inside = set(|n| {
+                n.store(n.load() + 1);
+                pooled()
+            });
+            assert_eq!(inside.as_deref(), Some(taken), "not one slab taken");
+            assert_eq!(pooled(), slabs, "not the same slab back");
+        }
+        assert_eq!(TALLY.get(), (fresh1, retired0), "allocated or retired");
+        assert_eq!(n.load(), 1_001);
+        assert!(!a.is_locked() && !b.is_locked() && !c.is_locked());
+        assert_no_owner_run();
+    }
+
+    /// Panic safety for a set: a body that unwinds releases all three
+    /// words, in both modes, and the set works again afterwards.
+    #[test]
+    fn panic_in_three_lock_set_releases_all_three() {
+        both_modes(|| {
+            let (a, b, c, n) = three_locks();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // SAFETY: single-threaded; every runner runs in this call.
+                unsafe { a.try_lock_set([&b, &c], || -> u32 { panic!("set boom") }) }
+            }));
+            assert!(r.is_err(), "panic must propagate to the set's caller");
+            assert!(!a.is_locked(), "first word leaked by a panicking set");
+            assert!(!b.is_locked(), "second word leaked by a panicking set");
+            assert!(!c.is_locked(), "third word leaked by a panicking set");
+            let n2 = Arc::clone(&n);
+            // SAFETY: as above.
+            let got = unsafe { a.try_lock_set([&b, &c], move || n2.store(7)) };
+            assert_eq!(got, Some(()));
+            assert_eq!(n.load(), 7);
+            assert!(!a.is_locked() && !b.is_locked() && !c.is_locked());
+        });
+    }
+
+    /// A set nested in an outer `try_lock` takes `lock_free_try_lock`'s
+    /// nested path: both modes run the body under all four locks, every
+    /// lock ends released, and lock-free mode recycles the nested set's
+    /// descriptor through the owner's drain.
+    #[test]
+    fn three_lock_set_nested_in_try_lock() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for mode in [LockMode::LockFree, LockMode::Blocking] {
+            set_lock_mode(mode);
+            let outer = Lock::new();
+            let (a, b, c) = (
+                Arc::new(Lock::new()),
+                Arc::new(Lock::new()),
+                Arc::new(Lock::new()),
+            );
+            let n = Arc::new(Mutable::new(0u64));
+            let nested = || {
+                let (a, b, c, n) = (a.clone(), b.clone(), c.clone(), n.clone());
+                outer.try_lock(move || {
+                    let (b2, c2, n) = (b.clone(), c.clone(), n.clone());
+                    // SAFETY: the set's thunk holds `b` and `c`.
+                    unsafe {
+                        a.try_lock_set([&b, &c], move || {
+                            assert!(b2.is_locked() && c2.is_locked());
+                            n.store(n.load() + 1);
+                            n.load()
+                        })
+                    }
+                })
+            };
+            assert_eq!(nested(), Some(Some(1)));
+            let tally = TALLY.get();
+            assert_eq!(nested(), Some(Some(2)));
+            assert_eq!(TALLY.get(), tally, "allocated or retired ({mode:?})");
+            assert!(!outer.is_locked() && !a.is_locked() && !b.is_locked() && !c.is_locked());
+            assert_no_owner_run();
+        }
+        set_lock_mode(LockMode::LockFree);
+    }
+
+    /// A three-lock set's one descriptor commits exactly four lock-path
+    /// entries to its log mid-window — a read and a post-install read per
+    /// extra word — plus its body's own (here one load and one store), and
+    /// one more when the third word's install enters a tag window.
+    #[test]
+    #[cfg(not(feature = "model"))] // pins the production window width
+    fn three_lock_set_commits_four_lock_path_entries() {
+        use flock_sync::pack::TAG_WINDOW;
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
+        for enters in [false, true] {
+            let (a, b, c, n) = three_locks();
+            b.bump_tag();
+            for _ in 0..if enters { TAG_WINDOW - 1 } else { 1 } {
+                c.bump_tag();
+            }
+            n.store(0);
+            // SAFETY: every runner runs inside this call.
+            let last_pos = unsafe {
+                a.try_lock_set([&b, &c], move || {
+                    n.store(n.load() + 1);
+                    thread_ctx::with(|tc| tc.log_pos.get())
+                })
+            };
+            assert_eq!(
+                last_pos,
+                Some(4 + 2 + usize::from(enters)),
+                "enters = {enters}"
+            );
+        }
+    }
+
     /// A nested acquisition whose install fails never ran and was never on
     /// a lock word, but its pointer is in the outer log: it is deferred and
     /// recycled like any other. `lock_free_try_lock`'s nested steps are
@@ -1578,7 +1790,7 @@ mod tests {
             let cur2_packed = lock.word.load_packed_in(tc);
             // SAFETY: `d` is ours and undisposed.
             assert!(unsafe { (*d).is_done() });
-            let r = lock.run_and_unlock_self::<u64>(tc, d, cur2_packed, false, None);
+            let r = lock.run_and_unlock_self::<u64>(tc, d, cur2_packed, false, &[]);
             assert_eq!(r, 1, "the replay recomputes the committed result");
             assert_eq!(n.load(), 1, "and applies no effect twice");
             assert_eq!(

@@ -154,15 +154,15 @@ impl<T: Send + Sync + 'static> Locked<T> {
     /// `Some(r)` once `f` ran under both locks.
     ///
     /// One thunk is built per call, and it owns its handles — the first
-    /// cell's data, and the second cell, whose lock it takes before running
-    /// `f` — because helpers may run it after this call returned. That is
-    /// why the cells are taken as `&Arc<Self>`. In lock-free mode one
-    /// descriptor holds both lock words: it is installed on the first, its
-    /// thunk installs it on the second and runs `f` in the same log, and
-    /// its owner releases the second word and then the first, both after
-    /// the descriptor is done (`Lock`'s module docs, "One descriptor on two
-    /// lock words"). Blocking mode takes both test-and-set bits, each
-    /// released on return and on unwind.
+    /// cell's data, and the second cell, which keeps the second lock alive
+    /// — because helpers may run it after this call returned. That is why
+    /// the cells are taken as `&Arc<Self>`. The two locks are one lock set
+    /// ([`Lock::try_lock_set`]): in lock-free mode one descriptor holds
+    /// both lock words, its thunk installs it on the second and runs `f`
+    /// in the same log, and its owner releases the second word and then
+    /// the first, both after the descriptor is done (`Lock`'s module docs,
+    /// "One descriptor on a lock set"). Blocking mode takes both
+    /// test-and-set bits, each released on return and on unwind.
     ///
     /// # Panics
     ///
@@ -177,9 +177,13 @@ impl<T: Send + Sync + 'static> Locked<T> {
             "Locked::try_with2 requires two distinct cells"
         );
         let (first, second) = Self::in_lock_order(a, b);
-        first
-            .lock
-            .try_lock2(&second.lock, Self::pair_thunk(a, b, f))
+        // SAFETY: the thunk holds `second`, so the second lock outlives
+        // every runner.
+        unsafe {
+            first
+                .lock
+                .try_lock_set([&second.lock], Self::pair_thunk(a, b, f))
+        }
     }
 
     /// `a` and `b` in the order `try_with2` locks them: by address.
@@ -191,16 +195,16 @@ impl<T: Send + Sync + 'static> Locked<T> {
         }
     }
 
-    /// `try_with2`'s thunk, built once per call: take the second cell's
-    /// lock for the running critical section, then run `f` over `a`'s and
+    /// `try_with2`'s thunk, built once per call: run `f` over `a`'s and
     /// `b`'s data. It holds two handles — the first cell's data, and the
-    /// second cell for its lock and its data — not three: every reference
-    /// count it takes is one more locked RMW on an account's cache line.
+    /// second cell, whose lock the set takes and whose data `f` reads —
+    /// not three: every reference count it takes is one more locked RMW on
+    /// an account's cache line.
     fn pair_thunk<R, F>(
         a: &Arc<Self>,
         b: &Arc<Self>,
         f: F,
-    ) -> impl Fn() -> Option<R> + Send + Sync + 'static
+    ) -> impl Fn() -> R + Send + Sync + 'static
     where
         R: Send + 'static,
         F: Fn(&T, &T) -> R + Send + Sync + 'static,
@@ -209,13 +213,11 @@ impl<T: Send + Sync + 'static> Locked<T> {
         let a_first = Arc::ptr_eq(first, a);
         let (first, second) = (Arc::clone(&first.data), Arc::clone(second));
         move || {
-            second.lock.try_lock_for_running(|| {
-                if a_first {
-                    f(&first, &second.data)
-                } else {
-                    f(&second.data, &first)
-                }
-            })
+            if a_first {
+                f(&first, &second.data)
+            } else {
+                f(&second.data, &first)
+            }
         }
     }
 }

@@ -50,21 +50,22 @@ pub(crate) fn recycle_helped_nested() -> bool {
     RECYCLE_HELPED_NESTED.load(Ordering::Relaxed)
 }
 
-/// Read `helped` (dispose) before releasing the second word of a two-lock
-/// descriptor: a helper arriving through the second word marks the
-/// descriptor after the owner's read and still revalidates against the
-/// unreleased word, so it runs a descriptor the owner has reset.
-pub static HELPED_BEFORE_SECOND_RELEASE: AtomicBool = AtomicBool::new(false);
+/// Read `helped` (dispose) before releasing the last word of a lock set:
+/// a helper arriving through that word marks the descriptor after the
+/// owner's read and still revalidates against the unreleased word, so it
+/// runs a descriptor the owner has reset.
+pub static HELPED_BEFORE_LAST_RELEASE: AtomicBool = AtomicBool::new(false);
 
-pub(crate) fn helped_before_second_release() -> bool {
-    HELPED_BEFORE_SECOND_RELEASE.load(Ordering::Relaxed)
+pub(crate) fn helped_before_last_release() -> bool {
+    HELPED_BEFORE_LAST_RELEASE.load(Ordering::Relaxed)
 }
 
-/// Skip the owner's release of the second word of a two-lock descriptor:
-/// unless a helper happened to come through that word, it stays locked
-/// after the transfer returned.
-pub static SKIP_SECOND_RELEASE: AtomicBool = AtomicBool::new(false);
+/// Skip the owner's release of the last word of a lock set (the second
+/// word of a two-lock set, the third of a three-lock one): unless a helper
+/// happened to come through that word, it stays locked after the set's
+/// critical section returned.
+pub static SKIP_LAST_RELEASE: AtomicBool = AtomicBool::new(false);
 
-pub(crate) fn skip_second_release() -> bool {
-    SKIP_SECOND_RELEASE.load(Ordering::Relaxed)
+pub(crate) fn skip_last_release() -> bool {
+    SKIP_LAST_RELEASE.load(Ordering::Relaxed)
 }

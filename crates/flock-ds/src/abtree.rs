@@ -193,84 +193,71 @@ impl<K: Key, V: Value> ABTree<K, V> {
     ) -> Option<bool> {
         let (sp_g, sp_p, sp_c) = (Sp(g), Sp(p), Sp(c));
         let k2 = k.clone();
-        // SAFETY: pinned caller.
-        let outcome = unsafe { &*g }.lock.try_lock(move || {
+        let split = move || {
             // SAFETY: thunk runners hold epoch protection.
-            let p_ref = unsafe { sp_p.as_ref() };
-            let k3 = k2.clone();
-            p_ref.lock.try_lock(move || {
-                // SAFETY: as above.
-                let c_ref = unsafe { sp_c.as_ref() };
-                let k4 = k3.clone();
-                c_ref.lock.try_lock(move || {
-                    // SAFETY: as above.
-                    let g = unsafe { sp_g.as_ref() };
-                    let p = unsafe { sp_p.as_ref() };
-                    let c = unsafe { sp_c.as_ref() };
-                    if g.removed.load() || p.removed.load() || c.removed.load() {
-                        return false;
-                    }
-                    if !c.is_full() || p.is_full() {
-                        return false; // stale plan; caller restarts
-                    }
-                    // Validate links (find c's slot in p, p's slot in g).
-                    let gi = g.route(&k4);
-                    if g.children[gi].load() != sp_p.ptr() {
-                        return false;
-                    }
-                    let pi = p.route(&k4);
-                    if p.children[pi].load() != sp_c.ptr() {
-                        return false;
-                    }
-                    // Build the two halves of c. c's child cells are stable
-                    // because we hold c's lock.
-                    let mid = c.keys.len() / 2;
-                    let (sep, left_ptr, right_ptr);
-                    if c.is_leaf {
-                        let entries = c.leaf_entries();
-                        sep = entries[mid].0.clone();
-                        let lo = entries[..mid].to_vec();
-                        let hi = entries[mid..].to_vec();
-                        left_ptr = flock_core::alloc(move || Node::leaf(&lo));
-                        right_ptr = flock_core::alloc(move || Node::leaf(&hi));
-                    } else {
-                        let seps = c.separators();
-                        let kids = c.child_ptrs();
-                        sep = seps[mid].clone();
-                        let lsep = seps[..mid].to_vec();
-                        let lkid = kids[..=mid].to_vec();
-                        let rsep = seps[mid + 1..].to_vec();
-                        let rkid = kids[mid + 1..].to_vec();
-                        let (lk, rk) = (SendPtrs(lkid), SendPtrs(rkid));
-                        left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lk.0));
-                        right_ptr = flock_core::alloc(move || Node::internal(&rsep, &rk.0));
-                    }
-                    // New p with the separator spliced in at position pi.
-                    let mut nseps = p.separators();
-                    let mut nkids = p.child_ptrs();
-                    nseps.insert(pi, sep);
-                    nkids[pi] = left_ptr;
-                    nkids.insert(pi + 1, right_ptr);
-                    let nk = SendPtrs(nkids);
-                    let new_p = flock_core::alloc(move || Node::internal(&nseps, &nk.0));
-                    p.removed.store(true);
-                    c.removed.store(true);
-                    g.children[gi].store(new_p);
-                    // SAFETY: p and c are replaced/unlinked; idempotent
-                    // retires fire once each.
-                    unsafe {
-                        flock_core::retire(sp_p.ptr());
-                        flock_core::retire(sp_c.ptr());
-                    }
-                    true
-                })
-            })
-        });
-        // Flatten the three lock layers: any missing layer is "busy".
-        match outcome {
-            Some(Some(Some(applied))) => Some(applied),
-            _ => None,
-        }
+            let g = unsafe { sp_g.as_ref() };
+            let p = unsafe { sp_p.as_ref() };
+            let c = unsafe { sp_c.as_ref() };
+            if g.removed.load() || p.removed.load() || c.removed.load() {
+                return false;
+            }
+            if !c.is_full() || p.is_full() {
+                return false; // stale plan; caller restarts
+            }
+            // Validate links (find c's slot in p, p's slot in g).
+            let gi = g.route(&k2);
+            if g.children[gi].load() != sp_p.ptr() {
+                return false;
+            }
+            let pi = p.route(&k2);
+            if p.children[pi].load() != sp_c.ptr() {
+                return false;
+            }
+            // Build the two halves of c. c's child cells are stable
+            // because we hold c's lock.
+            let mid = c.keys.len() / 2;
+            let (sep, left_ptr, right_ptr);
+            if c.is_leaf {
+                let entries = c.leaf_entries();
+                sep = entries[mid].0.clone();
+                let lo = entries[..mid].to_vec();
+                let hi = entries[mid..].to_vec();
+                left_ptr = flock_core::alloc(move || Node::leaf(&lo));
+                right_ptr = flock_core::alloc(move || Node::leaf(&hi));
+            } else {
+                let seps = c.separators();
+                let kids = c.child_ptrs();
+                sep = seps[mid].clone();
+                let lsep = seps[..mid].to_vec();
+                let lkid = kids[..=mid].to_vec();
+                let rsep = seps[mid + 1..].to_vec();
+                let rkid = kids[mid + 1..].to_vec();
+                let (lk, rk) = (SendPtrs(lkid), SendPtrs(rkid));
+                left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lk.0));
+                right_ptr = flock_core::alloc(move || Node::internal(&rsep, &rk.0));
+            }
+            // New p with the separator spliced in at position pi.
+            let mut nseps = p.separators();
+            let mut nkids = p.child_ptrs();
+            nseps.insert(pi, sep);
+            nkids[pi] = left_ptr;
+            nkids.insert(pi + 1, right_ptr);
+            let nk = SendPtrs(nkids);
+            let new_p = flock_core::alloc(move || Node::internal(&nseps, &nk.0));
+            p.removed.store(true);
+            c.removed.store(true);
+            g.children[gi].store(new_p);
+            // SAFETY: p and c are replaced/unlinked; idempotent
+            // retires fire once each.
+            unsafe {
+                flock_core::retire(sp_p.ptr());
+                flock_core::retire(sp_c.ptr());
+            }
+            true
+        };
+        // SAFETY: pinned caller; runners adopt its epoch, so all three
+        // locks outlive them.
+        unsafe { (*g).lock.try_lock_set([&(*p).lock, &(*c).lock], split) }
     }
 
     /// Insert; `false` if present.
@@ -359,53 +346,47 @@ impl<K: Key, V: Value> ABTree<K, V> {
     /// otherwise.
     fn split_root(&self, root: *mut Node<K, V>) -> Option<bool> {
         let (sp_a, sp_r) = (Sp(self.anchor), Sp(root));
-        // SAFETY: pinned caller; anchor immutable.
-        let outcome = unsafe { &*self.anchor }.lock.try_lock(move || {
+        let split = move || {
             // SAFETY: thunk runners hold epoch protection.
-            let r_ref = unsafe { sp_r.as_ref() };
-            r_ref.lock.try_lock(move || {
-                // SAFETY: as above.
-                let a = unsafe { sp_a.as_ref() };
-                let r = unsafe { sp_r.as_ref() };
-                if a.children[0].load() != sp_r.ptr() || !r.is_full() || r.removed.load() {
-                    return false;
-                }
-                let mid = r.keys.len() / 2;
-                let (sep, left_ptr, right_ptr);
-                if r.is_leaf {
-                    let entries = r.leaf_entries();
-                    sep = entries[mid].0.clone();
-                    let lo = entries[..mid].to_vec();
-                    let hi = entries[mid..].to_vec();
-                    left_ptr = flock_core::alloc(move || Node::leaf(&lo));
-                    right_ptr = flock_core::alloc(move || Node::leaf(&hi));
-                } else {
-                    // Child cells stable: we hold the root's lock.
-                    let seps = r.separators();
-                    let kids = r.child_ptrs();
-                    sep = seps[mid].clone();
-                    let lsep = seps[..mid].to_vec();
-                    let lkid = SendPtrs(kids[..=mid].to_vec());
-                    let rsep = seps[mid + 1..].to_vec();
-                    let rkid = SendPtrs(kids[mid + 1..].to_vec());
-                    left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lkid.0));
-                    right_ptr = flock_core::alloc(move || Node::internal(&rsep, &rkid.0));
-                }
-                let sep2 = sep.clone();
-                let new_root = flock_core::alloc(move || {
-                    Node::internal(std::slice::from_ref(&sep2), &[left_ptr, right_ptr])
-                });
-                r.removed.store(true);
-                a.children[0].store(new_root);
-                // SAFETY: replaced above; idempotent retire.
-                unsafe { flock_core::retire(sp_r.ptr()) };
-                true
-            })
-        });
-        match outcome {
-            Some(Some(applied)) => Some(applied),
-            _ => None,
-        }
+            let a = unsafe { sp_a.as_ref() };
+            let r = unsafe { sp_r.as_ref() };
+            if a.children[0].load() != sp_r.ptr() || !r.is_full() || r.removed.load() {
+                return false;
+            }
+            let mid = r.keys.len() / 2;
+            let (sep, left_ptr, right_ptr);
+            if r.is_leaf {
+                let entries = r.leaf_entries();
+                sep = entries[mid].0.clone();
+                let lo = entries[..mid].to_vec();
+                let hi = entries[mid..].to_vec();
+                left_ptr = flock_core::alloc(move || Node::leaf(&lo));
+                right_ptr = flock_core::alloc(move || Node::leaf(&hi));
+            } else {
+                // Child cells stable: we hold the root's lock.
+                let seps = r.separators();
+                let kids = r.child_ptrs();
+                sep = seps[mid].clone();
+                let lsep = seps[..mid].to_vec();
+                let lkid = SendPtrs(kids[..=mid].to_vec());
+                let rsep = seps[mid + 1..].to_vec();
+                let rkid = SendPtrs(kids[mid + 1..].to_vec());
+                left_ptr = flock_core::alloc(move || Node::internal(&lsep, &lkid.0));
+                right_ptr = flock_core::alloc(move || Node::internal(&rsep, &rkid.0));
+            }
+            let sep2 = sep.clone();
+            let new_root = flock_core::alloc(move || {
+                Node::internal(std::slice::from_ref(&sep2), &[left_ptr, right_ptr])
+            });
+            r.removed.store(true);
+            a.children[0].store(new_root);
+            // SAFETY: replaced above; idempotent retire.
+            unsafe { flock_core::retire(sp_r.ptr()) };
+            true
+        };
+        // SAFETY: pinned caller; the anchor lives as long as the tree, and
+        // runners adopt the caller's epoch, so the root outlives them.
+        unsafe { (*self.anchor).lock.try_lock_set([&(*root).lock], split) }
     }
 
     /// Remove; `false` if absent.
@@ -427,29 +408,26 @@ impl<K: Key, V: Value> ABTree<K, V> {
                 // Shrink by copy. (A root leaf may become empty.)
                 let (sp_p, sp_l) = (Sp(parent), Sp(leaf));
                 let k2 = k.clone();
-                parent_ref
-                    .lock
-                    .try_lock(move || {
-                        // SAFETY: thunk runners hold epoch protection.
-                        let p = unsafe { sp_p.as_ref() };
-                        let l = unsafe { sp_l.as_ref() };
-                        if p.removed.load() {
-                            return false;
-                        }
-                        let slot = p.route(&k2);
-                        if p.children[slot].load() != sp_l.ptr() {
-                            return false;
-                        }
-                        let Some(pos) = l.find(&k2) else { return false };
-                        let mut entries = l.leaf_entries();
-                        entries.remove(pos);
-                        let newl = flock_core::alloc(move || Node::leaf(&entries));
-                        p.children[slot].store(newl);
-                        // SAFETY: replaced above; idempotent retire.
-                        unsafe { flock_core::retire(sp_l.ptr()) };
-                        true
-                    })
-                    .map(Some)
+                parent_ref.lock.try_lock(move || {
+                    // SAFETY: thunk runners hold epoch protection.
+                    let p = unsafe { sp_p.as_ref() };
+                    let l = unsafe { sp_l.as_ref() };
+                    if p.removed.load() {
+                        return false;
+                    }
+                    let slot = p.route(&k2);
+                    if p.children[slot].load() != sp_l.ptr() {
+                        return false;
+                    }
+                    let Some(pos) = l.find(&k2) else { return false };
+                    let mut entries = l.leaf_entries();
+                    entries.remove(pos);
+                    let newl = flock_core::alloc(move || Node::leaf(&entries));
+                    p.children[slot].store(newl);
+                    // SAFETY: replaced above; idempotent retire.
+                    unsafe { flock_core::retire(sp_l.ptr()) };
+                    true
+                })
             } else {
                 // Leaf will become empty: splice it and its separator out of
                 // the parent (replace the parent), under g → p locks. If the
@@ -457,58 +435,55 @@ impl<K: Key, V: Value> ABTree<K, V> {
                 let g = path[path.len() - 3];
                 let (sp_g, sp_p, sp_l) = (Sp(g), Sp(parent), Sp(leaf));
                 let k2 = k.clone();
-                // SAFETY: pinned.
-                unsafe { &*g }.lock.try_lock(move || {
+                let splice = move || {
                     // SAFETY: thunk runners hold epoch protection.
+                    let g = unsafe { sp_g.as_ref() };
                     let p = unsafe { sp_p.as_ref() };
-                    let k3 = k2.clone();
-                    p.lock.try_lock(move || {
-                        // SAFETY: as above.
-                        let g = unsafe { sp_g.as_ref() };
-                        let p = unsafe { sp_p.as_ref() };
-                        let l = unsafe { sp_l.as_ref() };
-                        if g.removed.load() || p.removed.load() {
-                            return false;
-                        }
-                        let gi = g.route(&k3);
-                        if g.children[gi].load() != sp_p.ptr() {
-                            return false;
-                        }
-                        let pi = p.route(&k3);
-                        if p.children[pi].load() != sp_l.ptr() {
-                            return false;
-                        }
-                        if l.find(&k3).is_none() || l.keys.len() != 1 {
-                            return false;
-                        }
-                        let mut seps = p.separators();
-                        let mut kids = p.child_ptrs();
-                        kids.remove(pi);
-                        seps.remove(if pi == 0 { 0 } else { pi - 1 });
-                        let replacement = if seps.is_empty() {
-                            kids[0] // hoist the single remaining child
-                        } else {
-                            let nk = SendPtrs(kids);
-                            flock_core::alloc(move || Node::internal(&seps, &nk.0))
-                        };
-                        p.removed.store(true);
-                        g.children[gi].store(replacement);
-                        // SAFETY: p and l unlinked; idempotent retires.
-                        unsafe {
-                            flock_core::retire(sp_p.ptr());
-                            flock_core::retire(sp_l.ptr());
-                        }
-                        true
-                    })
-                })
+                    let l = unsafe { sp_l.as_ref() };
+                    if g.removed.load() || p.removed.load() {
+                        return false;
+                    }
+                    let gi = g.route(&k2);
+                    if g.children[gi].load() != sp_p.ptr() {
+                        return false;
+                    }
+                    let pi = p.route(&k2);
+                    if p.children[pi].load() != sp_l.ptr() {
+                        return false;
+                    }
+                    if l.find(&k2).is_none() || l.keys.len() != 1 {
+                        return false;
+                    }
+                    let mut seps = p.separators();
+                    let mut kids = p.child_ptrs();
+                    kids.remove(pi);
+                    seps.remove(if pi == 0 { 0 } else { pi - 1 });
+                    let replacement = if seps.is_empty() {
+                        kids[0] // hoist the single remaining child
+                    } else {
+                        let nk = SendPtrs(kids);
+                        flock_core::alloc(move || Node::internal(&seps, &nk.0))
+                    };
+                    p.removed.store(true);
+                    g.children[gi].store(replacement);
+                    // SAFETY: p and l unlinked; idempotent retires.
+                    unsafe {
+                        flock_core::retire(sp_p.ptr());
+                        flock_core::retire(sp_l.ptr());
+                    }
+                    true
+                };
+                // SAFETY: pinned; runners adopt this epoch, so both locks
+                // outlive them.
+                unsafe { (*g).lock.try_lock_set([&parent_ref.lock], splice) }
             };
             match outcome {
-                Some(Some(true)) => {
+                Some(true) => {
                     self.count.dec();
                     return true;
                 }
-                Some(Some(false)) => {} // validation failed: replan now
-                _ => backoff.snooze(),  // a lock on the path was busy
+                Some(false) => {}         // validation failed: replan now
+                None => backoff.snooze(), // a lock on the path was busy
             }
         }
     }

@@ -775,60 +775,52 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         let b = byte_at(r, depth);
         let (sp_p, sp_n) = (Sp(parent), Sp(node));
         let (k2, v2) = (k.clone(), v.clone());
-        // SAFETY: pinned caller.
-        let outcome = unsafe { &*parent }.lock.try_lock(move || {
+        let upgrade = move || {
             // SAFETY: thunk runners hold epoch protection.
-            let n_ref = unsafe { sp_n.as_ref() };
+            let p = unsafe { sp_p.as_ref() };
+            let n = unsafe { sp_n.as_ref() };
+            if p.removed.load() || n.removed.load() {
+                return false;
+            }
+            let Some(pslot) = p.slot_of(pb) else {
+                return false;
+            };
+            if p.children[pslot].load() != tag_node(sp_n.ptr()) {
+                return false; // validate the link
+            }
+            if n.lookup(b) != 0 || n.slot_of(b).is_some() || !matches!(n.kind, N4 | N16 | N48) {
+                return false; // stale plan
+            }
+            // Build the compacted, larger copy with the new leaf. The
+            // leaf is its own idempotent alloc: nested inside the
+            // node's init closure it would leak once per replayed run.
+            let entries = n.live_entries();
+            let new_kind = ArtNode::kind_for(entries.len() + 1);
+            let entries2 = entries.clone();
             let (k3, v3) = (k2.clone(), v2.clone());
-            n_ref.lock.try_lock(move || {
-                // SAFETY: as above.
-                let p = unsafe { sp_p.as_ref() };
-                let n = unsafe { sp_n.as_ref() };
-                if p.removed.load() || n.removed.load() {
-                    return false;
-                }
-                let Some(pslot) = p.slot_of(pb) else {
-                    return false;
-                };
-                if p.children[pslot].load() != tag_node(sp_n.ptr()) {
-                    return false; // validate the link
-                }
-                if n.lookup(b) != 0 || n.slot_of(b).is_some() || !matches!(n.kind, N4 | N16 | N48) {
-                    return false; // stale plan
-                }
-                // Build the compacted, larger copy with the new leaf. The
-                // leaf is its own idempotent alloc: nested inside the
-                // node's init closure it would leak once per replayed run.
-                let entries = n.live_entries();
-                let new_kind = ArtNode::kind_for(entries.len() + 1);
-                let entries2 = entries.clone();
-                let (k4, v4) = (k3.clone(), v3.clone());
-                let leaf = flock_core::alloc(|| ArtLeaf {
-                    key: k4.clone(),
-                    value: ValueSlot::new(v4.clone()),
-                });
-                let bigger = flock_core::alloc(move || {
-                    let fresh = ArtNode::new(new_kind);
-                    for (eb, ec) in &entries2 {
-                        let added = fresh.try_add(*eb, *ec);
-                        debug_assert!(added);
-                    }
-                    let added = fresh.try_add(b, tag_leaf(leaf));
+            let leaf = flock_core::alloc(|| ArtLeaf {
+                key: k3.clone(),
+                value: ValueSlot::new(v3.clone()),
+            });
+            let bigger = flock_core::alloc(move || {
+                let fresh = ArtNode::new(new_kind);
+                for (eb, ec) in &entries2 {
+                    let added = fresh.try_add(*eb, *ec);
                     debug_assert!(added);
-                    fresh
-                });
-                n.removed.store(true);
-                p.children[pslot].store(tag_node(bigger));
-                // SAFETY: replaced above; idempotent retire.
-                unsafe { flock_core::retire(sp_n.ptr()) };
-                true
-            })
-        });
-        // Flatten the two lock layers: any missing layer is "busy".
-        match outcome {
-            Some(Some(applied)) => Some(applied),
-            _ => None,
-        }
+                }
+                let added = fresh.try_add(b, tag_leaf(leaf));
+                debug_assert!(added);
+                fresh
+            });
+            n.removed.store(true);
+            p.children[pslot].store(tag_node(bigger));
+            // SAFETY: replaced above; idempotent retire.
+            unsafe { flock_core::retire(sp_n.ptr()) };
+            true
+        };
+        // SAFETY: pinned caller; runners adopt its epoch, so both locks
+        // outlive them.
+        unsafe { (*parent).lock.try_lock_set([&(*node).lock], upgrade) }
     }
 
     /// Replace existing leaf `c` (child of `node` at `depth`) with a chain

@@ -245,33 +245,32 @@ impl<K: Key, V: Value> DList<K, V> {
             // SAFETY: epoch-pinned.
             let prev_ref = unsafe { &*prev };
             let (sp_prev, sp_lnk) = (Sp(prev), Sp(lnk));
-            match prev_ref.lock.try_lock(move || {
+            let unlink = move || {
                 // SAFETY: see insert's thunk.
+                let p = unsafe { sp_prev.as_ref() };
                 let l = unsafe { sp_lnk.as_ref() };
-                l.lock.try_lock(move || {
-                    // SAFETY: as above.
-                    let p = unsafe { sp_prev.as_ref() };
-                    let l = unsafe { sp_lnk.as_ref() };
-                    if p.removed.load() || p.next.load() != sp_lnk.ptr() {
-                        return false; // validate
-                    }
-                    let next = l.next.load();
-                    l.removed.store(true);
-                    p.next.store(next); // splice out
-                    // SAFETY: next is a live link (reachable until now).
-                    unsafe { (*next).prev.store(sp_prev.ptr()) };
-                    // SAFETY: l is unlinked above; retired exactly once
-                    // thanks to the idempotent retire.
-                    unsafe { flock_core::retire(sp_lnk.ptr()) };
-                    true
-                })
-            }) {
-                Some(Some(true)) => {
+                if p.removed.load() || p.next.load() != sp_lnk.ptr() {
+                    return false; // validate
+                }
+                let next = l.next.load();
+                l.removed.store(true);
+                p.next.store(next); // splice out
+                // SAFETY: next is a live link (reachable until now).
+                unsafe { (*next).prev.store(sp_prev.ptr()) };
+                // SAFETY: l is unlinked above; retired exactly once
+                // thanks to the idempotent retire.
+                unsafe { flock_core::retire(sp_lnk.ptr()) };
+                true
+            };
+            // SAFETY: epoch-pinned; runners adopt this epoch, so both locks
+            // outlive them.
+            match unsafe { prev_ref.lock.try_lock_set([&lnk_ref.lock], unlink) } {
+                Some(true) => {
                     self.count.dec();
                     return true;
                 }
-                Some(Some(false)) => {} // validation failed: re-traverse now
-                _ => backoff.snooze(),  // predecessor or victim lock busy
+                Some(false) => {}         // validation failed: re-traverse now
+                None => backoff.snooze(), // predecessor or victim lock busy
             }
         }
     }

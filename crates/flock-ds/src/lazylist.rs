@@ -182,30 +182,29 @@ impl<K: Key, V: Value> LazyList<K, V> {
                 return false;
             }
             let (sp_pred, sp_curr) = (Sp(pred), Sp(curr));
-            // SAFETY: epoch-pinned.
-            match unsafe { &*pred }.lock.try_lock(move || {
+            let unlink = move || {
                 // SAFETY: see insert.
+                let p = unsafe { sp_pred.as_ref() };
                 let c = unsafe { sp_curr.as_ref() };
-                c.lock.try_lock(move || {
-                    // SAFETY: as above.
-                    let p = unsafe { sp_pred.as_ref() };
-                    let c = unsafe { sp_curr.as_ref() };
-                    if p.removed.load() || p.next.load() != sp_curr.ptr() || c.removed.load() {
-                        return false; // validate
-                    }
-                    c.removed.store(true); // logical delete
-                    p.next.store(c.next.load()); // physical delete
-                    // SAFETY: unlinked above; idempotent retire fires once.
-                    unsafe { flock_core::retire(sp_curr.ptr()) };
-                    true
-                })
-            }) {
-                Some(Some(true)) => {
+                if p.removed.load() || p.next.load() != sp_curr.ptr() || c.removed.load() {
+                    return false; // validate
+                }
+                c.removed.store(true); // logical delete
+                p.next.store(c.next.load()); // physical delete
+                // SAFETY: unlinked above; idempotent retire fires once.
+                unsafe { flock_core::retire(sp_curr.ptr()) };
+                true
+            };
+            // SAFETY: epoch-pinned; runners adopt this epoch, so both locks
+            // outlive them.
+            let outcome = unsafe { (*pred).lock.try_lock_set([&curr_ref.lock], unlink) };
+            match outcome {
+                Some(true) => {
                     self.count.dec();
                     return true;
                 }
-                Some(Some(false)) => {} // validation failed: re-search now
-                _ => backoff.snooze(),  // predecessor or victim lock busy
+                Some(false) => {}         // validation failed: re-search now
+                None => backoff.snooze(), // predecessor or victim lock busy
             }
         }
     }

@@ -282,84 +282,73 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         c: *mut Node<K, V>,
     ) -> Option<bool> {
         let (sp_g, sp_p, sp_c) = (Sp(g), Sp(p), Sp(c));
-        // SAFETY: pinned by fix_priorities' caller.
-        let outcome = unsafe { &*g }.lock.try_lock(move || {
+        let rotate = move || {
             // SAFETY: thunk runners hold epoch protection.
-            let p_ref = unsafe { sp_p.as_ref() };
-            p_ref.lock.try_lock(move || {
-                // SAFETY: as above.
-                let c_ref2 = unsafe { sp_c.as_ref() };
-                c_ref2.lock.try_lock(move || {
-                    // SAFETY: as above.
-                    let g = unsafe { sp_g.as_ref() };
-                    let p = unsafe { sp_p.as_ref() };
-                    let c = unsafe { sp_c.as_ref() };
-                    if g.removed.load() || p.removed.load() || c.removed.load() {
-                        return false;
-                    }
-                    let gcell = if g.left.load() == sp_p.ptr() {
-                        &g.left
-                    } else if g.right.load() == sp_p.ptr() {
-                        &g.right
-                    } else {
-                        return false;
-                    };
-                    let c_is_left = if p.left.load() == sp_c.ptr() {
-                        true
-                    } else if p.right.load() == sp_c.ptr() {
-                        false
-                    } else {
-                        return false;
-                    };
-                    if c.prio <= p.prio {
-                        return false; // already fixed by someone else
-                    }
-                    let pk = p.key.clone().expect("non-root internal has a key");
-                    let ck = c.key.clone().expect("non-root internal has a key");
-                    let (cl, cr) = (c.left.load(), c.right.load());
-                    let p_other = if c_is_left {
-                        p.right.load()
-                    } else {
-                        p.left.load()
-                    };
-                    // Two separate idempotent allocs (see insert's split):
-                    // a nested plain alloc would leak `new_p` per replay.
-                    let pk2 = pk.clone();
-                    let new_p = flock_core::alloc(move || {
-                        if c_is_left {
-                            // Right rotation: p' = (pk, c.right, p.right).
-                            Node::internal(pk2.clone(), cr, p_other)
-                        } else {
-                            // Left rotation: p' = (pk, p.left, c.left).
-                            Node::internal(pk2.clone(), p_other, cl)
-                        }
-                    });
-                    let new_top = flock_core::alloc(move || {
-                        if c_is_left {
-                            // c' = (ck, c.left, p').
-                            Node::internal(ck.clone(), cl, new_p)
-                        } else {
-                            // c' = (ck, p', c.right).
-                            Node::internal(ck.clone(), new_p, cr)
-                        }
-                    });
-                    p.removed.store(true);
-                    c.removed.store(true);
-                    gcell.store(new_top);
-                    // SAFETY: both replaced above; idempotent retires.
-                    unsafe {
-                        flock_core::retire(sp_p.ptr());
-                        flock_core::retire(sp_c.ptr());
-                    }
-                    true
-                })
-            })
-        });
-        // Flatten the three lock layers: any missing layer is "busy".
-        match outcome {
-            Some(Some(Some(rotated))) => Some(rotated),
-            _ => None,
-        }
+            let g = unsafe { sp_g.as_ref() };
+            let p = unsafe { sp_p.as_ref() };
+            let c = unsafe { sp_c.as_ref() };
+            if g.removed.load() || p.removed.load() || c.removed.load() {
+                return false;
+            }
+            let gcell = if g.left.load() == sp_p.ptr() {
+                &g.left
+            } else if g.right.load() == sp_p.ptr() {
+                &g.right
+            } else {
+                return false;
+            };
+            let c_is_left = if p.left.load() == sp_c.ptr() {
+                true
+            } else if p.right.load() == sp_c.ptr() {
+                false
+            } else {
+                return false;
+            };
+            if c.prio <= p.prio {
+                return false; // already fixed by someone else
+            }
+            let pk = p.key.clone().expect("non-root internal has a key");
+            let ck = c.key.clone().expect("non-root internal has a key");
+            let (cl, cr) = (c.left.load(), c.right.load());
+            let p_other = if c_is_left {
+                p.right.load()
+            } else {
+                p.left.load()
+            };
+            // Two separate idempotent allocs (see insert's split):
+            // a nested plain alloc would leak `new_p` per replay.
+            let pk2 = pk.clone();
+            let new_p = flock_core::alloc(move || {
+                if c_is_left {
+                    // Right rotation: p' = (pk, c.right, p.right).
+                    Node::internal(pk2.clone(), cr, p_other)
+                } else {
+                    // Left rotation: p' = (pk, p.left, c.left).
+                    Node::internal(pk2.clone(), p_other, cl)
+                }
+            });
+            let new_top = flock_core::alloc(move || {
+                if c_is_left {
+                    // c' = (ck, c.left, p').
+                    Node::internal(ck.clone(), cl, new_p)
+                } else {
+                    // c' = (ck, p', c.right).
+                    Node::internal(ck.clone(), new_p, cr)
+                }
+            });
+            p.removed.store(true);
+            c.removed.store(true);
+            gcell.store(new_top);
+            // SAFETY: both replaced above; idempotent retires.
+            unsafe {
+                flock_core::retire(sp_p.ptr());
+                flock_core::retire(sp_c.ptr());
+            }
+            true
+        };
+        // SAFETY: pinned by fix_priorities' caller; runners adopt that
+        // epoch, so all three locks outlive them.
+        unsafe { (*g).lock.try_lock_set([&(*p).lock, &(*c).lock], rotate) }
     }
 
     /// Remove; `false` if absent.
@@ -379,78 +368,72 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                 let (sp_p, sp_l) = (Sp(parent), Sp(leaf));
                 let k2 = k.clone();
                 // SAFETY: epoch-pinned.
-                unsafe { &*parent }
-                    .lock
-                    .try_lock(move || {
-                        // SAFETY: thunk runners hold epoch protection.
-                        let p = unsafe { sp_p.as_ref() };
-                        let l = unsafe { sp_l.as_ref() };
-                        let cell = p.child_for(&k2);
-                        if p.removed.load() || cell.load() != sp_l.ptr() {
-                            return false;
-                        }
-                        let Some(pos) = l.find(&k2) else { return false };
-                        let mut entries = l.entries_snapshot();
-                        entries.remove(pos);
-                        let newl = flock_core::alloc(move || Node::leaf(&entries));
-                        cell.store(newl);
-                        // SAFETY: unlinked above; idempotent retire.
-                        unsafe { flock_core::retire(sp_l.ptr()) };
-                        true
-                    })
-                    .map(Some)
+                unsafe { &*parent }.lock.try_lock(move || {
+                    // SAFETY: thunk runners hold epoch protection.
+                    let p = unsafe { sp_p.as_ref() };
+                    let l = unsafe { sp_l.as_ref() };
+                    let cell = p.child_for(&k2);
+                    if p.removed.load() || cell.load() != sp_l.ptr() {
+                        return false;
+                    }
+                    let Some(pos) = l.find(&k2) else { return false };
+                    let mut entries = l.entries_snapshot();
+                    entries.remove(pos);
+                    let newl = flock_core::alloc(move || Node::leaf(&entries));
+                    cell.store(newl);
+                    // SAFETY: unlinked above; idempotent retire.
+                    unsafe { flock_core::retire(sp_l.ptr()) };
+                    true
+                })
             } else {
                 // Last entry of a non-root leaf: splice leaf + parent out.
                 let (sp_g, sp_p, sp_l) = (Sp(gparent), Sp(parent), Sp(leaf));
                 let k2 = k.clone();
-                // SAFETY: epoch-pinned.
-                unsafe { &*gparent }.lock.try_lock(move || {
+                let splice = move || {
                     // SAFETY: thunk runners hold epoch protection.
+                    let g = unsafe { sp_g.as_ref() };
                     let p = unsafe { sp_p.as_ref() };
-                    let k3 = k2.clone();
-                    p.lock.try_lock(move || {
-                        // SAFETY: as above.
-                        let g = unsafe { sp_g.as_ref() };
-                        let p = unsafe { sp_p.as_ref() };
-                        let l = unsafe { sp_l.as_ref() };
-                        if g.removed.load() || p.removed.load() {
-                            return false;
-                        }
-                        if l.find(&k3).is_none() {
-                            return false;
-                        }
-                        let gcell = if g.left.load() == sp_p.ptr() {
-                            &g.left
-                        } else if g.right.load() == sp_p.ptr() {
-                            &g.right
-                        } else {
-                            return false;
-                        };
-                        let sibling = if p.left.load() == sp_l.ptr() {
-                            p.right.load()
-                        } else if p.right.load() == sp_l.ptr() {
-                            p.left.load()
-                        } else {
-                            return false;
-                        };
-                        p.removed.store(true);
-                        gcell.store(sibling);
-                        // SAFETY: both unlinked above; idempotent retires.
-                        unsafe {
-                            flock_core::retire(sp_p.ptr());
-                            flock_core::retire(sp_l.ptr());
-                        }
-                        true
-                    })
-                })
+                    let l = unsafe { sp_l.as_ref() };
+                    if g.removed.load() || p.removed.load() {
+                        return false;
+                    }
+                    if l.find(&k2).is_none() {
+                        return false;
+                    }
+                    let gcell = if g.left.load() == sp_p.ptr() {
+                        &g.left
+                    } else if g.right.load() == sp_p.ptr() {
+                        &g.right
+                    } else {
+                        return false;
+                    };
+                    let sibling = if p.left.load() == sp_l.ptr() {
+                        p.right.load()
+                    } else if p.right.load() == sp_l.ptr() {
+                        p.left.load()
+                    } else {
+                        return false;
+                    };
+                    p.removed.store(true);
+                    gcell.store(sibling);
+                    // SAFETY: both unlinked above; idempotent retires.
+                    unsafe {
+                        flock_core::retire(sp_p.ptr());
+                        flock_core::retire(sp_l.ptr());
+                    }
+                    true
+                };
+                // SAFETY: epoch-pinned; runners adopt this epoch, so both
+                // locks outlive them.
+                unsafe { (*gparent).lock.try_lock_set([&(*parent).lock], splice) }
             };
             match outcome {
-                Some(Some(true)) => {
+                Some(true) => {
                     self.count.dec();
                     return true;
                 }
-                Some(Some(false)) => {} // validation failed: re-search now
-                _ => backoff.snooze(),  // a lock on the path was busy
+                Some(false) => {}         // validation failed: re-search now
+                None => backoff.snooze(), // a lock on the path was busy
             }
         }
     }

@@ -274,56 +274,62 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     unsafe { flock_core::retire(sp_leaf.ptr()) };
                     true
                 })
-                .map(Some)
             } else {
                 let (sp_g, sp_p, sp_l) = (Sp(gparent), Sp(parent), Sp(leaf));
-                let strict = self.strict;
-                // Ancestor-first lock order: grandparent, then parent.
-                // SAFETY: epoch-pinned.
-                acquire(&unsafe { &*gparent }.lock, strict, move || {
+                let splice = move || {
                     // SAFETY: thunk runners hold epoch protection.
+                    let g = unsafe { sp_g.as_ref() };
                     let p = unsafe { sp_p.as_ref() };
-                    acquire(&p.lock, strict, move || {
+                    if g.removed.load() || p.removed.load() {
+                        return false;
+                    }
+                    // Validate the two links and find which side of g the
+                    // parent hangs on.
+                    let gcell = if g.left.load() == sp_p.ptr() {
+                        &g.left
+                    } else if g.right.load() == sp_p.ptr() {
+                        &g.right
+                    } else {
+                        return false;
+                    };
+                    let sibling = if p.left.load() == sp_l.ptr() {
+                        p.right.load()
+                    } else if p.right.load() == sp_l.ptr() {
+                        p.left.load()
+                    } else {
+                        return false;
+                    };
+                    p.removed.store(true);
+                    gcell.store(sibling); // splice parent + leaf out
+                    // SAFETY: both unlinked above; idempotent retires.
+                    unsafe {
+                        flock_core::retire(sp_p.ptr());
+                        flock_core::retire(sp_l.ptr());
+                    }
+                    true
+                };
+                // Ancestor-first lock order: grandparent, then parent. A
+                // lock set has no waiting form, so strict mode nests.
+                // SAFETY: epoch-pinned; runners adopt this epoch, so both
+                // locks outlive them.
+                let (g, p) = unsafe { (&*gparent, &*parent) };
+                if self.strict {
+                    Some(g.lock.lock(move || {
                         // SAFETY: as above.
-                        let g = unsafe { sp_g.as_ref() };
-                        let p = unsafe { sp_p.as_ref() };
-                        if g.removed.load() || p.removed.load() {
-                            return false;
-                        }
-                        // Validate the two links and find which side of g
-                        // the parent hangs on.
-                        let gcell = if g.left.load() == sp_p.ptr() {
-                            &g.left
-                        } else if g.right.load() == sp_p.ptr() {
-                            &g.right
-                        } else {
-                            return false;
-                        };
-                        let sibling = if p.left.load() == sp_l.ptr() {
-                            p.right.load()
-                        } else if p.right.load() == sp_l.ptr() {
-                            p.left.load()
-                        } else {
-                            return false;
-                        };
-                        p.removed.store(true);
-                        gcell.store(sibling); // splice parent + leaf out
-                        // SAFETY: both unlinked above; idempotent retires.
-                        unsafe {
-                            flock_core::retire(sp_p.ptr());
-                            flock_core::retire(sp_l.ptr());
-                        }
-                        true
-                    })
-                })
+                        unsafe { sp_p.as_ref() }.lock.lock(splice)
+                    }))
+                } else {
+                    // SAFETY: as above.
+                    unsafe { g.lock.try_lock_set([&p.lock], splice) }
+                }
             };
             match outcome {
-                Some(Some(true)) => {
+                Some(true) => {
                     self.count.dec();
                     return true;
                 }
-                Some(Some(false)) => {} // validation failed: re-search now
-                _ => backoff.snooze(),  // an ancestor lock was busy
+                Some(false) => {}         // validation failed: re-search now
+                None => backoff.snooze(), // an ancestor lock was busy
             }
         }
     }

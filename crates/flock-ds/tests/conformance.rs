@@ -80,3 +80,82 @@ mod stall_seam {
         exclusive(|| stall_seam_crossed_check(ArtTree::<u64, u64>::new));
     }
 }
+
+/// Lock sets under contention: every remove, split and rotation that takes
+/// two or three locks as one set, raced by twice as many lock-free threads
+/// as the host has cores on a key range small enough that sets collide,
+/// overlap and help each other. Per key, the successful inserts and
+/// removes must alternate, so their difference is the key's final
+/// presence.
+mod lock_set_stress {
+    use super::*;
+    use flock_api::Map;
+    use flock_api::testing::exclusive;
+    use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+
+    const KEYS: u64 = 192;
+    const OPS: usize = 20_000;
+
+    fn contended<M: Map<u64, u64>>(map: M) {
+        exclusive(|| {
+            let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+            let net: Vec<AtomicI64> = (0..KEYS).map(|_| AtomicI64::new(0)).collect();
+            std::thread::scope(|s| {
+                for t in 0..2 * cores as u64 {
+                    let (map, net) = (&map, &net);
+                    s.spawn(move || {
+                        let mut state = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        for _ in 0..OPS {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            let k = state % KEYS;
+                            if state >> 32 & 1 == 0 {
+                                if map.insert(k, t) {
+                                    net[k as usize].fetch_add(1, Relaxed);
+                                }
+                            } else if map.remove(k) {
+                                net[k as usize].fetch_sub(1, Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            for (k, n) in net.iter().enumerate() {
+                let n = n.load(Relaxed);
+                assert!(n == 0 || n == 1, "key {k}: inserts minus removes is {n}");
+                assert_eq!(map.contains(k as u64), n == 1, "key {k}");
+            }
+        });
+    }
+
+    #[test]
+    fn lazylist_remove() {
+        contended(LazyList::new());
+    }
+
+    #[test]
+    fn dlist_remove() {
+        contended(DList::new());
+    }
+
+    #[test]
+    fn leaftree_remove() {
+        contended(LeafTree::new());
+    }
+
+    #[test]
+    fn leaftreap_remove_and_rotate() {
+        contended(LeafTreap::new());
+    }
+
+    #[test]
+    fn abtree_remove_and_split() {
+        contended(ABTree::new());
+    }
+
+    #[test]
+    fn arttree_upgrade() {
+        contended(ArtTree::new());
+    }
+}

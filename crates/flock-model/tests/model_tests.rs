@@ -834,10 +834,10 @@ fn nested_try_lock_mutant_recycle_helped_nested_is_caught() {
 
 // ---------------------------------------------------- two-lock descriptor
 
-/// One descriptor on two lock words (`Locked::try_with2`; `flock_core`'s
-/// `lock` module docs, "One descriptor on two lock words"): the owner
-/// transfers between two cells, twice over, so that the second round
-/// reuses the slab the first round's dispose pooled. One contender that
+/// One descriptor on two lock words (`Locked::try_with2`, a two-lock set;
+/// `flock_core`'s `lock` module docs, "One descriptor on a lock set"): the
+/// owner transfers between two cells, twice over, so that the second
+/// round reuses the slab the first round's dispose pooled. One contender that
 /// only ever helps (the real help path, split along its observe/help seam
 /// like `nested_body`'s) arrives through the **first** word, where it runs
 /// the whole thunk — including the install on the second word — or through
@@ -983,7 +983,7 @@ fn two_lock_seeded_sweep() {
 #[test]
 fn two_lock_mutant_helped_before_second_release_is_caught() {
     let _g = serial();
-    let _k = Knob::set(&flock_core::mutants::HELPED_BEFORE_SECOND_RELEASE);
+    let _k = Knob::set(&flock_core::mutants::HELPED_BEFORE_LAST_RELEASE);
     let report = explore(Config::sc(), || two_lock_body(false));
     let f = report.assert_finds_bug();
     assert!(
@@ -1000,7 +1000,7 @@ fn two_lock_mutant_helped_before_second_release_is_caught() {
 #[test]
 fn two_lock_mutant_skip_second_release_is_caught() {
     let _g = serial();
-    let _k = Knob::set(&flock_core::mutants::SKIP_SECOND_RELEASE);
+    let _k = Knob::set(&flock_core::mutants::SKIP_LAST_RELEASE);
     for through_first in [true, false] {
         let report = explore(Config::sc(), move || two_lock_body(through_first));
         let f = report.assert_finds_bug();
@@ -1010,6 +1010,154 @@ fn two_lock_mutant_skip_second_release_is_caught() {
             f.message
         );
     }
+}
+
+// -------------------------------------------------- three-lock lock set
+
+/// One descriptor on three lock words (`Lock::try_lock_set`; `flock_core`'s
+/// `lock` module docs, "One descriptor on a lock set"), shaped like
+/// `two_lock_body`: the owner moves one unit into each of three cells under
+/// one set, twice over, so the second round reuses the slab the first
+/// round's dispose pooled. One contender that only ever helps arrives
+/// through the word `through` (0, 1 or 2 in lock order): through the first
+/// it runs the whole thunk, including both further installs; through a
+/// further word it finishes the descriptor the thunk installed there and
+/// releases that word only.
+///
+/// **Invariants:** as `two_lock_body`'s, over three words: (a) both rounds
+/// run, (b) each round's stores apply exactly once, (c) all three words
+/// are unlocked whenever a set has returned, (d) no helper runs a reset
+/// descriptor.
+fn three_lock_body(through: usize) {
+    watch_reset_runs();
+    RESET_RUN.store(false, core::sync::atomic::Ordering::SeqCst);
+    let mut cells: Vec<Arc<Locked<Mutable<u64>>>> = (0..3)
+        .map(|_| Arc::new(Locked::new(Mutable::new(0))))
+        .collect();
+    cells.sort_by_key(Arc::as_ptr);
+    let seen_on = Arc::clone(&cells[through]);
+    let helper = flock_model::spawn(move || {
+        let seen = flock_core::model_probe::observe(seen_on.lock_ref());
+        flock_core::model_probe::help_observed(seen_on.lock_ref(), seen);
+    });
+
+    let names = ["first", "second", "third"];
+    for round in 1..=2u64 {
+        let held = cells.clone();
+        // SAFETY: the thunk holds every cell, so every lock outlives every
+        // runner.
+        let got = unsafe {
+            cells[0].lock_ref().try_lock_set(
+                [cells[1].lock_ref(), cells[2].lock_ref()],
+                move || {
+                    for c in &held {
+                        c.store(c.load() + 1);
+                    }
+                },
+            )
+        };
+        assert_eq!(
+            got,
+            Some(()),
+            "a set failed on locks nobody else ever acquires"
+        );
+        for c in &cells {
+            assert_eq!(
+                c.load(),
+                round,
+                "set not applied exactly once (a helper ran a reset descriptor?)"
+            );
+        }
+        for (c, name) in cells.iter().zip(names) {
+            assert!(!c.is_locked(), "{name} lock leaked a hold");
+        }
+    }
+    helper.join();
+    assert!(
+        !RESET_RUN.load(core::sync::atomic::Ordering::SeqCst),
+        "a helper ran a reset descriptor: descriptor thunk called before set"
+    );
+    for c in &cells {
+        assert_eq!(
+            c.load(),
+            2,
+            "set not applied exactly once (a helper ran a reset descriptor?)"
+        );
+        assert!(!c.is_locked(), "a lock leaked a hold");
+    }
+}
+
+/// Scope: owner (2 three-lock sets) + 1 helper arriving through the third
+/// lock word, SC, ≤2 preemptions, exhaustive.
+#[test]
+fn three_lock_exactly_once_helped_through_third_word() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        || three_lock_body(2),
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Deeper (non-exhaustive, seeded) sweep at 4 preemptions, the helper
+/// arriving through each of the three words in turn: same invariants,
+/// fixed seed → fully reproducible.
+#[test]
+fn three_lock_seeded_sweep() {
+    let _g = serial();
+    for through in 0..3 {
+        let report = explore(
+            Config {
+                max_preemptions: 4,
+                seed: Some(0x3_10C),
+                samples: 400,
+                ..Config::sc()
+            },
+            move || three_lock_body(through),
+        );
+        assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+        assert_eq!(report.pruned, 0);
+    }
+}
+
+/// Sanity mutant: the owner never releases the third word. Unless the
+/// helper came through that word, it is still held when the set returns.
+#[test]
+fn three_lock_mutant_skip_third_release_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::SKIP_LAST_RELEASE);
+    for through in [0, 1] {
+        let report = explore(Config::sc(), move || three_lock_body(through));
+        let f = report.assert_finds_bug();
+        assert!(
+            f.message.contains("third lock leaked a hold"),
+            "unexpected failure mode (through = {through}): {}",
+            f.message
+        );
+    }
+}
+
+/// Sanity mutant: the owner reads `helped` (and pools the descriptor)
+/// before it releases the third word. A helper that observed the
+/// descriptor on the third word marks it after that read, still finds the
+/// word unreleased and its generation unchanged, and runs a descriptor the
+/// owner has reset.
+#[test]
+fn three_lock_mutant_helped_before_third_release_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::HELPED_BEFORE_LAST_RELEASE);
+    let report = explore(Config::sc(), || three_lock_body(2));
+    let f = report.assert_finds_bug();
+    assert!(
+        f.message.contains("exactly once")
+            || f.message.contains("descriptor thunk called before set"),
+        "unexpected failure mode: {}",
+        f.message
+    );
 }
 
 // ---------------------------------------------------------- validated read
