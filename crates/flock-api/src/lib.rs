@@ -310,6 +310,7 @@ pub mod testing {
     //! downstream crates invoke it from *their* test builds.
 
     use super::{Indirect, Key, Map, OrderedMap, Value};
+    use flock_core::{LockMode, set_lock_mode};
     use std::collections::BTreeMap;
     use std::ops::Bound;
     use std::sync::Arc;
@@ -321,25 +322,35 @@ pub mod testing {
     /// not overlap within one test process.
     static MODE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// Run `test` under both lock modes (lock-free first), restoring
-    /// lock-free afterwards. Serialized against every other mode-touching
-    /// test in the process.
-    pub fn both_modes(test: impl Fn()) {
-        use flock_core::{LockMode, set_lock_mode};
-        let _guard = MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for mode in [LockMode::LockFree, LockMode::Blocking] {
-            set_lock_mode(mode);
-            test();
+    /// Run `f` with the global lock mode set to `mode`, restoring the
+    /// default lock-free mode afterwards (also on unwind). Serialized
+    /// against every other mode-touching test in the process — the one
+    /// mode mutex of every crate that can depend on this one.
+    pub fn with_mode<R>(mode: LockMode, f: impl FnOnce() -> R) -> R {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                set_lock_mode(LockMode::LockFree);
+            }
         }
-        set_lock_mode(LockMode::LockFree);
+        let _guard = MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(mode);
+        let _restore = Restore;
+        f()
+    }
+
+    /// Run `test` under both lock modes (lock-free first), restoring
+    /// lock-free afterwards.
+    pub fn both_modes(test: impl Fn()) {
+        for mode in [LockMode::LockFree, LockMode::Blocking] {
+            with_mode(mode, &test);
+        }
     }
 
     /// Run `test` in the (default) lock-free mode while holding the same
-    /// exclusion as [`both_modes`].
+    /// exclusion as [`with_mode`].
     pub fn exclusive(test: impl Fn()) {
-        let _guard = MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        flock_core::set_lock_mode(flock_core::LockMode::LockFree);
-        test();
+        with_mode(LockMode::LockFree, test);
     }
 
     /// A tiny xorshift generator so the harness needs no external crates.

@@ -47,9 +47,12 @@ fn set_bit(bit: u32, on: bool) {
 
 /// Select the global lock mode.
 ///
-/// Must only be changed while no Flock operations are in flight (e.g.
-/// between benchmark phases); mixing modes on a live lock is not supported,
-/// matching the C++ library's runtime flag.
+/// A measurement switch: it exists so that one process, one set of
+/// structure instances and one workload can be timed in both modes, paired
+/// window by window, which is what keeps a lock-free/blocking ratio
+/// repeatable. Flip it only at quiescence — while no Flock operation is in
+/// flight (between benchmark phases, at test boundaries); mixing modes on a
+/// live lock is not supported, matching the C++ library's runtime flag.
 pub fn set_lock_mode(mode: LockMode) {
     set_bit(MODE_BLOCKING, mode == LockMode::Blocking);
 }

@@ -78,18 +78,20 @@ pub(crate) fn commit_raw_in(tc: &ThreadCtx, val: u64) -> (u64, bool) {
 /// the helping protocol's revalidation). `out` must be null or point at an
 /// uninitialized slot of the thunk's exact return type. `tc` must be the
 /// calling thread's context.
-pub(crate) unsafe fn run_in(tc: &ThreadCtx, d: *const Descriptor, out: *mut u8) {
+pub(crate) unsafe fn run_in(tc: &ThreadCtx, d: *const Descriptor, out: *mut u8) -> bool {
     struct Restore<'a> {
         tc: &'a ThreadCtx,
         block: *const (),
         pos: usize,
         descr: *const (),
+        marked: bool,
     }
     impl Drop for Restore<'_> {
         fn drop(&mut self) {
             self.tc.log_block.set(self.block);
             self.tc.log_pos.set(self.pos);
             self.tc.descriptor.set(self.descr);
+            self.tc.marked.set(self.marked);
         }
     }
 
@@ -98,6 +100,7 @@ pub(crate) unsafe fn run_in(tc: &ThreadCtx, d: *const Descriptor, out: *mut u8) 
         block: tc.log_block.get(),
         pos: tc.log_pos.get(),
         descr: tc.descriptor.get(),
+        marked: tc.marked.replace(false),
     };
     // SAFETY: caller guarantees `d` is live and initialized.
     let dref = unsafe { &*d };
@@ -111,7 +114,8 @@ pub(crate) unsafe fn run_in(tc: &ThreadCtx, d: *const Descriptor, out: *mut u8) 
     // the callers' panic handling keep both survivable). No-op by default.
     flock_sync::chaos::probe(flock_sync::chaos::Seam::InThunk);
     // SAFETY: `out` per forwarded contract.
-    unsafe { dref.call_thunk(out) }
+    unsafe { dref.call_thunk(out) };
+    tc.marked.get()
 }
 
 #[cfg(test)]

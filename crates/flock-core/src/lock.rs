@@ -49,8 +49,9 @@
 //! `load_packed_in`, released through the tag issuer iff it shows
 //! `locked_with(d)`, which while `d` is undisposed is `d`'s own current
 //! incarnation (a word the thunk never reached shows something else and is
-//! left alone) — then the first word from its committed post-install read,
-//! and only then does it read `helped`. Releasing every extra word only
+//! left alone) — then the first word from its committed post-install read
+//! (or from a read after the run, if the run marked a word: "Obsolete
+//! locks" below), and only then does it read `helped`. Releasing every extra word only
 //! after `done` keeps the window-entry argument of `flock_sync::announce`
 //! as it is for every lock: a later holder of such a lock, whose
 //! window-entry scan might miss a stale runner's announcement, can only
@@ -68,6 +69,42 @@
 //! owner, or — when the owner is stalled after a helper finished `d`
 //! through some word — by each word's next contender, which helps the done
 //! `d` and so releases it.
+//!
+//! ## Obsolete locks
+//!
+//! A lock-based structure needs to know whether a node it locked is still
+//! linked. The lock word answers that itself: bit 1 (free, like the locked
+//! bit, because descriptors are 8-byte aligned) is the **obsolete** bit,
+//! and one compare of the word rejects both a changed node and an unlinked
+//! one (the packing of the ART exemplar in SNIPPETS.md).
+//!
+//! * **Where the mark happens.** The critical section that unlinks a node
+//!   calls [`Lock::mark_obsolete`] on that node's lock, which it holds, at
+//!   the point where it unlinks it. The mark is an in-thunk CAS of the
+//!   word from a committed read to the same word with the bit set: every
+//!   runner CASes from the same read, so the bit is set once however many
+//!   helpers run the thunk. It is made inside the thunk, not at release,
+//!   because the lists' wait-free `get`/`contains` linearize a remove on
+//!   the mark itself: a mark at release would move that point past the
+//!   splice.
+//! * **The bit stays set.** Every release — the owner's, a lock set's
+//!   extra words, a helper's, the blocking one — installs the unlocked
+//!   form of the word it releases, which keeps the bit.
+//! * **No acquisition installs on an obsolete word.** An install takes a
+//!   word only when it is unlocked and not obsolete: [`Lock::try_lock`]
+//!   and [`Lock::try_lock_set`] report `None` for an obsolete lock, and
+//!   [`Lock::lock`] returns `None` for one instead of waiting. So holding
+//!   a lock proves its node is linked, and [`Lock::version`] refuses an
+//!   obsolete word, so an optimistic read on an unlinked node never
+//!   validates.
+//! * **Releasing a marked word.** The mark bumps the word's tag, so a read
+//!   taken before the run no longer matches the word. A word the run
+//!   marked is released from a committed read taken after the run, and
+//!   only if that read shows the descriptor — the way a lock set's extra
+//!   words are always released. The owner knows whether its run marked
+//!   (`ThreadCtx::marked`, scoped per run like the log cursor) and
+//!   re-reads the first word only then; a helper always releases from a
+//!   read after its run, since its unlock had to re-read the word anyway.
 //!
 //! ## Panic safety
 //!
@@ -188,6 +225,19 @@ impl Drop for AbortGuard {
     }
 }
 
+/// Can an acquisition install on `w`? Only on a free word: unlocked and not
+/// obsolete.
+#[inline(always)]
+fn installable(w: LockWord) -> bool {
+    // Sanity-mutant hook: the pre-obsolete test, which takes any unlocked
+    // word.
+    #[cfg(feature = "model")]
+    if crate::mutants::install_ignores_obsolete() {
+        return !w.is_locked();
+    }
+    w.is_free()
+}
+
 /// The further locks of a [`Lock::try_lock_set`], as its thunk holds them.
 struct LockSet<const N: usize>([*const Lock; N]);
 
@@ -218,13 +268,15 @@ impl<const N: usize> LockSet<N> {
 }
 
 /// The lock word: a descriptor pointer with the low bit as the locked flag
-/// (descriptors are at least 8-byte aligned, so the bit is free).
+/// and bit 1 as the obsolete flag (descriptors are at least 8-byte
+/// aligned, so both bits are free). Module docs, "Obsolete locks".
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct LockWord {
     bits: u64,
 }
 
 const LOCKED_BIT: u64 = 1;
+const OBSOLETE_BIT: u64 = 2;
 
 impl LockWord {
     pub(crate) const UNLOCKED_EMPTY: LockWord = LockWord { bits: 0 };
@@ -233,7 +285,7 @@ impl LockWord {
 
     /// Locked on descriptor `d`.
     pub(crate) fn locked_with(d: *const Descriptor) -> Self {
-        debug_assert_eq!(d as usize & 1, 0);
+        debug_assert_eq!(d as u64 & (LOCKED_BIT | OBSOLETE_BIT), 0);
         LockWord {
             bits: d as u64 | LOCKED_BIT,
         }
@@ -243,19 +295,42 @@ impl LockWord {
         self.bits & LOCKED_BIT != 0
     }
 
-    /// This word's unlocked form (descriptor dropped) — what every release
-    /// installs.
+    fn is_obsolete(self) -> bool {
+        self.bits & OBSOLETE_BIT != 0
+    }
+
+    /// Unlocked and not obsolete: the only word an acquisition installs on.
+    fn is_free(self) -> bool {
+        self.bits == 0
+    }
+
+    /// Locked on descriptor `d`, obsolete or not.
+    fn holds(self, d: *const Descriptor) -> bool {
+        self.bits & !OBSOLETE_BIT == LockWord::locked_with(d).bits
+    }
+
+    /// This word with the obsolete bit set.
+    fn obsolete(self) -> LockWord {
+        LockWord {
+            bits: self.bits | OBSOLETE_BIT,
+        }
+    }
+
+    /// This word's unlocked form (descriptor dropped, obsolete bit kept) —
+    /// what every release installs.
     pub(crate) fn unlocked(self) -> LockWord {
-        LockWord::UNLOCKED_EMPTY
+        LockWord {
+            bits: self.bits & OBSOLETE_BIT,
+        }
     }
 
     pub(crate) fn descriptor(self) -> *const Descriptor {
-        (self.bits & !LOCKED_BIT) as usize as *const Descriptor
+        (self.bits & !(LOCKED_BIT | OBSOLETE_BIT)) as usize as *const Descriptor
     }
 }
 
 // SAFETY: bits is a pointer (≤48 bits on supported platforms, debug-checked
-// by the pointer PackedValue impls) plus one flag bit; round-trips exactly.
+// by the pointer PackedValue impls) plus two flag bits; round-trips exactly.
 unsafe impl PackedValue for LockWord {
     #[inline(always)]
     fn to_bits(self) -> u64 {
@@ -327,10 +402,52 @@ impl Lock {
         LockWord::from_bits(unpack_val(self.word.raw_packed())).is_locked()
     }
 
+    /// Has a critical section marked this lock obsolete
+    /// ([`Lock::mark_obsolete`])? The bit never clears, so `true` is
+    /// definitive. A committed read: inside a thunk every runner sees the
+    /// same answer.
+    pub fn is_obsolete(&self) -> bool {
+        thread_ctx::with(|tc| {
+            LockWord::from_bits(unpack_val(self.word.load_packed_in(tc))).is_obsolete()
+        })
+    }
+
+    /// Mark this lock obsolete: its node is being unlinked. Call it only
+    /// inside a critical section that holds this lock, at the point where
+    /// the node is unlinked (module docs, "Obsolete locks"). The bit is set
+    /// once however many runners replay the call and stays set through
+    /// every release; from then on no acquisition takes the lock and
+    /// [`Lock::version`] refuses it.
+    pub fn mark_obsolete(&self) {
+        thread_ctx::with(|tc| {
+            if !tc.in_thunk() {
+                // Blocking mode: the holder is the only writer of its word.
+                let w = self.word.raw_packed();
+                let cur = LockWord::from_bits(unpack_val(w));
+                debug_assert!(cur.is_locked() && cur.descriptor().is_null());
+                self.word
+                    .raw_cell()
+                    .ccas(w, pack(next_tag(unpack_tag(w)), cur.obsolete().to_bits()));
+                return;
+            }
+            let w = self.word.load_packed_in(tc);
+            let cur = LockWord::from_bits(unpack_val(w));
+            debug_assert!(
+                cur.holds(tc.descriptor.get().cast()),
+                "mark_obsolete outside a critical section holding the lock"
+            );
+            if !cur.is_obsolete() {
+                self.word.tagged_cas_after_load_in(tc, w, cur.obsolete());
+            }
+            tc.marked.set(true);
+        })
+    }
+
     /// Observe the lock's current **version** for optimistic validation:
     /// the full packed lock word (tag + descriptor bits), returned only
-    /// while the lock is *unlocked* — `None` means a critical section is
-    /// (or may be) in flight and an optimistic read cannot start.
+    /// while the lock is *unlocked* and *not obsolete* — `None` means a
+    /// critical section is (or may be) in flight, or the lock's node was
+    /// unlinked, and an optimistic read cannot start.
     ///
     /// The version doubles as a seqlock sequence number "for free": every
     /// acquisition CAS and every release CAM bumps the word's ABA tag, in
@@ -347,7 +464,7 @@ impl Lock {
     #[inline]
     pub fn version(&self) -> Option<LockVersion> {
         let w = self.word.raw_packed();
-        if LockWord::from_bits(unpack_val(w)).is_locked() {
+        if !LockWord::from_bits(unpack_val(w)).is_free() {
             None
         } else {
             Some(LockVersion(flock_sync::pack::PackedVersion::from_word(w)))
@@ -355,10 +472,12 @@ impl Lock {
     }
 
     /// Validate an optimistic read window opened by [`Lock::version`]:
-    /// `true` iff the lock word is byte-identical to the observation (and
-    /// hence still unlocked). Issues the `Acquire` fence that orders the
-    /// caller's preceding data loads before the validating re-read — the
-    /// seqlock discipline: version → data reads → fence → re-read.
+    /// `true` iff the lock word is byte-identical to the observation, and
+    /// hence still unlocked and not obsolete (a mark always changes the
+    /// word, and no release clears it). Issues the `Acquire` fence that
+    /// orders the caller's preceding data loads before the validating
+    /// re-read — the seqlock discipline: version → data reads → fence →
+    /// re-read.
     #[inline]
     pub fn validate(&self, observed: LockVersion) -> bool {
         std::sync::atomic::fence(Ordering::Acquire);
@@ -387,8 +506,9 @@ impl Lock {
     ///
     /// Returns `Some(r)` with the thunk's result `r` if the lock was
     /// acquired, and `None` if the lock was busy (after helping the current
-    /// holder in lock-free mode) — so "lock busy, back off" is distinguishable
-    /// from whatever the thunk itself computed (e.g. a validation failure).
+    /// holder in lock-free mode) or obsolete — so "lock busy, back off" is
+    /// distinguishable from whatever the thunk itself computed (e.g. a
+    /// validation failure).
     /// Thunks capture by value (`move`) and may nest `try_lock` calls on
     /// locks that are smaller in the locking order.
     ///
@@ -408,7 +528,8 @@ impl Lock {
     /// [`Lock::try_lock`] over a **lock set**: this lock and then each lock
     /// of `rest` in order, with `thunk` run once all of them are held.
     /// Returns `None` when any of them was busy (after helping its holder
-    /// in lock-free mode), `Some(r)` once `thunk` ran under every lock.
+    /// in lock-free mode) or obsolete, `Some(r)` once `thunk` ran under
+    /// every lock.
     ///
     /// In lock-free mode one descriptor holds every word: it is installed
     /// on this lock as [`Lock::try_lock`] installs one, its thunk takes the
@@ -453,8 +574,9 @@ impl Lock {
     }
 
     /// Take this lock as a further lock of the running critical section
-    /// and run `body` under it, or return `None` when it is busy. Blocking
-    /// mode takes its test-and-set bit, released on return and on unwind.
+    /// and run `body` under it, or return `None` when it is busy or
+    /// obsolete. Blocking mode takes its test-and-set bit, released on
+    /// return and on unwind.
     /// Lock-free mode installs the running descriptor and runs `body`
     /// inline in its log, or helps whoever holds the lock; every branch
     /// keys on committed reads, so all runners agree.
@@ -464,15 +586,16 @@ impl Lock {
         }
         thread_ctx::with(|tc| {
             debug_assert!(tc.in_thunk());
-            let mine = LockWord::locked_with(tc.descriptor.get().cast());
+            let d: *const Descriptor = tc.descriptor.get().cast();
             let mut cur_packed = self.word.load_packed_in(tc);
-            if !LockWord::from_bits(unpack_val(cur_packed)).is_locked() {
-                self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
+            if installable(LockWord::from_bits(unpack_val(cur_packed))) {
+                self.word
+                    .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
                 // The first committer of this read ran before the
                 // descriptor was done, and nothing releases a word it holds
-                // before then: the read shows `mine` iff the install took.
+                // before then: the read shows `d` iff the install took.
                 cur_packed = self.word.load_packed_in(tc);
-                if LockWord::from_bits(unpack_val(cur_packed)) == mine {
+                if LockWord::from_bits(unpack_val(cur_packed)).holds(d) {
                     return Some(body());
                 }
             }
@@ -484,9 +607,11 @@ impl Lock {
     }
 
     /// Acquire the lock, waiting (and helping, in lock-free mode) until it is
-    /// available, then run `thunk` and return its result — the paper's
-    /// *strict lock*.
-    pub fn lock<R, F>(&self, thunk: F) -> R
+    /// available, then run `thunk` and return `Some` of its result — the
+    /// paper's *strict lock*. Returns `None` only for an obsolete lock
+    /// (module docs, "Obsolete locks"), which never becomes available:
+    /// its node was unlinked, and the caller re-reads the structure.
+    pub fn lock<R, F>(&self, thunk: F) -> Option<R>
     where
         R: Send + 'static,
         F: Fn() -> R + Send + Sync + 'static,
@@ -496,15 +621,19 @@ impl Lock {
                 let mut backoff = Backoff::new();
                 loop {
                     let w = self.word.raw_packed();
-                    if LockWord::from_bits(unpack_val(w)).is_locked() {
+                    let cur = LockWord::from_bits(unpack_val(w));
+                    if cur.is_locked() {
                         backoff.snooze();
                         continue;
+                    }
+                    if cur.is_obsolete() {
+                        return None;
                     }
                     if self.word.raw_cell().ccas(
                         w,
                         pack(next_tag(unpack_tag(w)), LockWord::LOCKED_NULL.to_bits()),
                     ) {
-                        return self.blocking_run(thunk);
+                        return Some(self.blocking_run(thunk));
                     }
                     backoff.spin();
                 }
@@ -524,7 +653,7 @@ impl Lock {
                 loop {
                     let cur_packed = self.word.load_packed_in(tc);
                     let cur = LockWord::from_bits(unpack_val(cur_packed));
-                    if !cur.is_locked() {
+                    if installable(cur) {
                         // Install from the read just committed (see
                         // lock_free_try_lock).
                         self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
@@ -537,16 +666,26 @@ impl Lock {
                         // its release CAM, so the helper's set_done is
                         // visible here (see lock_free_try_lock).
                         let done = unsafe { (*d).is_done() };
-                        if done || cur2 == mine {
+                        if done || cur2.holds(d) {
                             // Runs, unlocks and disposes (`d` was created
                             // from a thunk returning `R`; we are pinned).
-                            return self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, &[]);
+                            return Some(self.run_and_unlock_self::<R>(
+                                tc,
+                                d,
+                                cur2_packed,
+                                nested,
+                                &[],
+                            ));
                         }
                         if cur2.is_locked() {
                             self.help(tc, cur2_packed, &guard);
                         }
-                    } else {
+                    } else if cur.is_locked() {
                         self.help(tc, cur_packed, &guard);
+                    } else {
+                        // Obsolete: `d` was never installed.
+                        self.discard_unrun(tc, d, nested);
+                        return None;
                     }
                     backoff.spin();
                 }
@@ -575,9 +714,12 @@ impl Lock {
             // incarnation of the lock word, not just its value (see `help`).
             let cur_packed = self.word.load_packed_in(tc);
             let cur = LockWord::from_bits(unpack_val(cur_packed));
-            if cur.is_locked() {
-                // Line 26 of the paper (locked on first read): help and fail.
-                self.help(tc, cur_packed, &guard);
+            if !installable(cur) {
+                // Line 26 of the paper (locked on first read): help and
+                // fail. An obsolete word has no holder to help.
+                if cur.is_locked() {
+                    self.help(tc, cur_packed, &guard);
+                }
                 return None;
             }
 
@@ -611,9 +753,10 @@ impl Lock {
             // and released the lock, cur2 observed a word at or past the
             // helper's release CAM, so everything sequenced before that CAM
             // — including its set_done — is visible here. If the helper has
-            // not released yet, cur2 == mine and we run regardless of done.
+            // not released yet, cur2 still holds `d` (obsolete if the
+            // helper's run marked it) and we run regardless of done.
             let done = unsafe { (*d).is_done() };
-            if done || cur2 == mine {
+            if done || cur2.holds(d) {
                 // Line 22: run self. If we were helped to completion, this
                 // is a replay: the log makes it recompute the identical
                 // result without re-applying effects. Runs, unlocks and
@@ -624,19 +767,23 @@ impl Lock {
                 if cur2.is_locked() {
                     self.help(tc, cur2_packed, &guard);
                 }
-                // Our descriptor never ran. Top level: it was never
-                // published, recycle it directly. Nested: its pointer is in
-                // the outer log, so it must go through the idempotent
-                // retire (which defers it inside an owner run).
-                if nested {
-                    idemp::retire_descriptor_idempotent(tc, d);
-                } else {
-                    // SAFETY: never published (install CAS failed).
-                    unsafe { descriptor::recycle_unshared(d) };
-                }
+                self.discard_unrun(tc, d, nested);
                 None
             }
         })
+    }
+
+    /// Dispose of a descriptor whose install failed, so it never ran. Top
+    /// level: it was never published, recycle it directly. Nested: its
+    /// pointer is in the outer log, so it must go through the idempotent
+    /// retire (which defers it inside an owner run).
+    fn discard_unrun(&self, tc: &ThreadCtx, d: *mut Descriptor, nested: bool) {
+        if nested {
+            idemp::retire_descriptor_idempotent(tc, d);
+        } else {
+            // SAFETY: never published (its install CAS failed or never ran).
+            unsafe { descriptor::recycle_unshared(d) };
+        }
     }
 
     /// Run our own installed (or already completed) descriptor, release the
@@ -681,8 +828,9 @@ impl Lock {
             // `done` (idempotent if the panicking runner already set it).
             // SAFETY: as above.
             unsafe { (*d).set_done() };
-            // SAFETY: done; pinned (callers).
-            unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, rest) };
+            // SAFETY: done; pinned (callers). The log may have marked a
+            // word before its panic point: release from a fresh read.
+            unsafe { self.release_and_dispose(tc, d, cur2_packed, true, nested, rest) };
             panic!("flock: critical section panicked during helped execution");
         }
         let mut out = std::mem::MaybeUninit::<R>::uninit();
@@ -695,7 +843,7 @@ impl Lock {
             ctx::run_in(tc, d, out.as_mut_ptr().cast())
         }));
         match run {
-            Ok(()) => {
+            Ok(marked) => {
                 // Taint re-check: a helper may have unwound (and marked the
                 // descriptor) *after* the pre-check above but while our own
                 // replay was running. The replay stayed safe — a partial
@@ -708,7 +856,7 @@ impl Lock {
                 // SAFETY: as above.
                 unsafe { (*d).set_done() };
                 // SAFETY: done; pinned (callers).
-                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, rest) };
+                unsafe { self.release_and_dispose(tc, d, cur2_packed, marked, nested, rest) };
                 // SAFETY: `ctx::run_in` returned without unwinding, so it
                 // wrote `out`.
                 let r = unsafe { out.assume_init() };
@@ -729,8 +877,9 @@ impl Lock {
                     (*d).mark_panicked();
                     (*d).set_done();
                 }
-                // SAFETY: done; pinned (callers).
-                unsafe { self.release_and_dispose(tc, d, cur2_packed, nested, rest) };
+                // SAFETY: done; pinned (callers). The run may have marked
+                // a word before it unwound: release from a fresh read.
+                unsafe { self.release_and_dispose(tc, d, cur2_packed, true, nested, rest) };
                 std::mem::forget(abort);
                 std::panic::resume_unwind(payload)
             }
@@ -741,7 +890,9 @@ impl Lock {
     /// words of `rest` in reverse order, then this lock, and only then
     /// dispose of `d` — the dispose reads `helped`, and that read must
     /// follow the release of every word `d` was published on (module docs,
-    /// "One descriptor on a lock set").
+    /// "One descriptor on a lock set"). `marked`: the run may have marked a
+    /// word obsolete, so this lock is released from a fresh committed read
+    /// instead of `cur2_packed` (module docs, "Obsolete locks").
     ///
     /// # Safety
     ///
@@ -751,9 +902,15 @@ impl Lock {
         tc: &ThreadCtx,
         d: *const Descriptor,
         cur2_packed: u64,
+        marked: bool,
         nested: bool,
         rest: &[&Lock],
     ) {
+        let first = if marked {
+            self.word.load_packed_in(tc)
+        } else {
+            cur2_packed
+        };
         // Each extra word is read first (committed, like every lock-path
         // read) and released from that read iff it shows `d`: while `d` is
         // undisposed no other incarnation of its slab can be there, and a
@@ -770,7 +927,7 @@ impl Lock {
             let early = crate::mutants::helped_before_last_release();
             if early || crate::mutants::skip_last_release() {
                 release(others);
-                self.release_self(tc, d, cur2_packed);
+                self.release_self(tc, d, first);
                 // SAFETY: forwarded contract; this arm exists only to be
                 // proven wrong by the checker.
                 unsafe { self.dispose_after_run(tc, d, nested) };
@@ -781,32 +938,31 @@ impl Lock {
             }
         }
         release(rest);
-        self.release_self(tc, d, cur2_packed);
+        self.release_self(tc, d, first);
         // SAFETY: no word references `d` any more; pinned (contract).
         unsafe { self.dispose_after_run(tc, d, nested) };
     }
 
-    /// The owner's release, after `set_done`: unlock by clearing the
-    /// descriptor pointer, so the descriptor becomes unreachable from the
-    /// lock word (enables safe reuse).
+    /// Release `d`'s hold after `set_done`: unlock by clearing the
+    /// descriptor pointer (keeping the obsolete bit), so the descriptor
+    /// becomes unreachable from the lock word (enables safe reuse).
     ///
-    /// `cur2_packed` is the owner's committed read after its install attempt.
-    /// If it showed `d` installed, release with a CAS from that word: it
-    /// cannot recur while `d` is undisposed, so the CAS fails exactly when a
-    /// helper released first. If it showed anything else, the owner is here
-    /// because `d` is done — a helper ran it to completion and released
-    /// before that read — and nothing of ours is on the word: no CAS, no
-    /// load, no log entry. The branch keys on a committed value, so runners
-    /// of an enclosing thunk stay log-position-synchronized. (The further
-    /// words of a lock set are released the same way from the owner's
-    /// reads after `done`; there "anything else" also covers an install
-    /// that never took.)
+    /// `read` is a committed read of the word: the owner's read after its
+    /// install attempt, or one taken after the run (a word the run may
+    /// have marked, a lock set's further words, a helper's unlock). If it
+    /// shows `d`, release with a CAS from that word: it cannot recur while
+    /// `d` is undisposed, and nothing but a release moves a word `d` holds
+    /// once `d` is done, so the CAS fails exactly when another runner
+    /// released first. If it showed anything else, `d` is no longer there —
+    /// another runner released it before that read, or (a further word) the
+    /// install never took — and there is nothing to do: no CAS, no load, no
+    /// log entry. The branch keys on a committed value, so runners of an
+    /// enclosing thunk stay log-position-synchronized.
     #[inline]
-    fn release_self(&self, tc: &ThreadCtx, d: *const Descriptor, cur2_packed: u64) {
-        let mine = LockWord::locked_with(d);
-        if LockWord::from_bits(unpack_val(cur2_packed)) == mine {
-            self.word
-                .tagged_cas_after_load_in(tc, cur2_packed, mine.unlocked());
+    fn release_self(&self, tc: &ThreadCtx, d: *const Descriptor, read: u64) {
+        let cur = LockWord::from_bits(unpack_val(read));
+        if cur.holds(d) {
+            self.word.tagged_cas_after_load_in(tc, read, cur.unlocked());
         }
     }
 
@@ -816,19 +972,19 @@ impl Lock {
     /// if valid, run and then unlock; a helper that fails revalidation does
     /// nothing at all.
     ///
-    /// The revalidation and the unlock guard compare the **full packed word
-    /// — tag included**. Comparing only the value bits is unsound: an
+    /// The revalidation compares the **full packed word — tag included**.
+    /// Comparing only the value bits is unsound: an
     /// unhelped descriptor is pool-recycled by its owner and can be
     /// reinstalled on the same lock at the same address, and the pool reset
     /// erases any *stale* `helped` mark. A helper whose mark was erased
     /// would then pass a value-only revalidation against the new
     /// incarnation — invisible to that incarnation's owner — and race the
     /// owner's next recycle (observed in practice as a contended-lock
-    /// crash: "descriptor thunk called before set"); a value-only unlock
-    /// guard would likewise let the trailing CAM unlock the new incarnation
-    /// mid-run. The install CAS bumps the lock word's tag, so full-word
-    /// comparison rejects a reincarnation — except across an exact
-    /// `TAG_LIMIT`-install wraparound of this one lock word, where the
+    /// crash: "descriptor thunk called before set"); after such a
+    /// revalidation, the value-only release guard below would likewise
+    /// unlock the new incarnation mid-run. The install CAS bumps the lock word's tag,
+    /// so full-word comparison rejects a reincarnation — except across an
+    /// exact `TAG_LIMIT`-install wraparound of this one lock word, where the
     /// packed word itself recurs (the value-reuse hazard every value-based
     /// scheme must defend against, cf. Dice & Kogan).
     ///
@@ -850,14 +1006,16 @@ impl Lock {
     /// sequence) and retires the slab through the epoch collector instead
     /// of recycling it — and since this helper is pinned/adopted, the slab
     /// can neither be freed nor re-enter `create_descriptor` while this
-    /// call is still running. Hence the packed word `(tag, ptr)` cannot
-    /// recur as a *different* incarnation for the rest of this call, which
-    /// is what makes the trailing unlock CAM (full-word-guarded, after the
-    /// run completed) safe. *Invalid* helpers skip the unlock CAM entirely:
-    /// a CAM there could fire on a wrapped reinstallation whose thunk never
-    /// ran, releasing a held lock — and skipping costs no progress, since
-    /// the currently installed incarnation always has its own owner and
-    /// freshly-validating helpers to release it.
+    /// call is still running. Hence no *different* incarnation can show up
+    /// on the word as `ptr` for the rest of this call, which is what makes
+    /// the trailing release safe: it reads the word after the run
+    /// (committed) and releases it iff it shows `d` — the run may have
+    /// marked the word obsolete, which moved its tag past `cur_packed`
+    /// (module docs, "Obsolete locks"). *Invalid* helpers skip the release
+    /// entirely: one there could fire on a wrapped reinstallation whose
+    /// thunk never ran, releasing a held lock — and skipping costs no
+    /// progress, since the currently installed incarnation always has its
+    /// own owner and freshly-validating helpers to release it.
     ///
     /// Every branch depends only on committed values, so runners of an
     /// enclosing thunk stay log-position-synchronized. Wraparound in scope,
@@ -972,9 +1130,23 @@ impl Lock {
                 }
             }
         }
-        // Unlock the incarnation we just ran (or observed done). The
-        // full-word guard plus `valid` makes this exact (doc comment).
-        self.word.cam_packed_in(tc, cur_packed, cur.unlocked());
+        // Unlock the incarnation we just ran (or observed done), from a
+        // committed read taken after the run: the run may have marked the
+        // word, which bumped its tag past `cur_packed`. `valid` pins the
+        // incarnation of `d` for the rest of this call, so a word that
+        // shows `d` shows this one (doc comment).
+        let w = self.word.load_packed_in(tc);
+        // Sanity-mutant hook: the release installs the empty word, dropping
+        // an obsolete bit the run set.
+        #[cfg(feature = "model")]
+        if crate::mutants::helper_release_drops_obsolete() {
+            if LockWord::from_bits(unpack_val(w)).holds(d) {
+                self.word
+                    .tagged_cas_after_load_in(tc, w, LockWord::UNLOCKED_EMPTY);
+            }
+            return;
+        }
+        self.release_self(tc, d, w);
     }
 
     /// Dispose of our descriptor after a completed self-run.
@@ -1005,7 +1177,7 @@ impl Lock {
     // run, and the mode flips only at quiescence.
     fn blocking_try_lock<R, F: FnOnce() -> R>(&self, thunk: F) -> Option<R> {
         let w = self.word.raw_packed();
-        if LockWord::from_bits(unpack_val(w)).is_locked() {
+        if !LockWord::from_bits(unpack_val(w)).is_free() {
             return None;
         }
         if !self.word.raw_cell().ccas(
@@ -1041,11 +1213,11 @@ impl Lock {
         // Only the holder releases; acquire attempts CAS on unlocked words
         // only, so a single CAS from the current (locked) word suffices.
         let w = self.word.raw_packed();
-        debug_assert!(LockWord::from_bits(unpack_val(w)).is_locked());
-        self.word.raw_cell().ccas(
-            w,
-            pack(next_tag(unpack_tag(w)), LockWord::UNLOCKED_EMPTY.to_bits()),
-        );
+        let cur = LockWord::from_bits(unpack_val(w));
+        debug_assert!(cur.is_locked());
+        self.word
+            .raw_cell()
+            .ccas(w, pack(next_tag(unpack_tag(w)), cur.unlocked().to_bits()));
     }
 }
 
@@ -1139,8 +1311,8 @@ mod tests {
     fn strict_lock_runs() {
         both_modes(|| {
             let l = Lock::new();
-            assert!(l.lock(|| true));
-            assert_eq!(l.lock(|| 7u32), 7);
+            assert_eq!(l.lock(|| true), Some(true));
+            assert_eq!(l.lock(|| 7u32), Some(7));
             assert!(!l.is_locked());
         });
     }
@@ -1187,11 +1359,13 @@ mod tests {
                     s.spawn(move || {
                         for _ in 0..PER_THREAD {
                             let n2 = Arc::clone(&n);
-                            let served = l.lock(move || {
-                                let before = n2.load();
-                                n2.store(before + 1);
-                                before
-                            });
+                            let served = l
+                                .lock(move || {
+                                    let before = n2.load();
+                                    n2.store(before + 1);
+                                    before
+                                })
+                                .expect("never marked obsolete");
                             assert!(served < 4 * PER_THREAD);
                         }
                     });
@@ -1280,7 +1454,7 @@ mod tests {
             }));
             assert!(r.is_err());
             assert!(!l.is_locked());
-            assert_eq!(l.lock(|| 11u32), 11);
+            assert_eq!(l.lock(|| 11u32), Some(11));
         });
     }
 
@@ -1815,6 +1989,79 @@ mod tests {
         assert!(LockWord::LOCKED_NULL.is_locked());
         assert!(LockWord::LOCKED_NULL.descriptor().is_null());
         assert_eq!(LockWord::from_bits(w.to_bits()), w);
+        // The obsolete bit rides beside the pointer and survives a release.
+        let o = w.obsolete();
+        assert!(o.is_locked() && o.is_obsolete() && o.holds(d));
+        assert_eq!(o.descriptor(), d);
+        assert!(o.unlocked().is_obsolete() && !o.unlocked().is_locked());
+        assert!(!o.unlocked().is_free() && u.is_free() && !w.is_free());
+    }
+
+    /// The obsolete bit in both modes: the marking critical section runs
+    /// to completion and releases, the bit survives the release, and from
+    /// then on every acquisition form refuses the lock — `try_lock`, a set
+    /// through it as a further word, and the strict `lock` (which returns
+    /// `None` instead of waiting) — and `version` refuses it too.
+    #[test]
+    fn obsolete_lock_is_released_and_never_acquired_again() {
+        both_modes(|| {
+            let l = Arc::new(Lock::new());
+            assert!(!l.is_obsolete() && l.version().is_some());
+            let l2 = Arc::clone(&l);
+            assert_eq!(
+                l.try_lock(move || {
+                    l2.mark_obsolete();
+                    l2.mark_obsolete(); // a second mark changes nothing
+                    l2.is_obsolete()
+                }),
+                Some(true)
+            );
+            assert!(!l.is_locked(), "a marked word must be released");
+            assert!(l.is_obsolete(), "the release dropped the obsolete bit");
+            assert_eq!(l.version(), None);
+            assert_eq!(l.try_lock(|| ()), None);
+            assert_eq!(l.lock(|| ()), None);
+            let first = Lock::new();
+            // SAFETY: every runner runs inside this call.
+            assert_eq!(unsafe { first.try_lock_set([&*l], || ()) }, None);
+            assert!(!first.is_locked() && !first.is_obsolete());
+            assert!(!l.is_locked() && l.is_obsolete());
+        });
+    }
+
+    /// A set whose body marks its first and further words releases all of
+    /// them with the bit kept, and a nested acquisition that marks its own
+    /// lock leaves the enclosing lock unmarked and released.
+    #[test]
+    fn marked_set_words_and_nested_locks_are_released() {
+        both_modes(|| {
+            let (a, b, c) = (
+                Arc::new(Lock::new()),
+                Arc::new(Lock::new()),
+                Arc::new(Lock::new()),
+            );
+            let (a2, c2) = (Arc::clone(&a), Arc::clone(&c));
+            // SAFETY: every runner runs inside this call.
+            let got = unsafe {
+                a.try_lock_set([&*b, &*c], move || {
+                    a2.mark_obsolete();
+                    c2.mark_obsolete();
+                })
+            };
+            assert_eq!(got, Some(()));
+            assert!(!a.is_locked() && !b.is_locked() && !c.is_locked());
+            assert!(a.is_obsolete() && !b.is_obsolete() && c.is_obsolete());
+
+            let (outer, inner) = (Lock::new(), Arc::new(Lock::new()));
+            let i2 = Arc::clone(&inner);
+            let got = outer.try_lock(move || {
+                let i3 = Arc::clone(&i2);
+                i2.try_lock(move || i3.mark_obsolete())
+            });
+            assert_eq!(got, Some(Some(())));
+            assert!(!outer.is_locked() && !outer.is_obsolete());
+            assert!(!inner.is_locked() && inner.is_obsolete());
+        });
     }
 
     #[test]

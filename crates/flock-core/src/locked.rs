@@ -140,7 +140,9 @@ impl<T: Send + Sync + 'static> Locked<T> {
         F: Fn(&T) -> R + Send + Sync + 'static,
     {
         let data = Arc::clone(&self.data);
-        self.lock.lock(move || f(&data))
+        self.lock
+            .lock(move || f(&data))
+            .expect("a cell's lock is never marked obsolete")
     }
 
     /// Try to lock **two** cells and run `f` over both protected values.

@@ -266,9 +266,9 @@ impl<V: ValueRepr> Mutable<V> {
 
     /// CAM guarded by a **full packed word** (tag included): fires only
     /// while the location still holds the exact incarnation `expected_packed`
-    /// was read from. The help path's unlock uses this — a value-only guard
-    /// would let a stale helper unlock a *later* reuse of the same
-    /// descriptor address (same payload bits, newer tag).
+    /// was read from. The pre-generation help path (the `SKIP_GEN_CHECK`
+    /// mutant) unlocks with this.
+    #[cfg(feature = "model")]
     #[inline]
     pub(crate) fn cam_packed_in(&self, tc: &ThreadCtx, expected_packed: u64, new: V) {
         let committed_old = self.load_packed_committed_in(tc);

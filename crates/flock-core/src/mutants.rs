@@ -69,3 +69,21 @@ pub static SKIP_LAST_RELEASE: AtomicBool = AtomicBool::new(false);
 pub(crate) fn skip_last_release() -> bool {
     SKIP_LAST_RELEASE.load(Ordering::Relaxed)
 }
+
+/// A helper's release installs the empty word instead of the word's
+/// unlocked form: an obsolete bit the run set is dropped, and the lock of
+/// an unlinked node can be taken again.
+pub static HELPER_RELEASE_DROPS_OBSOLETE: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn helper_release_drops_obsolete() -> bool {
+    HELPER_RELEASE_DROPS_OBSOLETE.load(Ordering::Relaxed)
+}
+
+/// An acquisition installs on any unlocked word, obsolete or not (the test
+/// before the obsolete bit existed): a critical section runs under the
+/// lock of a node that was already unlinked.
+pub static INSTALL_IGNORES_OBSOLETE: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn install_ignores_obsolete() -> bool {
+    INSTALL_IGNORES_OBSOLETE.load(Ordering::Relaxed)
+}

@@ -23,16 +23,18 @@
 //! A pseudo-root *anchor* (an internal node with zero keys and one child)
 //! removes all root special cases.
 
+use std::ops::{Bound, ControlFlow};
+
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 /// Maximum keys per leaf and separators per internal node ("b").
 pub const B: usize = 12;
 
 struct Node<K: Key, V: Value> {
+    /// Marked obsolete by the split or splice that replaces the node.
     lock: Lock,
-    removed: UpdateOnce<bool>,
     is_leaf: bool,
     /// Leaf: element keys (sorted). Internal: separators
     /// (children = keys.len() + 1).
@@ -54,7 +56,6 @@ impl<K: Key, V: Value> Node<K, V> {
         debug_assert!(entries.len() <= B);
         Self {
             lock: Lock::new(),
-            removed: UpdateOnce::new(false),
             is_leaf: true,
             keys: entries.iter().map(|(k, _)| k.clone()).collect(),
             vals: entries
@@ -77,7 +78,6 @@ impl<K: Key, V: Value> Node<K, V> {
         });
         Self {
             lock: Lock::new(),
-            removed: UpdateOnce::new(false),
             is_leaf: false,
             keys: seps.to_vec(),
             vals: Vec::new(),
@@ -198,9 +198,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
             let g = unsafe { sp_g.as_ref() };
             let p = unsafe { sp_p.as_ref() };
             let c = unsafe { sp_c.as_ref() };
-            if g.removed.load() || p.removed.load() || c.removed.load() {
-                return false;
-            }
             if !c.is_full() || p.is_full() {
                 return false; // stale plan; caller restarts
             }
@@ -244,8 +241,8 @@ impl<K: Key, V: Value> ABTree<K, V> {
             nkids.insert(pi + 1, right_ptr);
             let nk = SendPtrs(nkids);
             let new_p = flock_core::alloc(move || Node::internal(&nseps, &nk.0));
-            p.removed.store(true);
-            c.removed.store(true);
+            p.lock.mark_obsolete();
+            c.lock.mark_obsolete();
             g.children[gi].store(new_p);
             // SAFETY: p and c are replaced/unlinked; idempotent
             // retires fire once each.
@@ -303,9 +300,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
                 // SAFETY: thunk runners hold epoch protection.
                 let p = unsafe { sp_p.as_ref() };
                 let l = unsafe { sp_l.as_ref() };
-                if p.removed.load() {
-                    return false;
-                }
                 let slot = p.route(&k2);
                 if p.children[slot].load() != sp_l.ptr() {
                     return false;
@@ -350,7 +344,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
             // SAFETY: thunk runners hold epoch protection.
             let a = unsafe { sp_a.as_ref() };
             let r = unsafe { sp_r.as_ref() };
-            if a.children[0].load() != sp_r.ptr() || !r.is_full() || r.removed.load() {
+            if a.children[0].load() != sp_r.ptr() || !r.is_full() {
                 return false;
             }
             let mid = r.keys.len() / 2;
@@ -378,7 +372,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
             let new_root = flock_core::alloc(move || {
                 Node::internal(std::slice::from_ref(&sep2), &[left_ptr, right_ptr])
             });
-            r.removed.store(true);
+            r.lock.mark_obsolete();
             a.children[0].store(new_root);
             // SAFETY: replaced above; idempotent retire.
             unsafe { flock_core::retire(sp_r.ptr()) };
@@ -412,9 +406,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
                     // SAFETY: thunk runners hold epoch protection.
                     let p = unsafe { sp_p.as_ref() };
                     let l = unsafe { sp_l.as_ref() };
-                    if p.removed.load() {
-                        return false;
-                    }
                     let slot = p.route(&k2);
                     if p.children[slot].load() != sp_l.ptr() {
                         return false;
@@ -440,9 +431,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
                     let g = unsafe { sp_g.as_ref() };
                     let p = unsafe { sp_p.as_ref() };
                     let l = unsafe { sp_l.as_ref() };
-                    if g.removed.load() || p.removed.load() {
-                        return false;
-                    }
                     let gi = g.route(&k2);
                     if g.children[gi].load() != sp_p.ptr() {
                         return false;
@@ -464,7 +452,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
                         let nk = SendPtrs(kids);
                         flock_core::alloc(move || Node::internal(&seps, &nk.0))
                     };
-                    p.removed.store(true);
+                    p.lock.mark_obsolete();
                     g.children[gi].store(replacement);
                     // SAFETY: p and l unlinked; idempotent retires.
                     unsafe {
@@ -571,59 +559,63 @@ impl<K: Key, V: Value> ABTree<K, V> {
     /// covered leaf under its parent lock's version, falling back to
     /// per-slot committed reads for that leaf after bounded validation
     /// failures.
-    pub fn range(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
+    pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         let _g = flock_epoch::pin();
         let mut out = Vec::new();
-        // SAFETY: pinned walk.
-        unsafe {
-            self.range_walk(
-                self.anchor,
-                0,
-                (*self.anchor).children[0].load_acquire(),
-                lo,
-                hi,
-                &mut out,
-            );
-        }
+        self.walk_from_root(lo, hi, &mut out);
         out
     }
 
+    /// [`ABTree::range`]'s walk, restarted as [`crate::walk_restarting`]
+    /// says. The caller is pinned.
+    fn walk_from_root(&self, lo: Bound<&K>, hi: Bound<&K>, out: &mut Vec<(K, V)>) {
+        crate::walk_restarting(lo, out, |from, out| {
+            // SAFETY: pinned walk; the anchor is never retired.
+            let root = unsafe { (*self.anchor).children[0].load_acquire() };
+            unsafe { self.range_walk(self.anchor, 0, root, from, hi, out) }
+        });
+    }
+
+    /// `Break` = the walk reached a leaf of an obsolete parent.
     unsafe fn range_walk(
         &self,
         parent: *mut Node<K, V>,
         slot: usize,
         n: *mut Node<K, V>,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
         out: &mut Vec<(K, V)>,
-    ) {
+    ) -> ControlFlow<()> {
         // SAFETY: pinned per caller.
         let node = unsafe { &*n };
         if node.is_leaf {
             // SAFETY: pinned.
             let p = unsafe { &*parent };
+            let snap = |read: fn(&ValueSlot<V>) -> V| -> Vec<(K, V)> {
+                node.keys
+                    .iter()
+                    .cloned()
+                    .zip(node.vals.iter().map(read))
+                    .collect()
+            };
+            // `None`: the parent is obsolete, restart.
             let entries = flock_core::read_validated(
                 || {
                     let v0 = p.lock.version()?;
                     if p.children[slot].load_acquire() != n {
                         return None;
                     }
-                    let e: Vec<(K, V)> = node
-                        .keys
-                        .iter()
-                        .cloned()
-                        .zip(node.vals.iter().map(ValueSlot::read_acquire))
-                        .collect();
-                    p.lock.validate(v0).then_some(e)
+                    let e = snap(ValueSlot::read_acquire);
+                    p.lock.validate(v0).then_some(Some(e))
                 },
                 || {
-                    node.keys
-                        .iter()
-                        .cloned()
-                        .zip(node.vals.iter().map(ValueSlot::read))
-                        .collect()
+                    let e = snap(ValueSlot::read);
+                    (!p.lock.is_obsolete()).then_some(e)
                 },
             );
+            let Some(entries) = entries else {
+                return ControlFlow::Break(());
+            };
             out.extend(
                 entries
                     .into_iter()
@@ -639,9 +631,10 @@ impl<K: Key, V: Value> ABTree<K, V> {
                 if i > 0 && !flock_api::key_below_upper(&node.keys[i - 1], hi) {
                     break; // child i (and all later) start at >= hi
                 }
-                unsafe { self.range_walk(n, i, node.children[i].load_acquire(), lo, hi, out) };
+                unsafe { self.range_walk(n, i, node.children[i].load_acquire(), lo, hi, out) }?;
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// Native atomic update: replace the value stored under `k` in place —
@@ -669,9 +662,6 @@ impl<K: Key, V: Value> ABTree<K, V> {
                 // SAFETY: thunk runners hold epoch protection.
                 let p = unsafe { sp_p.as_ref() };
                 let l = unsafe { sp_l.as_ref() };
-                if p.removed.load() {
-                    return false;
-                }
                 let slot = p.route(&k2);
                 if p.children[slot].load() != sp_l.ptr() {
                     return false; // leaf replaced under us: re-plan
@@ -744,7 +734,7 @@ impl<K: Key, V: Value> ABTree<K, V> {
     unsafe fn check(n: *mut Node<K, V>, lo: Option<&K>, hi: Option<&K>) {
         // SAFETY: quiescent per caller.
         let node = unsafe { &*n };
-        assert!(!node.removed.load(), "removed node reachable");
+        assert!(!node.lock.is_obsolete(), "removed node reachable");
         assert!(node.keys.len() <= B);
         let in_bounds = |k: &K| {
             if let Some(lo) = lo {
@@ -841,8 +831,25 @@ impl<K: Key, V: Value> Map<K, V> for ABTree<K, V> {
 }
 
 impl<K: Key, V: Value> flock_api::OrderedMap<K, V> for ABTree<K, V> {
-    fn range(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
+    fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         ABTree::range(self, lo, hi)
+    }
+}
+
+#[cfg(test)]
+impl crate::stale_scan::ResumableScan for ABTree<u64, u64> {
+    fn record(&self, k: u64) -> usize {
+        let path = self.path_to(&k);
+        path[path.len() - 2] as usize
+    }
+    unsafe fn resume(&self, at: usize) -> Vec<(u64, u64)> {
+        let (mut out, all) = (Vec::new(), Bound::Unbounded);
+        // SAFETY: forwarded contract; `at` is an internal, so the parent
+        // and slot arguments are never read.
+        if unsafe { self.range_walk(self.anchor, 0, at as *mut _, all, all, &mut out) }.is_break() {
+            self.walk_from_root(all, all, &mut out);
+        }
+        out
     }
 }
 

@@ -123,8 +123,8 @@ const N256: u8 = 3;
 /// `usize` addresses, so one node layout serves every `(K, V)`
 /// instantiation (the leaf type carries the generics).
 struct ArtNode {
+    /// Marked obsolete by the upgrade that replaces the node.
     lock: Lock,
-    removed: UpdateOnce<bool>,
     kind: u8,
     /// N4/N16: slot labels, `0` unassigned else `byte+1` (write-once).
     keys: Box<[UpdateOnce<u32>]>,
@@ -147,7 +147,6 @@ impl ArtNode {
         };
         Self {
             lock: Lock::new(),
-            removed: UpdateOnce::new(false),
             kind,
             keys: (0..nkeys).map(|_| UpdateOnce::new(0u32)).collect(),
             index: (0..nindex).map(|_| UpdateOnce::new(0u32)).collect(),
@@ -346,8 +345,8 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
     /// the value read bracketed by the version of the lock owning the
     /// leaf's child cell (every replacement of that cell — tombstone,
     /// split, upgrade — and every in-place `update` of the leaf's slot
-    /// runs under that node's lock; node replacements mark the old node
-    /// `removed` inside its own critical section). After
+    /// runs under that node's lock; node replacements mark the old node's
+    /// lock obsolete inside its own critical section). After
     /// [`flock_core::OPTIMISTIC_READ_ATTEMPTS`] failed validations — or
     /// inside a thunk — falls back to the committed-read descent.
     pub fn get(&self, k: K) -> Option<V> {
@@ -371,7 +370,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                             return Some(None);
                         }
                         let v0 = n.lock.version()?;
-                        if n.removed.load() || n.lookup_acquire(b) != c {
+                        if n.lookup_acquire(b) != c {
                             return None;
                         }
                         let v = l.value.read_acquire();
@@ -496,7 +495,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                 let v = flock_core::read_validated(
                     || {
                         let v0 = n.lock.version()?;
-                        if n.removed.load() || n.lookup_acquire(b) != c {
+                        if n.lookup_acquire(b) != c {
                             return None;
                         }
                         let v = l.value.read_acquire();
@@ -590,9 +589,6 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                     match unsafe { &*cur }.lock.try_lock(move || {
                         // SAFETY: thunk runners hold epoch protection.
                         let n = unsafe { sp_n.as_ref() };
-                        if n.removed.load() {
-                            return false;
-                        }
                         let Some(slot) = n.slot_of(b) else {
                             return false;
                         };
@@ -653,9 +649,6 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                     match unsafe { &*cur }.lock.try_lock(move || {
                         // SAFETY: thunk runners hold epoch protection.
                         let n = unsafe { sp_n.as_ref() };
-                        if n.removed.load() {
-                            return false;
-                        }
                         let Some(slot) = n.slot_of(b) else {
                             return false;
                         };
@@ -700,8 +693,8 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         let fast = unsafe { &*node }.lock.try_lock(move || {
             // SAFETY: thunk runners hold epoch protection.
             let n = unsafe { sp_n.as_ref() };
-            if n.removed.load() || n.lookup(b) != 0 {
-                return false; // validate: slot got taken (or node replaced)
+            if n.lookup(b) != 0 {
+                return false; // validate: slot got taken
             }
             // Reuse a tombstoned slot for the same byte if present.
             if let Some(slot) = n.slot_of(b) {
@@ -779,9 +772,6 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
             // SAFETY: thunk runners hold epoch protection.
             let p = unsafe { sp_p.as_ref() };
             let n = unsafe { sp_n.as_ref() };
-            if p.removed.load() || n.removed.load() {
-                return false;
-            }
             let Some(pslot) = p.slot_of(pb) else {
                 return false;
             };
@@ -812,7 +802,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                 debug_assert!(added);
                 fresh
             });
-            n.removed.store(true);
+            n.lock.mark_obsolete();
             p.children[pslot].store(tag_node(bigger));
             // SAFETY: replaced above; idempotent retire.
             unsafe { flock_core::retire(sp_n.ptr()) };
@@ -837,9 +827,6 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         unsafe { &*node }.lock.try_lock(move || {
             // SAFETY: thunk runners hold epoch protection.
             let n = unsafe { sp_n.as_ref() };
-            if n.removed.load() {
-                return false;
-            }
             let Some(slot) = n.slot_of(b) else {
                 return false;
             };

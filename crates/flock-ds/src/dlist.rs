@@ -1,12 +1,13 @@
 //! Sorted doubly-linked list with optimistic fine-grained try-locks —
 //! the paper's running example (Algorithm 1), generic over `(K, V)`.
 //!
-//! Each link carries a key, a value, `next`/`prev` mutable pointers, a
-//! `removed` update-once flag, and a lock. Traversal takes no locks; an
-//! update locks only the predecessor (insert) or predecessor + victim
-//! (remove), validates that the neighborhood is unchanged, and splices. The
-//! doubly-linked splice (`prev.next = n; next.prev = n`) is the two-word
-//! update that is painful to make lock-free by hand and trivial here.
+//! Each link carries a key, a value, `next`/`prev` mutable pointers, and a
+//! lock, which the remove that unlinks the link marks obsolete. Traversal
+//! takes no locks; an update locks only the predecessor (insert) or
+//! predecessor + victim (remove), validates that the neighborhood is
+//! unchanged, and splices. The doubly-linked splice (`prev.next = n;
+//! next.prev = n`) is the two-word update that is painful to make
+//! lock-free by hand and trivial here.
 //!
 //! Keys and values are cloned into nodes (`K: Clone`, and `V` through the
 //! `ValueRepr` layer — fat values ride inside the epoch-reclaimed link
@@ -19,7 +20,7 @@
 //! same reason the paper's C++ lambdas must capture by value.
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 /// Sentinel markers so head/tail need no special key values.
@@ -30,7 +31,6 @@ const KIND_TAIL: u8 = 2;
 struct Link<K: Key, V: Value> {
     next: Mutable<*mut Link<K, V>>,
     prev: Mutable<*mut Link<K, V>>,
-    removed: UpdateOnce<bool>,
     /// `None` only on the head/tail sentinels.
     key: Option<K>,
     /// Lock-word-adjacent value slot (`None` only on sentinels): mutable in
@@ -52,7 +52,6 @@ impl<K: Key, V: Value> Link<K, V> {
         Self {
             next: Mutable::new(next),
             prev: Mutable::new(prev),
-            removed: UpdateOnce::new(false),
             key,
             value: value.map(ValueSlot::new),
             lock: Lock::new(),
@@ -154,24 +153,23 @@ impl<K: Key, V: Value> DList<K, V> {
     }
 
     /// Version-validated snapshot of one link's (presence, value) pair,
-    /// under the link's **own** lock — the same lock `remove` sets the
-    /// `removed` flag under and `update` stores through, so an unchanged
-    /// version across the two reads proves they were simultaneously true.
-    /// `None` means the link was removed (or kept failing validation and
-    /// the committed re-check found it removed).
+    /// under the link's **own** lock — the same lock `remove` marks
+    /// obsolete and `update` stores through, so an unchanged version across
+    /// the two reads proves they were simultaneously true. `None` means the
+    /// link was removed (or kept failing validation and the committed
+    /// re-check found it removed).
     fn read_link_validated(l: &Link<K, V>) -> Option<V> {
         flock_core::read_validated(
             || {
-                let v0 = l.lock.version()?;
-                if l.removed.load() {
-                    // Monotonic flag: a true read is definitive, no
-                    // validation needed to conclude absence.
-                    return Some(None);
-                }
+                let Some(v0) = l.lock.version() else {
+                    // The bit never clears: an obsolete read is
+                    // definitive, no validation needed to conclude absence.
+                    return l.lock.is_obsolete().then_some(None);
+                };
                 let v = l.value.as_ref().map(ValueSlot::read_acquire);
                 l.lock.validate(v0).then_some(v)
             },
-            || (!l.removed.load()).then(|| l.value.as_ref().map(ValueSlot::read))?,
+            || (!l.lock.is_obsolete()).then(|| l.value.as_ref().map(ValueSlot::read))?,
         )
     }
 
@@ -199,7 +197,7 @@ impl<K: Key, V: Value> DList<K, V> {
                     // or helper's adopted epoch); links are retired through
                     // the collector, so these derefs are valid.
                     let (p, n) = unsafe { (sp_prev.as_ref(), sp_next.as_ref()) };
-                    if p.removed.load() || p.next.load() != sp_next.ptr() {
+                    if p.next.load() != sp_next.ptr() {
                         return false; // validate
                     }
                     let newl = flock_core::alloc(|| {
@@ -249,11 +247,11 @@ impl<K: Key, V: Value> DList<K, V> {
                 // SAFETY: see insert's thunk.
                 let p = unsafe { sp_prev.as_ref() };
                 let l = unsafe { sp_lnk.as_ref() };
-                if p.removed.load() || p.next.load() != sp_lnk.ptr() {
+                if p.next.load() != sp_lnk.ptr() {
                     return false; // validate
                 }
                 let next = l.next.load();
-                l.removed.store(true);
+                l.lock.mark_obsolete();
                 p.next.store(next); // splice out
                 // SAFETY: next is a live link (reachable until now).
                 unsafe { (*next).prev.store(sp_prev.ptr()) };
@@ -288,10 +286,7 @@ impl<K: Key, V: Value> DList<K, V> {
                 if !l.holds(&k) {
                     return Some(None);
                 }
-                let v0 = l.lock.version()?;
-                if l.removed.load() {
-                    return None; // unlinked mid-read: re-traverse
-                }
+                let v0 = l.lock.version()?; // `None` when unlinked: re-traverse
                 let v = l.value.as_ref().map(ValueSlot::read_acquire);
                 l.lock.validate(v0).then_some(v)
             },
@@ -316,12 +311,12 @@ impl<K: Key, V: Value> DList<K, V> {
             || {
                 // SAFETY: epoch-pinned traversal result.
                 let l = unsafe { &*self.find_link_acquire(k) };
-                Some(l.holds(k) && !l.removed.load())
+                Some(l.holds(k) && !l.lock.is_obsolete())
             },
             || {
                 // SAFETY: epoch-pinned traversal result.
                 let l = unsafe { &*self.find_link(k) };
-                l.holds(k) && !l.removed.load()
+                l.holds(k) && !l.lock.is_obsolete()
             },
         )
     }
@@ -380,10 +375,10 @@ impl<K: Key, V: Value> DList<K, V> {
     /// one idempotent slot store under the link's **own** lock. Returns
     /// `false` (storing nothing) if `k` is absent.
     ///
-    /// The link's lock is the remove path's inner lock and the only place
-    /// its `removed` flag is ever set, so holding it with `removed == false`
-    /// pins "the key is present" for the whole thunk: concurrent readers
-    /// see the old value or the new one, never absence or a third value.
+    /// The link's lock is the remove path's inner lock, whose critical
+    /// section marks it obsolete, so holding it pins "the key is present"
+    /// for the whole thunk: concurrent readers see the old value or the new
+    /// one, never absence or a third value.
     pub fn update(&self, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
         let mut backoff = Backoff::new();
@@ -399,18 +394,13 @@ impl<K: Key, V: Value> DList<K, V> {
             match lnk_ref.lock.try_lock(move || {
                 // SAFETY: thunk runners hold epoch protection.
                 let l = unsafe { sp_lnk.as_ref() };
-                if l.removed.load() {
-                    return false; // unlinked under us: re-traverse
-                }
                 l.value
                     .as_ref()
                     .expect("normal link has a value slot")
                     .set(v2.clone());
-                true
             }) {
-                Some(true) => return true,
-                Some(false) => {}         // link vanished: re-check presence
-                None => backoff.snooze(), // link lock busy
+                Some(()) => return true,
+                None => backoff.snooze(), // link lock busy or unlinked
             }
         }
     }
@@ -464,7 +454,7 @@ impl<K: Key, V: Value> DList<K, V> {
                 if (*next).kind == KIND_TAIL {
                     break;
                 }
-                assert!(!(*next).removed.load(), "removed link still reachable");
+                assert!(!(*next).lock.is_obsolete(), "removed link still reachable");
                 let nk = (*next).key.clone().expect("normal link has a key");
                 if let Some(lk) = &last_key {
                     assert!(lk < &nk, "keys out of order");

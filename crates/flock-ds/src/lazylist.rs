@@ -4,12 +4,12 @@
 //! The classic lazy-list design (Heller et al., OPODIS 2006), written with
 //! Flock locks as in the paper's `lazylist` (§7): traversal takes no locks;
 //! `insert` locks the predecessor; `remove` locks predecessor and victim,
-//! marks the victim `removed` (logical delete) and splices it out (physical
-//! delete). `get` is wait-free: it walks the list and checks the `removed`
-//! flag of the matching node.
+//! marks the victim's lock obsolete (logical delete) and splices it out
+//! (physical delete). `get` is wait-free: it walks the list and checks the
+//! obsolete bit of the matching node's lock.
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 const KIND_NORMAL: u8 = 0;
@@ -18,13 +18,14 @@ const KIND_TAIL: u8 = 2;
 
 struct Node<K: Key, V: Value> {
     next: Mutable<*mut Node<K, V>>,
-    removed: UpdateOnce<bool>,
     /// `None` only on the head/tail sentinels.
     key: Option<K>,
     /// Lock-word-adjacent value slot (`None` only on sentinels): mutable in
     /// place under this node's own lock (native `update`), snapshot-readable
     /// without it.
     value: Option<ValueSlot<V>>,
+    /// Marked obsolete by the remove that unlinks the node: the logical
+    /// delete.
     lock: Lock,
     kind: u8,
 }
@@ -33,7 +34,6 @@ impl<K: Key, V: Value> Node<K, V> {
     fn new(key: Option<K>, value: Option<V>, next: *mut Node<K, V>, kind: u8) -> Self {
         Self {
             next: Mutable::new(next),
-            removed: UpdateOnce::new(false),
             key,
             value: value.map(ValueSlot::new),
             lock: Lock::new(),
@@ -112,20 +112,20 @@ impl<K: Key, V: Value> LazyList<K, V> {
     }
 
     /// Version-validated (presence, value) snapshot of one node under its
-    /// **own** lock — the logical-delete lock (`removed` is only ever set
-    /// under it) and the native-update lock, so an unchanged version across
+    /// **own** lock — the logical-delete lock (marked obsolete by the
+    /// remove) and the native-update lock, so an unchanged version across
     /// the reads proves the pair held simultaneously. `None` = removed.
     fn read_node_validated(c: &Node<K, V>) -> Option<V> {
         flock_core::read_validated(
             || {
-                let v0 = c.lock.version()?;
-                if c.removed.load() {
-                    return Some(None); // monotonic flag: definitive
-                }
+                let Some(v0) = c.lock.version() else {
+                    // The bit never clears: an obsolete read is definitive.
+                    return c.lock.is_obsolete().then_some(None);
+                };
                 let v = c.value.as_ref().map(ValueSlot::read_acquire);
                 c.lock.validate(v0).then_some(v)
             },
-            || (!c.removed.load()).then(|| c.value.as_ref().map(ValueSlot::read))?,
+            || (!c.lock.is_obsolete()).then(|| c.value.as_ref().map(ValueSlot::read))?,
         )
     }
 
@@ -137,7 +137,7 @@ impl<K: Key, V: Value> LazyList<K, V> {
             let (pred, curr) = self.search(&k);
             // SAFETY: epoch-pinned.
             let curr_ref = unsafe { &*curr };
-            if curr_ref.holds(&k) && !curr_ref.removed.load() {
+            if curr_ref.holds(&k) && !curr_ref.lock.is_obsolete() {
                 return false;
             }
             let (sp_pred, sp_curr) = (Sp(pred), Sp(curr));
@@ -146,7 +146,7 @@ impl<K: Key, V: Value> LazyList<K, V> {
             match unsafe { &*pred }.lock.try_lock(move || {
                 // SAFETY: epoch protection via owner pin / helper adoption.
                 let p = unsafe { sp_pred.as_ref() };
-                if p.removed.load() || p.next.load() != sp_curr.ptr() {
+                if p.next.load() != sp_curr.ptr() {
                     return false; // validate
                 }
                 let newn = flock_core::alloc(|| {
@@ -178,7 +178,7 @@ impl<K: Key, V: Value> LazyList<K, V> {
             let (pred, curr) = self.search(&k);
             // SAFETY: epoch-pinned.
             let curr_ref = unsafe { &*curr };
-            if !curr_ref.holds(&k) || curr_ref.removed.load() {
+            if !curr_ref.holds(&k) || curr_ref.lock.is_obsolete() {
                 return false;
             }
             let (sp_pred, sp_curr) = (Sp(pred), Sp(curr));
@@ -186,10 +186,10 @@ impl<K: Key, V: Value> LazyList<K, V> {
                 // SAFETY: see insert.
                 let p = unsafe { sp_pred.as_ref() };
                 let c = unsafe { sp_curr.as_ref() };
-                if p.removed.load() || p.next.load() != sp_curr.ptr() || c.removed.load() {
+                if p.next.load() != sp_curr.ptr() {
                     return false; // validate
                 }
-                c.removed.store(true); // logical delete
+                c.lock.mark_obsolete(); // logical delete
                 p.next.store(c.next.load()); // physical delete
                 // SAFETY: unlinked above; idempotent retire fires once.
                 unsafe { flock_core::retire(sp_curr.ptr()) };
@@ -220,17 +220,17 @@ impl<K: Key, V: Value> LazyList<K, V> {
                 if !c.holds(&k) {
                     return Some(None);
                 }
-                let v0 = c.lock.version()?;
-                if c.removed.load() {
-                    return Some(None); // logically deleted: definitively absent
-                }
+                let Some(v0) = c.lock.version() else {
+                    // Logically deleted: definitively absent.
+                    return c.lock.is_obsolete().then_some(None);
+                };
                 let v = c.value.as_ref().map(ValueSlot::read_acquire);
                 c.lock.validate(v0).then_some(v)
             },
             || {
                 // SAFETY: epoch-pinned.
                 let c = unsafe { &*{ self.search(&k).1 } };
-                if c.holds(&k) && !c.removed.load() {
+                if c.holds(&k) && !c.lock.is_obsolete() {
                     c.value.as_ref().map(ValueSlot::read)
                 } else {
                     None
@@ -240,19 +240,19 @@ impl<K: Key, V: Value> LazyList<K, V> {
     }
 
     /// Presence check that never decodes the value slot (no fat-value
-    /// clone-and-drop): key match + logical-delete flag only.
+    /// clone-and-drop): key match + logical-delete bit only.
     pub fn contains(&self, k: &K) -> bool {
         let _g = flock_epoch::pin();
         flock_core::read_validated(
             || {
                 // SAFETY: epoch-pinned.
                 let c = unsafe { &*self.search_acquire(k) };
-                Some(c.holds(k) && !c.removed.load())
+                Some(c.holds(k) && !c.lock.is_obsolete())
             },
             || {
                 // SAFETY: epoch-pinned.
                 let c = unsafe { &*{ self.search(k).1 } };
-                c.holds(k) && !c.removed.load()
+                c.holds(k) && !c.lock.is_obsolete()
             },
         )
     }
@@ -307,10 +307,10 @@ impl<K: Key, V: Value> LazyList<K, V> {
     /// one idempotent slot store under the node's **own** lock. Returns
     /// `false` (storing nothing) if `k` is absent.
     ///
-    /// The node's lock is the remove path's inner lock and the only place
-    /// its `removed` flag (the logical-delete mark) is ever set, so holding
-    /// it with `removed == false` pins "the key is present" for the whole
-    /// thunk: readers see the old value or the new one, never absence.
+    /// The node's lock is the remove path's inner lock, whose critical
+    /// section marks it obsolete (the logical delete), so holding it pins
+    /// "the key is present" for the whole thunk: readers see the old value
+    /// or the new one, never absence.
     pub fn update(&self, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
         let mut backoff = Backoff::new();
@@ -318,7 +318,7 @@ impl<K: Key, V: Value> LazyList<K, V> {
             let (_, curr) = self.search(&k);
             // SAFETY: epoch-pinned.
             let curr_ref = unsafe { &*curr };
-            if !curr_ref.holds(&k) || curr_ref.removed.load() {
+            if !curr_ref.holds(&k) || curr_ref.lock.is_obsolete() {
                 return false;
             }
             let sp_curr = Sp(curr);
@@ -326,18 +326,13 @@ impl<K: Key, V: Value> LazyList<K, V> {
             match curr_ref.lock.try_lock(move || {
                 // SAFETY: thunk runners hold epoch protection.
                 let c = unsafe { sp_curr.as_ref() };
-                if c.removed.load() {
-                    return false; // logically deleted under us: re-check
-                }
                 c.value
                     .as_ref()
                     .expect("normal node has a value slot")
                     .set(v2.clone());
-                true
             }) {
-                Some(true) => return true,
-                Some(false) => {}         // node vanished: re-check presence
-                None => backoff.snooze(), // node lock busy
+                Some(()) => return true,
+                None => backoff.snooze(), // node lock busy or deleted
             }
         }
     }
@@ -376,14 +371,14 @@ impl<K: Key, V: Value> LazyList<K, V> {
         out
     }
 
-    /// Quiescent invariant check: strictly sorted, no removed nodes linked.
+    /// Quiescent invariant check: strictly sorted, no obsolete nodes linked.
     pub fn check_invariants(&self) {
         // SAFETY: quiescent per contract.
         unsafe {
             let mut p = (*self.head).next.load();
             let mut last: Option<K> = None;
             while (*p).kind == KIND_NORMAL {
-                assert!(!(*p).removed.load(), "removed node reachable");
+                assert!(!(*p).lock.is_obsolete(), "removed node reachable");
                 let pk = (*p).key.clone().expect("normal node has a key");
                 if let Some(lk) = &last {
                     assert!(lk < &pk, "keys out of order");

@@ -20,10 +20,10 @@
 //!   fresh nodes replace the rotated pair, old ones are retired.
 
 use std::hash::BuildHasher;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, OrderedMap, Value, key_above_lower, key_below_upper, key_in_range};
-use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 use crate::hashtable::FlockHashBuilder;
@@ -42,7 +42,7 @@ fn prio_of<K: Key>(k: &K) -> u64 {
 struct Node<K: Key, V: Value> {
     left: Mutable<*mut Node<K, V>>,
     right: Mutable<*mut Node<K, V>>,
-    removed: UpdateOnce<bool>,
+    /// Marked obsolete by the rotation or splice that unlinks the node.
     lock: Lock,
     /// Routing key (internals; `None` on the root and on leaves — leaves
     /// are located by search position, not key).
@@ -64,7 +64,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(right),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: Some(key),
             prio,
@@ -78,7 +77,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(std::ptr::null_mut()),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: None,
             prio: u64::MAX, // the root never loses a priority comparison
@@ -93,7 +91,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(std::ptr::null_mut()),
             right: Mutable::new(std::ptr::null_mut()),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: None,
             prio: 0,
@@ -194,7 +191,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                 let p = unsafe { sp_p.as_ref() };
                 let l = unsafe { sp_l.as_ref() };
                 let cell = p.child_for(&k2);
-                if p.removed.load() || cell.load() != sp_l.ptr() {
+                if cell.load() != sp_l.ptr() {
                     return false; // validate
                 }
                 let mut entries = l.entries_snapshot();
@@ -287,9 +284,6 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
             let g = unsafe { sp_g.as_ref() };
             let p = unsafe { sp_p.as_ref() };
             let c = unsafe { sp_c.as_ref() };
-            if g.removed.load() || p.removed.load() || c.removed.load() {
-                return false;
-            }
             let gcell = if g.left.load() == sp_p.ptr() {
                 &g.left
             } else if g.right.load() == sp_p.ptr() {
@@ -336,8 +330,8 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                     Node::internal(ck.clone(), new_p, cr)
                 }
             });
-            p.removed.store(true);
-            c.removed.store(true);
+            p.lock.mark_obsolete();
+            c.lock.mark_obsolete();
             gcell.store(new_top);
             // SAFETY: both replaced above; idempotent retires.
             unsafe {
@@ -373,7 +367,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                     let p = unsafe { sp_p.as_ref() };
                     let l = unsafe { sp_l.as_ref() };
                     let cell = p.child_for(&k2);
-                    if p.removed.load() || cell.load() != sp_l.ptr() {
+                    if cell.load() != sp_l.ptr() {
                         return false;
                     }
                     let Some(pos) = l.find(&k2) else { return false };
@@ -394,9 +388,6 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                     let g = unsafe { sp_g.as_ref() };
                     let p = unsafe { sp_p.as_ref() };
                     let l = unsafe { sp_l.as_ref() };
-                    if g.removed.load() || p.removed.load() {
-                        return false;
-                    }
                     if l.find(&k2).is_none() {
                         return false;
                     }
@@ -414,7 +405,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                     } else {
                         return false;
                     };
-                    p.removed.store(true);
+                    p.lock.mark_obsolete();
                     gcell.store(sibling);
                     // SAFETY: both unlinked above; idempotent retires.
                     unsafe {
@@ -454,8 +445,8 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
     /// Wait-free lookup. Optimistic first: an unlogged `Acquire` descent,
     /// the value slot read bracketed by the leaf's **parent** lock version
     /// (every batch replacement *and* every in-place `update` of this
-    /// leaf's slots runs under that lock; rotations mark the old parent
-    /// `removed` inside its own critical section). After
+    /// leaf's slots runs under that lock; rotations and splices mark the
+    /// old parent's lock obsolete inside its own critical section). After
     /// [`flock_core::OPTIMISTIC_READ_ATTEMPTS`] failed validations — or
     /// inside a thunk, where unlogged loads would desynchronize helpers —
     /// falls back to the committed-read descent.
@@ -467,7 +458,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                 // SAFETY: epoch-pinned.
                 let (p, l) = unsafe { (&*parent, &*leaf) };
                 let v0 = p.lock.version()?;
-                if p.removed.load() || p.child_for(&k).load_acquire() != leaf {
+                if p.child_for(&k).load_acquire() != leaf {
                     return None;
                 }
                 let v = l.find(&k).map(|i| l.entries[i].1.read_acquire());
@@ -508,17 +499,23 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
     pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         let _g = flock_epoch::pin();
         let mut out = Vec::new();
-        // SAFETY: pinned walk from the pseudo-root.
-        unsafe {
-            let first = (*self.root).left.load_acquire();
-            self.range_walk(self.root, first, lo, hi, &mut out);
-        }
+        self.walk_from_root(lo, hi, &mut out);
         out
+    }
+
+    /// [`LeafTreap::range`]'s walk, restarted as [`crate::walk_restarting`]
+    /// says. The caller is pinned.
+    fn walk_from_root(&self, lo: Bound<&K>, hi: Bound<&K>, out: &mut Vec<(K, V)>) {
+        crate::walk_restarting(lo, out, |from, out| {
+            // SAFETY: pinned walk from the pseudo-root.
+            unsafe { self.range_walk(self.root, (*self.root).left.load_acquire(), from, hi, out) }
+        });
     }
 
     /// In-order walk pruned by the routing keys (left subtree `< x`,
     /// right subtree `>= x`). `parent` is the internal node whose child
     /// cell yielded `n` — its lock owns `n`'s slots when `n` is a leaf.
+    /// `Break` = the walk reached a leaf of an obsolete parent.
     unsafe fn range_walk(
         &self,
         parent: *mut Node<K, V>,
@@ -526,46 +523,48 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         lo: Bound<&K>,
         hi: Bound<&K>,
         out: &mut Vec<(K, V)>,
-    ) {
+    ) -> ControlFlow<()> {
         // SAFETY: pinned per caller.
         let node = unsafe { &*n };
         if node.kind == KIND_LEAF {
             // SAFETY: pinned per caller.
             let p = unsafe { &*parent };
+            let snap = |read: fn(&ValueSlot<V>) -> V| -> Vec<(K, V)> {
+                node.entries
+                    .iter()
+                    .map(|(k, s)| (k.clone(), read(s)))
+                    .collect()
+            };
+            // `None`: the parent is obsolete, restart.
             let snap = flock_core::read_validated(
                 || {
                     let v0 = p.lock.version()?;
-                    if p.removed.load() {
-                        return None;
-                    }
-                    let snap: Vec<(K, V)> = node
-                        .entries
-                        .iter()
-                        .map(|(k, s)| (k.clone(), s.read_acquire()))
-                        .collect();
-                    p.lock.validate(v0).then_some(snap)
+                    let e = snap(ValueSlot::read_acquire);
+                    p.lock.validate(v0).then_some(Some(e))
                 },
                 || {
-                    node.entries
-                        .iter()
-                        .map(|(k, s)| (k.clone(), s.read()))
-                        .collect()
+                    let e = snap(ValueSlot::read);
+                    (!p.lock.is_obsolete()).then_some(e)
                 },
             );
+            let Some(snap) = snap else {
+                return ControlFlow::Break(());
+            };
             out.extend(snap.into_iter().filter(|(k, _)| key_in_range(k, lo, hi)));
-            return;
+            return ControlFlow::Continue(());
         }
         let x = node.key.as_ref().expect("non-root internal has a key");
         if key_above_lower(x, lo) {
             // Left subtree holds keys `< x`; skip it when they all fall
             // below the lower bound.
             let l = node.left.load_acquire();
-            unsafe { self.range_walk(n, l, lo, hi, out) };
+            unsafe { self.range_walk(n, l, lo, hi, out) }?;
         }
         if key_below_upper(x, hi) {
             let r = node.right.load_acquire();
-            unsafe { self.range_walk(n, r, lo, hi, out) };
+            unsafe { self.range_walk(n, r, lo, hi, out) }?;
         }
+        ControlFlow::Continue(())
     }
 
     /// Native atomic update: replace the value stored under `k` in place —
@@ -592,7 +591,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                 let p = unsafe { sp_p.as_ref() };
                 let l = unsafe { sp_l.as_ref() };
                 let cell = p.child_for(&k2);
-                if p.removed.load() || cell.load() != sp_l.ptr() {
+                if cell.load() != sp_l.ptr() {
                     return false; // leaf replaced under us: re-search
                 }
                 let Some(pos) = l.find(&k2) else { return false };
@@ -677,7 +676,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
                 }
             }
         } else {
-            assert!(!node.removed.load(), "removed routing node reachable");
+            assert!(!node.lock.is_obsolete(), "removed routing node reachable");
             assert!(node.prio <= max_prio, "treap heap order violated");
             let k = node.key.as_ref().expect("non-root internal has a key");
             if let Some(lo) = lo {
@@ -748,6 +747,22 @@ impl<K: Key, V: Value> Map<K, V> for LeafTreap<K, V> {
 impl<K: Key, V: Value> OrderedMap<K, V> for LeafTreap<K, V> {
     fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         LeafTreap::range(self, lo, hi)
+    }
+}
+
+#[cfg(test)]
+impl crate::stale_scan::ResumableScan for LeafTreap<u64, u64> {
+    fn record(&self, k: u64) -> usize {
+        self.search(&k).1 as usize
+    }
+    unsafe fn resume(&self, at: usize) -> Vec<(u64, u64)> {
+        let (mut out, all) = (Vec::new(), Bound::Unbounded);
+        // SAFETY: forwarded contract; `at` is an internal, so the parent
+        // argument is never read.
+        if unsafe { self.range_walk(self.root, at as *mut _, all, all, &mut out) }.is_break() {
+            self.walk_from_root(all, all, &mut out);
+        }
+        out
     }
 }
 

@@ -14,8 +14,10 @@
 //! uses try-locks (restart on busy), [`LeafTree::new_strict`] uses strict
 //! locks (wait for the holder — helping it first in lock-free mode).
 
+use std::ops::{Bound, ControlFlow};
+
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, ValueSlot};
 use flock_sync::{ApproxLen, Backoff};
 
 const KIND_INTERNAL: u8 = 0;
@@ -27,7 +29,7 @@ struct Node<K: Key, V: Value> {
     // Internal-node fields (unused in leaves).
     left: Mutable<*mut Node<K, V>>,
     right: Mutable<*mut Node<K, V>>,
-    removed: UpdateOnce<bool>,
+    /// Marked obsolete by the splice that unlinks the node.
     lock: Lock,
     /// Routing key for internals; element key for leaves. `None` only on
     /// the root (which routes everything left) and the empty placeholder.
@@ -47,7 +49,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(right),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: Some(key),
             value: None,
@@ -61,7 +62,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(left),
             right: Mutable::new(std::ptr::null_mut()),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: None,
             value: None,
@@ -74,7 +74,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(std::ptr::null_mut()),
             right: Mutable::new(std::ptr::null_mut()),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: Some(key),
             value: Some(ValueSlot::new(value)),
@@ -87,7 +86,6 @@ impl<K: Key, V: Value> Node<K, V> {
         Self {
             left: Mutable::new(std::ptr::null_mut()),
             right: Mutable::new(std::ptr::null_mut()),
-            removed: UpdateOnce::new(false),
             lock: Lock::new(),
             key: None,
             value: None,
@@ -134,8 +132,9 @@ impl<K: Key, V: Value> Default for LeafTree<K, V> {
 
 /// Acquire `lock` with the structure's discipline and run `f`.
 ///
-/// Strict locks always acquire (waiting/helping), so they can never report
-/// busy; the try-lock discipline surfaces busy as `None`.
+/// Strict locks wait (helping) until they acquire, so they report `None`
+/// only for an obsolete lock; the try-lock discipline also surfaces busy as
+/// `None`.
 #[inline]
 fn acquire<R, F>(lock: &Lock, strict: bool, f: F) -> Option<R>
 where
@@ -143,7 +142,7 @@ where
     F: Fn() -> R + Send + Sync + 'static,
 {
     if strict {
-        Some(lock.lock(f))
+        lock.lock(f)
     } else {
         lock.try_lock(f)
     }
@@ -205,7 +204,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                 let p = unsafe { sp_parent.as_ref() };
                 let l = unsafe { sp_leaf.as_ref() };
                 let cell = p.child_for(&k2);
-                if p.removed.load() || cell.load() != sp_leaf.ptr() {
+                if cell.load() != sp_leaf.ptr() {
                     return false; // validate
                 }
                 if l.kind == KIND_EMPTY {
@@ -240,7 +239,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     return true;
                 }
                 Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // parent lock busy (try-lock mode)
+                None => backoff.snooze(), // parent lock busy or unlinked
             }
         }
     }
@@ -280,9 +279,6 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     // SAFETY: thunk runners hold epoch protection.
                     let g = unsafe { sp_g.as_ref() };
                     let p = unsafe { sp_p.as_ref() };
-                    if g.removed.load() || p.removed.load() {
-                        return false;
-                    }
                     // Validate the two links and find which side of g the
                     // parent hangs on.
                     let gcell = if g.left.load() == sp_p.ptr() {
@@ -299,7 +295,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     } else {
                         return false;
                     };
-                    p.removed.store(true);
+                    p.lock.mark_obsolete();
                     gcell.store(sibling); // splice parent + leaf out
                     // SAFETY: both unlinked above; idempotent retires.
                     unsafe {
@@ -314,10 +310,12 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                 // locks outlive them.
                 let (g, p) = unsafe { (&*gparent, &*parent) };
                 if self.strict {
-                    Some(g.lock.lock(move || {
-                        // SAFETY: as above.
-                        unsafe { sp_p.as_ref() }.lock.lock(splice)
-                    }))
+                    g.lock
+                        .lock(move || {
+                            // SAFETY: as above.
+                            unsafe { sp_p.as_ref() }.lock.lock(splice)
+                        })
+                        .flatten()
                 } else {
                     // SAFETY: as above.
                     unsafe { g.lock.try_lock_set([&p.lock], splice) }
@@ -329,7 +327,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     return true;
                 }
                 Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // an ancestor lock was busy
+                None => backoff.snooze(), // an ancestor lock was busy or unlinked
             }
         }
     }
@@ -364,7 +362,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                     return Some(None); // absence needs no validation
                 }
                 let v0 = p.lock.version()?;
-                if p.removed.load() || p.child_for(&k).load_acquire() != leaf {
+                if p.child_for(&k).load_acquire() != leaf {
                     return None; // stale path: retry / fall back
                 }
                 let v = l.value.as_ref().map(ValueSlot::read_acquire);
@@ -403,30 +401,31 @@ impl<K: Key, V: Value> LeafTree<K, V> {
     /// consistency contract): an in-order routing-key-pruned walk reading
     /// each leaf's value under its parent lock's version, with a bounded
     /// fallback to the committed per-slot read.
-    pub fn range(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
+    pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         let _g = flock_epoch::pin();
         let mut out = Vec::new();
-        // SAFETY: pinned walk.
-        unsafe {
-            self.range_walk(
-                self.root,
-                (*self.root).left.load_acquire(),
-                lo,
-                hi,
-                &mut out,
-            )
-        };
+        self.walk_from_root(lo, hi, &mut out);
         out
     }
 
+    /// [`LeafTree::range`]'s walk, restarted as [`crate::walk_restarting`]
+    /// says. The caller is pinned.
+    fn walk_from_root(&self, lo: Bound<&K>, hi: Bound<&K>, out: &mut Vec<(K, V)>) {
+        crate::walk_restarting(lo, out, |from, out| {
+            // SAFETY: pinned walk; the root is never retired.
+            unsafe { self.range_walk(self.root, (*self.root).left.load_acquire(), from, hi, out) }
+        });
+    }
+
+    /// `Break` = the walk reached a leaf of an obsolete parent.
     unsafe fn range_walk(
         &self,
         parent: *mut Node<K, V>,
         n: *mut Node<K, V>,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
         out: &mut Vec<(K, V)>,
-    ) {
+    ) -> ControlFlow<()> {
         // SAFETY: pinned per caller.
         let node = unsafe { &*n };
         match node.kind {
@@ -434,34 +433,41 @@ impl<K: Key, V: Value> LeafTree<K, V> {
             KIND_LEAF => {
                 let k = node.key.clone().expect("real leaf has a key");
                 if !flock_api::key_in_range(&k, lo, hi) {
-                    return;
+                    return ControlFlow::Continue(());
                 }
                 // SAFETY: pinned.
                 let p = unsafe { &*parent };
+                let slot = node.value.as_ref().expect("real leaf has a value slot");
+                // `None`: the parent is obsolete, restart.
                 let v = flock_core::read_validated(
                     || {
                         let v0 = p.lock.version()?;
-                        let v = node.value.as_ref().map(ValueSlot::read_acquire);
-                        p.lock.validate(v0).then_some(v)
+                        let v = slot.read_acquire();
+                        p.lock.validate(v0).then_some(Some(v))
                     },
-                    || node.value.as_ref().map(ValueSlot::read),
+                    || {
+                        let v = slot.read();
+                        (!p.lock.is_obsolete()).then_some(v)
+                    },
                 );
-                if let Some(v) = v {
-                    out.push((k, v));
-                }
+                let Some(v) = v else {
+                    return ControlFlow::Break(());
+                };
+                out.push((k, v));
             }
             _ => {
                 // Internal: left subtree < key, right subtree >= key.
                 let x = node.key.as_ref().expect("internal has a routing key");
                 if flock_api::key_above_lower(x, lo) {
                     // The left subtree (keys < x) can still intersect.
-                    unsafe { self.range_walk(n, node.left.load_acquire(), lo, hi, out) };
+                    unsafe { self.range_walk(n, node.left.load_acquire(), lo, hi, out) }?;
                 }
                 if flock_api::key_below_upper(x, hi) {
-                    unsafe { self.range_walk(n, node.right.load_acquire(), lo, hi, out) };
+                    unsafe { self.range_walk(n, node.right.load_acquire(), lo, hi, out) }?;
                 }
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// Native atomic update: replace the value stored under `k` in place —
@@ -470,10 +476,10 @@ impl<K: Key, V: Value> LeafTree<K, V> {
     ///
     /// The parent's lock guards the child cell through which every
     /// structural change to this leaf goes (insert-split replaces the leaf,
-    /// both remove paths hold the parent's lock before splicing), so
-    /// validating `cell == leaf && !parent.removed` under it pins "the key
-    /// is present" for the whole thunk: readers see the old value or the
-    /// new one, never absence or a third value.
+    /// both remove paths hold the parent's lock before splicing), and
+    /// holding it proves the parent linked, so validating `cell == leaf`
+    /// under it pins "the key is present" for the whole thunk: readers see
+    /// the old value or the new one, never absence or a third value.
     pub fn update(&self, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
         let mut backoff = Backoff::new();
@@ -492,7 +498,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                 let p = unsafe { sp_parent.as_ref() };
                 let l = unsafe { sp_leaf.as_ref() };
                 let cell = p.child_for(&k2);
-                if p.removed.load() || cell.load() != sp_leaf.ptr() {
+                if cell.load() != sp_leaf.ptr() {
                     return false; // leaf replaced/spliced: re-search
                 }
                 l.value
@@ -504,7 +510,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
             match outcome {
                 Some(true) => return true,
                 Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // parent lock busy (try-lock mode)
+                None => backoff.snooze(), // parent lock busy or unlinked
             }
         }
     }
@@ -585,7 +591,7 @@ impl<K: Key, V: Value> LeafTree<K, V> {
                 }
             }
             _ => {
-                assert!(!node.removed.load(), "removed internal reachable");
+                assert!(!node.lock.is_obsolete(), "removed internal reachable");
                 let k = node.key.as_ref().expect("internal has a routing key");
                 if let Some(lo) = lo {
                     assert!(k >= lo);
@@ -655,8 +661,24 @@ impl<K: Key, V: Value> Map<K, V> for LeafTree<K, V> {
 }
 
 impl<K: Key, V: Value> flock_api::OrderedMap<K, V> for LeafTree<K, V> {
-    fn range(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
+    fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         LeafTree::range(self, lo, hi)
+    }
+}
+
+#[cfg(test)]
+impl crate::stale_scan::ResumableScan for LeafTree<u64, u64> {
+    fn record(&self, k: u64) -> usize {
+        self.search(&k).1 as usize
+    }
+    unsafe fn resume(&self, at: usize) -> Vec<(u64, u64)> {
+        let (mut out, all) = (Vec::new(), Bound::Unbounded);
+        // SAFETY: forwarded contract; `at` is an internal, so the parent
+        // argument is never read.
+        if unsafe { self.range_walk(self.root, at as *mut _, all, all, &mut out) }.is_break() {
+            self.walk_from_root(all, all, &mut out);
+        }
+        out
     }
 }
 

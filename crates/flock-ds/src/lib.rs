@@ -37,10 +37,16 @@
 //! docs for the owning lock and EXPERIMENTS.md §7 for the placement table.
 //!
 //! Update operations use `try_lock`'s typed result to separate their retry
-//! reasons: `None` (lock busy) backs off before retrying, `Some(false)`
-//! (neighborhood validation failed) re-traverses immediately.
+//! reasons: `None` (lock busy, or its node unlinked) backs off before
+//! retrying, `Some(false)` (neighborhood validation failed) re-traverses
+//! immediately. A node's lock is also its only "still linked" flag: the
+//! critical section that unlinks a node marks the node's lock obsolete
+//! (`flock_core::Lock::mark_obsolete`), so holding a lock proves its node
+//! linked and a version bracket fails on an unlinked node.
 
 #![warn(missing_docs)]
+
+use std::ops::{Bound, ControlFlow};
 
 pub mod abtree;
 pub mod arttree;
@@ -54,6 +60,25 @@ pub use arttree::RadixKey;
 pub use flock_api::Map;
 pub use hashtable::FlockHashBuilder;
 
+/// Run a tree's range walk from the root until it completes. `walk` walks
+/// keys from its lower bound on, appending to `out`, and breaks off when it
+/// reaches a leaf whose parent lock is obsolete — a walk descheduled inside
+/// a spliced-out subtree, which could otherwise meet the old leaf of a key
+/// removed and re-inserted behind it. Each restart resumes after the last
+/// key in `out`.
+pub(crate) fn walk_restarting<K: Clone, V>(
+    lo: Bound<&K>,
+    out: &mut Vec<(K, V)>,
+    mut walk: impl FnMut(Bound<&K>, &mut Vec<(K, V)>) -> ControlFlow<()>,
+) {
+    loop {
+        let resume = out.last().map(|(k, _)| k.clone());
+        if walk(resume.as_ref().map_or(lo, Bound::Excluded), out).is_continue() {
+            return;
+        }
+    }
+}
+
 /// Mix a key into a pseudo-random u64 (splitmix64 finalizer). Used for the
 /// default hasher's finalizer and the workload's key sparsifier.
 #[inline]
@@ -62,4 +87,89 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// A scan descheduled inside a subtree that is then spliced out must not
+/// report the old leaf of a key removed and re-inserted behind it: the walk
+/// rejects a leaf whose parent is obsolete and restarts after the last key
+/// it emitted.
+#[cfg(test)]
+mod stale_scan {
+    use flock_api::{Map, testing};
+
+    /// A range walk that can resume from a node recorded earlier, as a scan
+    /// descheduled there would.
+    pub(crate) trait ResumableScan: Map<u64, u64> {
+        /// The address of the parent of the leaf holding `k`.
+        fn record(&self, k: u64) -> usize;
+        /// Continue an unbounded walk from the node recorded as `at`.
+        ///
+        /// # Safety
+        ///
+        /// The caller has been pinned since `at` was recorded.
+        unsafe fn resume(&self, at: usize) -> Vec<(u64, u64)>;
+    }
+
+    /// Insert `keys` (value = key), remove `pre`, record the parent of
+    /// `k`'s leaf, remove `k` (which must unlink that parent) and re-insert
+    /// it with a new value, then continue a walk from the recorded parent.
+    fn stale_parent_walk<T: ResumableScan>(
+        make: impl Fn() -> T,
+        keys: &[u64],
+        pre: &[u64],
+        k: u64,
+    ) {
+        testing::both_modes(|| {
+            let t = make();
+            for &x in keys {
+                assert!(t.insert(x, x));
+            }
+            for &x in pre {
+                assert!(t.remove(x));
+            }
+            let _g = flock_epoch::pin();
+            let at = t.record(k);
+            assert!(t.remove(k));
+            assert!(t.insert(k, k + 1000));
+            // SAFETY: pinned since `record`.
+            let out = unsafe { t.resume(at) };
+            assert!(
+                !out.contains(&(k, k)),
+                "{}: stale pair in {out:?}",
+                t.name()
+            );
+            assert!(
+                out.contains(&(k, k + 1000)),
+                "{}: new pair missing: {out:?}",
+                t.name()
+            );
+            assert!(
+                out.windows(2).all(|w| w[0].0 < w[1].0),
+                "{}: keys not strictly increasing: {out:?}",
+                t.name()
+            );
+        });
+    }
+
+    #[test]
+    fn walk_from_an_unlinked_parent_restarts() {
+        // 20's parent is the internal routing 30, spliced out with 20.
+        stale_parent_walk(crate::leaftree::LeafTree::new, &[10, 20, 30], &[], 20);
+        // 1..=9 split into [1..4] and [5..9] under one internal; 4 is left
+        // alone in its leaf, so removing it splices that internal out.
+        stale_parent_walk(
+            crate::leaftreap::LeafTreap::new,
+            &[1, 2, 3, 4, 5, 6, 7, 8, 9],
+            &[1, 2, 3],
+            4,
+        );
+        // 13 keys split the root leaf under a one-separator root; 6 is
+        // left alone in its leaf, so removing it replaces that root.
+        stale_parent_walk(
+            crate::abtree::ABTree::new,
+            &(1..=13).collect::<Vec<_>>(),
+            &[1, 2, 3, 4, 5],
+            6,
+        );
+    }
 }

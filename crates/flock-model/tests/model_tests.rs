@@ -1379,3 +1379,178 @@ fn tid_mutant_lockfree_release_is_caught() {
         f.message
     );
 }
+
+// ------------------------------------------------------------ obsolete bit
+
+/// The obsolete bit under helping (`flock_core`'s `lock` module docs,
+/// "Obsolete locks"): the owner's strict critical section unlinks its node
+/// — it stores `unlinked` and marks the lock obsolete — while a contender
+/// runs one `try_lock` of its own, helping the owner's descriptor whenever
+/// it finds it installed (the helper's run marks, and the helper
+/// releases). The contender then reads the bit twice.
+///
+/// **Invariants:** (a) the bit is set exactly once: it is set when both
+/// threads are done, and no read ever sees it go from set back to clear
+/// (the contender's two reads, in order); (b) no install succeeds once it
+/// is set: the contender's critical section never sees `unlinked`, and a
+/// `try_lock` at quiescence fails; (c) the owner's acquisition succeeds
+/// and the word ends unlocked.
+fn obsolete_body() {
+    let lock = Arc::new(Lock::new());
+    let unlinked = Arc::new(Mutable::new(false));
+    let late = Arc::new(Mutable::new(false));
+
+    let (l2, u2, late2) = (Arc::clone(&lock), Arc::clone(&unlinked), Arc::clone(&late));
+    let contender = flock_model::spawn(move || {
+        let (u3, late3) = (Arc::clone(&u2), Arc::clone(&late2));
+        l2.try_lock(move || {
+            if u3.load() {
+                late3.store(true);
+            }
+        });
+        let first = l2.is_obsolete();
+        let second = l2.is_obsolete();
+        assert!(!first || second, "obsolete bit cleared after it was set");
+    });
+    let (l3, u3) = (Arc::clone(&lock), Arc::clone(&unlinked));
+    let got = lock.lock(move || {
+        u3.store(true);
+        l3.mark_obsolete();
+    });
+    contender.join();
+
+    assert_eq!(
+        got,
+        Some(()),
+        "strict lock refused a lock nobody had marked"
+    );
+    assert!(
+        !late.load(),
+        "a critical section ran under an obsolete lock"
+    );
+    assert!(lock.is_obsolete(), "obsolete bit lost by a release");
+    assert!(!lock.is_locked(), "lock leaked a hold");
+    assert_eq!(
+        lock.try_lock(|| ()),
+        None,
+        "an install succeeded on an obsolete lock"
+    );
+}
+
+/// Scope: owner (strict, marking) + 1 contender, SC, ≤2 preemptions,
+/// exhaustive.
+#[test]
+fn obsolete_bit_set_once_and_never_installed_under_helping() {
+    let _g = serial();
+    let report = explore(Config::sc(), obsolete_body);
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 100, "space suspiciously small");
+}
+
+/// The same space at `model_tag_limit` 2: every install, mark and release
+/// wraps the word's tag, so a stale runner's CAS from an old committed
+/// read meets a recurring tag. Scope as above.
+#[test]
+fn obsolete_bit_holds_across_tag_wrap() {
+    let _g = serial();
+    let _t = TagLimit::set(2);
+    let report = explore(Config::sc(), obsolete_body);
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 100, "space suspiciously small");
+}
+
+/// A two-lock set whose critical section marks its **second** word, shaped
+/// like `two_lock_body`: a contender that only ever helps arrives through
+/// the first word (it runs the whole thunk, the mark included) or through
+/// the second (it finishes the descriptor there and releases that word).
+///
+/// **Invariants:** (a) the set runs once and its store applies exactly
+/// once; (b) both words are unlocked when the set returns, the second with
+/// its bit kept and the first without one; (c) a later set through the
+/// obsolete second word fails and leaves the first word unlocked.
+fn obsolete_second_word_body(through_first: bool) {
+    let a = Arc::new(Lock::new());
+    let b = Arc::new(Lock::new());
+    let n = Arc::new(Mutable::new(0u64));
+    let seen_on = Arc::clone(if through_first { &a } else { &b });
+    let helper = flock_model::spawn(move || {
+        let seen = flock_core::model_probe::observe(&seen_on);
+        flock_core::model_probe::help_observed(&seen_on, seen);
+    });
+
+    let (b2, n2) = (Arc::clone(&b), Arc::clone(&n));
+    // SAFETY: the thunk holds `b` through `b2`, so it outlives every runner.
+    let got = unsafe {
+        a.try_lock_set([&*b], move || {
+            n2.store(n2.load() + 1);
+            b2.mark_obsolete();
+        })
+    };
+    assert_eq!(got, Some(()), "a set failed on locks nobody else acquires");
+    assert_eq!(n.load(), 1, "set effects not exactly-once");
+    assert!(!a.is_locked(), "first lock leaked a hold");
+    assert!(!b.is_locked(), "second lock leaked a hold");
+    assert!(
+        b.is_obsolete(),
+        "obsolete bit lost by the second word's release"
+    );
+    assert!(
+        !a.is_obsolete(),
+        "the unmarked first word came back obsolete"
+    );
+    helper.join();
+    assert!(
+        b.is_obsolete(),
+        "obsolete bit lost by the second word's release"
+    );
+    assert!(!a.is_locked() && !b.is_locked(), "a lock leaked a hold");
+    // SAFETY: no other runner is left.
+    let again = unsafe { a.try_lock_set([&*b], || ()) };
+    assert_eq!(again, None, "a set installed on an obsolete word");
+    assert!(!a.is_locked(), "a failed set leaked its first word");
+}
+
+/// Scope: owner (one set) + 1 helper through either word, SC, ≤2
+/// preemptions, exhaustive.
+#[test]
+fn obsolete_second_word_released_with_bit_kept() {
+    let _g = serial();
+    for through_first in [true, false] {
+        let report = explore(
+            Config {
+                max_schedules: 1_000_000,
+                ..Config::sc()
+            },
+            move || obsolete_second_word_body(through_first),
+        );
+        report.assert_exhaustive_ok();
+        assert!(report.schedules_run > 100, "space suspiciously small");
+    }
+}
+
+/// Sanity mutant: a helper's release installs the empty word. Whenever the
+/// contender (or the set's helper, through the second word) is the one to
+/// release after its run marked, the bit is gone.
+#[test]
+fn obsolete_mutant_helper_release_drops_bit_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::HELPER_RELEASE_DROPS_OBSOLETE);
+    let report = explore(Config::sc(), obsolete_body);
+    let f = report.assert_finds_bug();
+    assert!(f.message.contains("obsolete bit"), "{}", f.message);
+    let report = explore(Config::sc(), || obsolete_second_word_body(false));
+    let f = report.assert_finds_bug();
+    assert!(f.message.contains("obsolete bit lost"), "{}", f.message);
+}
+
+/// Sanity mutant: an acquisition installs on any unlocked word. The
+/// contender's critical section then runs after the owner's unlinked the
+/// node.
+#[test]
+fn obsolete_mutant_install_ignores_bit_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::INSTALL_IGNORES_OBSOLETE);
+    let report = explore(Config::sc(), obsolete_body);
+    let f = report.assert_finds_bug();
+    assert!(f.message.contains("obsolete lock"), "{}", f.message);
+}

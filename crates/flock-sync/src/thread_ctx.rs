@@ -59,6 +59,10 @@ pub struct ThreadCtx {
     /// (`*mut Descriptor`) whose disposal is deferred to the end of the
     /// current owner run; null outside one.
     pub deferred: Cell<*mut ()>,
+    /// Log layer: set when the thunk run in progress marked a lock
+    /// obsolete (`Lock::mark_obsolete`); each run starts it clear and
+    /// restores the enclosing run's value when it ends.
+    pub marked: Cell<bool>,
     /// Pool layer: per-size-class magazine heads — intrusive free lists of
     /// slab slots (each free slot's first word stores the next pointer).
     /// Null means empty. Owned by the pool layer the same way the `log_*`
@@ -85,6 +89,7 @@ impl ThreadCtx {
             descriptor: Cell::new(std::ptr::null()),
             owner_run: Cell::new(false),
             deferred: Cell::new(std::ptr::null_mut()),
+            marked: Cell::new(false),
             pool_heads: [const { Cell::new(std::ptr::null_mut()) }; POOL_CLASSES],
             pool_counts: [const { Cell::new(0) }; POOL_CLASSES],
             pool_hits: Cell::new(0),
@@ -142,6 +147,7 @@ impl ThreadCtx {
         self.descriptor.set(std::ptr::null());
         self.owner_run.set(false);
         self.deferred.set(std::ptr::null_mut());
+        self.marked.set(false);
         // Drain the allocator magazines through the registered exit hook,
         // as a real thread exit would, so pooled workers start every
         // execution with empty magazines.

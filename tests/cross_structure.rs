@@ -3,21 +3,9 @@
 //! against a sequential oracle (per-thread key partitions make per-thread
 //! sequential semantics exact even under full concurrency).
 
-use std::sync::Mutex;
-
 use flock::api::Map;
-use flock::api::testing::{default_methods_check, partition_stress};
-use flock::core::{LockMode, set_lock_mode};
-
-/// Serialize tests that flip the global lock mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_mode(mode: LockMode, f: impl FnOnce()) {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_lock_mode(mode);
-    f();
-    set_lock_mode(LockMode::LockFree);
-}
+use flock::api::testing::{default_methods_check, partition_stress, with_mode};
+use flock::core::LockMode;
 
 fn flock_structures() -> Vec<Box<dyn Map<u64, u64>>> {
     vec![
@@ -63,10 +51,11 @@ fn all_flock_structures_blocking() {
 
 #[test]
 fn all_baselines() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for map in baseline_structures() {
-        partition_stress(&*map, 4, 800);
-    }
+    with_mode(LockMode::LockFree, || {
+        for map in baseline_structures() {
+            partition_stress(&*map, 4, 800);
+        }
+    });
 }
 
 /// The provided-method surface works uniformly across all 14 registry

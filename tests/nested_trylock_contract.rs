@@ -12,11 +12,10 @@
 //! traversals retry the whole descent on `None` but only the inner step on
 //! `Some(None)`).
 
-use flock::core::{Lock, LockMode, set_lock_mode};
-use std::sync::{Arc, Barrier, Mutex};
+use flock::api::testing::both_modes;
+use flock::core::Lock;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Park a holder inside `lock`'s critical section (the stall hits only the
 /// owning thread, so lock-free helpers can still complete the thunk).
@@ -37,15 +36,6 @@ fn park_holder_on(lock: &Arc<Lock>) -> std::thread::JoinHandle<()> {
     });
     entered.wait();
     holder
-}
-
-fn both_modes(test: impl Fn()) {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for mode in [LockMode::LockFree, LockMode::Blocking] {
-        set_lock_mode(mode);
-        test();
-    }
-    set_lock_mode(LockMode::LockFree);
 }
 
 #[test]
