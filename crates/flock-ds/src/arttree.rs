@@ -29,7 +29,7 @@
 //!   chain, upgrading a full node) take the owning node's lock — plus the
 //!   parent's when the node itself is replaced — validate, then apply.
 
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, OrderedMap, Value, key_in_range};
 use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
@@ -566,27 +566,25 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
 
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
-        let _g = flock_epoch::pin();
         let r = k.radix();
-        let mut backoff = Backoff::new();
-        'restart: loop {
+        let removed = crate::retry(|| {
             let mut cur = self.root;
             let mut d = 0;
             loop {
                 let b = byte_at(r, d);
-                // SAFETY: pinned.
+                // SAFETY: pinned by `retry`.
                 let c = unsafe { &*cur }.lookup(b);
                 if c == 0 {
-                    return false;
+                    return ControlFlow::Break(false);
                 }
                 if is_leaf(c) {
                     // SAFETY: pinned.
                     if unsafe { &*as_leaf::<K, V>(c) }.key != k {
-                        return false;
+                        return ControlFlow::Break(false);
                     }
                     let sp_n = Sp(cur);
                     // SAFETY: pinned.
-                    match unsafe { &*cur }.lock.try_lock(move || {
+                    return ControlFlow::Continue(unsafe { &*cur }.lock.try_lock(move || {
                         // SAFETY: thunk runners hold epoch protection.
                         let n = unsafe { sp_n.as_ref() };
                         let Some(slot) = n.slot_of(b) else {
@@ -600,22 +598,16 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                         // SAFETY: unlinked above; idempotent retire.
                         unsafe { flock_core::retire(as_leaf::<K, V>(c)) };
                         true
-                    }) {
-                        Some(true) => {
-                            self.count.dec();
-                            return true;
-                        }
-                        Some(false) => continue 'restart, // validation failed
-                        None => {
-                            backoff.snooze(); // node lock busy
-                            continue 'restart;
-                        }
-                    }
+                    }));
                 }
                 cur = as_node(c);
                 d += 1;
             }
+        });
+        if removed {
+            self.count.dec();
         }
+        removed
     }
 
     /// Native atomic update: replace the value stored under `k` in place —
@@ -625,28 +617,26 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
     /// it. Returns `false` (storing nothing) if `k` is absent. Readers see
     /// the old value or the new one, never absence or a third value.
     pub fn update(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
         let r = k.radix();
-        let mut backoff = Backoff::new();
-        'restart: loop {
+        crate::retry(|| {
             let mut cur = self.root;
             let mut d = 0;
             loop {
                 let b = byte_at(r, d);
-                // SAFETY: pinned.
+                // SAFETY: pinned by `retry`.
                 let c = unsafe { &*cur }.lookup(b);
                 if c == 0 {
-                    return false;
+                    return ControlFlow::Break(false);
                 }
                 if is_leaf(c) {
                     // SAFETY: pinned.
                     if unsafe { &*as_leaf::<K, V>(c) }.key != k {
-                        return false;
+                        return ControlFlow::Break(false);
                     }
                     let sp_n = Sp(cur);
                     let v2 = v.clone();
                     // SAFETY: pinned.
-                    match unsafe { &*cur }.lock.try_lock(move || {
+                    return ControlFlow::Continue(unsafe { &*cur }.lock.try_lock(move || {
                         // SAFETY: thunk runners hold epoch protection.
                         let n = unsafe { sp_n.as_ref() };
                         let Some(slot) = n.slot_of(b) else {
@@ -659,19 +649,12 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                         // hold the lock every replacement of it takes.
                         unsafe { &*as_leaf::<K, V>(c) }.value.set(v2.clone());
                         true
-                    }) {
-                        Some(true) => return true,
-                        Some(false) => continue 'restart, // validation failed
-                        None => {
-                            backoff.snooze(); // node lock busy
-                            continue 'restart;
-                        }
-                    }
+                    }));
                 }
                 cur = as_node(c);
                 d += 1;
             }
-        }
+        })
     }
 
     /// Add a fresh leaf for `k` into `node` (whose slot for `k`'s byte at

@@ -19,9 +19,11 @@
 //! still be replaying the thunk after the owner's call has returned — the
 //! same reason the paper's C++ lambdas must capture by value.
 
+use std::ops::ControlFlow;
+
 use flock_api::{Key, Map, Value};
 use flock_core::{Lock, Mutable, Sp, ValueSlot};
-use flock_sync::{ApproxLen, Backoff};
+use flock_sync::ApproxLen;
 
 /// Sentinel markers so head/tail need no special key values.
 const KIND_NORMAL: u8 = 0;
@@ -175,69 +177,59 @@ impl<K: Key, V: Value> DList<K, V> {
 
     /// Insert; `false` if the key is already present.
     pub fn insert(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
+        let added = crate::retry(|| {
             let next = self.find_link(&k);
-            // SAFETY: epoch-pinned traversal result.
+            // SAFETY: pinned by `retry`.
             let next_ref = unsafe { &*next };
             if next_ref.holds(&k) {
-                return false; // already there
+                return ControlFlow::Break(false); // already there
             }
             let prev = next_ref.prev.load();
-            // SAFETY: prev read from a live link; epoch-pinned.
+            // SAFETY: prev read from a live link; pinned.
             let prev_ref = unsafe { &*prev };
             let prev_ok = prev_ref.kind == KIND_HEAD
                 || (prev_ref.kind == KIND_NORMAL && prev_ref.key.as_ref().is_some_and(|x| x < &k));
-            if prev_ok {
-                let (sp_prev, sp_next) = (Sp(prev), Sp(next));
-                let (k2, v2) = (k.clone(), v.clone());
-                match prev_ref.lock.try_lock(move || {
-                    // SAFETY: thunk runs under epoch protection (owner's pin
-                    // or helper's adopted epoch); links are retired through
-                    // the collector, so these derefs are valid.
-                    let (p, n) = unsafe { (sp_prev.as_ref(), sp_next.as_ref()) };
-                    if p.next.load() != sp_next.ptr() {
-                        return false; // validate
-                    }
-                    let newl = flock_core::alloc(|| {
-                        Link::new(
-                            Some(k2.clone()),
-                            Some(v2.clone()),
-                            sp_next.ptr(),
-                            sp_prev.ptr(),
-                            KIND_NORMAL,
-                        )
-                    });
-                    p.next.store(newl); // splice in
-                    n.prev.store(newl);
-                    true
-                }) {
-                    Some(true) => {
-                        self.count.inc();
-                        return true;
-                    }
-                    // Validation failed: the neighborhood changed under us —
-                    // a fresh traversal has new information, retry at once.
-                    Some(false) => {}
-                    // Lock busy (holder already helped in lock-free mode):
-                    // ease off before contending again.
-                    None => backoff.snooze(),
-                }
+            if !prev_ok {
+                return ControlFlow::Continue(Some(false)); // traverse again now
             }
+            let (sp_prev, sp_next) = (Sp(prev), Sp(next));
+            let (k2, v2) = (k.clone(), v.clone());
+            ControlFlow::Continue(prev_ref.lock.try_lock(move || {
+                // SAFETY: thunk runs under epoch protection (owner's pin
+                // or helper's adopted epoch); links are retired through
+                // the collector, so these derefs are valid.
+                let (p, n) = unsafe { (sp_prev.as_ref(), sp_next.as_ref()) };
+                if p.next.load() != sp_next.ptr() {
+                    return false; // validate
+                }
+                let newl = flock_core::alloc(|| {
+                    Link::new(
+                        Some(k2.clone()),
+                        Some(v2.clone()),
+                        sp_next.ptr(),
+                        sp_prev.ptr(),
+                        KIND_NORMAL,
+                    )
+                });
+                p.next.store(newl); // splice in
+                n.prev.store(newl);
+                true
+            }))
+        });
+        if added {
+            self.count.inc();
         }
+        added
     }
 
     /// Remove; `false` if the key was not present.
     pub fn remove(&self, k: K) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
+        let removed = crate::retry(|| {
             let lnk = self.find_link(&k);
-            // SAFETY: epoch-pinned traversal result.
+            // SAFETY: pinned by `retry`.
             let lnk_ref = unsafe { &*lnk };
             if !lnk_ref.holds(&k) {
-                return false; // not found
+                return ControlFlow::Break(false); // not found
             }
             let prev = lnk_ref.prev.load();
             // SAFETY: epoch-pinned.
@@ -260,17 +252,14 @@ impl<K: Key, V: Value> DList<K, V> {
                 unsafe { flock_core::retire(sp_lnk.ptr()) };
                 true
             };
-            // SAFETY: epoch-pinned; runners adopt this epoch, so both locks
+            // SAFETY: pinned; runners adopt this epoch, so both locks
             // outlive them.
-            match unsafe { prev_ref.lock.try_lock_set([&lnk_ref.lock], unlink) } {
-                Some(true) => {
-                    self.count.dec();
-                    return true;
-                }
-                Some(false) => {}         // validation failed: re-traverse now
-                None => backoff.snooze(), // predecessor or victim lock busy
-            }
+            ControlFlow::Continue(unsafe { prev_ref.lock.try_lock_set([&lnk_ref.lock], unlink) })
+        });
+        if removed {
+            self.count.dec();
         }
+        removed
     }
 
     /// Lookup (wait-free traversal, no locks — paper's `find`). The value
@@ -380,29 +369,26 @@ impl<K: Key, V: Value> DList<K, V> {
     /// for the whole thunk: concurrent readers see the old value or the new
     /// one, never absence or a third value.
     pub fn update(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
+        crate::retry(|| {
             let lnk = self.find_link(&k);
-            // SAFETY: epoch-pinned traversal result.
+            // SAFETY: pinned by `retry`.
             let lnk_ref = unsafe { &*lnk };
             if !lnk_ref.holds(&k) {
-                return false;
+                return ControlFlow::Break(false);
             }
             let sp_lnk = Sp(lnk);
             let v2 = v.clone();
-            match lnk_ref.lock.try_lock(move || {
+            // `None`: the link's lock is busy, or the link was unlinked.
+            ControlFlow::Continue(lnk_ref.lock.try_lock(move || {
                 // SAFETY: thunk runners hold epoch protection.
                 let l = unsafe { sp_lnk.as_ref() };
                 l.value
                     .as_ref()
                     .expect("normal link has a value slot")
                     .set(v2.clone());
-            }) {
-                Some(()) => return true,
-                None => backoff.snooze(), // link lock busy or unlinked
-            }
-        }
+                true
+            }))
+        })
     }
 
     /// Number of elements (O(n) walk; for tests and diagnostics — the

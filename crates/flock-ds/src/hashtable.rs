@@ -36,10 +36,11 @@
 //! same reason the paper's C++ lambdas must capture by value.
 
 use std::hash::{BuildHasher, Hasher};
+use std::ops::ControlFlow;
 
 use flock_api::{Key, Map, Value};
 use flock_core::{Lock, Mutable, Sp, ValueSlot};
-use flock_sync::{ApproxLen, Backoff};
+use flock_sync::ApproxLen;
 
 use crate::mix64;
 
@@ -174,20 +175,19 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
 
     /// Insert; `false` if present.
     pub fn insert(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
         let b = self.bucket(&k);
-        let mut backoff = Backoff::new();
-        loop {
+        let added = crate::retry(|| {
             // Check outside the lock; also the loop's termination path when
             // the thunk observes the key under the lock.
-            // SAFETY: pinned above.
+            // SAFETY: pinned by `retry`.
             if !unsafe { Self::chain_find(&b.head, &k) }.is_null() {
-                return false;
+                return ControlFlow::Break(false);
             }
             let head =
                 Sp(&b.head as *const Mutable<*mut Node<K, V>> as *mut Mutable<*mut Node<K, V>>);
             let (k2, v2) = (k.clone(), v.clone());
-            match b.lock.try_lock(move || {
+            // `Some(false)`: the key appeared under the lock, re-check.
+            ControlFlow::Continue(b.lock.try_lock(move || {
                 // SAFETY: the bucket array lives as long as the table; every
                 // runner of this thunk is epoch-protected.
                 let head = unsafe { head.as_ref() };
@@ -204,31 +204,27 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                 });
                 head.store(newn);
                 true
-            }) {
-                Some(true) => {
-                    self.count.inc();
-                    return true;
-                }
-                Some(false) => {}         // key appeared under the lock: re-check
-                None => backoff.snooze(), // bucket lock busy
-            }
+            }))
+        });
+        if added {
+            self.count.inc();
         }
+        added
     }
 
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
-        let _g = flock_epoch::pin();
         let b = self.bucket(&k);
-        let mut backoff = Backoff::new();
-        loop {
-            // SAFETY: pinned above.
+        let removed = crate::retry(|| {
+            // SAFETY: pinned by `retry`.
             if unsafe { Self::chain_find(&b.head, &k) }.is_null() {
-                return false;
+                return ControlFlow::Break(false);
             }
             let head =
                 Sp(&b.head as *const Mutable<*mut Node<K, V>> as *mut Mutable<*mut Node<K, V>>);
             let k2 = k.clone();
-            match b.lock.try_lock(move || {
+            // `Some(false)`: the key vanished under the lock, re-check.
+            ControlFlow::Continue(b.lock.try_lock(move || {
                 // SAFETY: see insert.
                 let head = unsafe { head.as_ref() };
                 // Walk with the current "previous pointer cell" in hand so
@@ -248,15 +244,12 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                     p = prev_cell.load();
                 }
                 false // vanished between check and lock: retry loop re-checks
-            }) {
-                Some(true) => {
-                    self.count.dec();
-                    return true;
-                }
-                Some(false) => {}         // key vanished under the lock: re-check
-                None => backoff.snooze(), // bucket lock busy
-            }
+            }))
+        });
+        if removed {
+            self.count.dec();
         }
+        removed
     }
 
     /// Native atomic update: replace the value stored under `k` in place,
@@ -264,18 +257,16 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
     /// composite, no absence window. Returns `false` (storing nothing) if
     /// `k` is absent.
     pub fn update(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
         let b = self.bucket(&k);
-        let mut backoff = Backoff::new();
-        loop {
-            // SAFETY: pinned above.
+        crate::retry(|| {
+            // SAFETY: pinned by `retry`.
             if unsafe { Self::chain_find(&b.head, &k) }.is_null() {
-                return false;
+                return ControlFlow::Break(false);
             }
             let head =
                 Sp(&b.head as *const Mutable<*mut Node<K, V>> as *mut Mutable<*mut Node<K, V>>);
             let (k2, v2) = (k.clone(), v.clone());
-            match b.lock.try_lock(move || {
+            ControlFlow::Continue(b.lock.try_lock(move || {
                 // SAFETY: see insert.
                 let head = unsafe { head.as_ref() };
                 // SAFETY: under the bucket lock + epoch protection.
@@ -291,12 +282,8 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                 // once (indirect values).
                 n.value.set(v2.clone());
                 true
-            }) {
-                Some(true) => return true,
-                Some(false) => {}         // key vanished under the lock: re-check
-                None => backoff.snooze(), // bucket lock busy
-            }
-        }
+            }))
+        })
     }
 
     /// Wait-free lookup. Optimistic first: the chain walk and the value
@@ -347,7 +334,7 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
 
     /// Element count (O(buckets + n); tests/diagnostics).
     ///
-    /// The walk is chunked: every [`Self::LEN_CHUNK_BUCKETS`] buckets the
+    /// The walk is chunked: every 64 buckets (`LEN_CHUNK_BUCKETS`) the
     /// epoch pin is dropped and re-taken, so a concurrent writer's retired
     /// nodes can be reclaimed *during* the scan instead of piling up behind
     /// one scan-long reservation. The count stays what it always was — a

@@ -8,9 +8,11 @@
 //! (physical delete). `get` is wait-free: it walks the list and checks the
 //! obsolete bit of the matching node's lock.
 
+use std::ops::ControlFlow;
+
 use flock_api::{Key, Map, Value};
 use flock_core::{Lock, Mutable, Sp, ValueSlot};
-use flock_sync::{ApproxLen, Backoff};
+use flock_sync::ApproxLen;
 
 const KIND_NORMAL: u8 = 0;
 const KIND_HEAD: u8 = 1;
@@ -131,19 +133,17 @@ impl<K: Key, V: Value> LazyList<K, V> {
 
     /// Insert; `false` if present.
     pub fn insert(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
+        let added = crate::retry(|| {
             let (pred, curr) = self.search(&k);
-            // SAFETY: epoch-pinned.
+            // SAFETY: pinned by `retry`.
             let curr_ref = unsafe { &*curr };
             if curr_ref.holds(&k) && !curr_ref.lock.is_obsolete() {
-                return false;
+                return ControlFlow::Break(false);
             }
             let (sp_pred, sp_curr) = (Sp(pred), Sp(curr));
             let (k2, v2) = (k.clone(), v.clone());
-            // SAFETY: epoch-pinned.
-            match unsafe { &*pred }.lock.try_lock(move || {
+            // SAFETY: pinned.
+            ControlFlow::Continue(unsafe { &*pred }.lock.try_lock(move || {
                 // SAFETY: epoch protection via owner pin / helper adoption.
                 let p = unsafe { sp_pred.as_ref() };
                 if p.next.load() != sp_curr.ptr() {
@@ -159,27 +159,22 @@ impl<K: Key, V: Value> LazyList<K, V> {
                 });
                 p.next.store(newn);
                 true
-            }) {
-                Some(true) => {
-                    self.count.inc();
-                    return true;
-                }
-                Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // predecessor lock busy
-            }
+            }))
+        });
+        if added {
+            self.count.inc();
         }
+        added
     }
 
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
+        let removed = crate::retry(|| {
             let (pred, curr) = self.search(&k);
-            // SAFETY: epoch-pinned.
+            // SAFETY: pinned by `retry`.
             let curr_ref = unsafe { &*curr };
             if !curr_ref.holds(&k) || curr_ref.lock.is_obsolete() {
-                return false;
+                return ControlFlow::Break(false);
             }
             let (sp_pred, sp_curr) = (Sp(pred), Sp(curr));
             let unlink = move || {
@@ -195,18 +190,14 @@ impl<K: Key, V: Value> LazyList<K, V> {
                 unsafe { flock_core::retire(sp_curr.ptr()) };
                 true
             };
-            // SAFETY: epoch-pinned; runners adopt this epoch, so both locks
+            // SAFETY: pinned; runners adopt this epoch, so both locks
             // outlive them.
-            let outcome = unsafe { (*pred).lock.try_lock_set([&curr_ref.lock], unlink) };
-            match outcome {
-                Some(true) => {
-                    self.count.dec();
-                    return true;
-                }
-                Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // predecessor or victim lock busy
-            }
+            ControlFlow::Continue(unsafe { (*pred).lock.try_lock_set([&curr_ref.lock], unlink) })
+        });
+        if removed {
+            self.count.dec();
         }
+        removed
     }
 
     /// Wait-free lookup: optimistic version-validated snapshot against the
@@ -312,29 +303,26 @@ impl<K: Key, V: Value> LazyList<K, V> {
     /// "the key is present" for the whole thunk: readers see the old value
     /// or the new one, never absence.
     pub fn update(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
+        crate::retry(|| {
             let (_, curr) = self.search(&k);
-            // SAFETY: epoch-pinned.
+            // SAFETY: pinned by `retry`.
             let curr_ref = unsafe { &*curr };
             if !curr_ref.holds(&k) || curr_ref.lock.is_obsolete() {
-                return false;
+                return ControlFlow::Break(false);
             }
             let sp_curr = Sp(curr);
             let v2 = v.clone();
-            match curr_ref.lock.try_lock(move || {
+            // `None`: the node's lock is busy, or the node was deleted.
+            ControlFlow::Continue(curr_ref.lock.try_lock(move || {
                 // SAFETY: thunk runners hold epoch protection.
                 let c = unsafe { sp_curr.as_ref() };
                 c.value
                     .as_ref()
                     .expect("normal node has a value slot")
                     .set(v2.clone());
-            }) {
-                Some(()) => return true,
-                None => backoff.snooze(), // node lock busy or deleted
-            }
-        }
+                true
+            }))
+        })
     }
 
     /// Element count (O(n); tests/diagnostics).

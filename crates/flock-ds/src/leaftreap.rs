@@ -1,13 +1,14 @@
 //! Leaf-oriented balanced BST (treap) with multi-entry leaves — the paper's
 //! `leaftreap` (§7): "a leaf-oriented balanced BST with an optimization that
 //! stores a batch of key-value pairs (up to 2 cachelines worth) in each leaf
-//! to minimize height". Generic over `(K, V)`.
+//! to minimize height". Generic over `(K, V)`. Lookups, updates, removes
+//! and scans follow the crate's [tree protocol](crate#tree-protocol).
 //!
-//! * **Leaves** hold up to [`LEAF_CAP`] sorted key-value pairs and are
-//!   immutable: every modification copies the leaf and swings the parent's
-//!   child pointer (one idempotent store) — so readers always see a
-//!   consistent batch. Fat values ride inside the copied batch (the batch
-//!   is part of the epoch-reclaimed node).
+//! * **Leaves** hold up to [`LEAF_CAP`] sorted key-value pairs. A change of
+//!   key set copies the leaf and swings the parent's child pointer (one
+//!   idempotent store), so readers always see a consistent batch. Fat
+//!   values ride inside the copied batch (the batch is part of the
+//!   epoch-reclaimed node).
 //! * **Internal (routing) nodes** carry a routing key and a *priority*
 //!   (a deterministic hash of the key). Max-heap order on priorities makes
 //!   the tree a treap: expected `O(log n)` height regardless of insertion
@@ -22,35 +23,32 @@
 use std::hash::BuildHasher;
 use std::ops::{Bound, ControlFlow};
 
-use flock_api::{Key, Map, OrderedMap, Value, key_above_lower, key_below_upper, key_in_range};
+use flock_api::{Key, Map, OrderedMap, Value};
 use flock_core::{Lock, Mutable, Sp, ValueSlot};
-use flock_sync::{ApproxLen, Backoff};
+use flock_sync::Backoff;
 
 use crate::hashtable::FlockHashBuilder;
+use crate::tree::{Tree, TreeNode};
 
 /// Entries per leaf: 2 cachelines of 8-byte keys / 8-byte values.
 pub const LEAF_CAP: usize = 8;
-
-const KIND_INTERNAL: u8 = 0;
-const KIND_LEAF: u8 = 1;
 
 /// Deterministic treap priority for a routing key.
 fn prio_of<K: Key>(k: &K) -> u64 {
     FlockHashBuilder.hash_one(k)
 }
 
-struct Node<K: Key, V: Value> {
+pub(crate) struct Node<K: Key, V: Value> {
     left: Mutable<*mut Node<K, V>>,
     right: Mutable<*mut Node<K, V>>,
     /// Marked obsolete by the rotation or splice that unlinks the node.
     lock: Lock,
-    /// Routing key (internals; `None` on the root and on leaves — leaves
+    /// Routing key (internals; `None` on the anchor and on leaves — leaves
     /// are located by search position, not key).
     key: Option<K>,
     /// Treap priority (internal only).
     prio: u64,
-    kind: u8,
-    is_root: bool,
+    leaf: bool,
     /// Sorted batch (leaves only). The *key set* is immutable after
     /// construction (membership changes copy the leaf), but each entry's
     /// value lives in a [`ValueSlot`] mutable in place under the leaf's
@@ -60,85 +58,64 @@ struct Node<K: Key, V: Value> {
 
 impl<K: Key, V: Value> Node<K, V> {
     fn internal(key: K, left: *mut Node<K, V>, right: *mut Node<K, V>) -> Self {
-        let prio = prio_of(&key);
-        Self {
-            left: Mutable::new(left),
-            right: Mutable::new(right),
-            lock: Lock::new(),
-            key: Some(key),
-            prio,
-            kind: KIND_INTERNAL,
-            is_root: false,
-            entries: Vec::new(),
-        }
+        Self::new_internal(&[key], &[left, right])
     }
+}
 
-    fn root(left: *mut Node<K, V>) -> Self {
-        Self {
-            left: Mutable::new(left),
-            right: Mutable::new(std::ptr::null_mut()),
-            lock: Lock::new(),
-            key: None,
-            prio: u64::MAX, // the root never loses a priority comparison
-            kind: KIND_INTERNAL,
-            is_root: true,
-            entries: Vec::new(),
-        }
+impl<K: Key, V: Value> TreeNode for Node<K, V> {
+    type K = K;
+    type V = V;
+
+    fn lock(&self) -> &Lock {
+        &self.lock
     }
-
-    fn leaf(entries: &[(K, V)]) -> Self {
+    fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+    fn seps(&self) -> &[K] {
+        self.key.as_slice()
+    }
+    fn child(&self, i: usize) -> &Mutable<*mut Self> {
+        if i == 0 { &self.left } else { &self.right }
+    }
+    fn entries(&self) -> impl Iterator<Item = (&K, &ValueSlot<V>)> {
+        self.entries.iter().map(|(k, s)| (k, s))
+    }
+    fn new_leaf(entries: &[(K, V)]) -> Self {
         debug_assert!(entries.len() <= LEAF_CAP);
+        let null = std::ptr::null_mut();
         Self {
-            left: Mutable::new(std::ptr::null_mut()),
-            right: Mutable::new(std::ptr::null_mut()),
+            left: Mutable::new(null),
+            right: Mutable::new(null),
             lock: Lock::new(),
             key: None,
             prio: 0,
-            kind: KIND_LEAF,
-            is_root: false,
+            leaf: true,
             entries: entries
                 .iter()
                 .map(|(k, v)| (k.clone(), ValueSlot::new(v.clone())))
                 .collect(),
         }
     }
-
-    #[inline]
-    fn child_for(&self, k: &K) -> &Mutable<*mut Node<K, V>> {
-        if self.is_root || self.key.as_ref().is_some_and(|x| k < x) {
-            &self.left
-        } else {
-            &self.right
+    fn new_internal(seps: &[K], kids: &[*mut Self]) -> Self {
+        let key = seps.first().cloned();
+        Self {
+            left: Mutable::new(kids[0]),
+            right: Mutable::new(kids.get(1).copied().unwrap_or(std::ptr::null_mut())),
+            lock: Lock::new(),
+            // The anchor never loses a priority comparison.
+            prio: key.as_ref().map_or(u64::MAX, prio_of),
+            key,
+            leaf: false,
+            entries: Vec::new(),
         }
-    }
-
-    /// Position of `k` in this leaf's batch, if present.
-    #[inline]
-    fn find(&self, k: &K) -> Option<usize> {
-        self.entries.iter().position(|(x, _)| x == k)
-    }
-
-    /// Value snapshot of the batch (for copy-on-write paths). Inside a
-    /// thunk every slot read is committed, so all runners copy the same
-    /// batch.
-    fn entries_snapshot(&self) -> Vec<(K, V)> {
-        self.entries
-            .iter()
-            .map(|(k, s)| (k.clone(), s.read()))
-            .collect()
     }
 }
 
 /// Leaf-oriented treap map with batched leaves.
 pub struct LeafTreap<K: Key, V: Value> {
-    root: *mut Node<K, V>,
-    /// Maintained element count backing `len_approx`.
-    count: ApproxLen,
+    tree: Tree<Node<K, V>>,
 }
-
-// SAFETY: mutation via Flock locks + epoch reclamation; root immutable.
-unsafe impl<K: Key, V: Value> Send for LeafTreap<K, V> {}
-unsafe impl<K: Key, V: Value> Sync for LeafTreap<K, V> {}
 
 impl<K: Key, V: Value> Default for LeafTreap<K, V> {
     fn default() -> Self {
@@ -149,89 +126,60 @@ impl<K: Key, V: Value> Default for LeafTreap<K, V> {
 impl<K: Key, V: Value> LeafTreap<K, V> {
     /// An empty treap.
     pub fn new() -> Self {
-        let empty = flock_epoch::alloc(Node::leaf(&[]));
         Self {
-            root: flock_epoch::alloc(Node::root(empty)),
-            count: ApproxLen::new(),
+            tree: Tree::new(false),
         }
-    }
-
-    /// Lock-free search: `(grandparent, parent, leaf)`; grandparent is null
-    /// when the parent is the root.
-    #[allow(clippy::type_complexity)]
-    fn search(&self, k: &K) -> (*mut Node<K, V>, *mut Node<K, V>, *mut Node<K, V>) {
-        let mut g = std::ptr::null_mut();
-        let mut p = self.root;
-        // SAFETY: caller pinned; nodes epoch-reclaimed.
-        let mut c = unsafe { (*p).child_for(k).load() };
-        while unsafe { &*c }.kind == KIND_INTERNAL {
-            g = p;
-            p = c;
-            c = unsafe { &*c }.child_for(k).load();
-        }
-        (g, p, c)
     }
 
     /// Insert; `false` if present.
     pub fn insert(&self, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let (_, parent, leaf) = self.search(&k);
-            // SAFETY: epoch-pinned.
-            let leaf_ref = unsafe { &*leaf };
-            if leaf_ref.find(&k).is_some() {
-                return false;
+        let added = crate::retry(|| {
+            let at = self.tree.search(&k);
+            // SAFETY: pinned by `retry`.
+            if unsafe { &*at.l }.slot(&k).is_some() {
+                return ControlFlow::Break(false);
             }
-            let (sp_p, sp_l) = (Sp(parent), Sp(leaf));
-            let (k2, v2) = (k.clone(), v.clone());
-            // SAFETY: epoch-pinned.
-            let outcome = unsafe { &*parent }.lock.try_lock(move || {
+            let (sp, sl, pi, k2, v2) = (Sp(at.p), Sp(at.l), at.pi, k.clone(), v.clone());
+            // SAFETY: pinned.
+            ControlFlow::Continue(unsafe { &*at.p }.lock.try_lock(move || {
                 // SAFETY: thunk runners hold epoch protection.
-                let p = unsafe { sp_p.as_ref() };
-                let l = unsafe { sp_l.as_ref() };
-                let cell = p.child_for(&k2);
-                if cell.load() != sp_l.ptr() {
+                let (p, l) = unsafe { (sp.as_ref(), sl.as_ref()) };
+                let cell = p.child(pi);
+                if cell.load() != sl.ptr() {
                     return false; // validate
                 }
-                let mut entries = l.entries_snapshot();
+                let mut entries = l.snapshot();
                 let pos = entries.partition_point(|(ek, _)| ek < &k2);
                 entries.insert(pos, (k2.clone(), v2.clone()));
                 if entries.len() <= LEAF_CAP {
-                    let newl = flock_core::alloc(move || Node::leaf(&entries));
+                    let newl = flock_core::alloc(move || Node::new_leaf(&entries));
                     cell.store(newl);
                 } else {
                     // Split into two half-leaves under a new routing node.
                     // Three separate idempotent allocs: nesting the leaf
                     // allocations inside the routing node's init closure
                     // would leak both halves on every replayed run.
-                    let mid = entries.len() / 2;
-                    let split_key = entries[mid].0.clone();
-                    let lo = entries[..mid].to_vec();
-                    let hi = entries[mid..].to_vec();
-                    let left = flock_core::alloc(|| Node::leaf(&lo));
-                    let right = flock_core::alloc(|| Node::leaf(&hi));
-                    let newi =
-                        flock_core::alloc(move || Node::internal(split_key.clone(), left, right));
+                    let (lo, hi) = entries.split_at(entries.len() / 2);
+                    let split_key = hi[0].0.clone();
+                    let left = flock_core::alloc(|| Node::new_leaf(lo));
+                    let right = flock_core::alloc(|| Node::new_leaf(hi));
+                    let newi = flock_core::alloc(move || Node::internal(split_key, left, right));
                     cell.store(newi);
                 }
                 // SAFETY: old leaf unlinked above; idempotent retire.
-                unsafe { flock_core::retire(sp_l.ptr()) };
+                unsafe { flock_core::retire(sl.ptr()) };
                 true
-            });
-            match outcome {
-                Some(true) => {
-                    // A split may have violated heap order; bubble the new
-                    // routing node up. Balance repair is separate from the
-                    // insert's linearization point.
-                    self.fix_priorities(&k);
-                    self.count.inc();
-                    return true;
-                }
-                Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // parent lock busy
-            }
+            }))
+        });
+        if added {
+            // A split may have violated heap order; bubble the new routing
+            // node up. Balance repair is separate from the insert's
+            // linearization point.
+            self.fix_priorities(&k);
+            self.tree.count.inc();
         }
+        added
     }
 
     /// Restore the treap's max-heap priority order along `k`'s search path
@@ -241,20 +189,22 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         'outer: loop {
             // Find the first violation (child.prio > parent.prio) on the
             // path; the root's +inf priority stops the bubble at the top.
-            let mut g = self.root;
+            let mut g = self.tree.anchor;
             // SAFETY: pinned by callers of insert; nodes epoch-reclaimed.
-            let mut p = unsafe { (*g).child_for(k).load() };
-            if unsafe { &*p }.kind != KIND_INTERNAL {
+            let mut p = unsafe { &*g }.child(0).load();
+            if unsafe { &*p }.leaf {
                 return;
             }
             loop {
-                let c = unsafe { &*p }.child_for(k).load();
+                // SAFETY: pinned.
+                let p_ref = unsafe { &*p };
+                let c = p_ref.child(p_ref.route(k)).load();
                 // SAFETY: pinned.
                 let c_ref = unsafe { &*c };
-                if c_ref.kind != KIND_INTERNAL {
+                if c_ref.leaf {
                     return; // reached the leaf: no violations on this path
                 }
-                if c_ref.prio > unsafe { &*p }.prio {
+                if c_ref.prio > p_ref.prio {
                     // Whether or not the rotation succeeds, re-walk: the
                     // neighborhood may have changed under us. Busy locks
                     // mean another repairer is in there — ease off first.
@@ -347,270 +297,42 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
 
     /// Remove; `false` if absent.
     pub fn remove(&self, k: K) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let (gparent, parent, leaf) = self.search(&k);
-            // SAFETY: epoch-pinned.
-            let leaf_ref = unsafe { &*leaf };
-            if leaf_ref.find(&k).is_none() {
-                return false;
-            }
-            let outcome = if leaf_ref.entries.len() > 1 || gparent.is_null() {
-                // Shrink the batch (COW); also covers the directly-under-root
-                // case, where an empty leaf may remain.
-                let (sp_p, sp_l) = (Sp(parent), Sp(leaf));
-                let k2 = k.clone();
-                // SAFETY: epoch-pinned.
-                unsafe { &*parent }.lock.try_lock(move || {
-                    // SAFETY: thunk runners hold epoch protection.
-                    let p = unsafe { sp_p.as_ref() };
-                    let l = unsafe { sp_l.as_ref() };
-                    let cell = p.child_for(&k2);
-                    if cell.load() != sp_l.ptr() {
-                        return false;
-                    }
-                    let Some(pos) = l.find(&k2) else { return false };
-                    let mut entries = l.entries_snapshot();
-                    entries.remove(pos);
-                    let newl = flock_core::alloc(move || Node::leaf(&entries));
-                    cell.store(newl);
-                    // SAFETY: unlinked above; idempotent retire.
-                    unsafe { flock_core::retire(sp_l.ptr()) };
-                    true
-                })
-            } else {
-                // Last entry of a non-root leaf: splice leaf + parent out.
-                let (sp_g, sp_p, sp_l) = (Sp(gparent), Sp(parent), Sp(leaf));
-                let k2 = k.clone();
-                let splice = move || {
-                    // SAFETY: thunk runners hold epoch protection.
-                    let g = unsafe { sp_g.as_ref() };
-                    let p = unsafe { sp_p.as_ref() };
-                    let l = unsafe { sp_l.as_ref() };
-                    if l.find(&k2).is_none() {
-                        return false;
-                    }
-                    let gcell = if g.left.load() == sp_p.ptr() {
-                        &g.left
-                    } else if g.right.load() == sp_p.ptr() {
-                        &g.right
-                    } else {
-                        return false;
-                    };
-                    let sibling = if p.left.load() == sp_l.ptr() {
-                        p.right.load()
-                    } else if p.right.load() == sp_l.ptr() {
-                        p.left.load()
-                    } else {
-                        return false;
-                    };
-                    p.lock.mark_obsolete();
-                    gcell.store(sibling);
-                    // SAFETY: both unlinked above; idempotent retires.
-                    unsafe {
-                        flock_core::retire(sp_p.ptr());
-                        flock_core::retire(sp_l.ptr());
-                    }
-                    true
-                };
-                // SAFETY: epoch-pinned; runners adopt this epoch, so both
-                // locks outlive them.
-                unsafe { (*gparent).lock.try_lock_set([&(*parent).lock], splice) }
-            };
-            match outcome {
-                Some(true) => {
-                    self.count.dec();
-                    return true;
-                }
-                Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // a lock on the path was busy
-            }
-        }
+        self.tree.remove(&k)
     }
 
-    /// Lock-free search with plain `Acquire` loads: `(parent, leaf)`.
-    /// Used by the optimistic read paths, which never log their loads.
-    fn search_acquire(&self, k: &K) -> (*mut Node<K, V>, *mut Node<K, V>) {
-        let mut p = self.root;
-        // SAFETY: caller pinned; nodes epoch-reclaimed.
-        let mut c = unsafe { (*p).child_for(k).load_acquire() };
-        while unsafe { &*c }.kind == KIND_INTERNAL {
-            p = c;
-            c = unsafe { &*c }.child_for(k).load_acquire();
-        }
-        (p, c)
-    }
-
-    /// Wait-free lookup. Optimistic first: an unlogged `Acquire` descent,
-    /// the value slot read bracketed by the leaf's **parent** lock version
-    /// (every batch replacement *and* every in-place `update` of this
-    /// leaf's slots runs under that lock; rotations and splices mark the
-    /// old parent's lock obsolete inside its own critical section). After
-    /// [`flock_core::OPTIMISTIC_READ_ATTEMPTS`] failed validations — or
-    /// inside a thunk, where unlogged loads would desynchronize helpers —
-    /// falls back to the committed-read descent.
+    /// Lookup: the value slot read bracketed by the leaf's **parent** lock
+    /// version (every batch replacement *and* every in-place `update` of
+    /// this leaf's slots runs under that lock; rotations and splices mark
+    /// the old parent's lock obsolete inside their own critical section).
     pub fn get(&self, k: K) -> Option<V> {
-        let _g = flock_epoch::pin();
-        flock_core::read_validated(
-            || {
-                let (parent, leaf) = self.search_acquire(&k);
-                // SAFETY: epoch-pinned.
-                let (p, l) = unsafe { (&*parent, &*leaf) };
-                let v0 = p.lock.version()?;
-                if p.child_for(&k).load_acquire() != leaf {
-                    return None;
-                }
-                let v = l.find(&k).map(|i| l.entries[i].1.read_acquire());
-                p.lock.validate(v0).then_some(v)
-            },
-            || {
-                let (_, _, leaf) = self.search(&k);
-                // SAFETY: epoch-pinned.
-                let l = unsafe { &*leaf };
-                l.find(&k).map(|i| l.entries[i].1.read())
-            },
-        )
+        self.tree.get(&k)
     }
 
     /// Presence check without materializing the value — no slot read, no
     /// decode, no clone (for `Indirect` fat values `get` clones the boxed
-    /// payload just to drop it). A leaf's key set is immutable after
-    /// construction, so reaching the leaf is itself the linearization
-    /// point: no version validation is needed.
+    /// payload just to drop it).
     pub fn contains(&self, k: &K) -> bool {
-        let _g = flock_epoch::pin();
-        if flock_core::in_thunk() {
-            // Inside a thunk every load must be logged for replay.
-            let (_, _, leaf) = self.search(k);
-            // SAFETY: epoch-pinned.
-            return unsafe { &*leaf }.find(k).is_some();
-        }
-        let (_, leaf) = self.search_acquire(k);
-        // SAFETY: epoch-pinned.
-        unsafe { &*leaf }.find(k).is_some()
+        self.tree.contains(k)
     }
 
     /// Ordered range scan over `[lo, hi]` bounds. Each leaf batch is
-    /// snapshot under a parent-lock version bracket (committed per-slot
-    /// reads after bounded validation failures), so every reported entry
-    /// was simultaneously present at some instant during the scan; see
-    /// [`OrderedMap`] for the cross-entry contract.
+    /// snapshot under a parent-lock version bracket, so every reported
+    /// entry was simultaneously present at some instant during the scan;
+    /// see [`OrderedMap`] for the cross-entry contract.
     pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        let _g = flock_epoch::pin();
-        let mut out = Vec::new();
-        self.walk_from_root(lo, hi, &mut out);
-        out
-    }
-
-    /// [`LeafTreap::range`]'s walk, restarted as [`crate::walk_restarting`]
-    /// says. The caller is pinned.
-    fn walk_from_root(&self, lo: Bound<&K>, hi: Bound<&K>, out: &mut Vec<(K, V)>) {
-        crate::walk_restarting(lo, out, |from, out| {
-            // SAFETY: pinned walk from the pseudo-root.
-            unsafe { self.range_walk(self.root, (*self.root).left.load_acquire(), from, hi, out) }
-        });
-    }
-
-    /// In-order walk pruned by the routing keys (left subtree `< x`,
-    /// right subtree `>= x`). `parent` is the internal node whose child
-    /// cell yielded `n` — its lock owns `n`'s slots when `n` is a leaf.
-    /// `Break` = the walk reached a leaf of an obsolete parent.
-    unsafe fn range_walk(
-        &self,
-        parent: *mut Node<K, V>,
-        n: *mut Node<K, V>,
-        lo: Bound<&K>,
-        hi: Bound<&K>,
-        out: &mut Vec<(K, V)>,
-    ) -> ControlFlow<()> {
-        // SAFETY: pinned per caller.
-        let node = unsafe { &*n };
-        if node.kind == KIND_LEAF {
-            // SAFETY: pinned per caller.
-            let p = unsafe { &*parent };
-            let snap = |read: fn(&ValueSlot<V>) -> V| -> Vec<(K, V)> {
-                node.entries
-                    .iter()
-                    .map(|(k, s)| (k.clone(), read(s)))
-                    .collect()
-            };
-            // `None`: the parent is obsolete, restart.
-            let snap = flock_core::read_validated(
-                || {
-                    let v0 = p.lock.version()?;
-                    let e = snap(ValueSlot::read_acquire);
-                    p.lock.validate(v0).then_some(Some(e))
-                },
-                || {
-                    let e = snap(ValueSlot::read);
-                    (!p.lock.is_obsolete()).then_some(e)
-                },
-            );
-            let Some(snap) = snap else {
-                return ControlFlow::Break(());
-            };
-            out.extend(snap.into_iter().filter(|(k, _)| key_in_range(k, lo, hi)));
-            return ControlFlow::Continue(());
-        }
-        let x = node.key.as_ref().expect("non-root internal has a key");
-        if key_above_lower(x, lo) {
-            // Left subtree holds keys `< x`; skip it when they all fall
-            // below the lower bound.
-            let l = node.left.load_acquire();
-            unsafe { self.range_walk(n, l, lo, hi, out) }?;
-        }
-        if key_below_upper(x, hi) {
-            let r = node.right.load_acquire();
-            unsafe { self.range_walk(n, r, lo, hi, out) }?;
-        }
-        ControlFlow::Continue(())
+        self.tree.range(lo, hi)
     }
 
     /// Native atomic update: replace the value stored under `k` in place —
-    /// one idempotent slot store under the leaf's **parent** lock (the lock
-    /// every copy-on-write replacement of this leaf takes), with the parent
-    /// link validated under it. Returns `false` if `k` is absent. Readers
-    /// see the old value or the new one, never absence or a third value —
-    /// and the batch is not copied.
+    /// one idempotent slot store under the leaf's **parent** lock, without
+    /// copying the batch. Returns `false` if `k` is absent.
     pub fn update(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
-        let mut backoff = Backoff::new();
-        loop {
-            let (_, parent, leaf) = self.search(&k);
-            // SAFETY: epoch-pinned.
-            let leaf_ref = unsafe { &*leaf };
-            if leaf_ref.find(&k).is_none() {
-                return false;
-            }
-            let (sp_p, sp_l) = (Sp(parent), Sp(leaf));
-            let (k2, v2) = (k.clone(), v.clone());
-            // SAFETY: epoch-pinned.
-            let outcome = unsafe { &*parent }.lock.try_lock(move || {
-                // SAFETY: thunk runners hold epoch protection.
-                let p = unsafe { sp_p.as_ref() };
-                let l = unsafe { sp_l.as_ref() };
-                let cell = p.child_for(&k2);
-                if cell.load() != sp_l.ptr() {
-                    return false; // leaf replaced under us: re-search
-                }
-                let Some(pos) = l.find(&k2) else { return false };
-                l.entries[pos].1.set(v2.clone());
-                true
-            });
-            match outcome {
-                Some(true) => return true,
-                Some(false) => {}         // validation failed: re-search now
-                None => backoff.snooze(), // parent lock busy
-            }
-        }
+        self.tree.update(&k, &v)
     }
 
     /// Element count (O(n) walk; tests/diagnostics).
     pub fn len(&self) -> usize {
-        let _g = flock_epoch::pin();
-        // SAFETY: pinned walk.
-        unsafe { Self::count_entries((*self.root).left.load()) }
+        self.tree.len()
     }
 
     /// Is the treap empty?
@@ -618,102 +340,17 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         self.len() == 0
     }
 
-    unsafe fn count_entries(n: *mut Node<K, V>) -> usize {
-        // SAFETY: pinned per caller.
-        let node = unsafe { &*n };
-        if node.kind == KIND_LEAF {
-            node.entries.len()
-        } else {
-            unsafe {
-                Self::count_entries(node.left.load()) + Self::count_entries(node.right.load())
-            }
-        }
-    }
-
     /// Ordered snapshot — single-threaded use.
     pub fn collect(&self) -> Vec<(K, V)> {
-        let _g = flock_epoch::pin();
-        let mut out = Vec::new();
-        // SAFETY: pinned walk.
-        unsafe { Self::walk((*self.root).left.load(), &mut out) };
-        out
-    }
-
-    unsafe fn walk(n: *mut Node<K, V>, out: &mut Vec<(K, V)>) {
-        // SAFETY: pinned per caller.
-        let node = unsafe { &*n };
-        if node.kind == KIND_LEAF {
-            out.extend(node.entries_snapshot());
-        } else {
-            unsafe {
-                Self::walk(node.left.load(), out);
-                Self::walk(node.right.load(), out);
-            }
-        }
+        self.tree.collect()
     }
 
     /// Quiescent invariant check: BST routing, heap priority order, sorted
     /// leaf batches within routing bounds.
     pub fn check_invariants(&self) {
-        // SAFETY: quiescent per contract.
-        unsafe {
-            Self::check((*self.root).left.load(), None, None, u64::MAX);
-        }
-    }
-
-    unsafe fn check(n: *mut Node<K, V>, lo: Option<&K>, hi: Option<&K>, max_prio: u64) {
-        // SAFETY: quiescent per caller.
-        let node = unsafe { &*n };
-        if node.kind == KIND_LEAF {
-            let e = &node.entries;
-            assert!(e.windows(2).all(|w| w[0].0 < w[1].0), "unsorted leaf batch");
-            for (k, _) in e {
-                if let Some(lo) = lo {
-                    assert!(k >= lo, "leaf key below bound");
-                }
-                if let Some(hi) = hi {
-                    assert!(k < hi, "leaf key above bound");
-                }
-            }
-        } else {
-            assert!(!node.lock.is_obsolete(), "removed routing node reachable");
-            assert!(node.prio <= max_prio, "treap heap order violated");
-            let k = node.key.as_ref().expect("non-root internal has a key");
-            if let Some(lo) = lo {
-                assert!(k >= lo);
-            }
-            if let Some(hi) = hi {
-                assert!(k <= hi);
-            }
-            unsafe {
-                Self::check(node.left.load(), lo, Some(k), node.prio);
-                Self::check(node.right.load(), Some(k), hi, node.prio);
-            }
-        }
-    }
-}
-
-impl<K: Key, V: Value> Drop for LeafTreap<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; retired nodes belong to the collector.
-        unsafe fn free<K: Key, V: Value>(n: *mut Node<K, V>) {
-            if n.is_null() {
-                return;
-            }
-            // SAFETY: exclusive teardown.
-            unsafe {
-                if (*n).kind == KIND_INTERNAL {
-                    free((*n).left.load());
-                    free((*n).right.load());
-                }
-                flock_epoch::free_now(n);
-            }
-        }
-        // SAFETY: exclusive access.
-        unsafe {
-            free((*self.root).left.load());
-            flock_epoch::free_now(self.root);
-        }
+        self.tree.check_invariants(|p, c| {
+            assert!(c.prio <= p.prio, "treap heap order violated");
+        });
     }
 }
 
@@ -740,7 +377,7 @@ impl<K: Key, V: Value> Map<K, V> for LeafTreap<K, V> {
         true
     }
     fn len_approx(&self) -> Option<usize> {
-        Some(self.count.get())
+        Some(self.tree.count.get())
     }
 }
 
@@ -751,25 +388,20 @@ impl<K: Key, V: Value> OrderedMap<K, V> for LeafTreap<K, V> {
 }
 
 #[cfg(test)]
-impl crate::stale_scan::ResumableScan for LeafTreap<u64, u64> {
-    fn record(&self, k: u64) -> usize {
-        self.search(&k).1 as usize
-    }
-    unsafe fn resume(&self, at: usize) -> Vec<(u64, u64)> {
-        let (mut out, all) = (Vec::new(), Bound::Unbounded);
-        // SAFETY: forwarded contract; `at` is an internal, so the parent
-        // argument is never read.
-        if unsafe { self.range_walk(self.root, at as *mut _, all, all, &mut out) }.is_break() {
-            self.walk_from_root(all, all, &mut out);
-        }
-        out
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tests::{TreeMap, native_update_in_place as update_body};
     use flock_api::testing as testutil;
+
+    impl TreeMap for LeafTreap<u64, u64> {
+        type Node = Node<u64, u64>;
+        fn tree(&self) -> &Tree<Self::Node> {
+            &self.tree
+        }
+        fn check_invariants(&self) {
+            LeafTreap::check_invariants(self)
+        }
+    }
 
     #[test]
     fn basic_ops() {
@@ -817,14 +449,14 @@ mod tests {
         unsafe fn depth(n: *mut Node<u64, u64>) -> usize {
             // SAFETY: quiescent per caller.
             let node = unsafe { &*n };
-            if node.kind == KIND_LEAF {
+            if node.leaf {
                 1
             } else {
                 1 + unsafe { depth(node.left.load()).max(depth(node.right.load())) }
             }
         }
         // SAFETY: quiescent single-threaded test.
-        let d = unsafe { depth((*t.root).left.load()) };
+        let d = unsafe { depth((*t.tree.anchor).left.load()) };
         // 4096/8 = 512+ leaves; a treap's expected depth is ~2·ln(512) ≈ 13.
         // A sorted-insert degenerate tree would be ~512. Allow generous slack.
         assert!(d < 64, "treap degenerated: depth {d}");
@@ -852,24 +484,8 @@ mod tests {
 
     #[test]
     fn native_update_in_place() {
-        testutil::both_modes(|| {
-            let t: LeafTreap<u64, u64> = LeafTreap::new();
-            assert!(!t.update(1, 10), "update of an absent key refused");
-            // Fill past one leaf so updates hit interior leaves too.
-            for k in 0..64 {
-                assert!(t.insert(k, k));
-            }
-            for k in 0..64 {
-                assert!(t.update(k, k + 1000));
-            }
-            for k in 0..64 {
-                assert_eq!(t.get(k), Some(k + 1000));
-            }
-            assert_eq!(t.len(), 64, "update must not change the count");
-            assert!(t.remove(7));
-            assert!(!t.update(7, 1));
-            t.check_invariants();
-        });
+        // Past one leaf, so updates hit interior leaves too.
+        testutil::both_modes(|| update_body(LeafTreap::new(), 64));
     }
 
     #[test]

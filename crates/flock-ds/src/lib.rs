@@ -37,16 +37,47 @@
 //! docs for the owning lock and EXPERIMENTS.md §7 for the placement table.
 //!
 //! Update operations use `try_lock`'s typed result to separate their retry
-//! reasons: `None` (lock busy, or its node unlinked) backs off before
-//! retrying, `Some(false)` (neighborhood validation failed) re-traverses
-//! immediately. A node's lock is also its only "still linked" flag: the
-//! critical section that unlinks a node marks the node's lock obsolete
+//! reasons, in one shared retry loop: `None` (a lock busy, or its node
+//! unlinked) backs off before retrying, because in lock-free mode the
+//! holder has already been helped and contending again at once only
+//! collides; `Some(false)` (neighborhood validation failed) re-traverses
+//! immediately, because a fresh traversal has new information. A node's
+//! lock is also its only "still linked" flag: the critical section that
+//! unlinks a node marks the node's lock obsolete
 //! (`flock_core::Lock::mark_obsolete`), so holding a lock proves its node
 //! linked and a version bracket fails on an unlinked node.
+//!
+//! ## Tree protocol
+//!
+//! [`leaftree`], [`leaftreap`] and [`abtree`] share one leaf-oriented tree
+//! protocol, written once; each tree adds its node layout and its `insert`
+//! (splits, and the treap's rotations).
+//!
+//! - **The parent lock owns a leaf.** Keys live in leaves, and a leaf's key
+//!   set never changes. Every change to a leaf — a copy that replaces it, an
+//!   in-place value `update`, a split, a splice — goes through its parent's
+//!   child cell under the parent's lock, after checking that the cell still
+//!   holds the leaf.
+//! - **The obsolete bit means "unlinked".** Unlinking or replacing an
+//!   internal node marks its lock obsolete in the same critical section, so
+//!   no lock is taken on an unlinked node and its child cells never change
+//!   again.
+//! - **The bracket.** A read of a leaf's values takes the parent's version,
+//!   re-checks the child cell, reads, and validates the version. After a
+//!   bounded number of failures it reads through the committed path and
+//!   accepts the result only if the parent is not obsolete. Presence alone
+//!   needs no bracket: the leaf a descent reaches was linked at some instant
+//!   of the descent.
+//! - **The restart.** A range scan that meets an obsolete parent was
+//!   descheduled inside a spliced-out subtree, where it could meet the old
+//!   leaf of a key removed and re-inserted behind it. It restarts from the
+//!   top after the last key it emitted.
 
 #![warn(missing_docs)]
 
-use std::ops::{Bound, ControlFlow};
+use std::ops::ControlFlow;
+
+use flock_sync::Backoff;
 
 pub mod abtree;
 pub mod arttree;
@@ -55,26 +86,26 @@ pub mod hashtable;
 pub mod lazylist;
 pub mod leaftreap;
 pub mod leaftree;
+mod tree;
 
 pub use arttree::RadixKey;
 pub use flock_api::Map;
 pub use hashtable::FlockHashBuilder;
 
-/// Run a tree's range walk from the root until it completes. `walk` walks
-/// keys from its lower bound on, appending to `out`, and breaks off when it
-/// reaches a leaf whose parent lock is obsolete — a walk descheduled inside
-/// a spliced-out subtree, which could otherwise meet the old leaf of a key
-/// removed and re-inserted behind it. Each restart resumes after the last
-/// key in `out`.
-pub(crate) fn walk_restarting<K: Clone, V>(
-    lo: Bound<&K>,
-    out: &mut Vec<(K, V)>,
-    mut walk: impl FnMut(Bound<&K>, &mut Vec<(K, V)>) -> ControlFlow<()>,
-) {
+/// Run one update's attempts, pinned, until one finishes. `attempt`
+/// breaks with the answer when its search decides the operation without a
+/// lock (the key is already present, or absent), and otherwise continues
+/// with its lock outcome, handled as the crate docs say: `None` backs off
+/// first, `Some(false)` retries at once, `Some(true)` finishes with `true`.
+pub(crate) fn retry(mut attempt: impl FnMut() -> ControlFlow<bool, Option<bool>>) -> bool {
+    let _g = flock_epoch::pin();
+    let mut backoff = Backoff::new();
     loop {
-        let resume = out.last().map(|(k, _)| k.clone());
-        if walk(resume.as_ref().map_or(lo, Bound::Excluded), out).is_continue() {
-            return;
+        match attempt() {
+            ControlFlow::Break(done) => return done,
+            ControlFlow::Continue(Some(true)) => return true,
+            ControlFlow::Continue(Some(false)) => {}
+            ControlFlow::Continue(None) => backoff.snooze(),
         }
     }
 }
@@ -95,30 +126,13 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// it emitted.
 #[cfg(test)]
 mod stale_scan {
-    use flock_api::{Map, testing};
-
-    /// A range walk that can resume from a node recorded earlier, as a scan
-    /// descheduled there would.
-    pub(crate) trait ResumableScan: Map<u64, u64> {
-        /// The address of the parent of the leaf holding `k`.
-        fn record(&self, k: u64) -> usize;
-        /// Continue an unbounded walk from the node recorded as `at`.
-        ///
-        /// # Safety
-        ///
-        /// The caller has been pinned since `at` was recorded.
-        unsafe fn resume(&self, at: usize) -> Vec<(u64, u64)>;
-    }
+    use crate::tree::tests::TreeMap;
+    use flock_api::testing;
 
     /// Insert `keys` (value = key), remove `pre`, record the parent of
     /// `k`'s leaf, remove `k` (which must unlink that parent) and re-insert
     /// it with a new value, then continue a walk from the recorded parent.
-    fn stale_parent_walk<T: ResumableScan>(
-        make: impl Fn() -> T,
-        keys: &[u64],
-        pre: &[u64],
-        k: u64,
-    ) {
+    fn stale_parent_walk<T: TreeMap>(make: impl Fn() -> T, keys: &[u64], pre: &[u64], k: u64) {
         testing::both_modes(|| {
             let t = make();
             for &x in keys {
@@ -128,11 +142,11 @@ mod stale_scan {
                 assert!(t.remove(x));
             }
             let _g = flock_epoch::pin();
-            let at = t.record(k);
+            let at = t.tree().record(&k);
             assert!(t.remove(k));
             assert!(t.insert(k, k + 1000));
             // SAFETY: pinned since `record`.
-            let out = unsafe { t.resume(at) };
+            let out = unsafe { t.tree().resume(at) };
             assert!(
                 !out.contains(&(k, k)),
                 "{}: stale pair in {out:?}",
