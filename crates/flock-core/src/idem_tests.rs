@@ -13,10 +13,10 @@ use crate::descriptor::{create_descriptor, recycle_unshared};
 use crate::mutable::{Mutable, commit_value};
 use crate::{LockMode, set_lock_mode};
 
-static MODE: Mutex<()> = Mutex::new(());
-
 fn locked_lf() -> std::sync::MutexGuard<'static, ()> {
-    let g = MODE.lock().unwrap_or_else(|e| e.into_inner());
+    let g = crate::lock::TEST_MODE_LOCK
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
     set_lock_mode(LockMode::LockFree);
     g
 }

@@ -1266,20 +1266,23 @@ impl Lock {
 #[cfg(test)]
 pub(crate) static TEST_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Run `test` in lock-free mode, then in blocking mode, holding
+/// [`TEST_MODE_LOCK`]; leaves the mode lock-free.
+#[cfg(test)]
+pub(crate) fn both_modes(test: impl Fn()) {
+    let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for mode in [LockMode::LockFree, LockMode::Blocking] {
+        crate::config::set_lock_mode(mode);
+        test();
+    }
+    crate::config::set_lock_mode(LockMode::LockFree);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::set_lock_mode;
     use std::sync::Arc;
-
-    fn both_modes(test: impl Fn()) {
-        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for mode in [LockMode::LockFree, LockMode::Blocking] {
-            set_lock_mode(mode);
-            test();
-        }
-        set_lock_mode(LockMode::LockFree);
-    }
 
     #[test]
     fn try_lock_runs_thunk_and_returns_result() {
@@ -2062,13 +2065,5 @@ mod tests {
             assert!(!outer.is_locked() && !outer.is_obsolete());
             assert!(!inner.is_locked() && inner.is_obsolete());
         });
-    }
-
-    #[test]
-    fn mode_switch_roundtrip() {
-        set_lock_mode(LockMode::Blocking);
-        assert_eq!(lock_mode(), LockMode::Blocking);
-        set_lock_mode(LockMode::LockFree);
-        assert_eq!(lock_mode(), LockMode::LockFree);
     }
 }

@@ -241,17 +241,8 @@ impl<T> std::ops::Deref for Locked<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lock::TEST_MODE_LOCK;
+    use crate::lock::{TEST_MODE_LOCK, both_modes};
     use crate::{LockMode, Mutable, set_lock_mode};
-
-    fn both_modes(test: impl Fn()) {
-        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for mode in [LockMode::LockFree, LockMode::Blocking] {
-            set_lock_mode(mode);
-            test();
-        }
-        set_lock_mode(LockMode::LockFree);
-    }
 
     #[test]
     fn try_with_runs_and_returns() {

@@ -28,12 +28,6 @@
 //!   Because values live in a packed slot, inline `u64`/`usize` values
 //!   inherit the workspace-wide 48-bit payload contract (debug-asserted;
 //!   use `Indirect<u64>` for full-range values) — see [`flock_api::Value`].
-//!
-//! Note on thunk results: thunks communicate **only** through their boolean
-//! return value and the shared structure. Capturing a pointer to the
-//! caller's stack would be a use-after-return hazard, because a helper can
-//! still be replaying the thunk after the owner's call has returned — the
-//! same reason the paper's C++ lambdas must capture by value.
 
 use std::hash::{BuildHasher, Hasher};
 use std::ops::ControlFlow;

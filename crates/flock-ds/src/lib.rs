@@ -47,6 +47,35 @@
 //! (`flock_core::Lock::mark_obsolete`), so holding a lock proves its node
 //! linked and a version bracket fails on an unlinked node.
 //!
+//! Thunks communicate **only** through their boolean result and the shared
+//! structure. Capturing a pointer to the caller's stack would be a
+//! use-after-return hazard, because a helper can still be replaying the
+//! thunk after the owner's call has returned — the same reason the paper's
+//! C++ lambdas must capture by value.
+//!
+//! ## List protocol
+//!
+//! [`dlist`] and [`lazylist`] share one link-lock list protocol, written
+//! once; each list adds its node layout, and the doubly-linked list its
+//! back pointers.
+//!
+//! - **A link's own lock owns its value.** An in-place `update` stores
+//!   under it, and the remove that unlinks the link takes it with the
+//!   predecessor's lock and marks it obsolete in the same critical section.
+//!   An insert or a splice validates `pred.next == link` under the
+//!   predecessor's lock.
+//! - **An obsolete link is definitively absent.** The bit never clears, and
+//!   a search reaches only links that were linked at some instant of the
+//!   search, so a search that stops at an obsolete link holding its key may
+//!   answer "absent" at once. A read of a link's value is validated against
+//!   the link's version and reads as absent if the link is obsolete.
+//! - **A scan needs no restart.** A removed link's `next` is frozen when it
+//!   is unlinked and still points at larger keys, so a walk descheduled on
+//!   an unlinked link keeps moving forward: keys stay strictly increasing,
+//!   each is reported at most once, and the unlinked links it passes read
+//!   as absent. A tree scan cannot do this: a spliced-out subtree can hold
+//!   the old leaf of a key removed and re-inserted behind the walk.
+//!
 //! ## Tree protocol
 //!
 //! [`leaftree`], [`leaftreap`] and [`abtree`] share one leaf-oriented tree
@@ -86,6 +115,7 @@ pub mod hashtable;
 pub mod lazylist;
 pub mod leaftreap;
 pub mod leaftree;
+mod list;
 mod tree;
 
 pub use arttree::RadixKey;
@@ -123,9 +153,12 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// A scan descheduled inside a subtree that is then spliced out must not
 /// report the old leaf of a key removed and re-inserted behind it: the walk
 /// rejects a leaf whose parent is obsolete and restarts after the last key
-/// it emitted.
+/// it emitted. A list scan descheduled on a link that is then unlinked
+/// needs no restart: the link's frozen `next` still points forward, and an
+/// obsolete link reads as absent.
 #[cfg(test)]
 mod stale_scan {
+    use crate::list::{List, ListNode};
     use crate::tree::tests::TreeMap;
     use flock_api::testing;
 
@@ -163,6 +196,37 @@ mod stale_scan {
                 t.name()
             );
         });
+    }
+
+    /// Insert 1..=5 (value = key), record the link of 3, remove 3 and 4,
+    /// re-insert 3 with a new value, then continue the walk from the
+    /// recorded link. Returning at all shows the walk ends.
+    fn stale_link_walk<N: ListNode<K = u64, V = u64>>(make: impl Fn() -> List<N>) {
+        testing::both_modes(|| {
+            let l = make();
+            for x in 1..=5 {
+                assert!(l.insert(x, x));
+            }
+            let _g = flock_epoch::pin();
+            let at = l.record(&3);
+            assert!(l.remove(3));
+            assert!(l.remove(4));
+            assert!(l.insert(3, 1003));
+            // SAFETY: pinned since `record`.
+            let out = unsafe { l.resume(at) };
+            assert!(!out.contains(&(3, 3)), "{}: stale pair in {out:?}", N::NAME);
+            assert!(
+                out.windows(2).all(|w| w[0].0 < w[1].0),
+                "{}: keys not strictly increasing: {out:?}",
+                N::NAME
+            );
+        });
+    }
+
+    #[test]
+    fn walk_from_an_unlinked_link_skips_it() {
+        stale_link_walk(crate::dlist::DList::new);
+        stale_link_walk(crate::lazylist::LazyList::new);
     }
 
     #[test]
