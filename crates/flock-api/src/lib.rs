@@ -10,9 +10,9 @@
 //! The trait is generic over [`Key`] and [`Value`], and — since the
 //! `ValueRepr` refactor — so is **every structure in the registry**: the
 //! paper's evaluation shape `Map<u64, u64>` is just one instantiation.
-//! Keys need `Clone + Ord + Hash`; values need the
-//! [`ValueRepr`](flock_sync::ValueRepr) representation layer — satisfied
-//! directly by anything that fits a 48-bit payload (integers, flags), and
+//! Keys need `Clone + Ord + Hash`; values need the [`ValueRepr`]
+//! representation layer — satisfied directly by anything that fits a
+//! 48-bit payload (integers, flags), and
 //! by [`Indirect<T>`](flock_epoch::Indirect) for *fat* values (structs,
 //! strings, vectors), which ride behind an epoch-managed pointer. The
 //! bench registry hands out `Box<dyn Map<u64, u64>>` for the paper's
@@ -303,7 +303,8 @@ impl<K: Key, V: Value, M: OrderedMap<K, V> + ?Sized> OrderedMap<K, V> for Box<M>
 }
 
 pub mod testing {
-    //! The shared conformance-test harness behind [`map_conformance!`]
+    //! The shared conformance-test harness behind
+    //! [`map_conformance!`](crate::map_conformance)
     //! (also usable directly from hand-written tests).
     //!
     //! This module is compiled into the crate (not `#[cfg(test)]`) because

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use crate::lock::Lock;
 
-/// A [`Lock`] fused with the `T` it protects. See the [module docs](self)
+/// A [`Lock`] fused with the `T` it protects. See the [crate docs](crate)
 /// for the usage pattern.
 ///
 /// The protected data lives behind an internal `Arc<T>`: each critical

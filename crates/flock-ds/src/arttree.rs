@@ -1,41 +1,28 @@
-//! Adaptive radix tree (ART) with optimistic fine-grained locking — the
-//! paper's `arttree` (§7), which it reports as **the first lock-free ART**
-//! when run in lock-free mode. Generic over `(K, V)` for any key with a
-//! radix image (see [`RadixKey`]).
+//! Adaptive radix tree (ART), the paper's `arttree` (§7), which it reports
+//! as the first lock-free ART when run in lock-free mode.
 //!
-//! Follows Leis et al.'s design: four adaptive node widths (Node4 / Node16 /
-//! Node48 / Node256) chosen by fanout, with *lazy expansion* (a leaf is
-//! installed at the shallowest depth where its key prefix is unique).
-//! Simplifications relative to the original ART: no path compression (the
-//! paper's benchmark sparsifies keys by hashing, so long shared prefixes are
-//! rare) and no node shrinking on deletes.
+//! Leis et al.'s four node widths (N4, N16, N48, N256), chosen by fanout,
+//! with lazy expansion: a leaf sits at the shallowest depth where its key's
+//! radix prefix is unique. There is no path compression (the paper's
+//! benchmark hashes its keys, so long shared prefixes are rare) and no
+//! shrinking on remove.
 //!
-//! A radix tree indexes by digit position, not by comparison, so its keys
-//! need more than `Ord`: [`RadixKey`] maps a key to an order-preserving,
-//! **injective** 8-byte image whose bytes drive the descent (implemented
-//! for the integer primitives; the leaf stores the real key and final
-//! equality is checked on it). Values are plain leaf fields — leaves are
-//! immutable, so fat values ride inside the epoch-reclaimed leaf
-//! allocation.
-//!
-//! Concurrency design:
-//!
-//! * **Key slots are write-once.** In Node4/16 a slot's byte label never
-//!   changes after assignment; deletion clears only the child cell (a
-//!   tombstone). This makes unlocked reads race-free: a matched label is
-//!   stable, and the child cell is a single atomic [`Mutable`]. Tombstones
-//!   are compacted away when the node is upgraded/rebuilt.
-//! * **Mutations** (adding a child, clearing one, splitting a leaf into a
-//!   chain, upgrading a full node) take the owning node's lock — plus the
-//!   parent's when the node itself is replaced — validate, then apply.
+//! - **Labels are write-once.** An N4/N16 slot's byte label and an N48
+//!   index entry never change once assigned, so a label an unlocked reader
+//!   matches stays matched. A remove clears only the child cell, a
+//!   tombstone that an insert of the same byte reuses and an upgrade
+//!   compacts away.
+//! - **A node's lock owns its child cells**, and so the value slots of the
+//!   leaves they hold. A full node is replaced by a larger copy under its
+//!   parent's lock and its own, and marked obsolete.
+//! - **A leaf is never copied** (the crate docs, "Radix tree"), so its slot
+//!   is its key's only value until the leaf is removed.
 
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, OrderedMap, Value, key_in_range};
 use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
-use flock_sync::{ApproxLen, Backoff};
-
-const KEY_BYTES: usize = 8;
+use flock_sync::ApproxLen;
 
 /// Keys usable by the radix tree: an order-preserving, injective mapping
 /// into the 8-byte radix space. Distinct keys must produce distinct images
@@ -45,50 +32,29 @@ pub trait RadixKey {
     fn radix(&self) -> u64;
 }
 
-macro_rules! impl_radix_unsigned {
-    ($($t:ty),*) => {$(
+/// The integer primitives: the value, sign-extended, with the sign bit
+/// flipped on signed types so that `MIN..=MAX` maps onto `0..=u64::MAX`.
+macro_rules! impl_radix {
+    ($flip:expr; $($t:ty),*) => {$(
         impl RadixKey for $t {
             #[inline(always)]
             fn radix(&self) -> u64 {
-                *self as u64
+                (*self as i64 as u64) ^ $flip
             }
         }
     )*};
 }
-impl_radix_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_radix_signed {
-    ($($t:ty),*) => {$(
-        impl RadixKey for $t {
-            #[inline(always)]
-            fn radix(&self) -> u64 {
-                // Sign-flip: maps i::MIN..=i::MAX monotonically onto
-                // 0..=u64::MAX.
-                (*self as i64 as u64) ^ (1u64 << 63)
-            }
-        }
-    )*};
-}
-impl_radix_signed!(i8, i16, i32, i64, isize);
+impl_radix!(0; u8, u16, u32, u64, usize);
+impl_radix!(1 << 63; i8, i16, i32, i64, isize);
 
 #[inline]
 fn byte_at(r: u64, depth: usize) -> u8 {
-    debug_assert!(depth < KEY_BYTES);
+    debug_assert!(depth < 8);
     (r >> (56 - 8 * depth)) as u8
 }
 
 /// Tagged child cell: 0 = empty, bit0 = leaf, else internal node.
 const LEAF_TAG: usize = 1;
-
-#[inline]
-fn tag_leaf<K, V: Value>(l: *mut ArtLeaf<K, V>) -> usize {
-    l as usize | LEAF_TAG
-}
-
-#[inline]
-fn tag_node(n: *mut ArtNode) -> usize {
-    n as usize
-}
 
 #[inline]
 fn is_leaf(c: usize) -> bool {
@@ -107,10 +73,20 @@ fn as_node(c: usize) -> *mut ArtNode {
 
 struct ArtLeaf<K, V: Value> {
     key: K,
-    /// Value slot: mutable in place under the lock of the node whose child
-    /// cell references this leaf (native `update`), snapshot-readable
-    /// without it. The leaf itself stays immutable in every other respect.
+    /// Set in place under the lock of the node whose cell holds the leaf.
     value: ValueSlot<V>,
+}
+
+impl<K: Key, V: Value> ArtLeaf<K, V> {
+    /// A leaf for `(k, v)` as a tagged child cell. One idempotent
+    /// allocation: every runner of the enclosing thunk gets the same leaf.
+    fn alloc(k: &K, v: &V) -> usize {
+        let l = flock_core::alloc(|| ArtLeaf {
+            key: k.clone(),
+            value: ValueSlot::new(v.clone()),
+        });
+        l as usize | LEAF_TAG
+    }
 }
 
 /// Node widths. `kind` selects the layout of `keys`/`index`/`children`.
@@ -118,6 +94,33 @@ const N4: u8 = 0;
 const N16: u8 = 1;
 const N48: u8 = 2;
 const N256: u8 = 3;
+
+/// How a walk reads labels and child cells.
+#[derive(Clone, Copy)]
+enum Load {
+    /// Through the thunk log: what a thunk must read, and right anywhere.
+    Committed,
+    /// Plain `Acquire` loads, for reads outside a thunk.
+    Acquire,
+}
+
+impl Load {
+    #[inline]
+    fn label(self, l: &UpdateOnce<u32>) -> u32 {
+        match self {
+            Self::Committed => l.load(),
+            Self::Acquire => l.load_acquire(),
+        }
+    }
+
+    #[inline]
+    fn cell(self, c: &Mutable<usize>) -> usize {
+        match self {
+            Self::Committed => c.load(),
+            Self::Acquire => c.load_acquire(),
+        }
+    }
+}
 
 /// An internal node. Deliberately *not* generic: child cells are tagged
 /// `usize` addresses, so one node layout serves every `(K, V)`
@@ -155,140 +158,61 @@ impl ArtNode {
         }
     }
 
-    /// Current child for byte `b`, or 0. Unlocked-read safe (see module
-    /// docs: labels are write-once, child cells are single atomics).
-    fn lookup(&self, b: u8) -> usize {
-        match self.kind {
-            N4 | N16 => {
-                let want = b as u32 + 1;
-                for (i, kslot) in self.keys.iter().enumerate() {
-                    if kslot.load() == want {
-                        return self.children[i].load();
-                    }
-                }
-                0
-            }
-            N48 => {
-                let slot = self.index[b as usize].load();
-                if slot == 0 {
-                    return 0;
-                }
-                self.children[(slot - 1) as usize].load()
-            }
-            _ => self.children[b as usize].load(),
-        }
+    /// Byte `b`'s child cell, if `b` has a slot here: the node's one
+    /// byte → slot map.
+    #[inline]
+    fn cell(&self, b: u8, load: Load) -> Option<&Mutable<usize>> {
+        let i = match self.kind {
+            N4 | N16 => self
+                .keys
+                .iter()
+                .position(|l| load.label(l) == b as u32 + 1)?,
+            N48 => (load.label(&self.index[b as usize]) as usize).checked_sub(1)?,
+            _ => b as usize,
+        };
+        Some(&self.children[i])
     }
 
-    /// [`ArtNode::lookup`] with plain `Acquire` loads, bypassing the thunk
-    /// log and the `SeqCst` committed-read machinery. **Only for the
-    /// version-validated optimistic read paths outside any thunk** (the
-    /// [`flock_core::read_validated`] discipline).
-    fn lookup_acquire(&self, b: u8) -> usize {
-        match self.kind {
-            N4 | N16 => {
-                let want = b as u32 + 1;
-                for (i, kslot) in self.keys.iter().enumerate() {
-                    if kslot.load_acquire() == want {
-                        return self.children[i].load_acquire();
-                    }
-                }
-                0
-            }
-            N48 => {
-                let slot = self.index[b as usize].load_acquire();
-                if slot == 0 {
-                    return 0;
-                }
-                self.children[(slot - 1) as usize].load_acquire()
-            }
-            _ => self.children[b as usize].load_acquire(),
-        }
+    /// Byte `b`'s child, or 0.
+    #[inline]
+    fn child(&self, b: u8, load: Load) -> usize {
+        self.cell(b, load).map_or(0, |c| load.cell(c))
     }
 
-    /// The slot that holds byte `b`'s child cell, if `b` has been assigned.
-    fn slot_of(&self, b: u8) -> Option<usize> {
+    /// Assign a slot to byte `b`, which has none, and store `child` in it.
+    /// The node has a free slot, and is fresh or locked by the caller.
+    fn add(&self, b: u8, child: usize) {
         match self.kind {
             N4 | N16 => {
-                let want = b as u32 + 1;
-                self.keys.iter().position(|k| k.load() == want)
-            }
-            N48 => {
-                let slot = self.index[b as usize].load();
-                (slot != 0).then(|| (slot - 1) as usize)
-            }
-            _ => Some(b as usize),
-        }
-    }
-
-    /// Try to assign a slot for a new byte `b` and store `child` in it.
-    /// Must run under this node's lock. Returns false when the node has no
-    /// free slot (caller upgrades the node).
-    fn try_add(&self, b: u8, child: usize) -> bool {
-        match self.kind {
-            N4 | N16 => {
-                for (i, kslot) in self.keys.iter().enumerate() {
-                    if kslot.load() == 0 {
-                        // Publish order: child first, then the label, so a
-                        // matched label always reads a valid cell.
-                        self.children[i].store(child);
-                        kslot.store(b as u32 + 1);
-                        return true;
-                    }
-                }
-                false
+                let i = self.keys.iter().position(|l| l.load() == 0);
+                let i = i.expect("a free slot");
+                // Publish order: child first, then the label, so a matched
+                // label always reads a valid cell.
+                self.children[i].store(child);
+                self.keys[i].store(b as u32 + 1);
             }
             N48 => {
                 let next = self.alloc.load();
-                if next as usize >= self.children.len() {
-                    return false;
-                }
                 self.alloc.store(next + 1);
                 self.children[next as usize].store(child);
                 self.index[b as usize].store(next + 1);
-                true
             }
-            _ => {
-                self.children[b as usize].store(child);
-                true
-            }
+            _ => self.children[b as usize].store(child),
         }
     }
 
-    /// Live (byte, child) pairs.
+    /// Live (byte, child) pairs in byte order, by committed reads.
     fn live_entries(&self) -> Vec<(u8, usize)> {
-        let mut out = Vec::new();
-        match self.kind {
-            N4 | N16 => {
-                for (i, kslot) in self.keys.iter().enumerate() {
-                    let kv = kslot.load();
-                    if kv != 0 {
-                        let c = self.children[i].load();
-                        if c != 0 {
-                            out.push(((kv - 1) as u8, c));
-                        }
-                    }
-                }
-            }
-            N48 => {
-                for b in 0..256usize {
-                    let slot = self.index[b].load();
-                    if slot != 0 {
-                        let c = self.children[(slot - 1) as usize].load();
-                        if c != 0 {
-                            out.push((b as u8, c));
-                        }
-                    }
-                }
-            }
-            _ => {
-                for b in 0..256usize {
-                    let c = self.children[b].load();
-                    if c != 0 {
-                        out.push((b as u8, c));
-                    }
-                }
-            }
-        }
+        let mut out: Vec<(u8, usize)> = match self.kind {
+            N4 | N16 => (self.keys.iter().zip(&self.children))
+                .filter_map(|(l, c)| l.load().checked_sub(1).map(|b| (b as u8, c.load())))
+                .collect(),
+            _ => (0..=255)
+                .map(|b| (b, self.child(b, Load::Committed)))
+                .collect(),
+        };
+        out.retain(|&(_, c)| c != 0);
+        out.sort_unstable_by_key(|&(b, _)| b);
         out
     }
 
@@ -301,14 +225,81 @@ impl ArtNode {
         }
     }
 
-    /// Smallest kind that fits `n` children.
-    fn kind_for(n: usize) -> u8 {
-        match n {
-            0..=4 => N4,
-            5..=16 => N16,
-            17..=48 => N48,
-            _ => N256,
+    /// Call `f(c, depth, path)` on every child `c` under this node, in byte
+    /// order, an internal node after its subtree (so teardown can free as it
+    /// goes). `path` holds the `depth` radix bytes that lead to `c`,
+    /// left-aligned; this node sits at depth `depth0`, reached by `path0`.
+    ///
+    /// # Safety
+    ///
+    /// The caller is pinned, or owns the tree.
+    unsafe fn visit(&self, depth0: usize, path0: u64, f: &mut impl FnMut(usize, usize, u64)) {
+        for (b, c) in self.live_entries() {
+            let path = path0 | ((b as u64) << (56 - 8 * depth0));
+            if !is_leaf(c) {
+                // SAFETY: per the contract.
+                unsafe { (*as_node(c)).visit(depth0 + 1, path, f) };
+            }
+            f(c, depth0 + 1, path);
         }
+    }
+
+    /// The shape every reachable node keeps at quiescence: it is not
+    /// obsolete, no byte has two N4/N16 slots, and each N48 index entry
+    /// names its own slot below `alloc`.
+    fn check(&self) {
+        assert!(!self.lock.is_obsolete(), "obsolete node reachable");
+        let (labels, bound) = match self.kind {
+            N4 | N16 => (&self.keys, u32::MAX),
+            N48 => (&self.index, self.alloc.load()),
+            _ => return,
+        };
+        let mut used: Vec<u32> = labels
+            .iter()
+            .map(UpdateOnce::load)
+            .filter(|&x| x != 0)
+            .collect();
+        assert!(used.iter().all(|&x| x <= bound), "N48 index past alloc");
+        let n = used.len();
+        used.sort_unstable();
+        used.dedup();
+        assert_eq!(used.len(), n, "a byte labels two slots, or two bytes one");
+    }
+}
+
+/// Where a descent stopped: `node`'s cell for `byte`, the key's byte at
+/// `depth`, held `child`, 0 or a leaf. `parent` holds `node`, and is null
+/// when `node` is the root.
+struct Path {
+    parent: *mut ArtNode,
+    node: *mut ArtNode,
+    depth: usize,
+    byte: u8,
+    child: usize,
+}
+
+impl Path {
+    /// The locked step of every write to one node (adding a leaf,
+    /// splitting one, removing or updating one): lock `node`, check that
+    /// `byte`'s cell still holds `child` (a missing cell holds 0), and apply
+    /// `body` to the node and the cell. `None`: the lock was busy or
+    /// obsolete.
+    ///
+    /// # Safety
+    ///
+    /// The caller is pinned and reached `node` under that pin.
+    unsafe fn locked<F>(&self, body: F) -> Option<bool>
+    where
+        F: Fn(&ArtNode, Option<&Mutable<usize>>) -> bool + Send + Sync + 'static,
+    {
+        let (sn, b, c) = (Sp(self.node), self.byte, self.child);
+        // SAFETY: per the contract; thunk runners adopt the caller's epoch.
+        unsafe { &*self.node }.lock.try_lock(move || {
+            // SAFETY: as above.
+            let n = unsafe { sn.as_ref() };
+            let cell = n.cell(b, Load::Committed);
+            cell.map_or(0, Mutable::load) == c && body(n, cell)
+        })
     }
 }
 
@@ -341,268 +332,179 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         }
     }
 
-    /// Wait-free lookup. Optimistic first: an unlogged `Acquire` descent,
-    /// the value read bracketed by the version of the lock owning the
-    /// leaf's child cell (every replacement of that cell — tombstone,
-    /// split, upgrade — and every in-place `update` of the leaf's slot
-    /// runs under that node's lock; node replacements mark the old node's
-    /// lock obsolete inside its own critical section). After
-    /// [`flock_core::OPTIMISTIC_READ_ATTEMPTS`] failed validations — or
-    /// inside a thunk — falls back to the committed-read descent.
-    pub fn get(&self, k: K) -> Option<V> {
-        let _g = flock_epoch::pin();
-        let r = k.radix();
+    /// Walk from the root by the bytes of `r` to an empty cell or a leaf.
+    /// It reads with `Acquire` loads outside a thunk, and committed ones
+    /// inside, where unlogged loads would desynchronize helpers. The caller
+    /// is pinned.
+    fn descend(&self, r: u64) -> Path {
+        if flock_core::in_thunk() {
+            self.walk(r, Load::Committed)
+        } else {
+            self.walk(r, Load::Acquire)
+        }
+    }
+
+    /// [`ArtTree::descend`] with its load fixed, inlined into each arm.
+    #[inline(always)]
+    fn walk(&self, r: u64, load: Load) -> Path {
+        let mut at = Path {
+            parent: std::ptr::null_mut(),
+            node: self.root,
+            depth: 0,
+            byte: 0,
+            child: 0,
+        };
+        loop {
+            at.byte = byte_at(r, at.depth);
+            // SAFETY: the caller is pinned; nodes are epoch-reclaimed.
+            at.child = unsafe { &*at.node }.child(at.byte, load);
+            if at.child == 0 || is_leaf(at.child) {
+                return at;
+            }
+            (at.parent, at.node, at.depth) = (at.node, as_node(at.child), at.depth + 1);
+        }
+    }
+
+    /// Does the descent `at`, under the caller's pin, end at `k`'s leaf?
+    fn holds(at: &Path, k: &K) -> bool {
+        // SAFETY: the caller is pinned; leaves are epoch-reclaimed.
+        at.child != 0 && unsafe { &*as_leaf::<K, V>(at.child) }.key == *k
+    }
+
+    /// Read leaf `c`, `n`'s child for byte `b`: take `n`'s version, check
+    /// that the cell still holds `c`, read the slot and validate. After
+    /// [`flock_core::OPTIMISTIC_READ_ATTEMPTS`] failures, or inside a thunk,
+    /// read the slot committed, obsolete `n` or not: the slot holds the
+    /// key's value for as long as the leaf is linked, and its last value
+    /// after (the crate docs, "Radix tree").
+    ///
+    /// # Safety
+    ///
+    /// The caller is pinned and reached `n` and `c` under that pin.
+    unsafe fn read(n: &ArtNode, b: u8, c: usize) -> V {
+        // SAFETY: per the contract.
+        let l = unsafe { &*as_leaf::<K, V>(c) };
         flock_core::read_validated(
             || {
-                let mut cur = self.root;
-                for d in 0..KEY_BYTES {
-                    // SAFETY: pinned; nodes epoch-reclaimed.
-                    let n = unsafe { &*cur };
-                    let b = byte_at(r, d);
-                    let c = n.lookup_acquire(b);
-                    if c == 0 {
-                        return Some(None);
-                    }
-                    if is_leaf(c) {
-                        // SAFETY: leaf pointers epoch-protected.
-                        let l = unsafe { &*as_leaf::<K, V>(c) };
-                        if l.key != k {
-                            return Some(None);
-                        }
-                        let v0 = n.lock.version()?;
-                        if n.lookup_acquire(b) != c {
-                            return None;
-                        }
-                        let v = l.value.read_acquire();
-                        return n.lock.validate(v0).then_some(Some(v));
-                    }
-                    cur = as_node(c);
+                let v0 = n.lock.version()?;
+                if n.child(b, Load::Acquire) != c {
+                    return None;
                 }
-                unreachable!("leaves appear within {KEY_BYTES} levels");
+                let v = l.value.read_acquire();
+                n.lock.validate(v0).then_some(v)
             },
-            || {
-                let mut cur = self.root;
-                for d in 0..KEY_BYTES {
-                    // SAFETY: pinned; nodes epoch-reclaimed.
-                    let c = unsafe { &*cur }.lookup(byte_at(r, d));
-                    if c == 0 {
-                        return None;
-                    }
-                    if is_leaf(c) {
-                        // SAFETY: leaf pointers epoch-protected.
-                        let l = unsafe { &*as_leaf::<K, V>(c) };
-                        return (l.key == k).then(|| l.value.read());
-                    }
-                    cur = as_node(c);
-                }
-                unreachable!("leaves appear within {KEY_BYTES} levels");
-            },
+            || l.value.read(),
         )
     }
 
-    /// Presence check without materializing the value — no slot read, no
-    /// decode, no clone (for `Indirect` fat values `get` clones the boxed
-    /// payload just to drop it). A leaf's key is an immutable field, so
-    /// observing the tagged child cell *is* the linearization point: no
-    /// version validation is needed. Committed loads throughout — safe
-    /// inside a thunk, plain atomic reads outside one.
-    pub fn contains(&self, k: &K) -> bool {
+    /// Wait-free lookup: one descent, then a version-bracketed read of the
+    /// leaf's slot, committed after bounded failures.
+    pub fn get(&self, k: K) -> Option<V> {
         let _g = flock_epoch::pin();
-        let r = k.radix();
-        let mut cur = self.root;
-        for d in 0..KEY_BYTES {
-            // SAFETY: pinned; nodes epoch-reclaimed.
-            let c = unsafe { &*cur }.lookup(byte_at(r, d));
-            if c == 0 {
-                return false;
-            }
-            if is_leaf(c) {
-                // SAFETY: leaf pointers epoch-protected.
-                return unsafe { &*as_leaf::<K, V>(c) }.key == *k;
-            }
-            cur = as_node(c);
-        }
-        unreachable!("leaves appear within {KEY_BYTES} levels");
+        let at = self.descend(k.radix());
+        // SAFETY: pinned.
+        Self::holds(&at, &k).then(|| unsafe { Self::read(&*at.node, at.byte, at.child) })
     }
 
-    /// Ordered range scan over `[lo, hi]` bounds. The descent prunes
-    /// subtrees by their radix-prefix span ([`RadixKey::radix`] is
-    /// order-preserving, so prefix intervals bound key intervals); each
-    /// leaf's value is read under the owning node's lock-version bracket
-    /// (committed read after bounded validation failures), so every
-    /// reported pair was simultaneously present at some instant during
-    /// the scan; see [`OrderedMap`] for the cross-entry contract.
+    /// Presence, never decoding or cloning a value: a leaf's key is
+    /// immutable, so the cell the descent reads decides it.
+    pub fn contains(&self, k: &K) -> bool {
+        let _g = flock_epoch::pin();
+        Self::holds(&self.descend(k.radix()), k)
+    }
+
+    /// Ordered range scan over `[lo, hi]` bounds (see [`OrderedMap`] for
+    /// the contract). The walk prunes subtrees by their radix-prefix span
+    /// ([`RadixKey::radix`] is order-preserving) and reads each leaf as
+    /// `get` does. It needs no restart: a leaf is never copied, so a key has
+    /// one position (the crate docs, "Radix tree").
     pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         let _g = flock_epoch::pin();
-        // Conservative radix window: exact bound semantics (and Excluded
-        // edges) are enforced by the final `key_in_range` filter.
-        let rlo = match lo {
-            Bound::Included(l) | Bound::Excluded(l) => l.radix(),
-            Bound::Unbounded => 0,
+        // A conservative radix window: `key_in_range` decides the edges.
+        let radix = |b: Bound<&K>, unbounded| match b {
+            Bound::Included(x) | Bound::Excluded(x) => x.radix(),
+            Bound::Unbounded => unbounded,
         };
-        let rhi = match hi {
-            Bound::Included(h) | Bound::Excluded(h) => h.radix(),
-            Bound::Unbounded => u64::MAX,
-        };
+        let window = (radix(lo, 0), radix(hi, u64::MAX));
         let mut out = Vec::new();
-        if rlo <= rhi {
-            // SAFETY: pinned walk.
-            unsafe { self.range_walk(self.root, 0, 0, lo, hi, rlo, rhi, &mut out) };
+        if window.0 <= window.1 {
+            // SAFETY: pinned; the root lives as long as the tree.
+            unsafe { Self::range_walk(self.root, 0, 0, lo, hi, window, &mut out) };
         }
         out
     }
 
-    /// In-order walk: children sorted by byte label (N48/N256 enumerate
-    /// bytes ascending already; N4/N16 slots are insertion-ordered and
-    /// must be sorted), subtrees pruned when their radix span
-    /// `[prefix, prefix | suffix_mask]` misses `[rlo, rhi]`.
-    #[allow(clippy::too_many_arguments)]
+    /// In-order walk of `node`, reached at `depth` by the bytes in
+    /// `prefix`, skipping the children whose radix span
+    /// `[p, p | suffix_mask]` misses `window`.
+    ///
+    /// # Safety
+    ///
+    /// The caller is pinned and reached `node` under that pin.
     unsafe fn range_walk(
-        &self,
         node: *mut ArtNode,
         depth: usize,
         prefix: u64,
         lo: Bound<&K>,
         hi: Bound<&K>,
-        rlo: u64,
-        rhi: u64,
+        window: (u64, u64),
         out: &mut Vec<(K, V)>,
     ) {
-        // SAFETY: pinned per caller.
+        // SAFETY: per the contract.
         let n = unsafe { &*node };
-        let mut entries = n.live_entries();
-        if matches!(n.kind, N4 | N16) {
-            entries.sort_unstable_by_key(|(b, _)| *b);
-        }
         let shift = 56 - 8 * depth;
-        for (b, c) in entries {
+        for (b, c) in n.live_entries() {
             let p = prefix | ((b as u64) << shift);
-            // Keys under this child have radix images in
-            // [p, p | low_bits]: all deeper bytes free.
-            let span_hi = p | ((1u64 << shift) - 1);
-            if span_hi < rlo {
+            if p | ((1u64 << shift) - 1) < window.0 {
                 continue;
             }
-            if p > rhi {
-                break; // children are byte-sorted: everything after is above
+            if p > window.1 {
+                break; // byte order: every later child is above too
             }
-            if is_leaf(c) {
-                // SAFETY: live child pointer, epoch-protected.
-                let l = unsafe { &*as_leaf::<K, V>(c) };
-                if !key_in_range(&l.key, lo, hi) {
-                    continue;
-                }
-                let v = flock_core::read_validated(
-                    || {
-                        let v0 = n.lock.version()?;
-                        if n.lookup_acquire(b) != c {
-                            return None;
-                        }
-                        let v = l.value.read_acquire();
-                        n.lock.validate(v0).then_some(v)
-                    },
-                    || l.value.read(),
-                );
-                out.push((l.key.clone(), v));
-            } else {
-                unsafe { self.range_walk(as_node(c), depth + 1, p, lo, hi, rlo, rhi, out) };
+            if !is_leaf(c) {
+                // SAFETY: per the contract.
+                unsafe { Self::range_walk(as_node(c), depth + 1, p, lo, hi, window, out) };
+                continue;
+            }
+            // SAFETY: per the contract.
+            let k = &unsafe { &*as_leaf::<K, V>(c) }.key;
+            if key_in_range(k, lo, hi) {
+                // SAFETY: per the contract.
+                out.push((k.clone(), unsafe { Self::read(n, b, c) }));
             }
         }
     }
 
-    /// Insert; `false` if present.
+    /// Insert; `false` if present. An empty cell takes a leaf, upgrading
+    /// a full node; a leaf of another key is split.
     pub fn insert(&self, k: K, v: V) -> bool {
-        let _g = flock_epoch::pin();
         let r = k.radix();
-        let mut backoff = Backoff::new();
-        'restart: loop {
-            let mut parent: *mut ArtNode = std::ptr::null_mut();
-            let mut cur = self.root;
-            let mut d = 0;
-            loop {
-                let b = byte_at(r, d);
-                // SAFETY: pinned.
-                let c = unsafe { &*cur }.lookup(b);
-                if c == 0 {
-                    // Empty slot: add a leaf here (possibly upgrading).
-                    match self.add_leaf(parent, cur, d, &k, &v) {
-                        AddOutcome::Done => {
-                            self.count.inc();
-                            return true;
-                        }
-                        AddOutcome::Busy => {
-                            backoff.snooze();
-                            continue 'restart;
-                        }
-                        AddOutcome::Retry => continue 'restart,
-                    }
-                }
-                if is_leaf(c) {
-                    // SAFETY: pinned.
-                    let l = unsafe { &*as_leaf::<K, V>(c) };
-                    if l.key == k {
-                        return false;
-                    }
-                    // Split: replace the leaf with a chain diverging at the
-                    // first differing byte.
-                    match self.split_leaf(cur, d, c, &k, &v) {
-                        Some(true) => {
-                            self.count.inc();
-                            return true;
-                        }
-                        Some(false) => continue 'restart, // validation failed
-                        None => {
-                            backoff.snooze(); // node lock busy
-                            continue 'restart;
-                        }
-                    }
-                }
-                parent = cur;
-                cur = as_node(c);
-                d += 1;
+        let added = crate::retry(|| {
+            let at = self.descend(r);
+            if Self::holds(&at, &k) {
+                return ControlFlow::Break(false);
             }
+            // SAFETY: pinned by `retry`.
+            ControlFlow::Continue(unsafe {
+                if at.child == 0 {
+                    Self::add_leaf(&at, &k, &v)
+                } else {
+                    Self::split_leaf(&at, &k, &v)
+                }
+            })
+        });
+        if added {
+            self.count.inc();
         }
+        added
     }
 
-    /// Remove; `false` if absent.
+    /// Remove; `false` if absent. The cell keeps its slot as a tombstone.
     pub fn remove(&self, k: K) -> bool {
-        let r = k.radix();
-        let removed = crate::retry(|| {
-            let mut cur = self.root;
-            let mut d = 0;
-            loop {
-                let b = byte_at(r, d);
-                // SAFETY: pinned by `retry`.
-                let c = unsafe { &*cur }.lookup(b);
-                if c == 0 {
-                    return ControlFlow::Break(false);
-                }
-                if is_leaf(c) {
-                    // SAFETY: pinned.
-                    if unsafe { &*as_leaf::<K, V>(c) }.key != k {
-                        return ControlFlow::Break(false);
-                    }
-                    let sp_n = Sp(cur);
-                    // SAFETY: pinned.
-                    return ControlFlow::Continue(unsafe { &*cur }.lock.try_lock(move || {
-                        // SAFETY: thunk runners hold epoch protection.
-                        let n = unsafe { sp_n.as_ref() };
-                        let Some(slot) = n.slot_of(b) else {
-                            return false;
-                        };
-                        let cell = &n.children[slot];
-                        if cell.load() != c {
-                            return false; // validate
-                        }
-                        cell.store(0); // tombstone the child cell
-                        // SAFETY: unlinked above; idempotent retire.
-                        unsafe { flock_core::retire(as_leaf::<K, V>(c)) };
-                        true
-                    }));
-                }
-                cur = as_node(c);
-                d += 1;
-            }
+        let removed = self.on_leaf(&k, |cell, l| {
+            cell.store(0);
+            // SAFETY: unlinked above; idempotent retire.
+            unsafe { flock_core::retire(l) };
         });
         if removed {
             self.count.dec();
@@ -610,261 +512,172 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         removed
     }
 
-    /// Native atomic update: replace the value stored under `k` in place —
-    /// one idempotent slot store under the lock of the node whose child
-    /// cell holds the leaf (the same lock the remove path's tombstone and
-    /// every replacement of that cell take), with the cell validated under
+    /// Native atomic update: one idempotent store to the leaf's slot under
+    /// the lock every change to its cell takes, with the cell checked under
     /// it. Returns `false` (storing nothing) if `k` is absent. Readers see
     /// the old value or the new one, never absence or a third value.
     pub fn update(&self, k: K, v: V) -> bool {
+        // SAFETY: the cell holds the leaf under its node's lock.
+        self.on_leaf(&k, move |_, l| unsafe { &*l }.value.set(v.clone()))
+    }
+
+    /// Run `body` on `k`'s leaf and the cell that holds it, in
+    /// [`Path::locked`]'s step. `false` if `k` is absent.
+    fn on_leaf<F>(&self, k: &K, body: F) -> bool
+    where
+        F: Fn(&Mutable<usize>, *mut ArtLeaf<K, V>) + Clone + Send + Sync + 'static,
+    {
         let r = k.radix();
         crate::retry(|| {
-            let mut cur = self.root;
-            let mut d = 0;
-            loop {
-                let b = byte_at(r, d);
-                // SAFETY: pinned by `retry`.
-                let c = unsafe { &*cur }.lookup(b);
-                if c == 0 {
-                    return ControlFlow::Break(false);
-                }
-                if is_leaf(c) {
-                    // SAFETY: pinned.
-                    if unsafe { &*as_leaf::<K, V>(c) }.key != k {
-                        return ControlFlow::Break(false);
-                    }
-                    let sp_n = Sp(cur);
-                    let v2 = v.clone();
-                    // SAFETY: pinned.
-                    return ControlFlow::Continue(unsafe { &*cur }.lock.try_lock(move || {
-                        // SAFETY: thunk runners hold epoch protection.
-                        let n = unsafe { sp_n.as_ref() };
-                        let Some(slot) = n.slot_of(b) else {
-                            return false;
-                        };
-                        if n.children[slot].load() != c {
-                            return false; // leaf moved/tombstoned: re-descend
-                        }
-                        // SAFETY: the cell still references the leaf and we
-                        // hold the lock every replacement of it takes.
-                        unsafe { &*as_leaf::<K, V>(c) }.value.set(v2.clone());
-                        true
-                    }));
-                }
-                cur = as_node(c);
-                d += 1;
+            let at = self.descend(r);
+            if !Self::holds(&at, k) {
+                return ControlFlow::Break(false);
             }
+            let (body, l) = (body.clone(), Sp(as_leaf::<K, V>(at.child)));
+            // SAFETY: pinned by `retry`.
+            ControlFlow::Continue(unsafe {
+                at.locked(move |_, cell| {
+                    body(cell.expect("the cell holds the leaf"), l.ptr());
+                    true
+                })
+            })
         })
     }
 
-    /// Add a fresh leaf for `k` into `node` (whose slot for `k`'s byte at
-    /// `depth` was observed empty), upgrading the node if it is out of
-    /// slots.
-    fn add_leaf(
-        &self,
-        parent: *mut ArtNode,
-        node: *mut ArtNode,
-        depth: usize,
-        k: &K,
-        v: &V,
-    ) -> AddOutcome {
-        let b = byte_at(k.radix(), depth);
-        let sp_n = Sp(node);
-        let (k2, v2) = (k.clone(), v.clone());
-        // First try the common path: free slot under the node's own lock.
-        // SAFETY: pinned caller.
-        let fast = unsafe { &*node }.lock.try_lock(move || {
-            // SAFETY: thunk runners hold epoch protection.
-            let n = unsafe { sp_n.as_ref() };
-            if n.lookup(b) != 0 {
-                return false; // validate: slot got taken
-            }
-            // Reuse a tombstoned slot for the same byte if present.
-            if let Some(slot) = n.slot_of(b) {
-                let leaf = flock_core::alloc(|| ArtLeaf {
-                    key: k2.clone(),
-                    value: ValueSlot::new(v2.clone()),
-                });
-                n.children[slot].store(tag_leaf(leaf));
-                return true;
-            }
-            // Allocate only once a slot is known to exist, so a full node
-            // cannot leak the fresh leaf.
-            if !n.has_free_slot() {
-                return false;
-            }
-            let leaf = flock_core::alloc(|| ArtLeaf {
-                key: k2.clone(),
-                value: ValueSlot::new(v2.clone()),
-            });
-            let added = n.try_add(b, tag_leaf(leaf));
-            debug_assert!(added, "free slot vanished under the node lock");
-            added
-        });
-        match fast {
-            Some(true) => return AddOutcome::Done,
-            Some(false) => {} // validation failed or node full: slow path
-            None => return AddOutcome::Busy,
-        }
-        // Slow path: the node may be full — upgrade under parent + node
-        // locks. The root is Node256 and never full. A successful upgrade
-        // already contains the new leaf, so it completes the insert.
-        // SAFETY: pinned.
-        let full = unsafe { &*node }.slot_of(b).is_none()
-            && unsafe { &*node }.kind != N256
-            && self.node_is_full(node);
-        if full && !parent.is_null() {
-            return match self.upgrade_node(parent, node, depth, k, v) {
-                Some(true) => AddOutcome::Done,
-                Some(false) => AddOutcome::Retry,
-                None => AddOutcome::Busy, // parent or node lock busy
-            };
-        }
-        AddOutcome::Retry
-    }
-
-    fn node_is_full(&self, node: *mut ArtNode) -> bool {
-        // SAFETY: pinned caller.
-        let n = unsafe { &*node };
-        match n.kind {
-            N4 | N16 => n.keys.iter().all(|kslot| kslot.load() != 0),
-            N48 => n.alloc.load() as usize >= n.children.len(),
-            _ => false,
-        }
-    }
-
-    /// Replace a full `node` with a larger copy that also contains a new
-    /// leaf for `k`. Locks parent → node (ancestor-first).
+    /// Add a leaf for `k` at the empty cell where `at` stopped: a fresh slot
+    /// or the byte's tombstone, else, when the node is full, a larger copy
+    /// of it.
     ///
-    /// `None` = a lock was busy; `Some(applied)` otherwise.
-    fn upgrade_node(
-        &self,
-        parent: *mut ArtNode,
-        node: *mut ArtNode,
-        depth: usize,
-        k: &K,
-        v: &V,
-    ) -> Option<bool> {
-        debug_assert!(depth >= 1);
-        let r = k.radix();
-        let pb = byte_at(r, depth - 1);
-        let b = byte_at(r, depth);
-        let (sp_p, sp_n) = (Sp(parent), Sp(node));
-        let (k2, v2) = (k.clone(), v.clone());
+    /// # Safety
+    ///
+    /// The caller is pinned and reached `at` under that pin.
+    unsafe fn add_leaf(at: &Path, k: &K, v: &V) -> Option<bool> {
+        let (b, k2, v2) = (at.byte, k.clone(), v.clone());
+        // SAFETY: per the contract.
+        let added = unsafe {
+            at.locked(move |n, cell| match cell {
+                Some(cell) => {
+                    cell.store(ArtLeaf::alloc(&k2, &v2));
+                    true
+                }
+                // Allocate only once a slot is known to exist, so a full
+                // node cannot leak the fresh leaf.
+                None if n.has_free_slot() => {
+                    n.add(b, ArtLeaf::alloc(&k2, &v2));
+                    true
+                }
+                None => false,
+            })
+        }?;
+        // SAFETY: per the contract.
+        let n = unsafe { &*at.node };
+        if added || n.cell(b, Load::Committed).is_some() || n.has_free_slot() {
+            return Some(added);
+        }
+        // The root is an N256, never full, so `at.parent` is not null.
+        // SAFETY: per the contract.
+        unsafe { Self::upgrade_node(at, k, v) }
+    }
+
+    /// Replace the full node where `at` stopped with a larger copy that
+    /// also holds a leaf for `k`, under the parent's lock and the node's
+    /// (ancestor-first).
+    ///
+    /// # Safety
+    ///
+    /// As [`ArtTree::add_leaf`]; `at.parent` is not null.
+    unsafe fn upgrade_node(at: &Path, k: &K, v: &V) -> Option<bool> {
+        debug_assert!(at.depth >= 1);
+        let (pb, b) = (byte_at(k.radix(), at.depth - 1), at.byte);
+        let (sp, sn, k2, v2) = (Sp(at.parent), Sp(at.node), k.clone(), v.clone());
         let upgrade = move || {
             // SAFETY: thunk runners hold epoch protection.
-            let p = unsafe { sp_p.as_ref() };
-            let n = unsafe { sp_n.as_ref() };
-            let Some(pslot) = p.slot_of(pb) else {
+            let (p, n) = unsafe { (sp.as_ref(), sn.as_ref()) };
+            let Some(link) = p.cell(pb, Load::Committed) else {
                 return false;
             };
-            if p.children[pslot].load() != tag_node(sp_n.ptr()) {
-                return false; // validate the link
+            if link.load() != sn.ptr() as usize || n.cell(b, Load::Committed).is_some() {
+                return false; // the link moved, or a stale plan
             }
-            if n.lookup(b) != 0 || n.slot_of(b).is_some() || !matches!(n.kind, N4 | N16 | N48) {
-                return false; // stale plan
-            }
-            // Build the compacted, larger copy with the new leaf. The
-            // leaf is its own idempotent alloc: nested inside the
-            // node's init closure it would leak once per replayed run.
             let entries = n.live_entries();
-            let new_kind = ArtNode::kind_for(entries.len() + 1);
-            let entries2 = entries.clone();
-            let (k3, v3) = (k2.clone(), v2.clone());
-            let leaf = flock_core::alloc(|| ArtLeaf {
-                key: k3.clone(),
-                value: ValueSlot::new(v3.clone()),
-            });
+            let kind = match entries.len() + 1 {
+                0..=4 => N4,
+                5..=16 => N16,
+                17..=48 => N48,
+                _ => N256,
+            };
+            // The leaf is its own idempotent alloc: nested inside the
+            // node's init closure it would leak once per replayed run.
+            let leaf = ArtLeaf::alloc(&k2, &v2);
             let bigger = flock_core::alloc(move || {
-                let fresh = ArtNode::new(new_kind);
-                for (eb, ec) in &entries2 {
-                    let added = fresh.try_add(*eb, *ec);
-                    debug_assert!(added);
+                let fresh = ArtNode::new(kind);
+                for (eb, ec) in entries.into_iter().chain([(b, leaf)]) {
+                    fresh.add(eb, ec);
                 }
-                let added = fresh.try_add(b, tag_leaf(leaf));
-                debug_assert!(added);
                 fresh
             });
             n.lock.mark_obsolete();
-            p.children[pslot].store(tag_node(bigger));
+            link.store(bigger as usize);
             // SAFETY: replaced above; idempotent retire.
-            unsafe { flock_core::retire(sp_n.ptr()) };
+            unsafe { flock_core::retire(sn.ptr()) };
             true
         };
-        // SAFETY: pinned caller; runners adopt its epoch, so both locks
-        // outlive them.
-        unsafe { (*parent).lock.try_lock_set([&(*node).lock], upgrade) }
+        // SAFETY: per the contract; runners adopt the caller's epoch, so
+        // both locks outlive them.
+        unsafe { (*at.parent).lock.try_lock_set([&(*at.node).lock], upgrade) }
     }
 
-    /// Replace existing leaf `c` (child of `node` at `depth`) with a chain
-    /// of nodes covering the shared prefix of the two keys, ending in a
-    /// Node4 holding both leaves.
+    /// Replace the leaf where `at` stopped, of a key other than `k`, with a
+    /// chain of N4s down to the first byte where the two keys differ; the
+    /// last holds both leaves. The old leaf moves down as it is.
     ///
-    /// `None` = the node's lock was busy; `Some(false)` = validation failed.
-    fn split_leaf(&self, node: *mut ArtNode, depth: usize, c: usize, k: &K, v: &V) -> Option<bool> {
-        let kr = k.radix();
-        let b = byte_at(kr, depth);
-        let sp_n = Sp(node);
-        let (k2, v2) = (k.clone(), v.clone());
-        // SAFETY: pinned caller.
-        unsafe { &*node }.lock.try_lock(move || {
-            // SAFETY: thunk runners hold epoch protection.
-            let n = unsafe { sp_n.as_ref() };
-            let Some(slot) = n.slot_of(b) else {
-                return false;
-            };
-            if n.children[slot].load() != c {
-                return false; // validate
-            }
-            // SAFETY: c validated in place; epoch-protected.
+    /// # Safety
+    ///
+    /// As [`ArtTree::add_leaf`].
+    unsafe fn split_leaf(at: &Path, k: &K, v: &V) -> Option<bool> {
+        let (depth, c, kr, k2, v2) = (at.depth, at.child, k.radix(), k.clone(), v.clone());
+        let split = move |_: &ArtNode, cell: Option<&Mutable<usize>>| {
+            // SAFETY: the cell holds `c`; thunk runners hold epoch
+            // protection.
             let old_r = unsafe { &*as_leaf::<K, V>(c) }.key.radix();
             debug_assert_ne!(old_r, kr, "RadixKey images must be injective");
-            // First divergent byte strictly below `depth`.
             let mut j = depth + 1;
             while byte_at(old_r, j) == byte_at(kr, j) {
                 j += 1;
             }
-            // Build the chain bottom-up, one idempotent alloc per node:
-            // nesting the whole chain inside a single init closure would
-            // leak every inner allocation on replayed runs. The chain
-            // length (`j`) is a pure function of the two keys' committed
-            // radix images, so every run performs the identical alloc
-            // sequence and the log positions stay aligned.
-            let (k3, v3) = (k2.clone(), v2.clone());
-            let new_leaf = flock_core::alloc(|| ArtLeaf {
-                key: k3.clone(),
-                value: ValueSlot::new(v3.clone()),
-            });
-            // Innermost node: both leaves.
-            let bottom = flock_core::alloc(|| {
+            // One idempotent alloc per node, bottom-up: nested in one
+            // init closure, the inner allocations would leak on replayed
+            // runs. `j` depends only on the two keys, so every run
+            // allocates alike and the log positions stay aligned.
+            let leaf = ArtLeaf::alloc(&k2, &v2);
+            let mut head = flock_core::alloc(|| {
                 let n4 = ArtNode::new(N4);
-                let added = n4.try_add(byte_at(old_r, j), c);
-                debug_assert!(added);
-                let added = n4.try_add(byte_at(kr, j), tag_leaf(new_leaf));
-                debug_assert!(added);
+                n4.add(byte_at(old_r, j), c);
+                n4.add(byte_at(kr, j), leaf);
                 n4
             });
-            // Wrap in single-child nodes up to depth+1.
-            let mut head = bottom;
             for d in (depth + 1..j).rev() {
-                let prev = head;
+                let below = head;
                 head = flock_core::alloc(move || {
                     let wrap = ArtNode::new(N4);
-                    let added = wrap.try_add(byte_at(kr, d), tag_node(prev));
-                    debug_assert!(added);
+                    wrap.add(byte_at(kr, d), below as usize);
                     wrap
                 });
             }
-            n.children[slot].store(tag_node(head));
+            cell.expect("the cell holds the leaf").store(head as usize);
             true
-        })
+        };
+        // SAFETY: per the contract.
+        unsafe { at.locked(split) }
     }
 
     /// Element count (O(n) walk; tests/diagnostics).
     pub fn len(&self) -> usize {
         let _g = flock_epoch::pin();
-        // SAFETY: pinned walk.
-        unsafe { Self::count_leaves(self.root) }
+        let mut n = 0;
+        // SAFETY: pinned; the root lives as long as the tree.
+        unsafe { (*self.root).visit(0, 0, &mut |c, _, _| n += is_leaf(c) as usize) };
+        n
     }
 
     /// Is the tree empty?
@@ -872,86 +685,46 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
         self.len() == 0
     }
 
-    unsafe fn count_leaves(n: *mut ArtNode) -> usize {
-        // SAFETY: pinned per caller.
-        let node = unsafe { &*n };
-        node.live_entries()
-            .into_iter()
-            .map(|(_, c)| {
-                if is_leaf(c) {
-                    1
-                } else {
-                    unsafe { Self::count_leaves(as_node(c)) }
-                }
-            })
-            .sum()
-    }
-
     /// Snapshot of all pairs in key order — single-threaded use.
     pub fn collect(&self) -> Vec<(K, V)> {
-        let _g = flock_epoch::pin();
-        let mut out = Vec::new();
-        // SAFETY: pinned walk.
-        unsafe { Self::walk(self.root, &mut out) };
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
-    unsafe fn walk(n: *mut ArtNode, out: &mut Vec<(K, V)>) {
-        // SAFETY: pinned per caller.
-        let node = unsafe { &*n };
-        for (_, c) in node.live_entries() {
-            if is_leaf(c) {
-                // SAFETY: live child pointer.
-                let l = unsafe { &*as_leaf::<K, V>(c) };
-                out.push((l.key.clone(), l.value.read()));
-            } else {
-                unsafe { Self::walk(as_node(c), out) };
-            }
-        }
-    }
-
-    /// Quiescent invariant check: every stored leaf is reachable by its own
-    /// key bytes, and depth bounds hold.
+    /// Quiescent invariant check: every reachable node keeps its shape
+    /// (`ArtNode::check`), each leaf's radix bytes match the path to it,
+    /// and the maintained count equals the leaves.
     pub fn check_invariants(&self) {
-        let pairs = self.collect();
-        for (k, v) in pairs {
-            assert_eq!(
-                self.get(k.clone()),
-                Some(v),
-                "leaf unreachable by its key bytes"
-            );
-        }
+        let _g = flock_epoch::pin();
+        // SAFETY: pinned; the root lives as long as the tree.
+        let root = unsafe { &*self.root };
+        root.check();
+        // SAFETY: as above.
+        unsafe {
+            root.visit(0, 0, &mut |c, depth, path| {
+                if !is_leaf(c) {
+                    return (*as_node(c)).check();
+                }
+                let r = (*as_leaf::<K, V>(c)).key.radix();
+                assert_eq!((r ^ path) >> (64 - 8 * depth), 0, "leaf off its key's path");
+            })
+        };
+        assert_eq!(self.len(), self.count.get(), "len_approx differs from len");
     }
-}
-
-enum AddOutcome {
-    /// The leaf is in (fast-path add or a node upgrade that included it).
-    Done,
-    /// The plan went stale (slot taken, node replaced): re-descend now.
-    Retry,
-    /// The node's lock was busy: back off before re-descending.
-    Busy,
 }
 
 impl<K: Key + RadixKey, V: Value> Drop for ArtTree<K, V> {
     fn drop(&mut self) {
         // SAFETY: exclusive access; retired nodes belong to the collector.
-        unsafe fn free<K, V: Value>(n: *mut ArtNode) {
-            // SAFETY: exclusive teardown.
-            unsafe {
-                for (_, c) in (*n).live_entries() {
-                    if is_leaf(c) {
-                        flock_epoch::free_now(as_leaf::<K, V>(c));
-                    } else {
-                        free::<K, V>(as_node(c));
-                    }
+        unsafe {
+            (*self.root).visit(0, 0, &mut |c, _, _| {
+                if is_leaf(c) {
+                    flock_epoch::free_now(as_leaf::<K, V>(c));
+                } else {
+                    flock_epoch::free_now(as_node(c));
                 }
-                flock_epoch::free_now(n);
-            }
+            });
+            flock_epoch::free_now(self.root);
         }
-        // SAFETY: exclusive access.
-        unsafe { free::<K, V>(self.root) };
     }
 }
 
@@ -985,6 +758,38 @@ impl<K: Key + RadixKey, V: Value> Map<K, V> for ArtTree<K, V> {
 impl<K: Key + RadixKey, V: Value> OrderedMap<K, V> for ArtTree<K, V> {
     fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
         ArtTree::range(self, lo, hi)
+    }
+}
+
+#[cfg(test)]
+impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
+    /// The address of the node whose cell holds `k`'s leaf.
+    pub(crate) fn record(&self, k: &K) -> usize {
+        let _g = flock_epoch::pin();
+        self.descend(k.radix()).node as usize
+    }
+
+    /// Is the node recorded as `at` obsolete?
+    ///
+    /// # Safety
+    ///
+    /// The caller has been pinned since `at` was recorded.
+    pub(crate) unsafe fn is_obsolete(at: usize) -> bool {
+        // SAFETY: per the contract.
+        unsafe { &*(at as *mut ArtNode) }.lock.is_obsolete()
+    }
+
+    /// Continue an unbounded walk from the node recorded as `at`. An
+    /// unbounded walk prunes nothing, so it needs no depth or prefix.
+    ///
+    /// # Safety
+    ///
+    /// The caller has been pinned since `at` was recorded.
+    pub(crate) unsafe fn resume(&self, at: usize) -> Vec<(K, V)> {
+        let (mut out, all) = (Vec::new(), Bound::Unbounded);
+        // SAFETY: forwarded contract.
+        unsafe { Self::range_walk(at as *mut ArtNode, 0, 0, all, all, (0, u64::MAX), &mut out) };
+        out
     }
 }
 

@@ -81,6 +81,14 @@ struct Bucket<K: Key, V: Value> {
     head: Mutable<*mut Node<K, V>>,
 }
 
+impl<K: Key, V: Value> Bucket<K, V> {
+    /// The head cell, for a thunk to capture: the bucket array lives as
+    /// long as the table.
+    fn head_sp(&self) -> Sp<Mutable<*mut Node<K, V>>> {
+        Sp(std::ptr::from_ref(&self.head).cast_mut())
+    }
+}
+
 /// Fixed-capacity separate-chaining hash map.
 pub struct HashTable<K: Key, V: Value, S = FlockHashBuilder> {
     buckets: Box<[Bucket<K, V>]>,
@@ -128,41 +136,28 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
         &self.buckets[(self.hasher.hash_one(k) & self.mask) as usize]
     }
 
-    /// Find `k` in the chain starting at `head`. Returns the node, if any.
+    /// Find `k` in the chain starting at `head`, reading each link with
+    /// `load`: [`Mutable::load`] anywhere, or [`Mutable::load_acquire`] in a
+    /// bucket-version-validated read outside any thunk
+    /// ([`flock_core::read_validated`]). Returns the node, if any.
     ///
     /// # Safety
     ///
     /// Caller must be epoch-pinned (or inside a thunk, where the loads are
     /// logged and the chain is protected by the bucket lock).
-    unsafe fn chain_find(head: &Mutable<*mut Node<K, V>>, k: &K) -> *mut Node<K, V> {
-        let mut p = head.load();
+    unsafe fn chain_find(
+        head: &Mutable<*mut Node<K, V>>,
+        k: &K,
+        load: impl Fn(&Mutable<*mut Node<K, V>>) -> *mut Node<K, V>,
+    ) -> *mut Node<K, V> {
+        let mut p = load(head);
         while !p.is_null() {
             // SAFETY: epoch-pinned per contract.
             let n = unsafe { &*p };
             if n.key == *k {
                 return p;
             }
-            p = n.next.load();
-        }
-        std::ptr::null_mut()
-    }
-
-    /// Optimistic [`HashTable::chain_find`]: plain `Acquire` pointer loads,
-    /// no thunk-log traffic. Only for bucket-lock version-validated read
-    /// windows ([`flock_core::read_validated`]).
-    ///
-    /// # Safety
-    ///
-    /// Caller must be epoch-pinned and outside any thunk.
-    unsafe fn chain_find_acquire(head: &Mutable<*mut Node<K, V>>, k: &K) -> *mut Node<K, V> {
-        let mut p = head.load_acquire();
-        while !p.is_null() {
-            // SAFETY: epoch-pinned per contract.
-            let n = unsafe { &*p };
-            if n.key == *k {
-                return p;
-            }
-            p = n.next.load_acquire();
+            p = load(&n.next);
         }
         std::ptr::null_mut()
     }
@@ -174,11 +169,10 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
             // Check outside the lock; also the loop's termination path when
             // the thunk observes the key under the lock.
             // SAFETY: pinned by `retry`.
-            if !unsafe { Self::chain_find(&b.head, &k) }.is_null() {
+            if !unsafe { Self::chain_find(&b.head, &k, Mutable::load) }.is_null() {
                 return ControlFlow::Break(false);
             }
-            let head =
-                Sp(&b.head as *const Mutable<*mut Node<K, V>> as *mut Mutable<*mut Node<K, V>>);
+            let head = b.head_sp();
             let (k2, v2) = (k.clone(), v.clone());
             // `Some(false)`: the key appeared under the lock, re-check.
             ControlFlow::Continue(b.lock.try_lock(move || {
@@ -187,7 +181,7 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                 let head = unsafe { head.as_ref() };
                 // Re-find under the lock: the chain is now stable.
                 // SAFETY: under the bucket lock + epoch protection.
-                if !unsafe { Self::chain_find(head, &k2) }.is_null() {
+                if !unsafe { Self::chain_find(head, &k2, Mutable::load) }.is_null() {
                     return false; // already present: retry loop re-checks
                 }
                 let old_head = head.load();
@@ -211,11 +205,10 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
         let b = self.bucket(&k);
         let removed = crate::retry(|| {
             // SAFETY: pinned by `retry`.
-            if unsafe { Self::chain_find(&b.head, &k) }.is_null() {
+            if unsafe { Self::chain_find(&b.head, &k, Mutable::load) }.is_null() {
                 return ControlFlow::Break(false);
             }
-            let head =
-                Sp(&b.head as *const Mutable<*mut Node<K, V>> as *mut Mutable<*mut Node<K, V>>);
+            let head = b.head_sp();
             let k2 = k.clone();
             // `Some(false)`: the key vanished under the lock, re-check.
             ControlFlow::Continue(b.lock.try_lock(move || {
@@ -254,17 +247,16 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
         let b = self.bucket(&k);
         crate::retry(|| {
             // SAFETY: pinned by `retry`.
-            if unsafe { Self::chain_find(&b.head, &k) }.is_null() {
+            if unsafe { Self::chain_find(&b.head, &k, Mutable::load) }.is_null() {
                 return ControlFlow::Break(false);
             }
-            let head =
-                Sp(&b.head as *const Mutable<*mut Node<K, V>> as *mut Mutable<*mut Node<K, V>>);
+            let head = b.head_sp();
             let (k2, v2) = (k.clone(), v.clone());
             ControlFlow::Continue(b.lock.try_lock(move || {
                 // SAFETY: see insert.
                 let head = unsafe { head.as_ref() };
                 // SAFETY: under the bucket lock + epoch protection.
-                let p = unsafe { Self::chain_find(head, &k2) };
+                let p = unsafe { Self::chain_find(head, &k2, Mutable::load) };
                 if p.is_null() {
                     return false; // vanished between check and lock: re-check
                 }
@@ -292,13 +284,13 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
             || {
                 // SAFETY: pinned above; outside any thunk (the combinator
                 // routes in-thunk callers to the fallback).
-                let p = unsafe { Self::chain_find_acquire(&b.head, &k) };
+                let p = unsafe { Self::chain_find(&b.head, &k, Mutable::load_acquire) };
                 // SAFETY: non-null node found while pinned.
                 (!p.is_null()).then(|| unsafe { &*p }.value.read_acquire())
             },
             || {
                 // SAFETY: pinned above.
-                let p = unsafe { Self::chain_find(&b.head, &k) };
+                let p = unsafe { Self::chain_find(&b.head, &k, Mutable::load) };
                 // SAFETY: non-null node found while pinned; the value slot
                 // load snapshots under the same pin.
                 (!p.is_null()).then(|| unsafe { &*p }.value.read())
@@ -315,9 +307,9 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
         let b = self.bucket(k);
         b.lock.read_validated(
             // SAFETY: pinned above; outside any thunk (combinator contract).
-            || !unsafe { Self::chain_find_acquire(&b.head, k) }.is_null(),
+            || !unsafe { Self::chain_find(&b.head, k, Mutable::load_acquire) }.is_null(),
             // SAFETY: pinned above.
-            || !unsafe { Self::chain_find(&b.head, k) }.is_null(),
+            || !unsafe { Self::chain_find(&b.head, k, Mutable::load) }.is_null(),
         )
     }
 

@@ -101,6 +101,24 @@
 //!   descheduled inside a spliced-out subtree, where it could meet the old
 //!   leaf of a key removed and re-inserted behind it. It restarts from the
 //!   top after the last key it emitted.
+//!
+//! ## Radix tree
+//!
+//! [`arttree`] keeps its own protocol: a node's lock owns its child cells,
+//! and a leaf is never copied. An upgrade moves the child pointers into a
+//! larger node, and a split pushes the same leaf one level down. So a
+//! leaf's value slot is its key's only value until the leaf is removed, and
+//! a key has one position in the tree.
+//!
+//! - **The committed fallback needs no obsolete check.** A read that gives
+//!   up on the version bracket reads the slot of the leaf its descent
+//!   found. That leaf was linked when found, and its slot changes only while
+//!   it is linked, so the value read was the key's at some instant of the
+//!   read, whatever became of the node.
+//! - **A scan needs no restart.** A walk descheduled in a node that an
+//!   upgrade replaced keeps reading that node's frozen cells: the same
+//!   leaves the new node holds, in the same order. It can report a removed
+//!   leaf's last value, but never two leaves of one key.
 
 #![warn(missing_docs)]
 
@@ -155,9 +173,12 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// rejects a leaf whose parent is obsolete and restarts after the last key
 /// it emitted. A list scan descheduled on a link that is then unlinked
 /// needs no restart: the link's frozen `next` still points forward, and an
-/// obsolete link reads as absent.
+/// obsolete link reads as absent. A radix scan descheduled in a node that
+/// is then upgraded needs none either: the old node's frozen cells hold the
+/// same leaves as the new one.
 #[cfg(test)]
 mod stale_scan {
+    use crate::arttree::ArtTree;
     use crate::list::{List, ListNode};
     use crate::tree::tests::TreeMap;
     use flock_api::testing;
@@ -219,6 +240,40 @@ mod stale_scan {
                 out.windows(2).all(|w| w[0].0 < w[1].0),
                 "{}: keys not strictly increasing: {out:?}",
                 N::NAME
+            );
+        });
+    }
+
+    /// Insert 1..=4, which fills the depth-7 N4, and record it; insert 5,
+    /// which upgrades it to an N16; remove 2 and re-insert it with a new
+    /// value, then continue the walk from the recorded node.
+    #[test]
+    fn walk_from_an_upgraded_radix_node_reports_each_key_once() {
+        testing::both_modes(|| {
+            let t = ArtTree::<u64, u64>::new();
+            for x in 1..=4 {
+                assert!(t.insert(x, x));
+            }
+            let _g = flock_epoch::pin();
+            let at = t.record(&2);
+            assert!(t.insert(5, 5));
+            // SAFETY: pinned since `record`.
+            assert!(unsafe { ArtTree::<u64, u64>::is_obsolete(at) });
+            assert!(t.remove(2));
+            assert!(t.insert(2, 1002));
+            // SAFETY: pinned since `record`.
+            let out = unsafe { t.resume(at) };
+            assert!(
+                out.windows(2).all(|w| w[0].0 < w[1].0),
+                "keys not strictly increasing: {out:?}"
+            );
+            for x in [1, 3, 4] {
+                assert!(out.contains(&(x, x)), "{x} missing: {out:?}");
+            }
+            let twos: Vec<_> = out.iter().filter(|(k, _)| *k == 2).collect();
+            assert!(
+                matches!(twos[..], [(2, 2) | (2, 1002)]),
+                "2 not reported exactly once: {out:?}"
             );
         });
     }

@@ -114,7 +114,7 @@ fn min_active_reservation() -> u64 {
 /// Advance the global epoch if every active reservation has caught up with it.
 ///
 /// Returns the (possibly advanced) global epoch. Scan ordering: see
-/// [`min_active_reservation`].
+/// `min_active_reservation`.
 pub fn try_advance() -> u64 {
     fence(Ordering::SeqCst);
     let e = GLOBAL.epoch.load(Ordering::Relaxed);

@@ -360,7 +360,7 @@ pub(crate) const fn retired_dropper<T>() -> Option<unsafe fn(*mut u8)> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Pages carved so far (pages are immortal, so this is the footprint
-    /// high-water mark in [`PAGE_SIZE`]-byte units).
+    /// high-water mark in `PAGE_SIZE`-byte units).
     pub pages_live: usize,
     /// Slots currently cached in thread magazines, across all threads and
     /// classes (gauge, maintained at refill/flush/exit boundaries).

@@ -3,7 +3,7 @@
 //! This crate provides the word-level machinery that the Flock lock-free-locks
 //! library ("Lock-Free Locks Revisited", PPoPP 2022) is built on:
 //!
-//! * [`pack`] — packing of a 16-bit ABA tag and a 48-bit payload into a single
+//! * [`pack`](mod@pack) — packing of a 16-bit ABA tag and a 48-bit payload into a single
 //!   64-bit word, the [`pack::PackedValue`] encoding trait, and the
 //!   [`pack::ValueRepr`] representation layer that lets arbitrary (fat)
 //!   values ride in a 48-bit slot, either inline or behind epoch-managed
