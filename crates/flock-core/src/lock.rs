@@ -9,7 +9,10 @@
 //!    run-and-unlock ourselves — the release is a CAS from that re-load, and
 //!    nothing at all if a helper already released — and return the thunk's
 //!    result. Otherwise help whoever is there and report failure.
-//! 3. If locked: help the installed descriptor, then report failure.
+//! 3. If locked: at top level, first wait a bounded number of pauses for
+//!    the holder to release ("Waiting for a running holder" below), and go
+//!    on from a fresh read if it did; otherwise help the installed
+//!    descriptor, then report failure.
 //!
 //! Helping wraps `run` in the *observe-generation → mark → adopt →
 //! revalidate → run → unlock* protocol: mark the descriptor helped, adopt
@@ -69,6 +72,48 @@
 //! owner, or — when the owner is stalled after a helper finished `d`
 //! through some word — by each word's next contender, which helps the done
 //! `d` and so releases it.
+//!
+//! ## Waiting for a running holder
+//!
+//! Helping is worth its cost only when the holder is not making progress.
+//! A replay reads the holder's log and lock-protected lines from another
+//! core, and its `helped` mark sends the holder's descriptor to the epoch
+//! collector instead of the pool. Most holders a contender meets are
+//! running and about to release. So a **top-level** acquisition that finds
+//! a word held first polls it for at most [`HOLDER_WAIT`] pauses
+//! (`flock_sync::cpu_relax`): 32, about 0.75 µs on a 2-CPU x86 host at
+//! about 23 ns a poll, or under 0.1 % of the benchmark's 1 ms
+//! `stalled-holder` stall (EXPERIMENTS.md §20):
+//!
+//! * **Where.** [`Lock::try_lock`]'s first read, both help branches of
+//!   [`Lock::lock`]'s loop, and, for [`Lock::try_lock_set`], each further
+//!   word that shows a holder before the descriptor is installed on the
+//!   first word (nothing is held while it waits). One acquisition attempt
+//!   (one `try_lock` call, one `lock` call) has one budget for all of them.
+//! * **What then.** If the word moved on, the attempt goes on from a fresh
+//!   read exactly as without the wait: it installs on a free word and
+//!   helps at once a word held again. Only a word that stayed the same for
+//!   the whole budget is helped, by the unchanged [`Lock::help`]. A
+//!   further word that stayed held is left to the set's thunk, which helps
+//!   it as before.
+//! * **Why it stays lock-free.** The wait is a constant number of the
+//!   contender's own steps. After them it does exactly what it did before,
+//!   so a holder stalled for good is still helped to completion, a bounded
+//!   delay later, and every acquisition still finishes in a bounded number
+//!   of its own steps.
+//! * **Never inside a thunk.** Every branch a runner of an enclosing thunk
+//!   takes keys on committed reads. A timing-dependent skip of `help` there
+//!   would leave one replayer's log positions behind another's, so nested
+//!   acquisitions, a set's further words inside its thunk, and `help` never
+//!   wait. Nor does anything when helping is off: the wait is helping's
+//!   first step.
+//! * **Why poll the word.** The poll reads the one line every contender
+//!   reads anyway. A probe of the holder's progress — its log position,
+//!   say — would pull the holder's log line away from it on every commit
+//!   it makes while waited on.
+//!
+//! Left for later: a bound that adapts to the observed helped rate, and a
+//! hot-lock tail workload to judge one by.
 //!
 //! ## Obsolete locks
 //!
@@ -223,6 +268,50 @@ impl Drop for AbortGuard {
         );
         std::process::abort();
     }
+}
+
+/// The most pauses a top-level acquisition polls a held lock word for
+/// before it helps the holder (module docs, "Waiting for a running
+/// holder"). One under `model`, which shrinks the protocol's constants to
+/// keep the schedule space small (as it does `TAG_WINDOW`): one poll
+/// already has both outcomes of a wait, the word moved on or stayed.
+#[cfg(not(feature = "model"))]
+const HOLDER_WAIT: u32 = 32;
+#[cfg(feature = "model")]
+const HOLDER_WAIT: u32 = 1;
+
+/// What the calling thread's holder waits have done: waits begun, polls
+/// made, and waits that ended on a word that moved on.
+#[cfg(any(test, feature = "model"))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HolderWaits {
+    /// Waits begun.
+    pub waits: u32,
+    /// Polls of a held word.
+    pub polls: u32,
+    /// Waits that ended because the word changed.
+    pub moved: u32,
+}
+
+#[cfg(any(test, feature = "model"))]
+thread_local! {
+    static HOLDER_WAITS: std::cell::Cell<HolderWaits> =
+        const { std::cell::Cell::new(HolderWaits { waits: 0, polls: 0, moved: 0 }) };
+}
+
+#[cfg(any(test, feature = "model"))]
+fn count_wait(f: impl FnOnce(&mut HolderWaits)) {
+    let mut w = HOLDER_WAITS.get();
+    f(&mut w);
+    HOLDER_WAITS.set(w);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Run before each poll of a holder wait: tests release a parked
+    /// holder from here, at a known point of the wait.
+    static BEFORE_POLL: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// Can an acquisition install on `w`? Only on a free word: unlocked and not
@@ -650,10 +739,12 @@ impl Lock {
                 };
                 let mine = LockWord::locked_with(d);
                 let mut backoff = Backoff::new();
+                // One holder-wait budget for the whole call; none nested.
+                let mut budget = if nested { 0 } else { HOLDER_WAIT };
                 loop {
                     let cur_packed = self.word.load_packed_in(tc);
                     let cur = LockWord::from_bits(unpack_val(cur_packed));
-                    if installable(cur) {
+                    let held = if installable(cur) {
                         // Install from the read just committed (see
                         // lock_free_try_lock).
                         self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
@@ -677,15 +768,19 @@ impl Lock {
                                 &[],
                             ));
                         }
-                        if cur2.is_locked() {
-                            self.help(tc, cur2_packed, &guard);
-                        }
+                        cur2.is_locked().then_some(cur2_packed)
                     } else if cur.is_locked() {
-                        self.help(tc, cur_packed, &guard);
+                        Some(cur_packed)
                     } else {
                         // Obsolete: `d` was never installed.
                         self.discard_unrun(tc, d, nested);
                         return None;
+                    };
+                    if let Some(seen) = held {
+                        if self.holder_moved(tc, seen, &mut budget) {
+                            continue; // on from a fresh read
+                        }
+                        self.help(tc, seen, &guard);
                     }
                     backoff.spin();
                 }
@@ -712,12 +807,24 @@ impl Lock {
             // Line 14: read the lock (idempotently when nested). The full
             // packed word (tag included) is kept: helping keys on the exact
             // incarnation of the lock word, not just its value (see `help`).
-            let cur_packed = self.word.load_packed_in(tc);
+            let mut cur_packed = self.word.load_packed_in(tc);
+            if !nested {
+                cur_packed = self.wait_for_holders(tc, cur_packed, rest);
+            }
             let cur = LockWord::from_bits(unpack_val(cur_packed));
             if !installable(cur) {
                 // Line 26 of the paper (locked on first read): help and
                 // fail. An obsolete word has no holder to help.
                 if cur.is_locked() {
+                    // Sanity-mutant hook: a nested busy branch waits too,
+                    // and skips the help when the word moved on.
+                    #[cfg(feature = "model")]
+                    if nested
+                        && crate::mutants::wait_skips_help_in_thunk()
+                        && self.word.raw_packed() != cur_packed
+                    {
+                        return None;
+                    }
                     self.help(tc, cur_packed, &guard);
                 }
                 return None;
@@ -771,6 +878,69 @@ impl Lock {
                 None
             }
         })
+    }
+
+    /// The top-level wait of `lock_free_try_lock`, on one budget (module
+    /// docs, "Waiting for a running holder"). `cur_packed` is this word's
+    /// first read. A held word is waited for, and returned as it is for
+    /// the caller to help if it stayed. Once this word reads free, each
+    /// word of `rest` that shows a holder is waited for in turn. Returns
+    /// the read of this word to go on from: a fresh one after any poll.
+    fn wait_for_holders(&self, tc: &ThreadCtx, mut cur_packed: u64, rest: &[&Lock]) -> u64 {
+        let mut budget = HOLDER_WAIT;
+        if LockWord::from_bits(unpack_val(cur_packed)).is_locked() {
+            if !self.holder_moved(tc, cur_packed, &mut budget) {
+                return cur_packed;
+            }
+            cur_packed = self.word.load_packed_in(tc);
+        }
+        if !installable(LockWord::from_bits(unpack_val(cur_packed))) {
+            return cur_packed;
+        }
+        let unspent = budget;
+        for l in rest {
+            let w = l.word.raw_packed();
+            if LockWord::from_bits(unpack_val(w)).is_locked() {
+                l.holder_moved(tc, w, &mut budget);
+            }
+        }
+        if budget != unspent {
+            cur_packed = self.word.load_packed_in(tc);
+        }
+        cur_packed
+    }
+
+    /// Wait for the holder of this word (module docs, "Waiting for a
+    /// running holder"): poll the word while it reads `seen`, one pause per
+    /// poll, out of `budget`. `true` as soon as the word moves on; `false`
+    /// once the budget is spent on an unchanged word, and at once when the
+    /// budget is empty or helping is off. On `false` the caller helps as it
+    /// would have without the wait.
+    #[inline]
+    fn holder_moved(&self, tc: &ThreadCtx, seen: u64, budget: &mut u32) -> bool {
+        if *budget == 0 || !helping_enabled() {
+            return false;
+        }
+        debug_assert!(
+            !tc.in_thunk(),
+            "a holder wait inside a thunk would desynchronize its runners"
+        );
+        #[cfg(any(test, feature = "model"))]
+        count_wait(|c| c.waits += 1);
+        while *budget > 0 {
+            *budget -= 1;
+            #[cfg(test)]
+            BEFORE_POLL.with_borrow_mut(|f| f.as_mut().map(|f| f()));
+            flock_sync::cpu_relax();
+            #[cfg(any(test, feature = "model"))]
+            count_wait(|c| c.polls += 1);
+            if self.word.raw_packed() != seen {
+                #[cfg(any(test, feature = "model"))]
+                count_wait(|c| c.moved += 1);
+                return true;
+            }
+        }
+        false
     }
 
     /// Dispose of a descriptor whose install failed, so it never ran. Top
@@ -1249,6 +1419,12 @@ pub mod model_probe {
             let guard = flock_epoch::pin_with(tc);
             lock.help(tc, observed_packed, &guard);
         });
+    }
+
+    /// The calling thread's holder waits so far (module docs, "Waiting for
+    /// a running holder").
+    pub fn holder_waits() -> super::HolderWaits {
+        super::HOLDER_WAITS.get()
     }
 }
 
@@ -2065,5 +2241,188 @@ mod tests {
             assert!(!outer.is_locked() && !outer.is_obsolete());
             assert!(!inner.is_locked() && inner.is_obsolete());
         });
+    }
+
+    // ------------------------------------------ waiting for a running holder
+
+    use std::sync::atomic::AtomicUsize;
+
+    /// A holder parked inside its critical section while `contend` runs on
+    /// another thread: a descriptor installed on `lock` by hand, as
+    /// `lock_free_try_lock` installs one, whose owner takes the rest of its
+    /// path once `contend` returned — or, with `release_mid_wait`, right
+    /// before the contender's first poll, which then waits for it. Returns
+    /// what `contend` returned, the contender's holder waits, and how often
+    /// a thread other than its owner ran the holder's thunk (a help). The
+    /// thunk's store lands exactly once whoever ran it.
+    fn against_parked<R: Send + 'static>(
+        lock: &Arc<Lock>,
+        contend: impl FnOnce() -> R + Send + 'static,
+        release_mid_wait: bool,
+    ) -> (R, HolderWaits, usize) {
+        let n = Arc::new(Mutable::new(0u64));
+        let runs = Arc::new(AtomicUsize::new(0));
+        thread_ctx::with(|tc| {
+            let guard = flock_epoch::pin_with(tc);
+            let (n2, runs2) = (Arc::clone(&n), Arc::clone(&runs));
+            let thunk = move || {
+                runs2.fetch_add(1, Ordering::Relaxed);
+                n2.store(n2.load() + 1);
+            };
+            let d = descriptor::create_descriptor(thunk, guard.epoch(), false);
+            let cur_packed = lock.word.load_packed_in(tc);
+            lock.word
+                .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
+            assert!(LockWord::from_bits(unpack_val(lock.word.raw_packed())).holds(d));
+            let finish = || {
+                let cur2_packed = lock.word.load_packed_in(tc);
+                lock.run_and_unlock_self::<()>(tc, d, cur2_packed, false, &[]);
+            };
+            let (polled_tx, polled_rx) = std::sync::mpsc::channel();
+            let (released_tx, released_rx) = std::sync::mpsc::channel();
+            let contender = std::thread::spawn(move || {
+                if release_mid_wait {
+                    BEFORE_POLL.set(Some(Box::new(move || {
+                        polled_tx.send(()).unwrap();
+                        released_rx.recv().unwrap();
+                    })));
+                }
+                let got = contend();
+                BEFORE_POLL.set(None);
+                (got, HOLDER_WAITS.get())
+            });
+            if release_mid_wait {
+                polled_rx.recv().unwrap();
+                // SAFETY: `d` is this thread's, undisposed.
+                assert!(!unsafe { (*d).was_helped() }, "marked helped mid-wait");
+                let retired0 = TALLY.get().1;
+                finish();
+                assert_eq!(TALLY.get().1, retired0, "the holder's descriptor retired");
+                assert!(pooled().contains(&(d as usize)), "and not pooled");
+                released_tx.send(()).unwrap();
+            }
+            let (got, waits) = contender.join().unwrap();
+            // Less the owner's own run, if it has run.
+            let helped_runs = runs.load(Ordering::Relaxed) - usize::from(release_mid_wait);
+            if !release_mid_wait {
+                finish();
+            }
+            assert_eq!(n.load(), 1, "the holder's store did not land exactly once");
+            (got, waits, helped_runs)
+        })
+    }
+
+    /// A holder parked for good is still helped, after the whole wait: a
+    /// `try_lock` polls the unchanged word `HOLDER_WAIT` times, helps and
+    /// reports busy, and a `lock` does the same and then acquires. This is
+    /// what keeps the wait lock-free.
+    #[test]
+    fn parked_holder_is_helped_after_the_whole_wait() {
+        let _t = ReuseTest::begin(true);
+        for strict in [false, true] {
+            let lock = Arc::new(Lock::new());
+            let l2 = Arc::clone(&lock);
+            let contend = move || {
+                if strict {
+                    l2.lock(|| 7u32)
+                } else {
+                    l2.try_lock(|| 7u32)
+                }
+            };
+            let (got, waits, helped) = against_parked(&lock, contend, false);
+            assert_eq!(got, strict.then_some(7), "strict = {strict}");
+            assert_eq!(
+                waits,
+                HolderWaits {
+                    waits: 1,
+                    polls: HOLDER_WAIT,
+                    moved: 0
+                },
+                "strict = {strict}"
+            );
+            assert_eq!(helped, 1, "the parked holder was not helped");
+            assert!(!lock.is_locked());
+        }
+    }
+
+    /// A holder that releases while the contender waits is not helped: the
+    /// contender's same `try_lock` call installs from a fresh read. The
+    /// holder's descriptor, never marked helped, goes back to the pool
+    /// instead of the collector.
+    #[test]
+    fn holder_released_during_the_wait_is_not_helped() {
+        let _t = ReuseTest::begin(true);
+        let lock = Arc::new(Lock::new());
+        let l2 = Arc::clone(&lock);
+        let (got, waits, helped) = against_parked(&lock, move || l2.try_lock(|| 7u32), true);
+        assert_eq!(got, Some(7));
+        assert_eq!(
+            waits,
+            HolderWaits {
+                waits: 1,
+                polls: 1,
+                moved: 1
+            }
+        );
+        assert_eq!(helped, 0, "the holder was helped");
+        assert!(!lock.is_locked());
+    }
+
+    /// Inside a thunk nothing waits: a nested `try_lock` and a nested lock
+    /// set that meet a parked holder help it at once. A top-level set
+    /// waits only before its descriptor is installed: its pre-check spends
+    /// the whole budget on the parked further word, and its thunk, which
+    /// finds that word still held, helps without a further poll.
+    #[test]
+    fn acquisitions_inside_a_thunk_never_wait() {
+        let _t = ReuseTest::begin(true);
+        for case in ["nested try_lock", "nested set", "top-level set"] {
+            let (outer, first, busy) = (
+                Arc::new(Lock::new()),
+                Arc::new(Lock::new()),
+                Arc::new(Lock::new()),
+            );
+            let b2 = Arc::clone(&busy);
+            // SAFETY (every call): the caller holds `b` for every runner.
+            let set = |first: &Lock, b: &Arc<Lock>| unsafe { first.try_lock_set([&**b], || ()) };
+            let contend = move || match case {
+                "nested try_lock" => outer.try_lock(move || b2.try_lock(|| ()).is_some()),
+                "nested set" => outer.try_lock(move || set(&first, &b2).is_some()),
+                _ => Some(set(&first, &b2).is_some()),
+            };
+            let (got, waits, helped) = against_parked(&busy, contend, false);
+            assert_eq!(got, Some(false), "{case}");
+            let expect = match case {
+                "top-level set" => HolderWaits {
+                    waits: 1,
+                    polls: HOLDER_WAIT,
+                    moved: 0,
+                },
+                _ => HolderWaits::default(),
+            };
+            assert_eq!(waits, expect, "{case}");
+            assert_eq!(helped, 1, "{case}: the parked holder was not helped");
+        }
+    }
+
+    /// With helping off a busy `try_lock` fails at once, as before the
+    /// wait: no poll, no help.
+    #[test]
+    fn busy_try_lock_without_helping_does_not_wait() {
+        struct HelpingBackOn;
+        impl Drop for HelpingBackOn {
+            fn drop(&mut self) {
+                crate::config::set_helping(true);
+            }
+        }
+        let _t = ReuseTest::begin(true);
+        crate::config::set_helping(false);
+        let _on = HelpingBackOn;
+        let lock = Arc::new(Lock::new());
+        let l2 = Arc::clone(&lock);
+        let (got, waits, helped) = against_parked(&lock, move || l2.try_lock(|| ()), false);
+        assert_eq!(got, None);
+        assert_eq!(waits, HolderWaits::default());
+        assert_eq!(helped, 0);
     }
 }

@@ -87,3 +87,13 @@ pub static INSTALL_IGNORES_OBSOLETE: AtomicBool = AtomicBool::new(false);
 pub(crate) fn install_ignores_obsolete() -> bool {
     INSTALL_IGNORES_OBSOLETE.load(Ordering::Relaxed)
 }
+
+/// A nested acquisition's busy branch waits as a top-level one does, and
+/// skips the help when the word moved on: a replayer that polls after the
+/// holder released skips the help a first runner made, and its later log
+/// commits land on the entries that help committed.
+pub static WAIT_SKIPS_HELP_IN_THUNK: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn wait_skips_help_in_thunk() -> bool {
+    WAIT_SKIPS_HELP_IN_THUNK.load(Ordering::Relaxed)
+}

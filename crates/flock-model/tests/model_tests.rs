@@ -1554,3 +1554,174 @@ fn obsolete_mutant_install_ignores_bit_is_caught() {
     let f = report.assert_finds_bug();
     assert!(f.message.contains("obsolete lock"), "{}", f.message);
 }
+
+// ------------------------------------------------------------- holder wait
+
+/// Set when an execution of `top_level_wait_body` had the holder release
+/// during the owner's wait, and the owner then installed.
+static WAITED_THEN_INSTALLED: core::sync::atomic::AtomicBool =
+    core::sync::atomic::AtomicBool::new(false);
+
+/// The top-level wait before helping (`flock_core`'s `lock` module docs,
+/// "Waiting for a running holder"; one poll under `model`): a holder
+/// updates the second cell of a two-lock set and then the first, each with
+/// a one-word `try_with`, while the owner transfers between the two with
+/// `try_with2`. The owner's wait meets the holder on the first word, or,
+/// the first word free, on the second before it installs anything (the
+/// lock set's pre-check); the holder's own wait meets the owner's set.
+///
+/// **Invariants:** (a) every store applies exactly once: each cell counts
+/// the holder's successful update of it plus the owner's successful
+/// transfer; (b) both words are free at the end; (c) no runner runs a
+/// reset descriptor. The test also checks that some execution has the
+/// holder release during the owner's wait and the owner then install.
+fn top_level_wait_body() {
+    watch_reset_runs();
+    RESET_RUN.store(false, core::sync::atomic::Ordering::SeqCst);
+    let a = Arc::new(Locked::new(Mutable::new(0u64)));
+    let b = Arc::new(Locked::new(Mutable::new(0u64)));
+    let (first, second) = if Arc::as_ptr(&a) < Arc::as_ptr(&b) {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
+    // The owner is the spawned thread, so that a wait that sees its
+    // holder release takes two preemptions: into the owner while the
+    // holder holds a word, and back between the owner's read and its poll.
+    let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+    let owner = flock_model::spawn(move || {
+        let before = flock_core::model_probe::holder_waits().moved;
+        let transferred = Locked::try_with2(&a2, &b2, |x, y| {
+            x.store(x.load() + 1);
+            y.store(y.load() + 1);
+        })
+        .is_some();
+        let moved = flock_core::model_probe::holder_waits().moved > before;
+        (transferred, moved)
+    });
+    let on_second = second.try_with(|x| x.store(x.load() + 1)).is_some();
+    let on_first = first.try_with(|x| x.store(x.load() + 1)).is_some();
+    let (transferred, moved) = owner.join();
+    if transferred && moved {
+        WAITED_THEN_INSTALLED.store(true, core::sync::atomic::Ordering::SeqCst);
+    }
+    assert_eq!(
+        (first.load(), second.load()),
+        (
+            u64::from(transferred) + u64::from(on_first),
+            u64::from(transferred) + u64::from(on_second)
+        ),
+        "a store not applied exactly once"
+    );
+    assert!(
+        !first.is_locked() && !second.is_locked(),
+        "a lock leaked a hold"
+    );
+    assert!(
+        !RESET_RUN.load(core::sync::atomic::Ordering::SeqCst),
+        "a runner ran a reset descriptor: descriptor thunk called before set"
+    );
+}
+
+/// Scope: owner (1 two-lock transfer) + holder (2 one-word updates), SC,
+/// ≤2 preemptions, exhaustive.
+#[test]
+fn top_level_wait_then_install() {
+    let _g = serial();
+    WAITED_THEN_INSTALLED.store(false, core::sync::atomic::Ordering::SeqCst);
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        top_level_wait_body,
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+    assert!(
+        WAITED_THEN_INSTALLED.load(core::sync::atomic::Ordering::SeqCst),
+        "no execution had the holder release mid-wait and the owner install"
+    );
+}
+
+/// A nested busy branch, taken by every runner of the enclosing thunk
+/// (`lock` module docs, "Waiting for a running holder": nothing waits
+/// inside a thunk). The owner takes `outer`, tries `inner` inside it, and
+/// then adds one to a counter. A holder updates under `inner` and then
+/// helps whatever it observes on `outer`, replaying the owner's thunk: the
+/// owner's run can commit `inner` held, and the replay reads that committed
+/// word after the holder released it.
+///
+/// **Invariants:** (a) the counter's store applies exactly once, which
+/// needs every runner of the owner's thunk to take the same branches and
+/// so commit to the same log positions; (b) the holder's store applies
+/// exactly once when it acquired; (c) both words end free.
+fn in_thunk_busy_body() {
+    let outer = Arc::new(Lock::new());
+    let inner = Arc::new(Lock::new());
+    let counter = Arc::new(Mutable::new(0u64));
+    let held = Arc::new(Mutable::new(0u64));
+
+    // The holder is the driving thread: the owner, spawned, reads `inner`
+    // held after one preemption, and the holder's replay overtakes the
+    // owner's help after a second.
+    let (o2, i2, c2) = (Arc::clone(&outer), Arc::clone(&inner), Arc::clone(&counter));
+    let owner = flock_model::spawn(move || {
+        let i3 = Arc::clone(&i2);
+        o2.try_lock(move || {
+            let _ = i3.try_lock(|| ());
+            c2.store(c2.load() + 1);
+        })
+    });
+    let h2 = Arc::clone(&held);
+    let holder_got = inner.try_lock(move || h2.store(h2.load() + 1)).is_some();
+    let seen = flock_core::model_probe::observe(&outer);
+    flock_core::model_probe::help_observed(&outer, seen);
+    let got = owner.join();
+
+    assert_eq!(got, Some(()), "outer is never held by anyone else");
+    assert_eq!(
+        counter.load(),
+        1,
+        "counter store not applied exactly once (runners desynchronized?)"
+    );
+    assert_eq!(
+        held.load(),
+        u64::from(holder_got),
+        "holder store not applied exactly once"
+    );
+    assert!(
+        !outer.is_locked() && !inner.is_locked(),
+        "a lock leaked a hold"
+    );
+}
+
+/// Scope: owner (outer → inner → store) + holder (one update, one help),
+/// SC, ≤2 preemptions, exhaustive.
+#[test]
+fn in_thunk_busy_branch_helps_on_every_runner() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        in_thunk_busy_body,
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Sanity mutant: a nested busy branch waits and skips the help when the
+/// word moved on. The owner's run finds `inner` unchanged and helps; the
+/// holder's replay, after the holder released `inner`, skips, and its
+/// counter load lands on a log entry the help committed. The runners'
+/// logs fall out of step and the counter's store applies twice.
+#[test]
+fn in_thunk_mutant_wait_skips_help_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::WAIT_SKIPS_HELP_IN_THUNK);
+    let report = explore(Config::sc(), in_thunk_busy_body);
+    let f = report.assert_finds_bug();
+    assert!(f.message.contains("exactly once"), "{}", f.message);
+}

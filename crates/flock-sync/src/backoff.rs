@@ -34,7 +34,8 @@ use crate::cpu_relax;
 pub struct Backoff {
     step: u32,
     /// Per-instance xorshift state; seeded from per-thread state so
-    /// same-step waiters on different threads draw different waits.
+    /// same-step waiters on different threads draw different waits. Zero
+    /// (which xorshift fixes) until the first wait draws the seed.
     rng: u32,
 }
 
@@ -54,14 +55,12 @@ impl Backoff {
     /// spin-loop iterations (unit-tested below).
     pub const MAX_SPIN: u32 = 1 << Self::SPIN_LIMIT;
 
-    /// Fresh backoff state with a thread-distinct jitter seed.
+    /// Fresh backoff state. Its thread-distinct jitter seed is drawn on
+    /// its first wait: most retry loops never wait, and then a `Backoff`
+    /// costs nothing.
     #[inline]
-    pub fn new() -> Self {
-        Self {
-            step: 0,
-            // Zero is excluded because xorshift fixes it.
-            rng: next_seed() | 1,
-        }
+    pub const fn new() -> Self {
+        Self { step: 0, rng: 0 }
     }
 
     /// Next jittered wait for the current step: uniform-ish in
@@ -70,7 +69,12 @@ impl Backoff {
     #[inline]
     fn jittered_wait(&mut self) -> u32 {
         // xorshift32 (Marsaglia): cheap, never zero for nonzero state.
-        let mut x = self.rng;
+        let mut x = if self.rng == 0 {
+            // Zero is excluded because xorshift fixes it.
+            next_seed() | 1
+        } else {
+            self.rng
+        };
         x ^= x << 13;
         x ^= x >> 17;
         x ^= x << 5;
@@ -120,21 +124,21 @@ impl Backoff {
     }
 }
 
+thread_local! {
+    /// (thread index, seeds drawn); index 0 means not drawn yet.
+    static SEED_STATE: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
+}
+
 /// The next jitter seed of the calling thread: a hash of (thread index,
 /// per-thread count), so seeds differ across threads and from one
 /// `Backoff` to the next on one thread. Only a thread's first call touches
 /// shared state, to draw its index: one process-wide counter bumped per
 /// call would be a locked RMW on a shared line in every retry loop.
-#[inline]
+#[cold]
 fn next_seed() -> u32 {
-    use std::cell::Cell;
     use std::sync::atomic::{AtomicU32, Ordering};
     static THREADS: AtomicU32 = AtomicU32::new(1);
-    thread_local! {
-        /// (thread index, `Backoff`s created); index 0 means not drawn yet.
-        static STATE: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
-    }
-    STATE.with(|s| {
+    SEED_STATE.with(|s| {
         let (mut index, count) = s.get();
         if index == 0 {
             index = THREADS.fetch_add(1, Ordering::Relaxed);
@@ -217,5 +221,23 @@ mod tests {
         c.step = Backoff::SPIN_LIMIT;
         let other: Vec<u32> = (0..32).map(|_| c.jittered_wait()).collect();
         assert_ne!(draws, other, "two Backoff instances drew identical jitter");
+    }
+
+    /// A `Backoff` that never waits never draws a seed: constructing and
+    /// dropping one leaves the thread's seed count where it was, and the
+    /// first wait draws exactly one.
+    #[test]
+    fn seed_is_drawn_on_first_wait() {
+        let drawn = || SEED_STATE.with(|s| s.get().1);
+        let before = drawn();
+        for _ in 0..10 {
+            std::hint::black_box(Backoff::new());
+        }
+        assert_eq!(drawn(), before, "constructing a Backoff drew a seed");
+        let mut b = Backoff::new();
+        b.spin();
+        b.spin();
+        b.snooze();
+        assert_eq!(drawn(), before + 1, "not one seed per waiting Backoff");
     }
 }
