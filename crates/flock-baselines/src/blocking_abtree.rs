@@ -533,7 +533,7 @@ impl<K: Key, V: Value> Map<K, V> for BlockingABTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     #[test]
     fn basic_ops() {

@@ -415,7 +415,7 @@ impl<K: Key, V: Value> Map<K, V> for BlockingBst<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     #[test]
     fn basic_ops() {

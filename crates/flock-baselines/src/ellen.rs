@@ -681,7 +681,7 @@ impl<K: Key, V: Value> Map<K, V> for EllenBst<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     #[test]
     fn basic_ops() {

@@ -1,5 +1,6 @@
 //! A lock-free per-node value cell for the baseline structures — the
-//! non-Flock counterpart of `flock_core::ValueSlot`.
+//! non-Flock counterpart of flock-ds's per-node `flock_core::Mutable` value
+//! slots.
 //!
 //! The CAS-based baselines historically replaced whole nodes, so their
 //! `Map::update` fell back to the non-atomic remove+insert composite. This

@@ -5,12 +5,12 @@
 
 use flock_baselines::{BlockingABTree, BlockingBst, EllenBst, HarrisList, NatarajanBst};
 
-flock_api::map_conformance!(harris_list, HarrisList::new());
-flock_api::map_conformance!(harris_list_opt, HarrisList::new_opt());
-flock_api::map_conformance!(natarajan, NatarajanBst::new());
-flock_api::map_conformance!(ellen, EllenBst::new());
-flock_api::map_conformance!(bronson_style_bst, BlockingBst::new());
-flock_api::map_conformance!(srivastava_abtree, BlockingABTree::new());
+flock_conformance::map_conformance!(harris_list, HarrisList::new());
+flock_conformance::map_conformance!(harris_list_opt, HarrisList::new_opt());
+flock_conformance::map_conformance!(natarajan, NatarajanBst::new());
+flock_conformance::map_conformance!(ellen, EllenBst::new());
+flock_conformance::map_conformance!(bronson_style_bst, BlockingBst::new());
+flock_conformance::map_conformance!(srivastava_abtree, BlockingABTree::new());
 
 /// Every baseline maintains a striped counter now: `len_approx` must be
 /// `Some`, track mixed trait-level ops exactly when quiescent, and stay

@@ -409,7 +409,7 @@ pub fn execute(points: &[Point], dir: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_api::testing::{exclusive, fat_value};
+    use flock_conformance::{exclusive, fat_value};
 
     /// The registry at the fat-value shape: four-word values, heap-indirected
     /// through the epoch-managed `ValueRepr` strategy.

@@ -20,7 +20,7 @@ fn one_panel_writes_its_csv() {
     points.retain(|p| p.panel.file == "fig7b_list_thread_sweep");
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_smoke");
     // `execute` flips the process-global lock mode between rows.
-    flock_api::testing::exclusive(|| execute(&points, &dir).expect("write the panel's CSV"));
+    flock_conformance::exclusive(|| execute(&points, &dir).expect("write the panel's CSV"));
 
     let csv = std::fs::read_to_string(dir.join("fig7b_list_thread_sweep.csv")).expect("the CSV");
     let lines: Vec<&str> = csv.lines().collect();

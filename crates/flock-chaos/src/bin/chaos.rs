@@ -2,12 +2,13 @@
 //! threads, panic-storm survival, epoch degradation under a forever-pinned
 //! thread, and oversubscription churn.
 //!
-//! Requires the `chaos` feature (which swaps the protocol seam probes from
-//! no-ops to policy dispatch — this binary must **never** share a build
+//! Builds with the `chaos` feature on the protocol crates (which swaps the
+//! seam probes from no-ops to policy dispatch — flock-chaos is the only
+//! crate that turns it on, and this binary must **never** share a build
 //! with anything that measures performance):
 //!
 //! ```sh
-//! cargo run --release -p flock-bench --features chaos --bin chaos -- --seed 7
+//! cargo run --release -p flock-chaos --bin chaos -- --seed 7
 //! ```
 //!
 //! Four arms, every one a hard assertion (nonzero exit on violation; the
@@ -24,7 +25,10 @@
 //!    from their committed descriptors). The same
 //!    structures in blocking mode, with the victim parked holding the TTAS
 //!    word ([`Seam::BlockingCritical`]), must demonstrably stall — the
-//!    documented inversion. Both sides print their Mop/s.
+//!    documented inversion, checked on all eight structures. This arm is
+//!    the workspace's one stall check: its `parked` counts show that the
+//!    victims really sit inside the critical section. Both sides print
+//!    their Mop/s.
 //! 2. **Panic storm** — a saboteur thread's seam crossings inject panics
 //!    mid-thunk while workers hammer the same structure. Every injected
 //!    panic must surface as exactly one observed panic (the saboteur's own
@@ -62,11 +66,6 @@ const FLOCK_STRUCTURES: [&str; 8] = [
     "abtree",
     "arttree",
 ];
-
-/// Structures demonstrating the blocking-mode stall inversion (one per
-/// structure class; running all eight would only repeat the same 2-second
-/// dead window).
-const BLOCKING_INVERSION: [&str; 3] = ["hashtable", "abtree", "leaftree"];
 
 /// Keys the victims stall while holding; workers hammer exactly these.
 const HOT: [u64; 2] = [3, 11];
@@ -217,7 +216,9 @@ fn stall_arm(seed: u64) {
              {ops} ops < {MIN_LF_OPS} (seed {seed})"
         );
     }
-    for structure in BLOCKING_INVERSION {
+    // The inversion on every structure: a victim parked in the blocking
+    // critical section stops the workers on each of the eight.
+    for structure in FLOCK_STRUCTURES {
         flock_core::set_lock_mode(LockMode::Blocking);
         let map = make_map(structure, 1024);
         let (ops, parked) = stalled_window(&*map, Seam::BlockingCritical, WINDOW, seed);

@@ -23,8 +23,13 @@
 //!
 //! Policies are registered process-globally
 //! ([`flock_sync::chaos::set_chaos_policy`]); tests that register them must
-//! serialize (the conformance harness's `exclusive` lock, or any
-//! process-global mutex).
+//! serialize (flock-conformance's `exclusive` lock, or any process-global
+//! mutex).
+//!
+//! The crate's `chaos` binary (`src/bin/chaos.rs`) drives these policies
+//! against every Flock structure: progress past stalled lock holders and
+//! the blocking inversion, a panic storm, epoch degradation under a stuck
+//! pin, and thread churn.
 
 #![warn(missing_docs)]
 
@@ -242,14 +247,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flock_conformance::exclusive;
     use flock_core::{Lock, Mutable};
     use std::sync::atomic::{AtomicBool, AtomicU64};
-
-    /// Serializes chaos tests (policy registry + lock mode are global) and
-    /// pins lock-free mode.
-    fn exclusive(test: impl Fn()) {
-        flock_api::testing::exclusive(test);
-    }
 
     /// A stalled victim parks at the seam and wakes on release; non-victims
     /// pass through untouched.

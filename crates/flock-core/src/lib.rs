@@ -63,7 +63,6 @@ mod mutable;
 /// every non-`model` build.
 #[cfg(feature = "model")]
 pub mod mutants;
-mod value_slot;
 
 pub use config::{lock_mode, set_helping, set_lock_mode};
 pub use ctx::in_thunk;
@@ -77,7 +76,6 @@ pub use lock::{Lock, LockMode, LockVersion, OPTIMISTIC_READ_ATTEMPTS, read_valid
 pub use locked::Locked;
 pub use log::{EMPTY, LOG_BLOCK_ENTRIES};
 pub use mutable::{Mutable, UpdateOnce, commit_value};
-pub use value_slot::ValueSlot;
 
 // Re-export the reclamation entry points (and the indirect value
 // representation built on them) so data-structure code needs only this

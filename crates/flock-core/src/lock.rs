@@ -215,8 +215,7 @@ pub const OPTIMISTIC_READ_ATTEMPTS: usize = 3;
 /// Run an optimistic, version-validated read with a bounded fallback.
 ///
 /// `optimistic` performs the read with plain `Acquire` loads (e.g.
-/// [`Mutable::load_acquire`](crate::Mutable::load_acquire) /
-/// [`ValueSlot::read_acquire`](crate::ValueSlot::read_acquire)) bracketed
+/// [`Mutable::load_acquire`](crate::Mutable::load_acquire)) bracketed
 /// by [`Lock::version`] / [`Lock::validate`] on whichever lock owns the
 /// data, returning `Some(r)` when validation passed and `None` when it
 /// failed (lock busy, or a critical section committed mid-read). After

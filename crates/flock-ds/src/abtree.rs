@@ -22,7 +22,7 @@
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp};
 
 use crate::tree::{Tree, TreeNode};
 
@@ -40,7 +40,7 @@ pub(crate) struct Node<K: Key, V: Value> {
     /// is immutable (membership changes copy the leaf), but each value is
     /// mutable in place under the leaf's **parent** lock — native `update`
     /// without copying the batch.
-    vals: Vec<ValueSlot<V>>,
+    vals: Vec<Mutable<V>>,
     children: [Mutable<*mut Node<K, V>>; B + 1],
 }
 
@@ -90,7 +90,7 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
     fn child(&self, i: usize) -> &Mutable<*mut Self> {
         &self.children[i]
     }
-    fn entries(&self) -> impl Iterator<Item = (&K, &ValueSlot<V>)> {
+    fn entries(&self) -> impl Iterator<Item = (&K, &Mutable<V>)> {
         self.keys.iter().zip(&self.vals)
     }
     fn new_leaf(entries: &[(K, V)]) -> Self {
@@ -101,7 +101,7 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
             keys: entries.iter().map(|(k, _)| k.clone()).collect(),
             vals: entries
                 .iter()
-                .map(|(_, v)| ValueSlot::new(v.clone()))
+                .map(|(_, v)| Mutable::new(v.clone()))
                 .collect(),
             children: std::array::from_fn(|_| Mutable::new(std::ptr::null_mut())),
         }
@@ -363,7 +363,7 @@ impl<K: Key, V: Value> flock_api::OrderedMap<K, V> for ABTree<K, V> {
 mod tests {
     use super::*;
     use crate::tree::tests::{TreeMap, native_update_in_place as update_body};
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     impl TreeMap for ABTree<u64, u64> {
         type Node = Node<u64, u64>;

@@ -21,7 +21,7 @@
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, OrderedMap, Value, key_in_range};
-use flock_core::{Lock, Mutable, Sp, UpdateOnce, ValueSlot};
+use flock_core::{Lock, Mutable, Sp, UpdateOnce};
 use flock_sync::ApproxLen;
 
 /// Keys usable by the radix tree: an order-preserving, injective mapping
@@ -74,7 +74,7 @@ fn as_node(c: usize) -> *mut ArtNode {
 struct ArtLeaf<K, V: Value> {
     key: K,
     /// Set in place under the lock of the node whose cell holds the leaf.
-    value: ValueSlot<V>,
+    value: Mutable<V>,
 }
 
 impl<K: Key, V: Value> ArtLeaf<K, V> {
@@ -83,7 +83,7 @@ impl<K: Key, V: Value> ArtLeaf<K, V> {
     fn alloc(k: &K, v: &V) -> usize {
         let l = flock_core::alloc(|| ArtLeaf {
             key: k.clone(),
-            value: ValueSlot::new(v.clone()),
+            value: Mutable::new(v.clone()),
         });
         l as usize | LEAF_TAG
     }
@@ -390,10 +390,10 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
                 if n.child(b, Load::Acquire) != c {
                     return None;
                 }
-                let v = l.value.read_acquire();
+                let v = l.value.load_acquire();
                 n.lock.validate(v0).then_some(v)
             },
-            || l.value.read(),
+            || l.value.load(),
         )
     }
 
@@ -518,7 +518,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
     /// the old value or the new one, never absence or a third value.
     pub fn update(&self, k: K, v: V) -> bool {
         // SAFETY: the cell holds the leaf under its node's lock.
-        self.on_leaf(&k, move |_, l| unsafe { &*l }.value.set(v.clone()))
+        self.on_leaf(&k, move |_, l| unsafe { &*l }.value.store(v.clone()))
     }
 
     /// Run `body` on `k`'s leaf and the cell that holds it, in
@@ -796,7 +796,7 @@ impl<K: Key + RadixKey, V: Value> ArtTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     #[test]
     fn basic_ops() {

@@ -9,7 +9,7 @@
 //! lock-free by hand and trivial here.
 
 use flock_api::{Key, Value};
-use flock_core::{Lock, Mutable, ValueSlot};
+use flock_core::{Lock, Mutable};
 
 use crate::list::{List, ListNode};
 
@@ -17,7 +17,7 @@ use crate::list::{List, ListNode};
 pub struct Link<K: Key, V: Value> {
     next: Mutable<*mut Self>,
     prev: Mutable<*mut Self>,
-    entry: Option<(K, ValueSlot<V>)>,
+    entry: Option<(K, Mutable<V>)>,
     lock: Lock,
 }
 
@@ -30,7 +30,7 @@ impl<K: Key, V: Value> ListNode for Link<K, V> {
         Self {
             next: Mutable::new(next),
             prev: Mutable::new(prev),
-            entry: entry.map(|(k, v)| (k, ValueSlot::new(v))),
+            entry: entry.map(|(k, v)| (k, Mutable::new(v))),
             lock: Lock::new(),
         }
     }
@@ -40,7 +40,7 @@ impl<K: Key, V: Value> ListNode for Link<K, V> {
     fn prev(&self) -> Option<&Mutable<*mut Self>> {
         Some(&self.prev)
     }
-    fn entry(&self) -> Option<&(K, ValueSlot<V>)> {
+    fn entry(&self) -> Option<&(K, Mutable<V>)> {
         self.entry.as_ref()
     }
     fn lock(&self) -> &Lock {

@@ -19,8 +19,8 @@
 //!   any substitute.
 //! * **A native atomic [`Map::update`]** — the structure that proved the
 //!   pattern every Flock structure now shares: each node stores its value
-//!   in a lock-word-adjacent [`ValueSlot<V>`] read-modify-written in-thunk
-//!   under the bucket lock — one idempotent store, no remove/insert
+//!   in a lock-word-adjacent [`Mutable<V>`] stored into in-thunk under the
+//!   bucket lock — one idempotent store, no remove/insert
 //!   composite, no observable absence window
 //!   ([`Map::has_atomic_update`] returns `true`; the conformance harness
 //!   verifies the claim). Fat (`Indirect`) values ride behind an
@@ -33,7 +33,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::ops::ControlFlow;
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp};
 use flock_sync::ApproxLen;
 
 use crate::mix64;
@@ -73,7 +73,7 @@ struct Node<K: Key, V: Value> {
     key: K,
     /// Lock-word-adjacent value slot: mutable in place under the bucket
     /// lock (native `update`), snapshot-readable without it.
-    value: ValueSlot<V>,
+    value: Mutable<V>,
 }
 
 struct Bucket<K: Key, V: Value> {
@@ -188,7 +188,7 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                 let newn = flock_core::alloc(|| Node {
                     next: Mutable::new(old_head),
                     key: k2.clone(),
-                    value: ValueSlot::new(v2.clone()),
+                    value: Mutable::new(v2.clone()),
                 });
                 head.store(newn);
                 true
@@ -266,7 +266,7 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                 // primitive: the idempotent store keeps helpers agreeing on
                 // one new encoding and retires the displaced one exactly
                 // once (indirect values).
-                n.value.set(v2.clone());
+                n.value.store(v2.clone());
                 true
             }))
         })
@@ -286,14 +286,14 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> HashTable<K, V, S
                 // routes in-thunk callers to the fallback).
                 let p = unsafe { Self::chain_find(&b.head, &k, Mutable::load_acquire) };
                 // SAFETY: non-null node found while pinned.
-                (!p.is_null()).then(|| unsafe { &*p }.value.read_acquire())
+                (!p.is_null()).then(|| unsafe { &*p }.value.load_acquire())
             },
             || {
                 // SAFETY: pinned above.
                 let p = unsafe { Self::chain_find(&b.head, &k, Mutable::load) };
                 // SAFETY: non-null node found while pinned; the value slot
                 // load snapshots under the same pin.
-                (!p.is_null()).then(|| unsafe { &*p }.value.read())
+                (!p.is_null()).then(|| unsafe { &*p }.value.load())
             },
         )
     }
@@ -404,7 +404,7 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> Map<K, V> for Has
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     #[test]
     fn basic_ops() {

@@ -9,14 +9,14 @@
 //! in one critical section.
 
 use flock_api::{Key, Value};
-use flock_core::{Lock, Mutable, ValueSlot};
+use flock_core::{Lock, Mutable};
 
 use crate::list::{List, ListNode};
 
 /// A node of a [`LazyList`]; its fields are private.
 pub struct Node<K: Key, V: Value> {
     next: Mutable<*mut Self>,
-    entry: Option<(K, ValueSlot<V>)>,
+    entry: Option<(K, Mutable<V>)>,
     lock: Lock,
 }
 
@@ -28,7 +28,7 @@ impl<K: Key, V: Value> ListNode for Node<K, V> {
     fn new(entry: Option<(K, V)>, next: *mut Self, _prev: *mut Self) -> Self {
         Self {
             next: Mutable::new(next),
-            entry: entry.map(|(k, v)| (k, ValueSlot::new(v))),
+            entry: entry.map(|(k, v)| (k, Mutable::new(v))),
             lock: Lock::new(),
         }
     }
@@ -38,7 +38,7 @@ impl<K: Key, V: Value> ListNode for Node<K, V> {
     fn prev(&self) -> Option<&Mutable<*mut Self>> {
         None
     }
-    fn entry(&self) -> Option<&(K, ValueSlot<V>)> {
+    fn entry(&self) -> Option<&(K, Mutable<V>)> {
         self.entry.as_ref()
     }
     fn lock(&self) -> &Lock {

@@ -24,7 +24,7 @@ use std::hash::BuildHasher;
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, OrderedMap, Value};
-use flock_core::{Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp};
 use flock_sync::Backoff;
 
 use crate::hashtable::FlockHashBuilder;
@@ -51,9 +51,9 @@ pub(crate) struct Node<K: Key, V: Value> {
     leaf: bool,
     /// Sorted batch (leaves only). The *key set* is immutable after
     /// construction (membership changes copy the leaf), but each entry's
-    /// value lives in a [`ValueSlot`] mutable in place under the leaf's
+    /// value lives in a [`Mutable`] stored into in place under the leaf's
     /// **parent** lock — native `update` without copying the batch.
-    entries: Vec<(K, ValueSlot<V>)>,
+    entries: Vec<(K, Mutable<V>)>,
 }
 
 impl<K: Key, V: Value> Node<K, V> {
@@ -78,7 +78,7 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
     fn child(&self, i: usize) -> &Mutable<*mut Self> {
         if i == 0 { &self.left } else { &self.right }
     }
-    fn entries(&self) -> impl Iterator<Item = (&K, &ValueSlot<V>)> {
+    fn entries(&self) -> impl Iterator<Item = (&K, &Mutable<V>)> {
         self.entries.iter().map(|(k, s)| (k, s))
     }
     fn new_leaf(entries: &[(K, V)]) -> Self {
@@ -93,7 +93,7 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
             leaf: true,
             entries: entries
                 .iter()
-                .map(|(k, v)| (k.clone(), ValueSlot::new(v.clone())))
+                .map(|(k, v)| (k.clone(), Mutable::new(v.clone())))
                 .collect(),
         }
     }
@@ -391,7 +391,7 @@ impl<K: Key, V: Value> OrderedMap<K, V> for LeafTreap<K, V> {
 mod tests {
     use super::*;
     use crate::tree::tests::{TreeMap, native_update_in_place as update_body};
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     impl TreeMap for LeafTreap<u64, u64> {
         type Node = Node<u64, u64>;

@@ -15,7 +15,7 @@
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Map, Value};
-use flock_core::{Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp};
 
 use crate::tree::{Tree, TreeNode};
 
@@ -30,7 +30,7 @@ pub(crate) struct Node<K: Key, V: Value> {
     /// placeholder leaf.
     key: Option<K>,
     /// Element value slot (leaves only).
-    value: Option<ValueSlot<V>>,
+    value: Option<Mutable<V>>,
     leaf: bool,
 }
 
@@ -41,7 +41,7 @@ impl<K: Key, V: Value> Node<K, V> {
             right: Mutable::new(kids[1]),
             lock: Lock::new(),
             key,
-            value: value.map(ValueSlot::new),
+            value: value.map(Mutable::new),
             leaf,
         }
     }
@@ -72,7 +72,7 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
     fn child(&self, i: usize) -> &Mutable<*mut Self> {
         if i == 0 { &self.left } else { &self.right }
     }
-    fn entries(&self) -> impl Iterator<Item = (&K, &ValueSlot<V>)> {
+    fn entries(&self) -> impl Iterator<Item = (&K, &Mutable<V>)> {
         self.key.iter().zip(&self.value)
     }
     fn new_leaf(entries: &[(K, V)]) -> Self {
@@ -254,7 +254,7 @@ impl<K: Key, V: Value> flock_api::OrderedMap<K, V> for LeafTree<K, V> {
 mod tests {
     use super::*;
     use crate::tree::tests::{TreeMap, native_update_in_place as update_body};
-    use flock_api::testing as testutil;
+    use flock_conformance as testutil;
 
     impl TreeMap for LeafTree<u64, u64> {
         type Node = Node<u64, u64>;

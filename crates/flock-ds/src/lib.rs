@@ -31,10 +31,30 @@
 //! replays, so an in-thunk counter bump would double-count; exactly one
 //! caller observes success per applied operation). All seven also override
 //! `Map::update` with a **native in-place atomic update**
-//! (`has_atomic_update() == true`): each value lives in a per-node
-//! `flock_core::ValueSlot` read-modify-written inside the thunk of the
-//! lock whose holder could remove the node — see each module's `update`
-//! docs for the owning lock and EXPERIMENTS.md §7 for the placement table.
+//! (`has_atomic_update() == true`): each value lives in a per-node value
+//! slot, a `flock_core::Mutable<V>`, that is stored into inside the thunk
+//! of the lock whose holder could remove the node — see each module's
+//! `update` docs for the owning lock and EXPERIMENTS.md §7 for the
+//! placement table.
+//!
+//! ## Value slots
+//!
+//! The choreography is the same in every structure. Readers snapshot the
+//! slot without any lock (`Mutable::load`, or `Mutable::load_acquire`
+//! inside a version bracket): one atomic load of the packed word, decoded
+//! under an epoch pin for indirect (fat) values, so a reader sees the old
+//! value or the new one, never absence and never a third value. Writers
+//! replace it with `Mutable::store` inside the owning lock's thunk, after
+//! re-validating that the node still holds the key; the store is
+//! idempotent under helping (one logged encoding, one installing CAS, and
+//! for indirect values exactly one displaced encoding retired per applied
+//! update).
+//!
+//! Which lock owns a slot is each structure's decision: the bucket lock
+//! (hashtable), the node's own lock (dlist, lazylist, arttree), or the
+//! leaf's parent lock (leaftree, leaftreap, abtree). It must be the same
+//! lock, or set of locks, whose holder can remove or replace the node, so
+//! that "the key is present" stays true for the duration of the thunk.
 //!
 //! Update operations use `try_lock`'s typed result to separate their retry
 //! reasons, in one shared retry loop: `None` (a lock busy, or its node
@@ -181,13 +201,13 @@ mod stale_scan {
     use crate::arttree::ArtTree;
     use crate::list::{List, ListNode};
     use crate::tree::tests::TreeMap;
-    use flock_api::testing;
+    use flock_conformance::both_modes;
 
     /// Insert `keys` (value = key), remove `pre`, record the parent of
     /// `k`'s leaf, remove `k` (which must unlink that parent) and re-insert
     /// it with a new value, then continue a walk from the recorded parent.
     fn stale_parent_walk<T: TreeMap>(make: impl Fn() -> T, keys: &[u64], pre: &[u64], k: u64) {
-        testing::both_modes(|| {
+        both_modes(|| {
             let t = make();
             for &x in keys {
                 assert!(t.insert(x, x));
@@ -223,7 +243,7 @@ mod stale_scan {
     /// re-insert 3 with a new value, then continue the walk from the
     /// recorded link. Returning at all shows the walk ends.
     fn stale_link_walk<N: ListNode<K = u64, V = u64>>(make: impl Fn() -> List<N>) {
-        testing::both_modes(|| {
+        both_modes(|| {
             let l = make();
             for x in 1..=5 {
                 assert!(l.insert(x, x));
@@ -249,7 +269,7 @@ mod stale_scan {
     /// value, then continue the walk from the recorded node.
     #[test]
     fn walk_from_an_upgraded_radix_node_reports_each_key_once() {
-        testing::both_modes(|| {
+        both_modes(|| {
             let t = ArtTree::<u64, u64>::new();
             for x in 1..=4 {
                 assert!(t.insert(x, x));

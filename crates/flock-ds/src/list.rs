@@ -21,7 +21,7 @@
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Value, key_above_lower, key_below_upper};
-use flock_core::{Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp};
 use flock_sync::ApproxLen;
 
 /// A link of a sorted list.
@@ -41,7 +41,7 @@ pub trait ListNode: Sized + 'static {
     /// The back pointer, on a doubly-linked list.
     fn prev(&self) -> Option<&Mutable<*mut Self>>;
     /// The key and value slot; `None` only on the sentinels.
-    fn entry(&self) -> Option<&(Self::K, ValueSlot<Self::V>)>;
+    fn entry(&self) -> Option<&(Self::K, Mutable<Self::V>)>;
     /// Guards the value slot; marked obsolete by the unlinking remove.
     fn lock(&self) -> &Lock;
 
@@ -53,7 +53,7 @@ pub trait ListNode: Sized + 'static {
 
     /// The value slot of a link that is not a sentinel.
     #[inline]
-    fn slot(&self) -> &ValueSlot<Self::V> {
+    fn slot(&self) -> &Mutable<Self::V> {
         &self.entry().expect("a sentinel has no value").1
     }
 }
@@ -159,10 +159,10 @@ impl<N: ListNode> List<N> {
                 let Some(v0) = lock.version() else {
                     return lock.is_obsolete().then_some(None);
                 };
-                let v = slot.read_acquire();
+                let v = slot.load_acquire();
                 lock.validate(v0).then_some(Some(v))
             },
-            || (!lock.is_obsolete()).then(|| slot.read()),
+            || (!lock.is_obsolete()).then(|| slot.load()),
         )
     }
 
@@ -275,7 +275,7 @@ impl<N: ListNode> List<N> {
             // link was unlinked.
             ControlFlow::Continue(unsafe { &*curr }.lock().try_lock(move || {
                 // SAFETY: thunk runners hold epoch protection.
-                unsafe { sc.as_ref() }.slot().set(v2.clone());
+                unsafe { sc.as_ref() }.slot().store(v2.clone());
                 true
             }))
         })
@@ -347,7 +347,7 @@ impl<N: ListNode> List<N> {
     /// Snapshot of the (key, value) pairs in order — single-threaded use.
     pub fn collect(&self) -> Vec<(N::K, N::V)> {
         let mut out = Vec::new();
-        self.each(|l| out.push((l.key().clone(), l.slot().read())));
+        self.each(|l| out.push((l.key().clone(), l.slot().load())));
         out
     }
 
@@ -455,7 +455,7 @@ pub(crate) mod tests {
     macro_rules! list_tests {
         ($list:ident) => {
             use super::$list;
-            use flock_api::testing as testutil;
+            use flock_conformance as testutil;
 
             #[test]
             fn basic_ops() {

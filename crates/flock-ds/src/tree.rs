@@ -41,7 +41,7 @@
 use std::ops::{Bound, ControlFlow};
 
 use flock_api::{Key, Value, key_above_lower, key_below_upper, key_in_range};
-use flock_core::{Lock, Mutable, Sp, ValueSlot};
+use flock_core::{Lock, Mutable, Sp};
 use flock_sync::ApproxLen;
 
 /// A node of a leaf-oriented tree: an internal node routes, a leaf holds
@@ -58,7 +58,7 @@ pub(crate) trait TreeNode: Sized + 'static {
     /// Child cell `i` of an internal node, `i <= seps().len()`.
     fn child(&self, i: usize) -> &Mutable<*mut Self>;
     /// A leaf's entries in key order.
-    fn entries(&self) -> impl Iterator<Item = (&Self::K, &ValueSlot<Self::V>)>;
+    fn entries(&self) -> impl Iterator<Item = (&Self::K, &Mutable<Self::V>)>;
     /// A fresh leaf holding the sorted `entries`.
     fn new_leaf(entries: &[(Self::K, Self::V)]) -> Self;
     /// A fresh internal node; `kids.len() == seps.len() + 1`.
@@ -72,14 +72,14 @@ pub(crate) trait TreeNode: Sized + 'static {
 
     /// `k`'s value slot in this leaf.
     #[inline]
-    fn slot(&self, k: &Self::K) -> Option<&ValueSlot<Self::V>> {
+    fn slot(&self, k: &Self::K) -> Option<&Mutable<Self::V>> {
         self.entries().find_map(|(x, s)| (x == k).then_some(s))
     }
 
     /// The leaf's entries by committed slot reads: inside a thunk every
     /// runner copies the same batch.
     fn snapshot(&self) -> Vec<(Self::K, Self::V)> {
-        self.entries().map(|(k, s)| (k.clone(), s.read())).collect()
+        self.entries().map(|(k, s)| (k.clone(), s.load())).collect()
     }
 
     /// The child pointers, stable while the caller holds this node's lock.
@@ -230,7 +230,7 @@ impl<N: TreeNode> Tree<N> {
         p: *mut N,
         i: usize,
         l: *mut N,
-        mut read: impl FnMut(fn(&ValueSlot<N::V>) -> N::V) -> R,
+        mut read: impl FnMut(fn(&Mutable<N::V>) -> N::V) -> R,
     ) -> Option<R> {
         // SAFETY: per the contract.
         let p = unsafe { &*p };
@@ -241,13 +241,13 @@ impl<N: TreeNode> Tree<N> {
                 if p.child(i).load_acquire() != l {
                     return None;
                 }
-                let r = read(ValueSlot::read_acquire);
+                let r = read(Mutable::load_acquire);
                 lock.validate(v0).then_some(Some(r))
             },
             || None,
         )
         .or_else(|| {
-            let r = read(ValueSlot::read);
+            let r = read(Mutable::load);
             (!lock.is_obsolete()).then_some(r)
         })
     }
@@ -299,7 +299,7 @@ impl<N: TreeNode> Tree<N> {
                 }
                 l.slot(&k2)
                     .expect("a leaf's key set is immutable")
-                    .set(v2.clone());
+                    .store(v2.clone());
                 true
             }))
         })
@@ -421,12 +421,12 @@ impl<N: TreeNode> Tree<N> {
         // SAFETY: pinned per caller.
         let node = unsafe { &*n };
         if node.is_leaf() {
-            let in_range = |(k, _): &(&N::K, &ValueSlot<N::V>)| key_in_range(*k, lo, hi);
+            let in_range = |(k, _): &(&N::K, &Mutable<N::V>)| key_in_range(*k, lo, hi);
             if !node.entries().any(|e| in_range(&e)) {
                 return ControlFlow::Continue(());
             }
             let mark = out.len();
-            let read = |read: fn(&ValueSlot<N::V>) -> N::V| {
+            let read = |read: fn(&Mutable<N::V>) -> N::V| {
                 out.truncate(mark);
                 out.extend(
                     node.entries()

@@ -14,72 +14,22 @@ use flock_ds::lazylist::LazyList;
 use flock_ds::leaftreap::LeafTreap;
 use flock_ds::leaftree::LeafTree;
 
-flock_api::map_conformance!(dlist, DList::new());
-flock_api::map_conformance!(lazylist, LazyList::new());
-flock_api::map_conformance!(hashtable, HashTable::with_capacity(512));
-flock_api::map_conformance!(leaftree, LeafTree::new());
-flock_api::map_conformance!(leaftree_strict, LeafTree::new_strict());
-flock_api::map_conformance!(leaftreap, LeafTreap::new());
-flock_api::map_conformance!(abtree, ABTree::new());
-flock_api::map_conformance!(arttree, ArtTree::new());
+flock_conformance::map_conformance!(dlist, DList::new());
+flock_conformance::map_conformance!(lazylist, LazyList::new());
+flock_conformance::map_conformance!(hashtable, HashTable::with_capacity(512));
+flock_conformance::map_conformance!(leaftree, LeafTree::new());
+flock_conformance::map_conformance!(leaftree_strict, LeafTree::new_strict());
+flock_conformance::map_conformance!(leaftreap, LeafTreap::new());
+flock_conformance::map_conformance!(abtree, ABTree::new());
+flock_conformance::map_conformance!(arttree, ArtTree::new());
 
-flock_api::ordered_map_conformance!(dlist_ordered, DList::new());
-flock_api::ordered_map_conformance!(lazylist_ordered, LazyList::new());
-flock_api::ordered_map_conformance!(leaftree_ordered, LeafTree::new());
-flock_api::ordered_map_conformance!(leaftree_strict_ordered, LeafTree::new_strict());
-flock_api::ordered_map_conformance!(leaftreap_ordered, LeafTreap::new());
-flock_api::ordered_map_conformance!(abtree_ordered, ABTree::new());
-flock_api::ordered_map_conformance!(arttree_ordered, ArtTree::new());
-
-/// EXPERIMENTS.md §8 caveat, made checkable: under the chaos stall
-/// schedule every registry structure's victim op (a native `update` of a
-/// pre-inserted key) must provably park *inside* a critical section
-/// (`InThunk`), not complete through an outside-the-lock read path.
-#[cfg(feature = "chaos")]
-mod stall_seam {
-    use super::*;
-    use flock_api::testing::{exclusive, stall_seam_crossed_check};
-
-    #[test]
-    fn dlist_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(DList::<u64, u64>::new));
-    }
-
-    #[test]
-    fn lazylist_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(LazyList::<u64, u64>::new));
-    }
-
-    #[test]
-    fn hashtable_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(|| HashTable::<u64, u64>::with_capacity(512)));
-    }
-
-    #[test]
-    fn leaftree_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(LeafTree::<u64, u64>::new));
-    }
-
-    #[test]
-    fn leaftree_strict_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(LeafTree::<u64, u64>::new_strict));
-    }
-
-    #[test]
-    fn leaftreap_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(LeafTreap::<u64, u64>::new));
-    }
-
-    #[test]
-    fn abtree_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(ABTree::<u64, u64>::new));
-    }
-
-    #[test]
-    fn arttree_crosses_in_thunk() {
-        exclusive(|| stall_seam_crossed_check(ArtTree::<u64, u64>::new));
-    }
-}
+flock_conformance::ordered_map_conformance!(dlist_ordered, DList::new());
+flock_conformance::ordered_map_conformance!(lazylist_ordered, LazyList::new());
+flock_conformance::ordered_map_conformance!(leaftree_ordered, LeafTree::new());
+flock_conformance::ordered_map_conformance!(leaftree_strict_ordered, LeafTree::new_strict());
+flock_conformance::ordered_map_conformance!(leaftreap_ordered, LeafTreap::new());
+flock_conformance::ordered_map_conformance!(abtree_ordered, ABTree::new());
+flock_conformance::ordered_map_conformance!(arttree_ordered, ArtTree::new());
 
 /// Lock sets under contention: every remove, split and rotation that takes
 /// two or three locks as one set, raced by twice as many lock-free threads
@@ -90,7 +40,7 @@ mod stall_seam {
 mod lock_set_stress {
     use super::*;
     use flock_api::Map;
-    use flock_api::testing::exclusive;
+    use flock_conformance::exclusive;
     use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
     const KEYS: u64 = 192;

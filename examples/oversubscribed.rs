@@ -9,6 +9,9 @@
 //! robustness property directly by parking a lock holder mid-critical-
 //! section and timing how long another thread needs to get the lock: that
 //! time includes the bounded wait, a microsecond or two, before the help.
+//! One such time varies by several microseconds from run to run, so the
+//! demo parks a fresh holder in each of 101 rounds and prints the median
+//! and the range.
 //!
 //! ```sh
 //! cargo run --release --example oversubscribed
@@ -55,8 +58,13 @@ fn throughput(mode: LockMode, threads: usize, secs: f64) -> f64 {
     ops.load(Ordering::Relaxed) as f64 / secs / 1e6
 }
 
-fn stalled_holder_demo() -> Duration {
-    set_lock_mode(LockMode::LockFree);
+/// Parked-holder rounds, one holder thread at a time: odd, so the median
+/// is one measured round.
+const STALL_ROUNDS: usize = 101;
+
+/// One round: park a fresh holder inside its critical section and time how
+/// long another thread needs to acquire the lock.
+fn stalled_holder_round() -> Duration {
     let lock = Arc::new(Lock::new());
     let value = Arc::new(Mutable::new(0u32));
     let entered = Arc::new(std::sync::Barrier::new(2));
@@ -120,8 +128,15 @@ fn main() {
         );
     }
 
-    let waited = stalled_holder_demo();
-    println!("time to acquire a lock whose holder is parked mid-section: {waited:?}");
-    println!("(blocking locks would wait the full 300s park)");
     set_lock_mode(LockMode::LockFree);
+    let mut waits: Vec<Duration> = (0..STALL_ROUNDS).map(|_| stalled_holder_round()).collect();
+    waits.sort();
+    println!(
+        "time to acquire a lock whose holder is parked mid-section, {STALL_ROUNDS} rounds: \
+         median {:?}, range {:?} to {:?}",
+        waits[STALL_ROUNDS / 2],
+        waits[0],
+        waits[STALL_ROUNDS - 1]
+    );
+    println!("(blocking locks would wait the full 300s park)");
 }

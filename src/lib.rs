@@ -15,9 +15,11 @@
 //!   the data it protects.
 //! * [`api`] ([`flock_api`]) — the one public [`Map`](api::Map) interface
 //!   every structure in the workspace implements — generically over
-//!   `(K, V)`, with fat values via [`Indirect`](api::Indirect) — plus the
-//!   `map_conformance!` test harness (three `(K, V)` instantiations,
-//!   drop-exactly-once reclamation, update-atomicity capability checks).
+//!   `(K, V)`, with fat values via [`Indirect`](api::Indirect). Its test
+//!   harness, `map_conformance!` (three `(K, V)` instantiations,
+//!   drop-exactly-once reclamation, update-atomicity capability checks),
+//!   lives in the dev-only `flock-conformance` crate, which this facade
+//!   does not re-export.
 //! * [`sync`] ([`flock_sync`]) — tagged-word atomics and spin primitives.
 //! * [`epoch`] ([`flock_epoch`]) — epoch-based memory reclamation.
 //! * [`ds`] ([`flock_ds`]) — seven lock-based data structures that run

@@ -4,8 +4,8 @@
 //! sequential semantics exact even under full concurrency).
 
 use flock::api::Map;
-use flock::api::testing::{default_methods_check, partition_stress, with_mode};
 use flock::core::LockMode;
+use flock_conformance::{default_methods_check, partition_stress, with_mode};
 
 fn flock_structures() -> Vec<Box<dyn Map<u64, u64>>> {
     vec![

@@ -12,8 +12,8 @@
 //! traversals retry the whole descent on `None` but only the inner step on
 //! `Some(None)`).
 
-use flock::api::testing::both_modes;
 use flock::core::Lock;
+use flock_conformance::both_modes;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 

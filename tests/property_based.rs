@@ -9,68 +9,43 @@
 //! * `Mutable` agrees with a plain variable under arbitrary histories;
 //! * structure-specific shape invariants hold after arbitrary histories.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
-use flock::api::Map;
-use flock::core::{LockMode, set_lock_mode};
+use flock::api::{Indirect, Map, Value};
 use flock::workload::SplitMix64;
+use flock_conformance::{exclusive, oracle_check_as};
 
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// One seeded history of `ops` operations over keys `0..48`, checked
+/// against the `BTreeMap` oracle of [`oracle_check_as`]. `value` maps the
+/// oracle's op-index stamps into the map's value type. The seed is mixed
+/// through splitmix64 first, so every test seed starts its own history.
+fn oracle_case<V: Value, M: Map<u64, V>>(map: &M, seed: u64, ops: usize, value: impl Fn(u64) -> V) {
+    let history = SplitMix64::new(seed).next_u64();
+    oracle_check_as(map, ops, 48, history, |k| k, value);
+}
 
-/// Apply a random op sequence to `map` and a `BTreeMap` oracle, asserting
-/// identical observable behavior, then sweep the oracle.
-fn oracle_case<M: Map<u64, u64>>(map: &M, seed: u64, ops: usize, key_range: u64) {
-    let mut rng = SplitMix64::new(seed);
-    let mut oracle = BTreeMap::new();
-    for i in 0..ops {
-        let k = rng.below(key_range);
-        // Inline u64 values ride in the 48-bit ValueRepr payload (the
-        // documented contract of every packed slot in this workspace);
-        // full-range u64 payloads belong in `Indirect` — which the
-        // fat-value history test below exercises with all 64 bits.
-        let v = rng.next_u64() & ((1u64 << 48) - 1);
-        match rng.below(3) {
-            0 => {
-                let expect = !oracle.contains_key(&k);
-                if expect {
-                    oracle.insert(k, v);
-                }
-                assert_eq!(map.insert(k, v), expect, "seed {seed} insert({k}) op {i}");
-            }
-            1 => {
-                let expect = oracle.remove(&k).is_some();
-                assert_eq!(map.remove(k), expect, "seed {seed} remove({k}) op {i}");
-            }
-            _ => {
-                assert_eq!(
-                    map.get(k),
-                    oracle.get(&k).copied(),
-                    "seed {seed} get({k}) op {i}"
-                );
-            }
-        }
-    }
-    for (k, v) in &oracle {
-        assert_eq!(map.get(*k), Some(*v), "seed {seed} sweep {k}");
-    }
+/// Full 48-bit inline values: the stamp times an odd constant, mod 2^48, a
+/// bijection on the 48-bit payload (the documented contract of every
+/// packed slot in this workspace), so every stamp stays distinct while the
+/// high payload bits are exercised too.
+fn vf(stamp: u64) -> u64 {
+    stamp.wrapping_mul(0x9E37_79B9_7F4A_7C15) & ((1 << 48) - 1)
 }
 
 macro_rules! oracle_prop {
     ($name:ident, $make:expr, $check:expr) => {
         #[test]
         fn $name() {
-            let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            set_lock_mode(LockMode::LockFree);
-            for seed in 0..24u64 {
-                let m = $make;
-                // Vary the history length with the seed, like a shrinking
-                // property-test would explore short and long sequences.
-                let ops = 40 + (seed as usize * 37) % 260;
-                oracle_case(&m, seed, ops, 48);
-                #[allow(clippy::redundant_closure_call)]
-                ($check)(&m);
-            }
+            exclusive(|| {
+                for seed in 0..24u64 {
+                    let m = $make;
+                    // Vary the history length with the seed, like a
+                    // shrinking property-test would explore short and long
+                    // sequences.
+                    let ops = 40 + (seed as usize * 37) % 260;
+                    oracle_case(&m, seed, ops, vf);
+                    #[allow(clippy::redundant_closure_call)]
+                    ($check)(&m);
+                }
+            });
         }
     };
 }
@@ -112,74 +87,45 @@ oracle_prop!(
 );
 
 /// The same randomized histories at a fat, heap-indirected value type: the
-/// oracle agreement must be representation-independent.
+/// oracle agreement must be representation-independent. The values use all
+/// 64 bits of each word.
 #[test]
 fn fat_value_histories_match_oracle() {
-    use flock::api::Indirect;
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_lock_mode(LockMode::LockFree);
-    fn fat(v: u64) -> Indirect<[u64; 4]> {
+    fn fat(stamp: u64) -> Indirect<[u64; 4]> {
+        let v = flock::workload::sparsify(stamp);
         Indirect([v, !v, v ^ 0xABCD, v.rotate_left(9)])
     }
-    fn case<M: Map<u64, Indirect<[u64; 4]>>>(map: &M, seed: u64, ops: usize) {
-        let mut rng = SplitMix64::new(seed);
-        let mut oracle = BTreeMap::new();
-        for i in 0..ops {
-            let k = rng.below(48);
-            let v = rng.next_u64();
-            match rng.below(3) {
-                0 => {
-                    let expect = !oracle.contains_key(&k);
-                    if expect {
-                        oracle.insert(k, v);
-                    }
-                    assert_eq!(map.insert(k, fat(v)), expect, "seed {seed} insert op {i}");
-                }
-                1 => {
-                    let expect = oracle.remove(&k).is_some();
-                    assert_eq!(map.remove(k), expect, "seed {seed} remove op {i}");
-                }
-                _ => {
-                    assert_eq!(
-                        map.get(k),
-                        oracle.get(&k).map(|&x| fat(x)),
-                        "seed {seed} get op {i}"
-                    );
-                }
-            }
+    exclusive(|| {
+        for seed in 0..8u64 {
+            let ops = 60 + (seed as usize * 31) % 200;
+            oracle_case(&flock::ds::dlist::DList::new(), seed, ops, fat);
+            oracle_case(
+                &flock::ds::hashtable::HashTable::with_capacity(16),
+                seed,
+                ops,
+                fat,
+            );
+            oracle_case(&flock::ds::leaftreap::LeafTreap::new(), seed, ops, fat);
+            oracle_case(&flock::baselines::NatarajanBst::new(), seed, ops, fat);
+            oracle_case(&flock::baselines::BlockingBst::new(), seed, ops, fat);
         }
-        for (k, v) in &oracle {
-            assert_eq!(map.get(*k), Some(fat(*v)), "seed {seed} sweep {k}");
-        }
-    }
-    for seed in 0..8u64 {
-        let ops = 60 + (seed as usize * 31) % 200;
-        case(&flock::ds::dlist::DList::new(), seed, ops);
-        case(
-            &flock::ds::hashtable::HashTable::with_capacity(16),
-            seed,
-            ops,
-        );
-        case(&flock::ds::leaftreap::LeafTreap::new(), seed, ops);
-        case(&flock::baselines::NatarajanBst::new(), seed, ops);
-        case(&flock::baselines::BlockingBst::new(), seed, ops);
-    }
-    flock::epoch::flush_all();
+        flock::epoch::flush_all();
+    });
 }
 
 #[test]
 fn baselines_match_oracle() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_lock_mode(LockMode::LockFree);
-    for seed in 0..16u64 {
-        let ops = 40 + (seed as usize * 29) % 160;
-        oracle_case(&flock::baselines::HarrisList::new(), seed, ops, 48);
-        oracle_case(&flock::baselines::HarrisList::new_opt(), seed, ops, 48);
-        oracle_case(&flock::baselines::NatarajanBst::new(), seed, ops, 48);
-        oracle_case(&flock::baselines::EllenBst::new(), seed, ops, 48);
-        oracle_case(&flock::baselines::BlockingBst::new(), seed, ops, 48);
-        oracle_case(&flock::baselines::BlockingABTree::new(), seed, ops, 48);
-    }
+    exclusive(|| {
+        for seed in 0..16u64 {
+            let ops = 40 + (seed as usize * 29) % 160;
+            oracle_case(&flock::baselines::HarrisList::new(), seed, ops, vf);
+            oracle_case(&flock::baselines::HarrisList::new_opt(), seed, ops, vf);
+            oracle_case(&flock::baselines::NatarajanBst::new(), seed, ops, vf);
+            oracle_case(&flock::baselines::EllenBst::new(), seed, ops, vf);
+            oracle_case(&flock::baselines::BlockingBst::new(), seed, ops, vf);
+            oracle_case(&flock::baselines::BlockingABTree::new(), seed, ops, vf);
+        }
+    });
 }
 
 #[test]
@@ -229,29 +175,29 @@ fn sparsify_is_injective_on_small_ranges() {
 /// operation sequences (load/store/cam).
 #[test]
 fn mutable_matches_reference() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_lock_mode(LockMode::LockFree);
-    for seed in 0..32u64 {
-        let mut rng = SplitMix64::new(seed);
-        let m = flock::core::Mutable::new(0u32);
-        let mut reference = 0u32;
-        for _ in 0..100 {
-            let a = rng.next_u64() as u32;
-            let b = rng.next_u64() as u32;
-            match rng.below(3) {
-                0 => {
-                    m.store(a);
-                    reference = a;
-                }
-                1 => {
-                    m.cam(a, b);
-                    if reference == a {
-                        reference = b;
+    exclusive(|| {
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::new(seed);
+            let m = flock::core::Mutable::new(0u32);
+            let mut reference = 0u32;
+            for _ in 0..100 {
+                let a = rng.next_u64() as u32;
+                let b = rng.next_u64() as u32;
+                match rng.below(3) {
+                    0 => {
+                        m.store(a);
+                        reference = a;
                     }
+                    1 => {
+                        m.cam(a, b);
+                        if reference == a {
+                            reference = b;
+                        }
+                    }
+                    _ => assert_eq!(m.load(), reference, "seed {seed}"),
                 }
-                _ => assert_eq!(m.load(), reference, "seed {seed}"),
             }
+            assert_eq!(m.load(), reference, "seed {seed}");
         }
-        assert_eq!(m.load(), reference, "seed {seed}");
-    }
+    });
 }
