@@ -304,6 +304,67 @@ mod tests {
         });
     }
 
+    /// An owner stalled at `LockInstalled` — its descriptor installed on
+    /// the word, its thunk not begun — holds the lock for good. For each
+    /// kind of owner (`try_lock`, strict `lock`) and each kind of
+    /// contender, the contender finishes the owner's critical section by
+    /// helping while the owner stays parked: a `try_lock` then reports
+    /// busy, a `lock` acquires. Once released, the owner returns its
+    /// section's result and its store has landed exactly once.
+    #[test]
+    fn owner_stalled_after_its_install_is_helped() {
+        exclusive(|| {
+            for (owner_strict, contender_strict) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let case =
+                    format!("owner strict {owner_strict}, contender strict {contender_strict}");
+                // Bounded, so a failed assert below cannot leave the scope
+                // waiting on a parked owner; `release_all` ends it at once.
+                let stall = StallPolicy::bounded(Seam::LockInstalled, Duration::from_secs(10));
+                set_chaos_policy(stall.clone());
+                let l = Lock::new();
+                let n = Arc::new(Mutable::new(0u64));
+                let acquire = |strict: bool, add: u64| {
+                    let n2 = Arc::clone(&n);
+                    let section = move || n2.store(n2.load() + add);
+                    if strict {
+                        l.lock(section)
+                    } else {
+                        l.try_lock(section)
+                    }
+                };
+                std::thread::scope(|s| {
+                    let owner = s.spawn(|| {
+                        stall.arm_current();
+                        acquire(owner_strict, 1)
+                    });
+                    assert!(
+                        stall.wait_parked(1, Duration::from_secs(10)),
+                        "{case}: owner never parked after its install"
+                    );
+                    let got = acquire(contender_strict, 10);
+                    assert_eq!(got.is_some(), contender_strict, "{case}");
+                    assert_eq!(stall.parked_count(), 1, "{case}: owner left the seam");
+                    assert_eq!(
+                        n.load() % 10,
+                        1,
+                        "{case}: the parked owner's section was not helped to completion"
+                    );
+                    stall.release_all();
+                    assert_eq!(owner.join().unwrap(), Some(()), "{case}");
+                });
+                assert_eq!(
+                    n.load(),
+                    1 + if contender_strict { 10 } else { 0 },
+                    "{case}: a store did not land exactly once"
+                );
+                assert!(!l.is_locked(), "{case}: lock left held");
+                clear_chaos_policy();
+            }
+        });
+    }
+
     /// Owner panics mid-thunk while helpers race it: every helper operation
     /// still completes exactly once, the lock is never left held, and the
     /// owner observes a panic each round. This is the panic-contract

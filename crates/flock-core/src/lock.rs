@@ -1,18 +1,28 @@
 //! Lock-free locks (paper §4, Algorithm 3) plus the blocking mode.
 //!
 //! A [`Lock`] is a single `Mutable` word holding a descriptor pointer and a
-//! locked bit. `try_lock` in lock-free mode:
+//! locked bit. Every lock-free acquisition repeats one **attempt**, the
+//! loop body of [`Lock::acquire_lock_free`]:
 //!
-//! 1. Load the lock word (idempotently — this nests).
-//! 2. If unlocked: create a descriptor for the thunk, CAS it in from the
-//!    word just read, re-load. If we got in (or got helped to completion),
-//!    run-and-unlock ourselves — the release is a CAS from that re-load, and
-//!    nothing at all if a helper already released — and return the thunk's
-//!    result. Otherwise help whoever is there and report failure.
-//! 3. If locked: at top level, first wait a bounded number of pauses for
-//!    the holder to release ("Waiting for a running holder" below), and go
-//!    on from a fresh read if it did; otherwise help the installed
-//!    descriptor, then report failure.
+//! 1. Load the lock word (idempotently — this nests). At top level, if it
+//!    is held, first wait a bounded number of pauses for the holder to
+//!    release ("Waiting for a running holder" below), and go on from a
+//!    fresh read if it did.
+//! 2. If it is held: help the installed descriptor, then report busy. If it
+//!    is unlocked but obsolete, report that ("Obsolete locks" below).
+//! 3. If it is free: make the call's descriptor for the thunk, unless an
+//!    earlier attempt of the call made it, CAS it in from the word just
+//!    read, and re-load ([`Lock::install`], the step a lock set's further
+//!    words take too). If we got in (or got helped to completion),
+//!    run-and-unlock ourselves — the release is a CAS from that re-load,
+//!    and nothing at all if a helper already released — and return the
+//!    thunk's result. Otherwise help whoever is there and report busy.
+//!
+//! `try_lock` and `try_lock_set` make one attempt. The strict `lock`
+//! repeats it, backing off between attempts, until it runs or finds the
+//! word obsolete. One descriptor and one holder-wait budget serve every
+//! attempt of a call, and a descriptor that was made but never ran is
+//! disposed of once, when the call returns.
 //!
 //! Helping wraps `run` in the *observe-generation → mark → adopt →
 //! revalidate → run → unlock* protocol: mark the descriptor helped, adopt
@@ -28,7 +38,9 @@
 //!
 //! In blocking mode the same lock word acts as a test-and-test-and-set bit
 //! (with the descriptor pointer left null), no descriptor is created, and
-//! nothing is logged — the paper's runtime-switchable blocking mode.
+//! nothing is logged — the paper's runtime-switchable blocking mode. Both
+//! blocking forms share one take ([`Lock::acquire_blocking`]): `try_lock`
+//! makes it once, and `lock` repeats it, snoozing while the word is held.
 //!
 //! ## One descriptor on a lock set
 //!
@@ -85,11 +97,12 @@
 //! about 23 ns a poll, or under 0.1 % of the benchmark's 1 ms
 //! `stalled-holder` stall (EXPERIMENTS.md §20):
 //!
-//! * **Where.** [`Lock::try_lock`]'s first read, both help branches of
-//!   [`Lock::lock`]'s loop, and, for [`Lock::try_lock_set`], each further
-//!   word that shows a holder before the descriptor is installed on the
-//!   first word (nothing is held while it waits). One acquisition attempt
-//!   (one `try_lock` call, one `lock` call) has one budget for all of them.
+//! * **Where.** One site: an attempt's first read, and for
+//!   [`Lock::try_lock_set`] each further word that shows a holder before
+//!   the descriptor is installed on the first word (nothing is held while
+//!   it waits). One call — a `try_lock`, a set, or a `lock` however many
+//!   attempts it makes — has one budget: its later attempts, once the
+//!   budget is spent, help at once.
 //! * **What then.** If the word moved on, the attempt goes on from a fresh
 //!   read exactly as without the wait: it installs on a free word and
 //!   helps at once a word held again. Only a word that stayed the same for
@@ -513,9 +526,7 @@ impl Lock {
                 let w = self.word.raw_packed();
                 let cur = LockWord::from_bits(unpack_val(w));
                 debug_assert!(cur.is_locked() && cur.descriptor().is_null());
-                self.word
-                    .raw_cell()
-                    .ccas(w, pack(next_tag(unpack_tag(w)), cur.obsolete().to_bits()));
+                self.blocking_cas(w, cur.obsolete());
                 return;
             }
             let w = self.word.load_packed_in(tc);
@@ -608,8 +619,8 @@ impl Lock {
         F: Fn() -> R + Send + Sync + 'static,
     {
         match lock_mode() {
-            LockMode::Blocking => self.blocking_try_lock(thunk),
-            LockMode::LockFree => self.lock_free_try_lock(thunk, &[]),
+            LockMode::Blocking => self.acquire_blocking::<false, _, _>(thunk),
+            LockMode::LockFree => self.acquire_lock_free::<false, _, _>(thunk, &[]),
         }
     }
 
@@ -655,8 +666,8 @@ impl Lock {
         // for every runner of this thunk.
         let set_thunk = move || unsafe { words.run(&thunk) };
         match lock_mode() {
-            LockMode::Blocking => self.blocking_try_lock(set_thunk),
-            LockMode::LockFree => self.lock_free_try_lock(set_thunk, &rest),
+            LockMode::Blocking => self.acquire_blocking::<false, _, _>(set_thunk),
+            LockMode::LockFree => self.acquire_lock_free::<false, _, _>(set_thunk, &rest),
         }
         .flatten()
     }
@@ -670,19 +681,17 @@ impl Lock {
     /// keys on committed reads, so all runners agree.
     fn try_lock_for_running<R>(&self, body: impl FnOnce() -> R) -> Option<R> {
         if lock_mode() == LockMode::Blocking {
-            return self.blocking_try_lock(body);
+            return self.acquire_blocking::<false, _, _>(body);
         }
         thread_ctx::with(|tc| {
             debug_assert!(tc.in_thunk());
             let d: *const Descriptor = tc.descriptor.get().cast();
             let mut cur_packed = self.word.load_packed_in(tc);
             if installable(LockWord::from_bits(unpack_val(cur_packed))) {
-                self.word
-                    .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
-                // The first committer of this read ran before the
+                // The first committer of the re-read ran before the
                 // descriptor was done, and nothing releases a word it holds
-                // before then: the read shows `d` iff the install took.
-                cur_packed = self.word.load_packed_in(tc);
+                // before then: the re-read shows `d` iff the install took.
+                cur_packed = self.install(tc, cur_packed, d);
                 if LockWord::from_bits(unpack_val(cur_packed)).holds(d) {
                     return Some(body());
                 }
@@ -696,102 +705,31 @@ impl Lock {
 
     /// Acquire the lock, waiting (and helping, in lock-free mode) until it is
     /// available, then run `thunk` and return `Some` of its result — the
-    /// paper's *strict lock*. Returns `None` only for an obsolete lock
-    /// (module docs, "Obsolete locks"), which never becomes available:
-    /// its node was unlinked, and the caller re-reads the structure.
+    /// paper's *strict lock*. In lock-free mode it repeats
+    /// [`Lock::try_lock`]'s attempt, backing off between attempts, with one
+    /// descriptor and one holder wait for the whole call; in blocking mode
+    /// it repeats the test-and-set, snoozing while the word is held.
+    /// Returns `None` only for an obsolete lock (module docs, "Obsolete
+    /// locks"), which never becomes available: its node was unlinked, and
+    /// the caller re-reads the structure.
     pub fn lock<R, F>(&self, thunk: F) -> Option<R>
     where
         R: Send + 'static,
         F: Fn() -> R + Send + Sync + 'static,
     {
         match lock_mode() {
-            LockMode::Blocking => {
-                let mut backoff = Backoff::new();
-                loop {
-                    let w = self.word.raw_packed();
-                    let cur = LockWord::from_bits(unpack_val(w));
-                    if cur.is_locked() {
-                        backoff.snooze();
-                        continue;
-                    }
-                    if cur.is_obsolete() {
-                        return None;
-                    }
-                    if self.word.raw_cell().ccas(
-                        w,
-                        pack(next_tag(unpack_tag(w)), LockWord::LOCKED_NULL.to_bits()),
-                    ) {
-                        return Some(self.blocking_run(thunk));
-                    }
-                    backoff.spin();
-                }
-            }
-            LockMode::LockFree => thread_ctx::with(|tc| {
-                // Create the descriptor once, then loop attempting to
-                // install it, helping whoever is in the way.
-                let guard = flock_epoch::pin_with(tc);
-                let nested = tc.in_thunk();
-                let d = if nested {
-                    idemp::create_descriptor_idempotent(tc, thunk, &guard)
-                } else {
-                    descriptor::create_descriptor(thunk, guard.epoch(), false)
-                };
-                let mine = LockWord::locked_with(d);
-                let mut backoff = Backoff::new();
-                // One holder-wait budget for the whole call; none nested.
-                let mut budget = if nested { 0 } else { HOLDER_WAIT };
-                loop {
-                    let cur_packed = self.word.load_packed_in(tc);
-                    let cur = LockWord::from_bits(unpack_val(cur_packed));
-                    let held = if installable(cur) {
-                        // Install from the read just committed (see
-                        // lock_free_try_lock).
-                        self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
-                        let cur2_packed = self.word.load_packed_in(tc);
-                        let cur2 = LockWord::from_bits(unpack_val(cur2_packed));
-                        // SAFETY: `d` is ours (or the committed nested
-                        // descriptor), live until disposed below. The done
-                        // read is ordered after the cur2 load: if a helper
-                        // finished and unlocked us, cur2 read a value past
-                        // its release CAM, so the helper's set_done is
-                        // visible here (see lock_free_try_lock).
-                        let done = unsafe { (*d).is_done() };
-                        if done || cur2.holds(d) {
-                            // Runs, unlocks and disposes (`d` was created
-                            // from a thunk returning `R`; we are pinned).
-                            return Some(self.run_and_unlock_self::<R>(
-                                tc,
-                                d,
-                                cur2_packed,
-                                nested,
-                                &[],
-                            ));
-                        }
-                        cur2.is_locked().then_some(cur2_packed)
-                    } else if cur.is_locked() {
-                        Some(cur_packed)
-                    } else {
-                        // Obsolete: `d` was never installed.
-                        self.discard_unrun(tc, d, nested);
-                        return None;
-                    };
-                    if let Some(seen) = held {
-                        if self.holder_moved(tc, seen, &mut budget) {
-                            continue; // on from a fresh read
-                        }
-                        self.help(tc, seen, &guard);
-                    }
-                    backoff.spin();
-                }
-            }),
+            LockMode::Blocking => self.acquire_blocking::<true, _, _>(thunk),
+            LockMode::LockFree => self.acquire_lock_free::<true, _, _>(thunk, &[]),
         }
     }
 
     // ---------------------------------------------------------- lock-free
 
-    /// `rest`: the further words of a lock set ([`Lock::try_lock_set`]),
-    /// which the owner releases too.
-    fn lock_free_try_lock<R, F>(&self, thunk: F, rest: &[&Lock]) -> Option<R>
+    /// A lock-free acquisition (module docs): one attempt, or, `STRICT`,
+    /// one attempt after another until one runs or finds the word
+    /// obsolete. `rest`: the further words of a lock set
+    /// ([`Lock::try_lock_set`]), which the owner releases too.
+    fn acquire_lock_free<const STRICT: bool, R, F>(&self, thunk: F, rest: &[&Lock]) -> Option<R>
     where
         R: Send + 'static,
         F: Fn() -> R + Send + Sync + 'static,
@@ -802,19 +740,63 @@ impl Lock {
         thread_ctx::with(|tc| {
             let guard = flock_epoch::pin_with(tc);
             let nested = tc.in_thunk();
-
-            // Line 14: read the lock (idempotently when nested). The full
-            // packed word (tag included) is kept: helping keys on the exact
-            // incarnation of the lock word, not just its value (see `help`).
-            let mut cur_packed = self.word.load_packed_in(tc);
-            if !nested {
-                cur_packed = self.wait_for_holders(tc, cur_packed, rest);
-            }
-            let cur = LockWord::from_bits(unpack_val(cur_packed));
-            if !installable(cur) {
-                // Line 26 of the paper (locked on first read): help and
-                // fail. An obsolete word has no holder to help.
-                if cur.is_locked() {
+            // One descriptor, made on the call's first free word, and one
+            // holder-wait budget, none inside a thunk, serve every attempt.
+            let (mut thunk, mut d) = (Some(thunk), std::ptr::null_mut::<Descriptor>());
+            let mut budget = if nested { 0 } else { HOLDER_WAIT };
+            let mut backoff = Backoff::new();
+            let got = loop {
+                // Line 14: read the lock (idempotently when nested). The
+                // full packed word (tag included) is kept: helping keys on
+                // the exact incarnation of the lock word, not just its
+                // value (see `help`).
+                let mut cur_packed = self.word.load_packed_in(tc);
+                if budget > 0 {
+                    cur_packed = self.holder_wait(tc, cur_packed, rest, &mut budget);
+                }
+                let cur = LockWord::from_bits(unpack_val(cur_packed));
+                if installable(cur) {
+                    // Lines 16-18: make the descriptor, try to install it.
+                    if d.is_null() {
+                        let thunk = thunk.take().expect("one descriptor per call");
+                        d = if nested {
+                            idemp::create_descriptor_idempotent(tc, thunk, &guard)
+                        } else {
+                            descriptor::create_descriptor(thunk, guard.epoch(), false)
+                        };
+                    }
+                    // Line 19: did we get in?
+                    let cur2_packed = self.install(tc, cur_packed, d);
+                    let cur2 = LockWord::from_bits(unpack_val(cur2_packed));
+                    // SAFETY: `d` is live: top-level descriptors are
+                    // owner-held until disposed; nested ones are
+                    // epoch-protected after commit.
+                    //
+                    // Ordering of the done read (Relaxed-class, see
+                    // Descriptor): it is sequenced after the cur2 load. If a
+                    // helper completed us and released the lock, cur2
+                    // observed a word at or past the helper's release CAM,
+                    // so everything sequenced before that CAM — including
+                    // its set_done — is visible here. If the helper has not
+                    // released yet, cur2 still holds `d` (obsolete if the
+                    // helper's run marked it) and we run regardless of done.
+                    let done = unsafe { (*d).is_done() };
+                    if done || cur2.holds(d) {
+                        // Line 22: run self. If we were helped to
+                        // completion, this is a replay: the log makes it
+                        // recompute the identical result without
+                        // re-applying effects. Runs, unlocks and disposes
+                        // (we are pinned; `d`'s thunk returns `R`).
+                        break Some(self.run_and_unlock_self(tc, d, cur2_packed, nested, rest));
+                    }
+                    // Lines 23-26: someone else is (or was) in; help if
+                    // locked, then fail or try again.
+                    if cur2.is_locked() {
+                        self.help(tc, cur2_packed, &guard);
+                    }
+                } else if cur.is_locked() {
+                    // Line 26 of the paper (locked on first read): help,
+                    // then fail or, strict, try again.
                     // Sanity-mutant hook: a nested busy branch waits too,
                     // and skips the help when the word moved on.
                     #[cfg(feature = "model")]
@@ -822,91 +804,68 @@ impl Lock {
                         && crate::mutants::wait_skips_help_in_thunk()
                         && self.word.raw_packed() != cur_packed
                     {
-                        return None;
+                        break None;
                     }
                     self.help(tc, cur_packed, &guard);
+                } else {
+                    break None; // obsolete: no holder to help, ever
                 }
-                return None;
-            }
-
-            // Lines 16-18: make a descriptor and try to install it.
-            let d = if nested {
-                idemp::create_descriptor_idempotent(tc, thunk, &guard)
-            } else {
-                descriptor::create_descriptor(thunk, guard.epoch(), false)
+                if !STRICT {
+                    break None;
+                }
+                backoff.spin();
             };
-            let mine = LockWord::locked_with(d);
-            // Install with a CAS from the `cur_packed` just committed, not a
-            // CAM (which would load and commit the word a second time): the
-            // word moved on iff the CAS fails, and then this attempt reports
-            // busy below exactly as a lost CAM would.
-            self.word.tagged_cas_after_load_in(tc, cur_packed, mine);
-
-            // Chaos seam: the install CAS has (possibly) published our
-            // descriptor but we have not begun running it. A thread stalled
-            // here holds the lock; helpers must complete the committed
-            // descriptor without it. No-op in default builds.
-            flock_sync::chaos::probe(flock_sync::chaos::Seam::LockInstalled);
-
-            // Line 19: did we get in?
-            let cur2_packed = self.word.load_packed_in(tc);
-            let cur2 = LockWord::from_bits(unpack_val(cur2_packed));
-            // SAFETY: `d` is live: top-level descriptors are owner-held until
-            // disposed; nested ones are epoch-protected after commit.
-            //
-            // Ordering of the done read (Relaxed-class, see Descriptor):
-            // it is sequenced after the cur2 load. If a helper completed us
-            // and released the lock, cur2 observed a word at or past the
-            // helper's release CAM, so everything sequenced before that CAM
-            // — including its set_done — is visible here. If the helper has
-            // not released yet, cur2 still holds `d` (obsolete if the
-            // helper's run marked it) and we run regardless of done.
-            let done = unsafe { (*d).is_done() };
-            if done || cur2.holds(d) {
-                // Line 22: run self. If we were helped to completion, this
-                // is a replay: the log makes it recompute the identical
-                // result without re-applying effects. Runs, unlocks and
-                // disposes (we are pinned; `d`'s thunk returns `R`).
-                Some(self.run_and_unlock_self::<R>(tc, d, cur2_packed, nested, rest))
-            } else {
-                // Lines 23-26: someone else is (or was) in; help if locked.
-                if cur2.is_locked() {
-                    self.help(tc, cur2_packed, &guard);
-                }
+            // Once, on exit: a descriptor the call made but never ran.
+            if got.is_none() && !d.is_null() {
                 self.discard_unrun(tc, d, nested);
-                None
             }
+            got
         })
     }
 
-    /// The top-level wait of `lock_free_try_lock`, on one budget (module
-    /// docs, "Waiting for a running holder"). `cur_packed` is this word's
-    /// first read. A held word is waited for, and returned as it is for
-    /// the caller to help if it stayed. Once this word reads free, each
+    /// Install `d` on this word with a CAS from `cur_packed`, the committed
+    /// read of a free word, and re-read the word (committed): the step a
+    /// lock-free acquisition and a lock set's further word share. A CAS
+    /// from the read just committed, not a CAM (which would load and commit
+    /// the word a second time): the word moved on iff the CAS fails, and
+    /// the re-read then shows whoever moved it.
+    #[inline(always)]
+    fn install(&self, tc: &ThreadCtx, cur_packed: u64, d: *const Descriptor) -> u64 {
+        self.word
+            .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
+        // Chaos seam: the install CAS has (possibly) published the
+        // descriptor but its runner has not begun running it. A thread
+        // stalled here holds the lock; helpers must complete the committed
+        // descriptor without it. No-op in default builds.
+        flock_sync::chaos::probe(flock_sync::chaos::Seam::LockInstalled);
+        self.word.load_packed_in(tc)
+    }
+
+    /// The top-level wait of a lock-free acquisition, on the call's `budget`
+    /// (module docs, "Waiting for a running holder"). `w` is this word's
+    /// first read. A held word is waited for, and returned as it is for the
+    /// caller to help if it stayed. Once this word reads free, each
     /// word of `rest` that shows a holder is waited for in turn. Returns
     /// the read of this word to go on from: a fresh one after any poll.
-    fn wait_for_holders(&self, tc: &ThreadCtx, mut cur_packed: u64, rest: &[&Lock]) -> u64 {
-        let mut budget = HOLDER_WAIT;
-        if LockWord::from_bits(unpack_val(cur_packed)).is_locked() {
-            if !self.holder_moved(tc, cur_packed, &mut budget) {
-                return cur_packed;
+    fn holder_wait(&self, tc: &ThreadCtx, mut w: u64, rest: &[&Lock], budget: &mut u32) -> u64 {
+        if LockWord::from_bits(unpack_val(w)).is_locked() && self.holder_moved(tc, w, budget) {
+            w = self.word.load_packed_in(tc);
+        }
+        // A word that stayed held, or reads held or obsolete again, is
+        // returned as it is: nothing is waited for past it.
+        if installable(LockWord::from_bits(unpack_val(w))) {
+            let unspent = *budget;
+            for l in rest {
+                let lw = l.word.raw_packed();
+                if LockWord::from_bits(unpack_val(lw)).is_locked() {
+                    l.holder_moved(tc, lw, budget);
+                }
             }
-            cur_packed = self.word.load_packed_in(tc);
-        }
-        if !installable(LockWord::from_bits(unpack_val(cur_packed))) {
-            return cur_packed;
-        }
-        let unspent = budget;
-        for l in rest {
-            let w = l.word.raw_packed();
-            if LockWord::from_bits(unpack_val(w)).is_locked() {
-                l.holder_moved(tc, w, &mut budget);
+            if *budget != unspent {
+                w = self.word.load_packed_in(tc);
             }
         }
-        if budget != unspent {
-            cur_packed = self.word.load_packed_in(tc);
-        }
-        cur_packed
+        w
     }
 
     /// Wait for the holder of this word (module docs, "Waiting for a
@@ -1340,22 +1299,40 @@ impl Lock {
 
     // ----------------------------------------------------------- blocking
 
-    // The blocking arms (here, `lock` and `blocking_release`) bump the tag
-    // by hand instead of asking `flock_sync::announce` for it: blocking mode
-    // has no helpers, so nothing is ever announced for a word while these
-    // run, and the mode flips only at quiescence.
-    fn blocking_try_lock<R, F: FnOnce() -> R>(&self, thunk: F) -> Option<R> {
-        let w = self.word.raw_packed();
-        if !LockWord::from_bits(unpack_val(w)).is_free() {
-            return None;
+    /// A blocking acquisition: one test-and-test-and-set take of a free
+    /// word, the take both blocking forms share. `STRICT` (the strict
+    /// [`Lock::lock`]) snoozes while the word is held and spins after a
+    /// lost take; otherwise a held word or a lost take returns `None`. An
+    /// obsolete word always returns `None`.
+    ///
+    /// The take and `blocking_release` bump the tag by hand instead of
+    /// asking `flock_sync::announce` for it: blocking mode has no helpers,
+    /// so nothing is ever announced for a word while these run, and the
+    /// mode flips only at quiescence.
+    fn acquire_blocking<const STRICT: bool, R, F: FnOnce() -> R>(&self, thunk: F) -> Option<R> {
+        let mut backoff = Backoff::new();
+        loop {
+            let w = self.word.raw_packed();
+            let cur = LockWord::from_bits(unpack_val(w));
+            if STRICT && cur.is_locked() {
+                backoff.snooze();
+            } else if !cur.is_free() {
+                return None;
+            } else if self.blocking_cas(w, LockWord::LOCKED_NULL) {
+                return Some(self.blocking_run(thunk));
+            } else if STRICT {
+                backoff.spin();
+            } else {
+                return None;
+            }
         }
-        if !self.word.raw_cell().ccas(
-            w,
-            pack(next_tag(unpack_tag(w)), LockWord::LOCKED_NULL.to_bits()),
-        ) {
-            return None;
-        }
-        Some(self.blocking_run(thunk))
+    }
+
+    /// Blocking mode's CAS of the word from `w` to `to`, with the tag bumped.
+    fn blocking_cas(&self, w: u64, to: LockWord) -> bool {
+        self.word
+            .raw_cell()
+            .ccas(w, pack(next_tag(unpack_tag(w)), to.to_bits()))
     }
 
     /// Run a blocking-mode critical section with the TTAS bit held,
@@ -1384,9 +1361,7 @@ impl Lock {
         let w = self.word.raw_packed();
         let cur = LockWord::from_bits(unpack_val(w));
         debug_assert!(cur.is_locked());
-        self.word
-            .raw_cell()
-            .ccas(w, pack(next_tag(unpack_tag(w)), cur.unlocked().to_bits()));
+        self.blocking_cas(w, cur.unlocked());
     }
 }
 
@@ -1394,7 +1369,7 @@ impl Lock {
 /// from its *help* call, so the model checker can schedule an arbitrarily
 /// stalled helper without spending preemptions inside `try_lock` — the
 /// scenario of the tag-wraparound tests. Production helpers take exactly
-/// this path (observe inside `lock_free_try_lock`, then `help`); the probe
+/// this path (observe inside `acquire_lock_free`, then `help`); the probe
 /// only externalizes the stall point between the two.
 #[cfg(feature = "model")]
 pub mod model_probe {
@@ -1408,7 +1383,7 @@ pub mod model_probe {
     }
 
     /// Run the real help path against a (possibly long-stale) observation,
-    /// exactly as `lock_free_try_lock` would on finding `observed_packed`
+    /// exactly as `acquire_lock_free` would on finding `observed_packed`
     /// locked. No-op when the observation was of an unlocked word.
     pub fn help_observed(lock: &Lock, observed_packed: u64) {
         if !super::LockWord::from_bits(unpack_val(observed_packed)).is_locked() {
@@ -1826,7 +1801,7 @@ mod tests {
         assert_no_owner_run();
     }
 
-    /// Inside an outer thunk `try_with2` takes `lock_free_try_lock`'s
+    /// Inside an outer thunk `try_with2` takes `acquire_lock_free`'s
     /// nested path (idempotent create, committed reads, retire marker):
     /// both modes transfer, every lock ends released, and lock-free mode
     /// recycles the nested two-lock descriptor through the owner's drain.
@@ -1932,7 +1907,7 @@ mod tests {
         });
     }
 
-    /// A set nested in an outer `try_lock` takes `lock_free_try_lock`'s
+    /// A set nested in an outer `try_lock` takes `acquire_lock_free`'s
     /// nested path: both modes run the body under all four locks, every
     /// lock ends released, and lock-free mode recycles the nested set's
     /// descriptor through the owner's drain.
@@ -2006,7 +1981,7 @@ mod tests {
 
     /// A nested acquisition whose install fails never ran and was never on
     /// a lock word, but its pointer is in the outer log: it is deferred and
-    /// recycled like any other. `lock_free_try_lock`'s nested steps are
+    /// recycled like any other. `acquire_lock_free`'s nested steps are
     /// taken by hand so that another thread's whole acquisition sits exactly
     /// between the read of the inner word and the install from it.
     #[test]
@@ -2103,7 +2078,7 @@ mod tests {
     /// A helped-to-completion owner whose helper also released before the
     /// owner's post-install read: the owner replays for its result and must
     /// leave the lock word alone — by then it may belong to someone else.
-    /// The owner's steps of `lock_free_try_lock` are taken by hand so the
+    /// The owner's steps of `acquire_lock_free` are taken by hand so the
     /// helper (and a later, unrelated acquisition) sit exactly between the
     /// install and that read.
     #[test]
@@ -2179,9 +2154,13 @@ mod tests {
     /// to completion and releases, the bit survives the release, and from
     /// then on every acquisition form refuses the lock — `try_lock`, a set
     /// through it as a further word, and the strict `lock` (which returns
-    /// `None` instead of waiting) — and `version` refuses it too.
+    /// `None` instead of waiting) — and `version` refuses it too. In
+    /// lock-free mode neither `try_lock` nor `lock` takes a descriptor for
+    /// it: on a fresh thread, whose pool starts empty, no slab is taken
+    /// fresh and none reaches the pool.
     #[test]
     fn obsolete_lock_is_released_and_never_acquired_again() {
+        use crate::descriptor::{TALLY, pooled};
         both_modes(|| {
             let l = Arc::new(Lock::new());
             assert!(!l.is_obsolete() && l.version().is_some());
@@ -2197,8 +2176,17 @@ mod tests {
             assert!(!l.is_locked(), "a marked word must be released");
             assert!(l.is_obsolete(), "the release dropped the obsolete bit");
             assert_eq!(l.version(), None);
-            assert_eq!(l.try_lock(|| ()), None);
-            assert_eq!(l.lock(|| ()), None);
+            let l2 = Arc::clone(&l);
+            let refused = std::thread::spawn(move || {
+                let before = (TALLY.get().0, pooled());
+                let got = (l2.try_lock(|| ()), l2.lock(|| ()));
+                (got, before, (TALLY.get().0, pooled()))
+            });
+            let (got, before, after) = refused.join().unwrap();
+            assert_eq!(got, (None, None));
+            if crate::lock_mode() == LockMode::LockFree {
+                assert_eq!(after, before, "a descriptor was taken for an obsolete lock");
+            }
             let first = Lock::new();
             // SAFETY: every runner runs inside this call.
             assert_eq!(unsafe { first.try_lock_set([&*l], || ()) }, None);
@@ -2248,7 +2236,7 @@ mod tests {
 
     /// A holder parked inside its critical section while `contend` runs on
     /// another thread: a descriptor installed on `lock` by hand, as
-    /// `lock_free_try_lock` installs one, whose owner takes the rest of its
+    /// `acquire_lock_free` installs one, whose owner takes the rest of its
     /// path once `contend` returned — or, with `release_mid_wait`, right
     /// before the contender's first poll, which then waits for it. Returns
     /// what `contend` returned, the contender's holder waits, and how often
@@ -2345,26 +2333,36 @@ mod tests {
     }
 
     /// A holder that releases while the contender waits is not helped: the
-    /// contender's same `try_lock` call installs from a fresh read. The
-    /// holder's descriptor, never marked helped, goes back to the pool
-    /// instead of the collector.
+    /// contender's same `try_lock` or `lock` call installs from a fresh
+    /// read. The holder's descriptor, never marked helped, goes back to the
+    /// pool instead of the collector.
     #[test]
     fn holder_released_during_the_wait_is_not_helped() {
         let _t = ReuseTest::begin(true);
-        let lock = Arc::new(Lock::new());
-        let l2 = Arc::clone(&lock);
-        let (got, waits, helped) = against_parked(&lock, move || l2.try_lock(|| 7u32), true);
-        assert_eq!(got, Some(7));
-        assert_eq!(
-            waits,
-            HolderWaits {
-                waits: 1,
-                polls: 1,
-                moved: 1
-            }
-        );
-        assert_eq!(helped, 0, "the holder was helped");
-        assert!(!lock.is_locked());
+        for strict in [false, true] {
+            let lock = Arc::new(Lock::new());
+            let l2 = Arc::clone(&lock);
+            let contend = move || {
+                if strict {
+                    l2.lock(|| 7u32)
+                } else {
+                    l2.try_lock(|| 7u32)
+                }
+            };
+            let (got, waits, helped) = against_parked(&lock, contend, true);
+            assert_eq!(got, Some(7), "strict = {strict}");
+            assert_eq!(
+                waits,
+                HolderWaits {
+                    waits: 1,
+                    polls: 1,
+                    moved: 1
+                },
+                "strict = {strict}"
+            );
+            assert_eq!(helped, 0, "the holder was helped (strict = {strict})");
+            assert!(!lock.is_locked());
+        }
     }
 
     /// Inside a thunk nothing waits: a nested `try_lock` and a nested lock

@@ -712,7 +712,9 @@ fn lock_word_tag_wrap_mutant_skip_gen_check_is_caught() {
 /// like `tag_wrap_body`'s) arrives through the **outer** lock word, where
 /// it replays the outer thunk and reaches the nested descriptor through
 /// its log, or through the **inner** one, where it runs the nested
-/// descriptor directly.
+/// descriptor directly. With `strict_inner` the nested acquisition is a
+/// strict `lock` instead of a `try_lock`: the same attempt, repeated until
+/// it runs, inside the helped outer thunk.
 ///
 /// **Invariants:** (a) both rounds acquire both locks — the helper never
 /// acquires, and a correct helper either helps the current incarnation to
@@ -722,7 +724,7 @@ fn lock_word_tag_wrap_mutant_skip_gen_check_is_caught() {
 /// and the log empty, re-commits fresh reads and stores again; (c) both
 /// lock words end unlocked; (d) no panic ("descriptor thunk called before
 /// set" is a reset descriptor seen from inside).
-fn nested_body(through_outer: bool) {
+fn nested_body(through_outer: bool, strict_inner: bool) {
     let outer = Arc::new(Lock::new());
     let inner = Arc::new(Lock::new());
     let counter = Arc::new(Mutable::new(0u64));
@@ -737,7 +739,12 @@ fn nested_body(through_outer: bool) {
         let (i2, c2) = (Arc::clone(&inner), Arc::clone(&counter));
         let got = outer.try_lock(move || {
             let c3 = Arc::clone(&c2);
-            i2.try_lock(move || c3.store(c3.load() + 1))
+            let bump = move || c3.store(c3.load() + 1);
+            if strict_inner {
+                i2.lock(bump)
+            } else {
+                i2.try_lock(bump)
+            }
         });
         assert_eq!(
             got,
@@ -771,7 +778,7 @@ fn nested_try_lock_exactly_once_under_helping() {
             max_schedules: 1_000_000,
             ..Config::sc()
         },
-        || nested_body(true),
+        || nested_body(true, false),
     );
     report.assert_exhaustive_ok();
     assert!(report.schedules_run > 1_000, "space suspiciously small");
@@ -786,10 +793,28 @@ fn nested_try_lock_exactly_once_helped_through_inner_word() {
             max_schedules: 1_000_000,
             ..Config::sc()
         },
-        || nested_body(false),
+        || nested_body(false, false),
     );
     report.assert_exhaustive_ok();
     assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// Same scope with a strict inner `lock`, the helper arriving through
+/// either word.
+#[test]
+fn nested_strict_lock_exactly_once_under_helping() {
+    let _g = serial();
+    for through_outer in [true, false] {
+        let report = explore(
+            Config {
+                max_schedules: 1_000_000,
+                ..Config::sc()
+            },
+            move || nested_body(through_outer, true),
+        );
+        report.assert_exhaustive_ok();
+        assert!(report.schedules_run > 1_000, "space suspiciously small");
+    }
 }
 
 /// Deeper (non-exhaustive, seeded) sweep of both variants at 4
@@ -805,7 +830,7 @@ fn nested_try_lock_seeded_sweep() {
                 samples: 400,
                 ..Config::sc()
             },
-            move || nested_body(through_outer),
+            move || nested_body(through_outer, false),
         );
         assert!(report.failure.is_none(), "{}", report.failure.unwrap());
         assert_eq!(report.pruned, 0);
@@ -821,7 +846,7 @@ fn nested_try_lock_mutant_recycle_helped_nested_is_caught() {
     let _g = serial();
     let _k = Knob::set(&flock_core::mutants::RECYCLE_HELPED_NESTED);
     for through_outer in [true, false] {
-        let report = explore(Config::sc(), move || nested_body(through_outer));
+        let report = explore(Config::sc(), move || nested_body(through_outer, false));
         let f = report.assert_finds_bug();
         assert!(
             f.message.contains("exactly once")
@@ -1385,17 +1410,19 @@ fn tid_mutant_lockfree_release_is_caught() {
 /// The obsolete bit under helping (`flock_core`'s `lock` module docs,
 /// "Obsolete locks"): the owner's strict critical section unlinks its node
 /// — it stores `unlinked` and marks the lock obsolete — while a contender
-/// runs one `try_lock` of its own, helping the owner's descriptor whenever
-/// it finds it installed (the helper's run marks, and the helper
-/// releases). The contender then reads the bit twice.
+/// runs one `try_lock` of its own, or with `strict_contender` one strict
+/// `lock`, helping the owner's descriptor whenever it finds it installed
+/// (the helper's run marks, and the helper releases). The contender then
+/// reads the bit twice.
 ///
 /// **Invariants:** (a) the bit is set exactly once: it is set when both
 /// threads are done, and no read ever sees it go from set back to clear
 /// (the contender's two reads, in order); (b) no install succeeds once it
 /// is set: the contender's critical section never sees `unlinked`, and a
 /// `try_lock` at quiescence fails; (c) the owner's acquisition succeeds
-/// and the word ends unlocked.
-fn obsolete_body() {
+/// and the word ends unlocked; (d) a strict contender runs (before the
+/// mark, by (b)) or returns `None`, and `None` only for a marked lock.
+fn obsolete_body(strict_contender: bool) {
     let lock = Arc::new(Lock::new());
     let unlinked = Arc::new(Mutable::new(false));
     let late = Arc::new(Mutable::new(false));
@@ -1403,11 +1430,20 @@ fn obsolete_body() {
     let (l2, u2, late2) = (Arc::clone(&lock), Arc::clone(&unlinked), Arc::clone(&late));
     let contender = flock_model::spawn(move || {
         let (u3, late3) = (Arc::clone(&u2), Arc::clone(&late2));
-        l2.try_lock(move || {
+        let section = move || {
             if u3.load() {
                 late3.store(true);
             }
-        });
+        };
+        if strict_contender {
+            let got = l2.lock(section);
+            assert!(
+                got.is_some() || l2.is_obsolete(),
+                "strict lock refused a lock nobody had marked"
+            );
+        } else {
+            l2.try_lock(section);
+        }
         let first = l2.is_obsolete();
         let second = l2.is_obsolete();
         assert!(!first || second, "obsolete bit cleared after it was set");
@@ -1437,14 +1473,16 @@ fn obsolete_body() {
     );
 }
 
-/// Scope: owner (strict, marking) + 1 contender, SC, ≤2 preemptions,
-/// exhaustive.
+/// Scope: owner (strict, marking) + 1 contender (`try_lock`, then strict
+/// `lock`), SC, ≤2 preemptions, exhaustive.
 #[test]
 fn obsolete_bit_set_once_and_never_installed_under_helping() {
     let _g = serial();
-    let report = explore(Config::sc(), obsolete_body);
-    report.assert_exhaustive_ok();
-    assert!(report.schedules_run > 100, "space suspiciously small");
+    for strict in [false, true] {
+        let report = explore(Config::sc(), move || obsolete_body(strict));
+        report.assert_exhaustive_ok();
+        assert!(report.schedules_run > 100, "space suspiciously small");
+    }
 }
 
 /// The same space at `model_tag_limit` 2: every install, mark and release
@@ -1454,7 +1492,7 @@ fn obsolete_bit_set_once_and_never_installed_under_helping() {
 fn obsolete_bit_holds_across_tag_wrap() {
     let _g = serial();
     let _t = TagLimit::set(2);
-    let report = explore(Config::sc(), obsolete_body);
+    let report = explore(Config::sc(), || obsolete_body(false));
     report.assert_exhaustive_ok();
     assert!(report.schedules_run > 100, "space suspiciously small");
 }
@@ -1535,7 +1573,7 @@ fn obsolete_second_word_released_with_bit_kept() {
 fn obsolete_mutant_helper_release_drops_bit_is_caught() {
     let _g = serial();
     let _k = Knob::set(&flock_core::mutants::HELPER_RELEASE_DROPS_OBSOLETE);
-    let report = explore(Config::sc(), obsolete_body);
+    let report = explore(Config::sc(), || obsolete_body(false));
     let f = report.assert_finds_bug();
     assert!(f.message.contains("obsolete bit"), "{}", f.message);
     let report = explore(Config::sc(), || obsolete_second_word_body(false));
@@ -1544,15 +1582,21 @@ fn obsolete_mutant_helper_release_drops_bit_is_caught() {
 }
 
 /// Sanity mutant: an acquisition installs on any unlocked word. The
-/// contender's critical section then runs after the owner's unlinked the
-/// node.
+/// contender's critical section, a `try_lock`'s or a strict `lock`'s, then
+/// runs after the owner's unlinked the node.
 #[test]
 fn obsolete_mutant_install_ignores_bit_is_caught() {
     let _g = serial();
     let _k = Knob::set(&flock_core::mutants::INSTALL_IGNORES_OBSOLETE);
-    let report = explore(Config::sc(), obsolete_body);
-    let f = report.assert_finds_bug();
-    assert!(f.message.contains("obsolete lock"), "{}", f.message);
+    for strict in [false, true] {
+        let report = explore(Config::sc(), move || obsolete_body(strict));
+        let f = report.assert_finds_bug();
+        assert!(
+            f.message.contains("obsolete lock"),
+            "strict = {strict}: {}",
+            f.message
+        );
+    }
 }
 
 // ------------------------------------------------------------- holder wait

@@ -35,10 +35,12 @@
 /// at each one and what a stall or unwind there must *not* be able to break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Seam {
-    /// Mid-`try_lock`, lock-free mode: the install CAS has published this
-    /// thread's descriptor in the lock word, but the owner has not started
-    /// running its thunk. A thread stalled here holds the lock; helpers
-    /// must be able to complete the thunk from the committed descriptor.
+    /// Mid-acquisition, lock-free mode: the install CAS has published a
+    /// descriptor in the lock word, but its runner has not started running
+    /// the thunk. Every lock-free install crosses it — `try_lock`, the
+    /// strict `lock`, a lock set's first and further words, top-level or
+    /// nested. A thread stalled here holds the lock; helpers must be able
+    /// to complete the thunk from the committed descriptor.
     LockInstalled,
     /// Inside `ctx::run_in`, immediately before the thunk body executes
     /// (owner or helper, lock-free mode). A stall here parks a thread
