@@ -436,11 +436,13 @@ mod tests {
         exclusive(|| {
             for name in registry() {
                 let m = make_map(name, 1024);
+                assert_eq!(m.name(), name);
                 assert!(m.insert(1, 2), "{name}");
                 assert_eq!(m.get(1), Some(2), "{name}");
                 assert!(m.remove(1), "{name}");
                 // And the fat-value instantiation of the same structure.
                 let f = make_map_fat(name, 1024);
+                assert_eq!(f.name(), name, "(fat)");
                 assert!(f.insert(1, fat_value(2)), "{name} (fat)");
                 assert_eq!(f.get(1), Some(fat_value(2)), "{name} (fat)");
                 assert!(f.remove(1), "{name} (fat)");

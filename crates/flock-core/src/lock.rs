@@ -214,9 +214,10 @@ pub enum LockMode {
 
 /// An opaque observation of a [`Lock`]'s **version**: the full packed lock
 /// word (ABA tag + descriptor bits), captured only while the lock was
-/// unlocked. See [`Lock::version`].
+/// unlocked. Two observations are equal iff the word was byte-identical
+/// both times. See [`Lock::version`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LockVersion(flock_sync::pack::PackedVersion);
+pub struct LockVersion(u64);
 
 /// How many optimistic attempts [`read_validated`] (and the structure read
 /// paths built on it) make before falling back to the committed read path.
@@ -566,7 +567,7 @@ impl Lock {
         if !LockWord::from_bits(unpack_val(w)).is_free() {
             None
         } else {
-            Some(LockVersion(flock_sync::pack::PackedVersion::from_word(w)))
+            Some(LockVersion(w))
         }
     }
 
@@ -580,7 +581,7 @@ impl Lock {
     #[inline]
     pub fn validate(&self, observed: LockVersion) -> bool {
         std::sync::atomic::fence(Ordering::Acquire);
-        self.word.raw_packed() == observed.0.word()
+        self.word.raw_packed() == observed.0
     }
 
     /// Lock-scoped [`read_validated`]: run `optimistic` bracketed by this
@@ -735,8 +736,9 @@ impl Lock {
         F: Fn() -> R + Send + Sync + 'static,
     {
         // The whole operation — pin, nested check, loads, commits, announce
-        // — works off one thread-context fetch; this `with` is the only TLS
-        // access on the uncontended path (the descriptor pool aside).
+        // — works off one thread-context fetch. The uncontended path's other
+        // TLS accesses are the descriptor pool's pop and push and the
+        // guard's drop, which fetches the context again.
         thread_ctx::with(|tc| {
             let guard = flock_epoch::pin_with(tc);
             let nested = tc.in_thunk();

@@ -19,9 +19,9 @@
 //!   reduced to a single child. No proactive merging/borrowing — the classic
 //!   relaxed-(a,b)-tree trade-off.
 
-use std::ops::{Bound, ControlFlow};
+use std::ops::ControlFlow;
 
-use flock_api::{Key, Map, Value};
+use flock_api::{Key, Value};
 use flock_core::{Lock, Mutable, Sp};
 
 use crate::tree::{Tree, TreeNode};
@@ -29,7 +29,8 @@ use crate::tree::{Tree, TreeNode};
 /// Maximum keys per leaf and separators per internal node ("b").
 pub const B: usize = 12;
 
-pub(crate) struct Node<K: Key, V: Value> {
+/// A node of an [`ABTree`]; its fields are private.
+pub struct Node<K: Key, V: Value> {
     /// Marked obsolete by the split or splice that replaces the node.
     lock: Lock,
     is_leaf: bool,
@@ -77,6 +78,7 @@ impl<K: Key, V: Value> Node<K, V> {
 impl<K: Key, V: Value> TreeNode for Node<K, V> {
     type K = K;
     type V = V;
+    const NAME: &'static str = "abtree";
 
     fn lock(&self) -> &Lock {
         &self.lock
@@ -118,27 +120,67 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
             children: std::array::from_fn(|i| Mutable::new(kid(i))),
         }
     }
+
+    fn insert(tree: &Tree<Self>, k: K, v: V) -> bool {
+        crate::retry(|| {
+            let mut path = vec![tree.anchor];
+            let at = tree.descend(&k, Mutable::load, |n| path.push(n));
+            // SAFETY: pinned by `retry`.
+            if unsafe { &*at.l }.slot(&k).is_some() {
+                return ControlFlow::Break(false);
+            }
+            // Grow the tree when the root itself is full: it splits into two
+            // halves under a fresh one-separator root, under the anchor's
+            // lock. Handling the root first establishes the invariant that
+            // when the loop below splits path[w], path[w-1] has room. A split
+            // that ran or went stale restarts at once; a busy lock backs off.
+            // SAFETY: pinned path nodes.
+            if unsafe { &*path[1] }.is_full() {
+                return ControlFlow::Continue(tree.split_root(path[1]).and(Some(false)));
+            }
+            // Preemptively split the shallowest full node along the path and
+            // restart; by induction its parent always has separator room.
+            for w in 2..path.len() {
+                // SAFETY: pinned path nodes.
+                if unsafe { &*path[w] }.is_full() {
+                    let split = tree.split_child(path[w - 2], path[w - 1], path[w], &k);
+                    return ControlFlow::Continue(split.and(Some(false)));
+                }
+            }
+            let (sp, sl, pi, k2, v2) = (Sp(at.p), Sp(at.l), at.pi, k.clone(), v.clone());
+            // SAFETY: pinned.
+            ControlFlow::Continue(unsafe { &*at.p }.lock.try_lock(move || {
+                // SAFETY: thunk runners hold epoch protection.
+                let (p, l) = unsafe { (sp.as_ref(), sl.as_ref()) };
+                let cell = p.child(pi);
+                if cell.load() != sl.ptr() {
+                    return false; // re-examine from the top
+                }
+                let mut entries = l.snapshot();
+                let pos = entries.partition_point(|(ek, _)| ek < &k2);
+                entries.insert(pos, (k2.clone(), v2.clone()));
+                let newl = flock_core::alloc(move || Node::new_leaf(&entries));
+                cell.store(newl);
+                // SAFETY: replaced above; idempotent retire.
+                unsafe { flock_core::retire(sl.ptr()) };
+                true
+            }))
+        })
+    }
+
+    fn check_link(_: &Self, c: &Self) {
+        assert!(c.keys.len() <= B);
+        assert!(
+            c.is_leaf || !c.keys.is_empty(),
+            "internal node without separators"
+        );
+    }
 }
 
 /// Concurrent (a,b)-tree map.
-pub struct ABTree<K: Key, V: Value> {
-    tree: Tree<Node<K, V>>,
-}
-
-impl<K: Key, V: Value> Default for ABTree<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub type ABTree<K, V> = Tree<Node<K, V>>;
 
 impl<K: Key, V: Value> ABTree<K, V> {
-    /// An empty tree.
-    pub fn new() -> Self {
-        Self {
-            tree: Tree::new(false),
-        }
-    }
-
     /// Split full node `c` (child of `p`, grandchild of `g`): replaces `p`
     /// with a copy containing the new separator and the two halves of `c`.
     /// `None` = a lock on the g → p → c path was busy (caller should back
@@ -187,64 +229,12 @@ impl<K: Key, V: Value> ABTree<K, V> {
         unsafe { (*g).lock.try_lock_set([&(*p).lock, &(*c).lock], split) }
     }
 
-    /// Insert; `false` if present.
-    pub fn insert(&self, k: K, v: V) -> bool {
-        let added = crate::retry(|| {
-            let mut path = vec![self.tree.anchor];
-            let at = self.tree.descend(&k, Mutable::load, |n| path.push(n));
-            // SAFETY: pinned by `retry`.
-            if unsafe { &*at.l }.slot(&k).is_some() {
-                return ControlFlow::Break(false);
-            }
-            // Grow the tree when the root itself is full: it splits into two
-            // halves under a fresh one-separator root, under the anchor's
-            // lock. Handling the root first establishes the invariant that
-            // when the loop below splits path[w], path[w-1] has room. A split
-            // that ran or went stale restarts at once; a busy lock backs off.
-            // SAFETY: pinned path nodes.
-            if unsafe { &*path[1] }.is_full() {
-                return ControlFlow::Continue(self.split_root(path[1]).and(Some(false)));
-            }
-            // Preemptively split the shallowest full node along the path and
-            // restart; by induction its parent always has separator room.
-            for w in 2..path.len() {
-                // SAFETY: pinned path nodes.
-                if unsafe { &*path[w] }.is_full() {
-                    let split = self.split_child(path[w - 2], path[w - 1], path[w], &k);
-                    return ControlFlow::Continue(split.and(Some(false)));
-                }
-            }
-            let (sp, sl, pi, k2, v2) = (Sp(at.p), Sp(at.l), at.pi, k.clone(), v.clone());
-            // SAFETY: pinned.
-            ControlFlow::Continue(unsafe { &*at.p }.lock.try_lock(move || {
-                // SAFETY: thunk runners hold epoch protection.
-                let (p, l) = unsafe { (sp.as_ref(), sl.as_ref()) };
-                let cell = p.child(pi);
-                if cell.load() != sl.ptr() {
-                    return false; // re-examine from the top
-                }
-                let mut entries = l.snapshot();
-                let pos = entries.partition_point(|(ek, _)| ek < &k2);
-                entries.insert(pos, (k2.clone(), v2.clone()));
-                let newl = flock_core::alloc(move || Node::new_leaf(&entries));
-                cell.store(newl);
-                // SAFETY: replaced above; idempotent retire.
-                unsafe { flock_core::retire(sl.ptr()) };
-                true
-            }))
-        });
-        if added {
-            self.tree.count.inc();
-        }
-        added
-    }
-
     /// Split a full root (leaf or internal) into two halves under a fresh
     /// one-separator root, under anchor → root locks.
     /// `None` = the anchor's or root's lock was busy; `Some(applied)`
     /// otherwise.
     fn split_root(&self, root: *mut Node<K, V>) -> Option<bool> {
-        let (sp_a, sp_r) = (Sp(self.tree.anchor), Sp(root));
+        let (sp_a, sp_r) = (Sp(self.anchor), Sp(root));
         let split = move || {
             // SAFETY: thunk runners hold epoch protection.
             let (a, r) = unsafe { (sp_a.as_ref(), sp_r.as_ref()) };
@@ -261,135 +251,13 @@ impl<K: Key, V: Value> ABTree<K, V> {
         };
         // SAFETY: pinned caller; the anchor lives as long as the tree, and
         // runners adopt the caller's epoch, so the root outlives them.
-        unsafe {
-            (*self.tree.anchor)
-                .lock
-                .try_lock_set([&(*root).lock], split)
-        }
-    }
-
-    /// Remove; `false` if absent.
-    pub fn remove(&self, k: K) -> bool {
-        self.tree.remove(&k)
-    }
-
-    /// Lookup: the leaf's value slot read bracketed by its **parent** lock
-    /// version — the lock every mutation of the leaf goes through — with a
-    /// bounded fallback to the committed (thunk-logged) read.
-    pub fn get(&self, k: K) -> Option<V> {
-        self.tree.get(&k)
-    }
-
-    /// Presence-only lookup: never decodes or clones a value.
-    pub fn contains(&self, k: &K) -> bool {
-        self.tree.contains(k)
-    }
-
-    /// Ordered range scan (see [`flock_api::OrderedMap`] for the
-    /// consistency contract): each covered leaf is snapshot under its
-    /// parent lock's version.
-    pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        self.tree.range(lo, hi)
-    }
-
-    /// Native atomic update: replace the value stored under `k` in place —
-    /// one idempotent slot store under the leaf's **parent** lock, without
-    /// copying the batch. Returns `false` if `k` is absent.
-    pub fn update(&self, k: K, v: V) -> bool {
-        self.tree.update(&k, &v)
-    }
-
-    /// Element count (O(n) walk; tests/diagnostics).
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Is the tree empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ordered snapshot — single-threaded use.
-    pub fn collect(&self) -> Vec<(K, V)> {
-        self.tree.collect()
-    }
-
-    /// Quiescent invariant check: separator routing, sorted leaves, arity.
-    pub fn check_invariants(&self) {
-        self.tree.check_invariants(|_, c| {
-            assert!(c.keys.len() <= B);
-            assert!(
-                c.is_leaf || !c.keys.is_empty(),
-                "internal node without separators"
-            );
-        });
-    }
-}
-
-impl<K: Key, V: Value> Map<K, V> for ABTree<K, V> {
-    fn insert(&self, key: K, value: V) -> bool {
-        ABTree::insert(self, key, value)
-    }
-    fn remove(&self, key: K) -> bool {
-        ABTree::remove(self, key)
-    }
-    fn get(&self, key: K) -> Option<V> {
-        ABTree::get(self, key)
-    }
-    fn contains(&self, key: K) -> bool {
-        ABTree::contains(self, &key)
-    }
-    fn name(&self) -> &'static str {
-        "abtree"
-    }
-    fn update(&self, key: K, value: V) -> bool {
-        ABTree::update(self, key, value)
-    }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
-    fn len_approx(&self) -> Option<usize> {
-        Some(self.tree.count.get())
-    }
-}
-
-impl<K: Key, V: Value> flock_api::OrderedMap<K, V> for ABTree<K, V> {
-    fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        ABTree::range(self, lo, hi)
+        unsafe { (*self.anchor).lock.try_lock_set([&(*root).lock], split) }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::tree::tests::{TreeMap, native_update_in_place as update_body};
-    use flock_conformance as testutil;
-
-    impl TreeMap for ABTree<u64, u64> {
-        type Node = Node<u64, u64>;
-        fn tree(&self) -> &Tree<Self::Node> {
-            &self.tree
-        }
-        fn check_invariants(&self) {
-            ABTree::check_invariants(self)
-        }
-    }
-
-    #[test]
-    fn basic_ops() {
-        testutil::both_modes(|| {
-            let t: ABTree<u64, u64> = ABTree::new();
-            assert!(t.insert(5, 50));
-            assert!(!t.insert(5, 51));
-            assert!(t.insert(3, 30));
-            assert!(t.insert(8, 80));
-            assert_eq!(t.collect(), vec![(3, 30), (5, 50), (8, 80)]);
-            assert!(t.remove(5));
-            assert!(!t.remove(5));
-            assert_eq!(t.get(8), Some(80));
-            t.check_invariants();
-        });
-    }
+    crate::tree::tests::tree_tests!(ABTree, [new], 200, 512, 21);
 
     #[test]
     fn grows_past_many_splits() {
@@ -438,30 +306,6 @@ mod tests {
             assert!(t.is_empty());
             assert!(t.insert(1, 2));
             assert_eq!(t.get(1), Some(2));
-        });
-    }
-
-    #[test]
-    fn native_update_in_place() {
-        // Enough keys for several splits, so updates hit deep leaves.
-        testutil::both_modes(|| update_body(ABTree::new(), 200));
-    }
-
-    #[test]
-    fn oracle() {
-        testutil::both_modes(|| {
-            let t: ABTree<u64, u64> = ABTree::new();
-            testutil::oracle_check(&t, 4_000, 512, 21);
-            t.check_invariants();
-        });
-    }
-
-    #[test]
-    fn concurrent_partitioned() {
-        testutil::both_modes(|| {
-            let t: ABTree<u64, u64> = ABTree::new();
-            testutil::partition_stress(&t, 4, 1_500);
-            t.check_invariants();
         });
     }
 }

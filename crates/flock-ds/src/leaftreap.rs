@@ -21,9 +21,9 @@
 //!   fresh nodes replace the rotated pair, old ones are retired.
 
 use std::hash::BuildHasher;
-use std::ops::{Bound, ControlFlow};
+use std::ops::ControlFlow;
 
-use flock_api::{Key, Map, OrderedMap, Value};
+use flock_api::{Key, Value};
 use flock_core::{Lock, Mutable, Sp};
 use flock_sync::Backoff;
 
@@ -38,7 +38,8 @@ fn prio_of<K: Key>(k: &K) -> u64 {
     FlockHashBuilder.hash_one(k)
 }
 
-pub(crate) struct Node<K: Key, V: Value> {
+/// A node of a [`LeafTreap`]; its fields are private.
+pub struct Node<K: Key, V: Value> {
     left: Mutable<*mut Node<K, V>>,
     right: Mutable<*mut Node<K, V>>,
     /// Marked obsolete by the rotation or splice that unlinks the node.
@@ -65,6 +66,7 @@ impl<K: Key, V: Value> Node<K, V> {
 impl<K: Key, V: Value> TreeNode for Node<K, V> {
     type K = K;
     type V = V;
+    const NAME: &'static str = "leaftreap";
 
     fn lock(&self) -> &Lock {
         &self.lock
@@ -110,32 +112,11 @@ impl<K: Key, V: Value> TreeNode for Node<K, V> {
             entries: Vec::new(),
         }
     }
-}
 
-/// Leaf-oriented treap map with batched leaves.
-pub struct LeafTreap<K: Key, V: Value> {
-    tree: Tree<Node<K, V>>,
-}
-
-impl<K: Key, V: Value> Default for LeafTreap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Key, V: Value> LeafTreap<K, V> {
-    /// An empty treap.
-    pub fn new() -> Self {
-        Self {
-            tree: Tree::new(false),
-        }
-    }
-
-    /// Insert; `false` if present.
-    pub fn insert(&self, k: K, v: V) -> bool {
+    fn insert(tree: &Tree<Self>, k: K, v: V) -> bool {
         let _g = flock_epoch::pin();
         let added = crate::retry(|| {
-            let at = self.tree.search(&k);
+            let at = tree.search(&k);
             // SAFETY: pinned by `retry`.
             if unsafe { &*at.l }.slot(&k).is_some() {
                 return ControlFlow::Break(false);
@@ -176,12 +157,20 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
             // A split may have violated heap order; bubble the new routing
             // node up. Balance repair is separate from the insert's
             // linearization point.
-            self.fix_priorities(&k);
-            self.tree.count.inc();
+            tree.fix_priorities(&k);
         }
         added
     }
 
+    fn check_link(p: &Self, c: &Self) {
+        assert!(c.prio <= p.prio, "treap heap order violated");
+    }
+}
+
+/// Leaf-oriented treap map with batched leaves.
+pub type LeafTreap<K, V> = Tree<Node<K, V>>;
+
+impl<K: Key, V: Value> LeafTreap<K, V> {
     /// Restore the treap's max-heap priority order along `k`'s search path
     /// by rotating violating nodes upward, one COW rotation at a time.
     fn fix_priorities(&self, k: &K) {
@@ -189,7 +178,7 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         'outer: loop {
             // Find the first violation (child.prio > parent.prio) on the
             // path; the root's +inf priority stops the bubble at the top.
-            let mut g = self.tree.anchor;
+            let mut g = self.anchor;
             // SAFETY: pinned by callers of insert; nodes epoch-reclaimed.
             let mut p = unsafe { &*g }.child(0).load();
             if unsafe { &*p }.leaf {
@@ -294,130 +283,12 @@ impl<K: Key, V: Value> LeafTreap<K, V> {
         // epoch, so all three locks outlive them.
         unsafe { (*g).lock.try_lock_set([&(*p).lock, &(*c).lock], rotate) }
     }
-
-    /// Remove; `false` if absent.
-    pub fn remove(&self, k: K) -> bool {
-        self.tree.remove(&k)
-    }
-
-    /// Lookup: the value slot read bracketed by the leaf's **parent** lock
-    /// version (every batch replacement *and* every in-place `update` of
-    /// this leaf's slots runs under that lock; rotations and splices mark
-    /// the old parent's lock obsolete inside their own critical section).
-    pub fn get(&self, k: K) -> Option<V> {
-        self.tree.get(&k)
-    }
-
-    /// Presence check without materializing the value — no slot read, no
-    /// decode, no clone (for `Indirect` fat values `get` clones the boxed
-    /// payload just to drop it).
-    pub fn contains(&self, k: &K) -> bool {
-        self.tree.contains(k)
-    }
-
-    /// Ordered range scan over `[lo, hi]` bounds. Each leaf batch is
-    /// snapshot under a parent-lock version bracket, so every reported
-    /// entry was simultaneously present at some instant during the scan;
-    /// see [`OrderedMap`] for the cross-entry contract.
-    pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        self.tree.range(lo, hi)
-    }
-
-    /// Native atomic update: replace the value stored under `k` in place —
-    /// one idempotent slot store under the leaf's **parent** lock, without
-    /// copying the batch. Returns `false` if `k` is absent.
-    pub fn update(&self, k: K, v: V) -> bool {
-        self.tree.update(&k, &v)
-    }
-
-    /// Element count (O(n) walk; tests/diagnostics).
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Is the treap empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ordered snapshot — single-threaded use.
-    pub fn collect(&self) -> Vec<(K, V)> {
-        self.tree.collect()
-    }
-
-    /// Quiescent invariant check: BST routing, heap priority order, sorted
-    /// leaf batches within routing bounds.
-    pub fn check_invariants(&self) {
-        self.tree.check_invariants(|p, c| {
-            assert!(c.prio <= p.prio, "treap heap order violated");
-        });
-    }
-}
-
-impl<K: Key, V: Value> Map<K, V> for LeafTreap<K, V> {
-    fn insert(&self, key: K, value: V) -> bool {
-        LeafTreap::insert(self, key, value)
-    }
-    fn remove(&self, key: K) -> bool {
-        LeafTreap::remove(self, key)
-    }
-    fn get(&self, key: K) -> Option<V> {
-        LeafTreap::get(self, key)
-    }
-    fn contains(&self, key: K) -> bool {
-        LeafTreap::contains(self, &key)
-    }
-    fn name(&self) -> &'static str {
-        "leaftreap"
-    }
-    fn update(&self, key: K, value: V) -> bool {
-        LeafTreap::update(self, key, value)
-    }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
-    fn len_approx(&self) -> Option<usize> {
-        Some(self.tree.count.get())
-    }
-}
-
-impl<K: Key, V: Value> OrderedMap<K, V> for LeafTreap<K, V> {
-    fn range(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        LeafTreap::range(self, lo, hi)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::tree::tests::{TreeMap, native_update_in_place as update_body};
-    use flock_conformance as testutil;
-
-    impl TreeMap for LeafTreap<u64, u64> {
-        type Node = Node<u64, u64>;
-        fn tree(&self) -> &Tree<Self::Node> {
-            &self.tree
-        }
-        fn check_invariants(&self) {
-            LeafTreap::check_invariants(self)
-        }
-    }
-
-    #[test]
-    fn basic_ops() {
-        testutil::both_modes(|| {
-            let t: LeafTreap<u64, u64> = LeafTreap::new();
-            assert!(t.insert(5, 50));
-            assert!(!t.insert(5, 51));
-            assert!(t.insert(3, 30));
-            assert!(t.insert(8, 80));
-            assert_eq!(t.collect(), vec![(3, 30), (5, 50), (8, 80)]);
-            assert!(t.remove(5));
-            assert_eq!(t.get(5), None);
-            assert_eq!(t.get(8), Some(80));
-            t.check_invariants();
-        });
-    }
+    crate::tree::tests::tree_tests!(LeafTreap, [new], 64, 256, 11);
+    use super::Node;
 
     #[test]
     fn splits_and_heap_order() {
@@ -456,7 +327,7 @@ mod tests {
             }
         }
         // SAFETY: quiescent single-threaded test.
-        let d = unsafe { depth((*t.tree.anchor).left.load()) };
+        let d = unsafe { depth((*t.anchor).left.load()) };
         // 4096/8 = 512+ leaves; a treap's expected depth is ~2·ln(512) ≈ 13.
         // A sorted-insert degenerate tree would be ~512. Allow generous slack.
         assert!(d < 64, "treap degenerated: depth {d}");
@@ -478,30 +349,6 @@ mod tests {
                 assert!(t.insert(k, k + 1));
             }
             assert_eq!(t.len(), 256);
-            t.check_invariants();
-        });
-    }
-
-    #[test]
-    fn native_update_in_place() {
-        // Past one leaf, so updates hit interior leaves too.
-        testutil::both_modes(|| update_body(LeafTreap::new(), 64));
-    }
-
-    #[test]
-    fn oracle() {
-        testutil::both_modes(|| {
-            let t: LeafTreap<u64, u64> = LeafTreap::new();
-            testutil::oracle_check(&t, 4_000, 256, 11);
-            t.check_invariants();
-        });
-    }
-
-    #[test]
-    fn concurrent_partitioned() {
-        testutil::both_modes(|| {
-            let t: LeafTreap<u64, u64> = LeafTreap::new();
-            testutil::partition_stress(&t, 4, 1_500);
             t.check_invariants();
         });
     }

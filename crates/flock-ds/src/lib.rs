@@ -99,8 +99,13 @@
 //! ## Tree protocol
 //!
 //! [`leaftree`], [`leaftreap`] and [`abtree`] share one leaf-oriented tree
-//! protocol, written once; each tree adds its node layout and its `insert`
-//! (splits, and the treap's rotations).
+//! protocol, written once, and one tree type: [`leaftree::LeafTree`],
+//! [`leaftreap::LeafTreap`] and [`abtree::ABTree`] are aliases of it over
+//! their own node types, with one set of methods and one `Map` and
+//! `OrderedMap` impl. A node type adds its layout, its name, its `insert`
+//! (leaftree's leaf split, the treap's priorities and rotations, abtree's
+//! preemptive splits) and its own invariant on a linked pair; only
+//! `LeafTree` also has a strict constructor.
 //!
 //! - **The parent lock owns a leaf.** Keys live in leaves, and a leaf's key
 //!   set never changes. Every change to a leaf — a copy that replaces it, an
@@ -200,13 +205,18 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 mod stale_scan {
     use crate::arttree::ArtTree;
     use crate::list::{List, ListNode};
-    use crate::tree::tests::TreeMap;
+    use crate::tree::{Tree, TreeNode};
     use flock_conformance::both_modes;
 
     /// Insert `keys` (value = key), remove `pre`, record the parent of
     /// `k`'s leaf, remove `k` (which must unlink that parent) and re-insert
     /// it with a new value, then continue a walk from the recorded parent.
-    fn stale_parent_walk<T: TreeMap>(make: impl Fn() -> T, keys: &[u64], pre: &[u64], k: u64) {
+    fn stale_parent_walk<N: TreeNode<K = u64, V = u64>>(
+        make: impl Fn() -> Tree<N>,
+        keys: &[u64],
+        pre: &[u64],
+        k: u64,
+    ) {
         both_modes(|| {
             let t = make();
             for &x in keys {
@@ -216,25 +226,21 @@ mod stale_scan {
                 assert!(t.remove(x));
             }
             let _g = flock_epoch::pin();
-            let at = t.tree().record(&k);
+            let at = t.record(&k);
             assert!(t.remove(k));
             assert!(t.insert(k, k + 1000));
             // SAFETY: pinned since `record`.
-            let out = unsafe { t.tree().resume(at) };
-            assert!(
-                !out.contains(&(k, k)),
-                "{}: stale pair in {out:?}",
-                t.name()
-            );
+            let out = unsafe { t.resume(at) };
+            assert!(!out.contains(&(k, k)), "{}: stale pair in {out:?}", N::NAME);
             assert!(
                 out.contains(&(k, k + 1000)),
                 "{}: new pair missing: {out:?}",
-                t.name()
+                N::NAME
             );
             assert!(
                 out.windows(2).all(|w| w[0].0 < w[1].0),
                 "{}: keys not strictly increasing: {out:?}",
-                t.name()
+                N::NAME
             );
         });
     }

@@ -1,8 +1,12 @@
-//! The leaf-oriented tree protocol, written once for [`crate::leaftree`],
-//! [`crate::leaftreap`] and [`crate::abtree`]. Each tree supplies its node
-//! layout through [`TreeNode`] and its own `insert`; [`Tree`] owns the
-//! search, `get`, `contains`, `update`, `remove`, the range scan, `len`,
-//! `collect`, the shared invariants and teardown.
+//! The leaf-oriented tree protocol, written once. [`Tree`] is the one tree
+//! type: [`crate::leaftree::LeafTree`], [`crate::leaftreap::LeafTreap`] and
+//! [`crate::abtree::ABTree`] are aliases of it over their own node types.
+//! A node type supplies, through [`TreeNode`], its layout, its name, its
+//! `insert` (leaftree's leaf split, leaftreap's priorities and rotations,
+//! abtree's preemptive splits) and its own check on a linked pair; [`Tree`]
+//! owns the search, `get`, `contains`, `update`, `remove`, the range scan,
+//! `len`, `collect`, the shared invariants, teardown, and the one `Map` and
+//! `OrderedMap` impl.
 //!
 //! Routing: an internal node's separators are sorted, child `i` covers
 //! `[seps[i-1], seps[i])`, and equal keys route right. A binary node has one
@@ -46,12 +50,20 @@ use flock_sync::ApproxLen;
 
 /// A node of a leaf-oriented tree: an internal node routes, a leaf holds
 /// entries.
-pub(crate) trait TreeNode: Sized + 'static {
+pub trait TreeNode: Sized + 'static {
+    /// Key type.
     type K: Key;
+    /// Value type.
     type V: Value;
+    /// The tree's [`flock_api::Map::name`].
+    const NAME: &'static str;
+    /// The name of a tree that waits for busy locks. Only a leaftree is
+    /// built that way.
+    const STRICT_NAME: &'static str = Self::NAME;
 
     /// The lock that owns this node's child cells and its leaves' slots.
     fn lock(&self) -> &Lock;
+    /// Is this node a leaf?
     fn is_leaf(&self) -> bool;
     /// An internal node's separators (module docs, "Routing").
     fn seps(&self) -> &[Self::K];
@@ -63,6 +75,13 @@ pub(crate) trait TreeNode: Sized + 'static {
     fn new_leaf(entries: &[(Self::K, Self::V)]) -> Self;
     /// A fresh internal node; `kids.len() == seps.len() + 1`.
     fn new_internal(seps: &[Self::K], kids: &[*mut Self]) -> Self;
+    /// The tree's own insert of an absent `k`: `false` if `k` is present.
+    /// [`Tree::insert`] counts what it adds.
+    fn insert(tree: &Tree<Self>, k: Self::K, v: Self::V) -> bool;
+
+    /// The tree's own invariants on the linked pair `p → c`, checked by
+    /// [`Tree::check_invariants`] on every such pair.
+    fn check_link(_p: &Self, _c: &Self) {}
 
     /// The child that covers `k`.
     #[inline]
@@ -100,19 +119,31 @@ pub(crate) struct Path<N> {
     pub(crate) l: *mut N,
 }
 
-/// A leaf-oriented tree under the shared protocol.
-pub(crate) struct Tree<N: TreeNode> {
+/// A leaf-oriented tree map under the shared protocol; the public trees
+/// are aliases of it.
+pub struct Tree<N: TreeNode> {
     /// Zero separators, one child; lives as long as the tree.
     pub(crate) anchor: *mut N,
     /// Wait for busy locks, helping in lock-free mode, instead of retrying.
     strict: bool,
     /// Maintained element count backing `len_approx`.
-    pub(crate) count: ApproxLen,
+    count: ApproxLen,
+}
+
+impl<N: TreeNode> Default for Tree<N> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<N: TreeNode> Tree<N> {
+    /// An empty tree using try-locks (the paper's preferred discipline).
+    pub fn new() -> Self {
+        Self::empty(false)
+    }
+
     /// An empty tree: the anchor over one empty leaf.
-    pub(crate) fn new(strict: bool) -> Self {
+    pub(crate) fn empty(strict: bool) -> Self {
         let leaf = flock_epoch::alloc(N::new_leaf(&[]));
         Self {
             anchor: flock_epoch::alloc(N::new_internal(&[], &[leaf])),
@@ -121,8 +152,13 @@ impl<N: TreeNode> Tree<N> {
         }
     }
 
-    pub(crate) fn is_strict(&self) -> bool {
-        self.strict
+    /// Insert; `false` if present.
+    pub fn insert(&self, k: N::K, v: N::V) -> bool {
+        let added = N::insert(self, k, v);
+        if added {
+            self.count.inc();
+        }
+        added
     }
 
     /// Walk from the anchor to the leaf covering `k`, reading each child
@@ -255,12 +291,12 @@ impl<N: TreeNode> Tree<N> {
     /// Lookup: a bracketed read of `k`'s slot, searching again if its
     /// parent turns out obsolete. An absent key needs no bracket (module
     /// docs).
-    pub(crate) fn get(&self, k: &N::K) -> Option<N::V> {
+    pub fn get(&self, k: N::K) -> Option<N::V> {
         let _g = flock_epoch::pin();
         loop {
-            let at = self.locate(k);
+            let at = self.locate(&k);
             // SAFETY: pinned.
-            let slot = unsafe { &*at.l }.slot(k)?;
+            let slot = unsafe { &*at.l }.slot(&k)?;
             // SAFETY: pinned.
             if let Some(v) = unsafe { Self::bracket(at.p, at.pi, at.l, |read| read(slot)) } {
                 return Some(v);
@@ -270,7 +306,7 @@ impl<N: TreeNode> Tree<N> {
 
     /// Presence, never decoding or cloning a value: the descent and the
     /// leaf's immutable key set decide it (module docs).
-    pub(crate) fn contains(&self, k: &N::K) -> bool {
+    pub fn contains(&self, k: &N::K) -> bool {
         let _g = flock_epoch::pin();
         // SAFETY: pinned.
         unsafe { &*self.locate(k).l }.slot(k).is_some()
@@ -282,11 +318,11 @@ impl<N: TreeNode> Tree<N> {
     /// holding it proves the parent linked, so the key stays present for
     /// the whole thunk: readers see the old value or the new one, never
     /// absence or a third value. `false` (storing nothing) if `k` is absent.
-    pub(crate) fn update(&self, k: &N::K, v: &N::V) -> bool {
+    pub fn update(&self, k: N::K, v: N::V) -> bool {
         crate::retry(|| {
-            let at = self.search(k);
+            let at = self.search(&k);
             // SAFETY: pinned by `retry`.
-            if unsafe { &*at.l }.slot(k).is_none() {
+            if unsafe { &*at.l }.slot(&k).is_none() {
                 return ControlFlow::Break(false);
             }
             let (sp, sl, pi, k2, v2) = (Sp(at.p), Sp(at.l), at.pi, k.clone(), v.clone());
@@ -310,12 +346,12 @@ impl<N: TreeNode> Tree<N> {
     /// unlinks the leaf and its separator from the parent under the
     /// `g → p` locks: the parent is replaced by a copy without them, or,
     /// left with one child, by that child (a binary parent always is).
-    pub(crate) fn remove(&self, k: &N::K) -> bool {
+    pub fn remove(&self, k: N::K) -> bool {
         let removed = crate::retry(|| {
-            let at = self.search(k);
+            let at = self.search(&k);
             // SAFETY: pinned by `retry`.
             let (p, l) = unsafe { (&*at.p, &*at.l) };
-            if l.slot(k).is_none() {
+            if l.slot(&k).is_none() {
                 return ControlFlow::Break(false);
             }
             let (sg, sp, sl, gi, pi) = (Sp(at.g), Sp(at.p), Sp(at.l), at.gi, at.pi);
@@ -372,7 +408,7 @@ impl<N: TreeNode> Tree<N> {
     /// Ordered range scan (see [`flock_api::OrderedMap`] for the
     /// consistency contract): a separator-pruned walk that reads each
     /// covered leaf under [`Tree::bracket`].
-    pub(crate) fn range(&self, lo: Bound<&N::K>, hi: Bound<&N::K>) -> Vec<(N::K, N::V)> {
+    pub fn range(&self, lo: Bound<&N::K>, hi: Bound<&N::K>) -> Vec<(N::K, N::V)> {
         let _g = flock_epoch::pin();
         let mut out = Vec::new();
         // SAFETY: pinned; the anchor lives as long as the tree.
@@ -482,7 +518,7 @@ impl<N: TreeNode> Tree<N> {
     }
 
     /// Element count (O(n) walk; tests/diagnostics).
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         let _g = flock_epoch::pin();
         let mut n = 0;
         // SAFETY: pinned.
@@ -490,8 +526,13 @@ impl<N: TreeNode> Tree<N> {
         n
     }
 
+    /// Is the tree empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Ordered snapshot — single-threaded use.
-    pub(crate) fn collect(&self) -> Vec<(N::K, N::V)> {
+    pub fn collect(&self) -> Vec<(N::K, N::V)> {
         let _g = flock_epoch::pin();
         let mut out = Vec::new();
         // SAFETY: pinned.
@@ -499,21 +540,15 @@ impl<N: TreeNode> Tree<N> {
         out
     }
 
-    /// Quiescent invariant check of the shared shape: no obsolete node is
-    /// reachable, and every node's keys are sorted and inside the bounds its
-    /// ancestors route to it. `node(parent, child)` checks a tree's own
-    /// invariants on each linked pair.
-    pub(crate) fn check_invariants(&self, mut node: impl FnMut(&N, &N)) {
+    /// Quiescent invariant check: no obsolete node is reachable, every
+    /// node's keys are sorted and inside the bounds its ancestors route to
+    /// it, and [`TreeNode::check_link`] holds on each linked pair.
+    pub fn check_invariants(&self) {
         // SAFETY: quiescent per contract; the anchor is internal.
-        unsafe { Self::check(self.anchor, None, None, &mut node) }
+        unsafe { Self::check(self.anchor, None, None) }
     }
 
-    unsafe fn check(
-        n: *mut N,
-        lo: Option<&N::K>,
-        hi: Option<&N::K>,
-        node: &mut impl FnMut(&N, &N),
-    ) {
+    unsafe fn check(n: *mut N, lo: Option<&N::K>, hi: Option<&N::K>) {
         // SAFETY: quiescent per caller.
         let p = unsafe { &*n };
         let seps = p.seps();
@@ -525,7 +560,7 @@ impl<N: TreeNode> Tree<N> {
             // SAFETY: as above.
             let c = unsafe { &*p.child(i).load() };
             assert!(!c.lock().is_obsolete(), "unlinked node reachable");
-            node(p, c);
+            N::check_link(p, c);
             let keys: Vec<&N::K> = if c.is_leaf() {
                 c.entries().map(|(k, _)| k).collect()
             } else {
@@ -538,7 +573,7 @@ impl<N: TreeNode> Tree<N> {
             }
             if !c.is_leaf() {
                 // SAFETY: as above.
-                unsafe { Self::check(p.child(i).load(), lo, hi, node) };
+                unsafe { Self::check(p.child(i).load(), lo, hi) };
             }
         }
     }
@@ -568,6 +603,39 @@ impl<N: TreeNode> Drop for Tree<N> {
 unsafe impl<N: TreeNode> Send for Tree<N> {}
 unsafe impl<N: TreeNode> Sync for Tree<N> {}
 
+impl<N: TreeNode> flock_api::Map<N::K, N::V> for Tree<N> {
+    fn insert(&self, key: N::K, value: N::V) -> bool {
+        Tree::insert(self, key, value)
+    }
+    fn remove(&self, key: N::K) -> bool {
+        Tree::remove(self, key)
+    }
+    fn get(&self, key: N::K) -> Option<N::V> {
+        Tree::get(self, key)
+    }
+    fn contains(&self, key: N::K) -> bool {
+        Tree::contains(self, &key)
+    }
+    fn name(&self) -> &'static str {
+        if self.strict { N::STRICT_NAME } else { N::NAME }
+    }
+    fn update(&self, key: N::K, value: N::V) -> bool {
+        Tree::update(self, key, value)
+    }
+    fn has_atomic_update(&self) -> bool {
+        true
+    }
+    fn len_approx(&self) -> Option<usize> {
+        Some(self.count.get())
+    }
+}
+
+impl<N: TreeNode> flock_api::OrderedMap<N::K, N::V> for Tree<N> {
+    fn range(&self, lo: Bound<&N::K>, hi: Bound<&N::K>) -> Vec<(N::K, N::V)> {
+        Tree::range(self, lo, hi)
+    }
+}
+
 #[cfg(test)]
 impl<N: TreeNode> Tree<N> {
     /// The address of the parent of the leaf holding `k`.
@@ -590,38 +658,85 @@ impl<N: TreeNode> Tree<N> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::{Tree, TreeNode};
-    use flock_api::Map;
+    /// The unit tests every tree runs, stamped into a tree module's `tests`
+    /// over its public alias: `$new` are the constructors `basic_ops` and
+    /// `native_update_in_place` cover, `$update_keys` the keys the update
+    /// test stores (past one leaf, so updates reach interior leaves), and
+    /// the oracle runs over `$oracle_keys` keys from seed `$seed`.
+    macro_rules! tree_tests {
+        ($tree:ident, [$($new:ident),+], $update_keys:expr, $oracle_keys:expr, $seed:expr) => {
+            use super::$tree;
+            use flock_conformance as testutil;
 
-    /// A tree map under test, with its shared core.
-    pub(crate) trait TreeMap: Map<u64, u64> {
-        type Node: TreeNode<K = u64, V = u64>;
-        fn tree(&self) -> &Tree<Self::Node>;
-        fn check_invariants(&self);
-    }
+            #[test]
+            fn basic_ops() {
+                testutil::both_modes(|| {
+                    for t in [$($tree::<u64, u64>::$new()),+] {
+                        assert!(t.is_empty());
+                        assert!(t.insert(5, 50));
+                        assert!(!t.insert(5, 51));
+                        assert!(t.insert(3, 30));
+                        assert!(t.insert(8, 80));
+                        assert_eq!(t.collect(), vec![(3, 30), (5, 50), (8, 80)]);
+                        assert!(t.insert(1, 10));
+                        assert_eq!(t.collect(), vec![(1, 10), (3, 30), (5, 50), (8, 80)]);
+                        assert!(t.remove(3));
+                        assert!(!t.remove(3));
+                        assert_eq!(t.get(3), None);
+                        assert!(t.remove(5));
+                        assert!(!t.remove(5));
+                        assert_eq!(t.get(5), None);
+                        assert_eq!(t.get(8), Some(80));
+                        t.check_invariants();
+                    }
+                });
+            }
 
-    /// Native update stores in place: absent keys are refused, values
-    /// change, the count does not.
-    pub(crate) fn native_update_in_place<T: TreeMap>(t: T, n: u64) {
-        assert!(!t.update(1, 10), "update of an absent key refused");
-        for k in 0..n {
-            assert!(t.insert(k, k));
-        }
-        for k in 0..n {
-            assert!(t.update(k, k + 1000));
-        }
-        for k in 0..n {
-            assert_eq!(t.get(k), Some(k + 1000));
-        }
-        assert_eq!(
-            t.tree().len(),
-            n as usize,
-            "update must not change the count"
-        );
-        assert!(t.remove(n / 2));
-        assert!(!t.update(n / 2, 1));
-        t.check_invariants();
+            /// Native update stores in place: absent keys are refused,
+            /// values change, the count does not.
+            #[test]
+            fn native_update_in_place() {
+                testutil::both_modes(|| {
+                    for t in [$($tree::<u64, u64>::$new()),+] {
+                        let n: u64 = $update_keys;
+                        assert!(!t.update(1, 10), "update of an absent key refused");
+                        for k in 0..n {
+                            assert!(t.insert(k, k));
+                        }
+                        for k in 0..n {
+                            assert!(t.update(k, k + 1000));
+                        }
+                        for k in 0..n {
+                            assert_eq!(t.get(k), Some(k + 1000));
+                        }
+                        assert_eq!(t.len(), n as usize, "update must not change the count");
+                        assert!(t.remove(n / 2));
+                        assert!(!t.update(n / 2, 1));
+                        t.check_invariants();
+                    }
+                });
+            }
+
+            #[test]
+            fn oracle() {
+                testutil::both_modes(|| {
+                    let t: $tree<u64, u64> = $tree::new();
+                    testutil::oracle_check(&t, 4_000, $oracle_keys, $seed);
+                    t.check_invariants();
+                });
+            }
+
+            #[test]
+            fn concurrent_partitioned() {
+                testutil::both_modes(|| {
+                    let t: $tree<u64, u64> = $tree::new();
+                    testutil::partition_stress(&t, 4, 1_500);
+                    t.check_invariants();
+                });
+            }
+        };
     }
+    pub(crate) use tree_tests;
 
     #[test]
     fn node_sizes() {

@@ -255,19 +255,6 @@ mod shim {
                             .map_err($from),
                     }
                 }
-
-                /// Atomic compare-exchange (spurious failure allowed by the
-                /// API; the shim never fails spuriously).
-                #[inline]
-                pub fn compare_exchange_weak(
-                    &self,
-                    current: $raw,
-                    new: $raw,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$raw, $raw> {
-                    self.compare_exchange(current, new, success, failure)
-                }
             }
 
             impl std::fmt::Debug for $name {

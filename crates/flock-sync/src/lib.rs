@@ -19,9 +19,11 @@
 //! * [`tid`] — small dense per-thread integer ids (reused on thread exit) and
 //!   the active-thread registry ([`tid::scan_bound`]) that keeps per-thread
 //!   array scans proportional to the number of live threads.
-//! * [`thread_ctx`] — the single `thread_local!` consolidating every
-//!   hot-path per-thread variable (id, epoch pin state, thunk-log cursor),
-//!   fetched once per operation.
+//! * [`thread_ctx`] — one `thread_local!` holding the hot-path per-thread
+//!   variables (id, epoch pin state, thunk-log cursor, allocator
+//!   magazines), fetched once for an operation's work; the descriptor pool
+//!   keeps a `thread_local!` of its own, and the epoch guard's drop fetches
+//!   the context again.
 //! * [`backoff`] — truncated exponential backoff with deterministic jitter
 //!   for contended retry loops.
 //! * [`chaos`] — named fault-injection points at the protocol seams: no-op
@@ -52,7 +54,7 @@ pub mod ttas;
 pub use announce::TagAnnouncements;
 pub use approx_len::ApproxLen;
 pub use backoff::Backoff;
-pub use pack::{Inline, PackedValue, TAG_LIMIT, VAL_MASK, ValueRepr, pack, unpack_tag, unpack_val};
+pub use pack::{PackedValue, TAG_LIMIT, VAL_MASK, ValueRepr, pack, unpack_tag, unpack_val};
 pub use padded::CachePadded;
 pub use tagged::{TaggedAtomicU64, ccas_enabled, set_ccas_enabled};
 pub use thread_ctx::ThreadCtx;

@@ -124,39 +124,6 @@ pub fn next_tag(tag: u16) -> u16 {
     if next >= tag_limit() { 0 } else { next }
 }
 
-/// An opaque snapshot of a packed word's full **incarnation** — tag and
-/// payload together — used by optimistic read validation.
-///
-/// Two observations of one location compare equal iff the location held the
-/// byte-identical packed word both times. Because every successful update
-/// of a tagged cell bumps the tag ([`next_tag`] on install *and* on any
-/// release CAM), equality across a read window proves no update committed
-/// in between — up to an exact [`TAG_LIMIT`]-update wraparound of that one
-/// word during the window, the residual every tag-based scheme carries
-/// (quantified where the optimistic layer documents its contract).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PackedVersion(u64);
-
-impl PackedVersion {
-    /// Wrap a full packed word observed from a tagged cell.
-    #[inline(always)]
-    pub fn from_word(word: u64) -> Self {
-        PackedVersion(word)
-    }
-
-    /// The observed packed word.
-    #[inline(always)]
-    pub fn word(self) -> u64 {
-        self.0
-    }
-
-    /// The ABA tag of the observed word.
-    #[inline(always)]
-    pub fn tag(self) -> u16 {
-        unpack_tag(self.0)
-    }
-}
-
 /// Types that can be stored in the 48-bit payload of a `Mutable`.
 ///
 /// # Safety
@@ -285,9 +252,11 @@ unsafe impl<T> PackedValue for *const T {
 /// Two strategies exist:
 ///
 /// * **Inline** — the value's bits *are* the payload. Implemented here for
-///   every [`PackedValue`] primitive (and via the [`Inline`] adapter for
-///   custom `PackedValue` types). `encode`/`decode` are bit casts and the
-///   reclamation hooks are no-ops, so the compiled slot operations are
+///   every [`PackedValue`] primitive and raw pointer; a custom
+///   `PackedValue` type gets it by an impl of its own that forwards to
+///   `to_bits`/`from_bits` (a blanket impl would collide with downstream
+///   indirect reprs under coherence). `encode`/`decode` are bit casts and
+///   the reclamation hooks are no-ops, so the compiled slot operations are
 ///   identical to the historical 48-bit-only path.
 /// * **Indirect** — the payload is a pointer to an epoch-managed heap copy
 ///   of the value (`flock_epoch::Indirect<T>`). `encode` allocates,
@@ -410,30 +379,6 @@ unsafe impl<T> ValueRepr for *const T {
     unsafe fn dealloc_bits(_bits: u64) {}
 }
 
-/// Adapter giving any custom [`PackedValue`] type the inline [`ValueRepr`]
-/// strategy (the primitive types get direct impls above; a blanket impl
-/// would collide with downstream indirect reprs under coherence).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
-#[repr(transparent)]
-pub struct Inline<T: PackedValue>(pub T);
-
-// SAFETY: forwards the `PackedValue` contract, like the macro impls.
-unsafe impl<T: PackedValue> ValueRepr for Inline<T> {
-    const INDIRECT: bool = false;
-    #[inline(always)]
-    fn encode(v: Self) -> u64 {
-        v.0.to_bits()
-    }
-    #[inline(always)]
-    unsafe fn decode(bits: u64) -> Self {
-        Inline(T::from_bits(bits))
-    }
-    #[inline(always)]
-    unsafe fn retire_bits(_bits: u64) {}
-    #[inline(always)]
-    unsafe fn dealloc_bits(_bits: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,10 +453,6 @@ mod tests {
         }
         const { assert!(!<u64 as ValueRepr>::INDIRECT) };
         assert_eq!(<bool as ValueRepr>::encode(true), 1);
-        let w = Inline(7u32);
-        let bits = <Inline<u32> as ValueRepr>::encode(w);
-        // SAFETY: bits come from encode above.
-        assert_eq!(unsafe { <Inline<u32> as ValueRepr>::decode(bits) }, w);
         // The inline reclamation hooks are no-ops on arbitrary bits.
         // SAFETY: no-ops per the inline impls.
         unsafe {

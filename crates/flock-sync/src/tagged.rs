@@ -49,14 +49,6 @@ impl TaggedAtomicU64 {
         }
     }
 
-    /// Create a cell from a full packed word.
-    #[inline]
-    pub fn from_packed(word: u64) -> Self {
-        Self {
-            word: AtomicU64::new(word),
-        }
-    }
-
     /// Load the full packed word.
     #[inline(always)]
     pub fn load_packed(&self, order: Ordering) -> u64 {
@@ -73,16 +65,6 @@ impl TaggedAtomicU64 {
     #[inline(always)]
     pub fn load_tag(&self, order: Ordering) -> u16 {
         unpack_tag(self.word.load(order))
-    }
-
-    /// Unconditionally store a packed word.
-    ///
-    /// Only safe to use for locations where stores cannot race (e.g. under a
-    /// held lock, or single-threaded initialization); Flock's `Mutable` uses
-    /// CAS-based paths for everything else.
-    #[inline(always)]
-    pub fn store_packed(&self, word: u64, order: Ordering) {
-        self.word.store(word, order);
     }
 
     /// Compare-and-compare-and-swap on packed words.

@@ -5,9 +5,14 @@
 //! thread id (`flock-sync`), the epoch pin depth and collect counter
 //! (`flock-epoch`), and the running-thunk log cursor (`flock-core`) — each
 //! access paying its own lazy-init check and TLS addressing. [`ThreadCtx`]
-//! packs them into a single cache-line-sized struct behind a single
-//! `thread_local!`; an operation fetches it **once** with [`with`] and
+//! packs them into one struct behind one `thread_local!` (160 B on x86-64,
+//! more than a cache line); an operation fetches it with [`with`] and
 //! threads the reference through its internals.
+//!
+//! That fetch is not an operation's only TLS access. A top-level lock-free
+//! `try_lock` also takes the descriptor pool's own `thread_local!` twice
+//! (`flock-core`'s `descriptor.rs`, a pop and a push), and the epoch
+//! guard's `Drop` fetches the context again.
 //!
 //! Layering: this crate cannot name the upper layers' types, so the fields
 //! are layer-agnostic primitives. The epoch layer owns `pin_depth` and
@@ -200,9 +205,10 @@ thread_local! {
     static CTX: ThreadCtx = const { ThreadCtx::new() };
 }
 
-/// Run `f` with the calling thread's context — the **single** TLS access of
-/// a Flock operation. Nesting is allowed (and happens: thunk-internal
-/// `Mutable` operations re-enter while `try_lock` holds the outer access).
+/// Run `f` with the calling thread's context: one fetch serves an
+/// operation's work (the module docs list the other TLS accesses). Nesting
+/// is allowed (and happens: thunk-internal `Mutable` operations re-enter
+/// while `try_lock` holds the outer access).
 #[inline]
 pub fn with<R>(f: impl FnOnce(&ThreadCtx) -> R) -> R {
     CTX.with(|tc| f(tc))
