@@ -1,8 +1,8 @@
 //! `figures` — run the paper's evaluation, writing `results/<panel>.csv`.
 //!
 //! ```sh
-//! figures                   # every figure and the ablations
-//! figures fig5              # one figure: fig4, fig5, fig6, fig7 or ablate
+//! figures                   # every figure
+//! figures fig5              # one figure: fig4, fig5, fig6, fig7
 //! figures fig5 --panel a    # one panel of it
 //! figures --paper           # the paper's parameters instead of the quick scale
 //! ```
@@ -16,7 +16,7 @@ use flock_bench::{PANELS, Scale, execute, plan};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("figures: {problem}");
-    eprintln!("usage: figures [fig4|fig5|fig6|fig7|ablate] [--panel <id>] [--paper|--quick]");
+    eprintln!("usage: figures [fig4|fig5|fig6|fig7] [--panel <id>] [--paper|--quick]");
     ExitCode::from(2)
 }
 

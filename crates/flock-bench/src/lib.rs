@@ -1,13 +1,12 @@
 //! # flock-bench — the figure harness
 //!
-//! Reproduces the paper's evaluation: Figures 4–7 and the §6 design-choice
-//! ablations, each setting lock-free mode beside blocking mode and beside
-//! the existing lock-free/lock-based structures of `flock-baselines`. The
-//! whole evaluation is one table, [`PANELS`]; [`plan`] expands it for a
-//! [`Scale`] into the points to measure and [`execute`] runs them through
-//! [`run_point`], writing one CSV per panel. The `figures` binary is the
-//! command line over those three; the only other binary is the `chaos`
-//! fault-injection runner (behind the `chaos` feature).
+//! Reproduces the paper's evaluation, Figures 4–7, each setting lock-free
+//! mode beside blocking mode and beside the existing lock-free/lock-based
+//! structures of `flock-baselines`. The whole evaluation is one table,
+//! [`PANELS`]; [`plan`] expands it for a [`Scale`] into the points to
+//! measure and [`execute`] runs them through [`run_point`], writing one CSV
+//! per panel. The `figures` binary, the crate's only one, is the command
+//! line over those three.
 //!
 //! This crate does not measure the repo's own performance over time — that
 //! is `benchmark/` (see `BENCHMARK.json`).
@@ -42,12 +41,7 @@ pub struct Series {
     pub structure: &'static str,
     /// Lock mode for Flock structures; `None` for baselines.
     pub mode: Option<LockMode>,
-    /// The optimization the series runs without (ablations only).
-    pub off: Option<Ablation>,
 }
-
-/// A label suffix and the protocol switch a series runs with turned off.
-pub type Ablation = (&'static str, fn(bool));
 
 impl Series {
     /// Flock structure in lock-free mode (`-lf` suffix in reports).
@@ -55,7 +49,6 @@ impl Series {
         Self {
             structure,
             mode: Some(LockMode::LockFree),
-            off: None,
         }
     }
 
@@ -64,7 +57,6 @@ impl Series {
         Self {
             structure,
             mode: Some(LockMode::Blocking),
-            off: None,
         }
     }
 
@@ -73,27 +65,17 @@ impl Series {
         Self {
             structure,
             mode: None,
-            off: None,
         }
     }
 
-    /// The same series with one protocol switch turned off.
-    pub const fn without(self, suffix: &'static str, switch: fn(bool)) -> Self {
-        Self {
-            off: Some((suffix, switch)),
-            ..self
-        }
-    }
-
-    /// Display label, e.g. `leaftree-lf`, `leaftree-lf[no-ccas]`.
+    /// Display label, e.g. `leaftree-lf`, `ellen`.
     pub fn label(&self) -> String {
         let mode = match self.mode {
             Some(LockMode::LockFree) => "-lf",
             Some(LockMode::Blocking) => "-bl",
             None => "",
         };
-        let off = self.off.map_or("", |(suffix, _)| suffix);
-        format!("{}{mode}{off}", self.structure)
+        format!("{}{mode}", self.structure)
     }
 }
 
@@ -177,23 +159,16 @@ impl Scale {
     }
 }
 
-/// Run one series at one configuration; handles the global lock-mode and
-/// ablation switches (only while quiescent — the map is created fresh per
-/// run).
+/// Run one series at one configuration; handles the global lock mode (only
+/// while quiescent — the map is created fresh per run).
 pub fn run_point(series: Series, cfg: &Config) -> Measurement {
     flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
-    if let Some((_, switch)) = series.off {
-        switch(false);
-    }
     let map = make_map(series.structure, cfg.key_range);
     let mut m = flock_workload::run_experiment(&*map, cfg);
     drop(map);
     flock_epoch::flush_all();
-    if let Some((_, switch)) = series.off {
-        switch(true);
-    }
     flock_core::set_lock_mode(LockMode::LockFree);
-    // The series label, so lf/bl/ablated rows are distinguishable in reports.
+    // The series label, so lf/bl rows are distinguishable in reports.
     m.name = series.label();
     m
 }
@@ -215,7 +190,7 @@ pub enum Axis {
 /// One panel of one figure: one CSV file.
 #[derive(Debug, Clone, Copy)]
 pub struct Panel {
-    /// What `figures <figure>` selects: `fig4`…`fig7`, `ablate`.
+    /// What `figures <figure>` selects: `fig4`…`fig7`.
     pub figure: &'static str,
     /// What `--panel <id>` selects; empty for single-panel figures.
     pub id: &'static str,
@@ -278,33 +253,18 @@ const LISTS: &[Series] = &[
     Series::bl("dlist"),
     Series::lf("dlist"),
 ];
-/// §6 ablations: all optimizations on, then without
-/// compare-and-compare-and-swap (the read before the CAS, which the paper
-/// reports is worth "sometimes a factor of two or more" under high
-/// contention), without descriptor reuse-if-unhelped (every descriptor is
-/// retired through the epoch collector), and without helping (a busy
-/// try-lock just fails, forfeiting lock-freedom).
-const ABLATIONS: &[Series] = &[
-    Series::lf("leaftree"),
-    Series::lf("leaftree").without("[no-ccas]", flock_sync::set_ccas_enabled),
-    Series::lf("leaftree").without("[no-reuse]", flock_core::set_descriptor_reuse),
-    Series::lf("leaftree").without("[no-helping]", flock_core::set_helping),
-];
-
 /// The paper's evaluation. Expected shapes: Figure 4, try-lock ≥ strict
 /// lock everywhere, the gap growing with α, in both modes; Figures 5–7,
 /// lock-free mode tracks the CAS-based baselines and the blocking lines
-/// collapse once oversubscribed; ablations at the paper's
-/// highest-contention point (α = 0.99).
+/// collapse once oversubscribed.
 #[rustfmt::skip]
-pub const PANELS: [Panel; 14] = {
+pub const PANELS: [Panel; 13] = {
     const FULL: fn(&Scale) -> usize = |s| s.full_threads;
     const OVERSUB: fn(&Scale) -> usize = |s| s.oversub_threads;
     const LARGE: fn(&Scale) -> u64 = |s| s.large_range;
     const SMALL: fn(&Scale) -> u64 = |_| 100_000;
     const LIST: fn(&Scale) -> u64 = |_| 100;
     const THREADS: Axis = Axis::Threads(|s| s.thread_sweep.clone());
-    const FULL_OVERSUB: Axis = Axis::Threads(|s| vec![s.full_threads, s.oversub_threads]);
     const SIZES: Axis = Axis::KeyRange(|s| s.size_sweep.clone());
     const LIST_SIZES: Axis = Axis::KeyRange(|_| vec![100, 1_000, 10_000]);
     use Axis::{Alpha, UpdatePercent};
@@ -328,7 +288,6 @@ pub const PANELS: [Panel; 14] = {
         Panel { figure: "fig6", id: "b", file: "fig6b_sets_zipf_oversub",  series: SETS,  seed: 6, sweep: Alpha, threads: OVERSUB, ..P },
         Panel { figure: "fig7", id: "a", file: "fig7a_list_size_sweep",    series: LISTS, seed: 7, sweep: LIST_SIZES, update_percent: 5, ..P },
         Panel { figure: "fig7", id: "b", file: "fig7b_list_thread_sweep",  series: LISTS, seed: 7, sweep: THREADS, keys: LIST, update_percent: 5, ..P },
-        Panel { figure: "ablate", id: "", file: "ablations",               series: ABLATIONS, seed: 8, sweep: FULL_OVERSUB, keys: SMALL, alpha: 0.99, ..P },
     ]
 };
 
@@ -496,15 +455,13 @@ mod tests {
             repeats: 1,
             ..Config::default()
         };
-        // `run_point` flips the process-global lock mode (and, for the
-        // ablated series, a protocol switch), so nothing else may run maps
-        // meanwhile.
+        // `run_point` flips the process-global lock mode, so nothing else
+        // may run maps meanwhile.
         exclusive(|| {
             for s in [
                 Series::lf("leaftree"),
                 Series::bl("leaftree"),
                 Series::base("natarajan"),
-                ABLATIONS[3],
             ] {
                 let m = run_point(s, &cfg);
                 assert!(m.mops_mean > 0.0, "{}", m.name);
@@ -585,8 +542,6 @@ fig6b_sets_zipf_oversub | threads 4 | keys 1000000 | update 50 | alpha 0 0.75 0.
 series harris_list harris_list_opt lazylist-bl lazylist-lf dlist-bl dlist-lf
 fig7a_list_size_sweep | threads 2 | keys 100 1000 10000 | update 5 | alpha 0.75
 fig7b_list_thread_sweep | threads 1 2 4 8 | keys 100 | update 5 | alpha 0.75
-series leaftree-lf leaftree-lf[no-ccas] leaftree-lf[no-reuse] leaftree-lf[no-helping]
-ablations | threads 2 4 | keys 100000 | update 50 | alpha 0.99
 "
         );
         // Figure 5h is the one panel whose sweep points change with --paper.

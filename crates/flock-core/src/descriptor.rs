@@ -395,7 +395,7 @@ impl Descriptor {
         self.birth_epoch.load(Ordering::Relaxed)
     }
 
-    #[allow(dead_code)] // diagnostic accessor, used by tests
+    #[cfg(test)]
     pub(crate) fn is_nested(&self) -> bool {
         self.nested
     }
@@ -405,21 +405,6 @@ impl Descriptor {
 /// helped, which is the common case, then it can be reused immediately
 /// instead of being retired").
 const POOL_CAP: usize = 32;
-
-/// Global switch for the reuse-if-unhelped optimization (ablation hook):
-/// when disabled, every published descriptor, top-level or nested, is
-/// retired through the epoch collector. Not meant to be toggled while
-/// operations run.
-static REUSE_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enable/disable descriptor reuse (ablation hook).
-pub fn set_descriptor_reuse(enabled: bool) {
-    REUSE_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-fn reuse_enabled() -> bool {
-    REUSE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Once a descriptor has been published (installed on a lock word), a stale
 /// helper that read the old lock word may still write its `helped` flag at
@@ -637,7 +622,7 @@ pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
     // mark `helped` later; that is why published descriptors never leave
     // the pool through a plain free (see `Pool`).
     // SAFETY: `d` is valid; owner-only call.
-    let unhelped = reuse_enabled() && !unsafe { (*d).was_helped() };
+    let unhelped = !unsafe { (*d).was_helped() };
     let mut deferred: *mut Descriptor = tc.deferred.replace(std::ptr::null_mut()).cast();
     if !deferred.is_null() {
         // One verdict for the whole list: every descriptor between the top
@@ -657,7 +642,7 @@ pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
         // reset descriptor.
         #[cfg(feature = "model")]
         if crate::mutants::recycle_helped_nested() {
-            all_unhelped = reuse_enabled();
+            all_unhelped = true;
         }
         while !deferred.is_null() {
             // SAFETY: as above; the link is read before the disposal.

@@ -64,11 +64,10 @@ mod mutable;
 #[cfg(feature = "model")]
 pub mod mutants;
 
-pub use config::{lock_mode, set_helping, set_lock_mode};
+pub use config::{lock_mode, set_lock_mode};
 pub use ctx::in_thunk;
 #[cfg(feature = "model")]
 pub use descriptor::model_drain_descriptor_pool;
-pub use descriptor::set_descriptor_reuse;
 pub use idemp::{alloc, retire};
 #[cfg(feature = "model")]
 pub use lock::model_probe;

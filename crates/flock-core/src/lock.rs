@@ -118,8 +118,7 @@
 //!   takes keys on committed reads. A timing-dependent skip of `help` there
 //!   would leave one replayer's log positions behind another's, so nested
 //!   acquisitions, a set's further words inside its thunk, and `help` never
-//!   wait. Nor does anything when helping is off: the wait is helping's
-//!   first step.
+//!   wait.
 //! * **Why poll the word.** The poll reads the one line every contender
 //!   reads anyway. A probe of the holder's progress — its log position,
 //!   say — would pull the holder's log line away from it on every commit
@@ -197,7 +196,7 @@ use std::sync::atomic::Ordering;
 use flock_sync::pack::{PackedValue, next_tag, pack, unpack_tag, unpack_val};
 use flock_sync::{Backoff, ThreadCtx, thread_ctx};
 
-use crate::config::{helping_enabled, lock_mode};
+use crate::config::lock_mode;
 use crate::ctx;
 use crate::descriptor::{self, Descriptor};
 use crate::idemp;
@@ -254,15 +253,6 @@ pub fn read_validated<R>(
         std::hint::spin_loop();
     }
     fallback()
-}
-
-impl From<LockMode> for u8 {
-    fn from(m: LockMode) -> u8 {
-        match m {
-            LockMode::LockFree => 0,
-            LockMode::Blocking => 1,
-        }
-    }
 }
 
 /// Aborts the process if dropped during an unwind. Armed (and disarmed with
@@ -874,11 +864,11 @@ impl Lock {
     /// running holder"): poll the word while it reads `seen`, one pause per
     /// poll, out of `budget`. `true` as soon as the word moves on; `false`
     /// once the budget is spent on an unchanged word, and at once when the
-    /// budget is empty or helping is off. On `false` the caller helps as it
-    /// would have without the wait.
+    /// budget is empty. On `false` the caller helps as it would have
+    /// without the wait.
     #[inline]
     fn holder_moved(&self, tc: &ThreadCtx, seen: u64, budget: &mut u32) -> bool {
-        if *budget == 0 || !helping_enabled() {
+        if *budget == 0 {
             return false;
         }
         debug_assert!(
@@ -1155,9 +1145,6 @@ impl Lock {
     fn help(&self, tc: &ThreadCtx, cur_packed: u64, guard: &flock_epoch::EpochGuard) {
         let cur = LockWord::from_bits(unpack_val(cur_packed));
         debug_assert!(cur.is_locked());
-        if !helping_enabled() {
-            return; // ablation mode: no helping, busy locks just fail
-        }
         let d = cur.descriptor();
         if d.is_null() {
             // A locked word with no descriptor is a blocking-mode hold;
@@ -1709,27 +1696,8 @@ mod tests {
     // None of these is `cfg_attr(miri, ignore)`: the deferred list is an
     // intrusive raw-pointer list, and miri should walk it.
 
-    use crate::descriptor::{TALLY, pooled, set_descriptor_reuse};
+    use crate::descriptor::{TALLY, pooled};
     use crate::{Locked, Mutable};
-
-    /// Lock-free mode and the reuse switch for one test; the switch goes
-    /// back on when the test ends, however it ends.
-    struct ReuseTest(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-    impl ReuseTest {
-        fn begin(reuse: bool) -> Self {
-            let guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            set_lock_mode(LockMode::LockFree);
-            set_descriptor_reuse(reuse);
-            ReuseTest(guard)
-        }
-    }
-
-    impl Drop for ReuseTest {
-        fn drop(&mut self) {
-            set_descriptor_reuse(true);
-        }
-    }
 
     /// No owner run in progress on the calling thread, nothing deferred.
     fn assert_no_owner_run() {
@@ -1762,7 +1730,8 @@ mod tests {
     /// through the pool, out of it for exactly the length of a transfer.
     #[test]
     fn uncontended_try_with2_retires_nothing_and_reuses_one_slab() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         let (a, b) = transfer_cells();
         let (fresh0, retired0) = TALLY.get();
         transfer(&a, &b);
@@ -1781,25 +1750,6 @@ mod tests {
         }
         assert_eq!(TALLY.get(), (fresh1, retired0), "allocated or retired");
         assert_eq!(b.load(), 1_001);
-        assert_no_owner_run();
-    }
-
-    /// One switch, one meaning: with reuse off the same loop retires every
-    /// descriptor it publishes — one per transfer.
-    #[test]
-    fn try_with2_without_reuse_retires_one_object_per_descriptor() {
-        let _t = ReuseTest::begin(false);
-        let (a, b) = transfer_cells();
-        let (_, retired0) = TALLY.get();
-        let collector0 = flock_epoch::collector_stats().retired;
-        const N: usize = 1_000;
-        for _ in 0..N {
-            transfer(&a, &b);
-        }
-        assert_eq!(TALLY.get().1 - retired0, N);
-        // The tally counts real hand-offs: the collector's process-wide
-        // counter (which sibling tests only ever raise) moved at least as far.
-        assert!(flock_epoch::collector_stats().retired - collector0 >= N);
         assert_no_owner_run();
     }
 
@@ -1852,7 +1802,8 @@ mod tests {
     /// holds all three words, out of the pool for exactly one set.
     #[test]
     fn uncontended_three_lock_set_retires_nothing_and_reuses_one_slab() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         let (a, b, c, n) = three_locks();
         let set = |body: fn(&Mutable<u64>) -> Vec<usize>| {
             let n = Arc::clone(&n);
@@ -1988,7 +1939,8 @@ mod tests {
     /// between the read of the inner word and the install from it.
     #[test]
     fn failed_nested_install_is_deferred_then_recycled() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         let outer = Lock::new();
         let inner = Arc::new(Lock::new());
         let retired0 = TALLY.get().1;
@@ -2030,7 +1982,8 @@ mod tests {
     /// locks come back released, the list drained, the descriptors reusable.
     #[test]
     fn panicking_nested_thunk_drains_the_deferred_list() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         let outer = Lock::new();
         let inner = Arc::new(Lock::new());
         let i2 = Arc::clone(&inner);
@@ -2051,7 +2004,8 @@ mod tests {
     /// No depth cap: three levels recycle three descriptors.
     #[test]
     fn depth_three_recycles_all_three() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         let (a, b, c) = (Lock::new(), Arc::new(Lock::new()), Arc::new(Lock::new()));
         let three_deep = || {
             let (b, c) = (Arc::clone(&b), Arc::clone(&c));
@@ -2243,7 +2197,9 @@ mod tests {
     /// before the contender's first poll, which then waits for it. Returns
     /// what `contend` returned, the contender's holder waits, and how often
     /// a thread other than its owner ran the holder's thunk (a help). The
-    /// thunk's store lands exactly once whoever ran it.
+    /// thunk's store lands exactly once whoever ran it, and the holder's
+    /// descriptor goes back to the pool when released mid-wait, to the
+    /// collector when helped.
     fn against_parked<R: Send + 'static>(
         lock: &Arc<Lock>,
         contend: impl FnOnce() -> R + Send + 'static,
@@ -2294,7 +2250,14 @@ mod tests {
             // Less the owner's own run, if it has run.
             let helped_runs = runs.load(Ordering::Relaxed) - usize::from(release_mid_wait);
             if !release_mid_wait {
+                let retired0 = TALLY.get().1;
                 finish();
+                assert_eq!(
+                    TALLY.get().1,
+                    retired0 + 1,
+                    "the helped descriptor not retired"
+                );
+                assert!(!pooled().contains(&(d as usize)), "but pooled");
             }
             assert_eq!(n.load(), 1, "the holder's store did not land exactly once");
             (got, waits, helped_runs)
@@ -2307,7 +2270,8 @@ mod tests {
     /// what keeps the wait lock-free.
     #[test]
     fn parked_holder_is_helped_after_the_whole_wait() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         for strict in [false, true] {
             let lock = Arc::new(Lock::new());
             let l2 = Arc::clone(&lock);
@@ -2340,7 +2304,8 @@ mod tests {
     /// pool instead of the collector.
     #[test]
     fn holder_released_during_the_wait_is_not_helped() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         for strict in [false, true] {
             let lock = Arc::new(Lock::new());
             let l2 = Arc::clone(&lock);
@@ -2374,7 +2339,8 @@ mod tests {
     /// finds that word still held, helps without a further poll.
     #[test]
     fn acquisitions_inside_a_thunk_never_wait() {
-        let _t = ReuseTest::begin(true);
+        let _guard = TEST_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_lock_mode(LockMode::LockFree);
         for case in ["nested try_lock", "nested set", "top-level set"] {
             let (outer, first, busy) = (
                 Arc::new(Lock::new()),
@@ -2402,26 +2368,5 @@ mod tests {
             assert_eq!(waits, expect, "{case}");
             assert_eq!(helped, 1, "{case}: the parked holder was not helped");
         }
-    }
-
-    /// With helping off a busy `try_lock` fails at once, as before the
-    /// wait: no poll, no help.
-    #[test]
-    fn busy_try_lock_without_helping_does_not_wait() {
-        struct HelpingBackOn;
-        impl Drop for HelpingBackOn {
-            fn drop(&mut self) {
-                crate::config::set_helping(true);
-            }
-        }
-        let _t = ReuseTest::begin(true);
-        crate::config::set_helping(false);
-        let _on = HelpingBackOn;
-        let lock = Arc::new(Lock::new());
-        let l2 = Arc::clone(&lock);
-        let (got, waits, helped) = against_parked(&lock, move || l2.try_lock(|| ()), false);
-        assert_eq!(got, None);
-        assert_eq!(waits, HolderWaits::default());
-        assert_eq!(helped, 0);
     }
 }

@@ -77,8 +77,7 @@ impl LogBlock {
     }
 
     /// Read the entry at `idx` (`EMPTY` if not yet committed).
-    #[allow(dead_code)]
-    #[inline]
+    #[cfg(test)]
     pub fn read_at(&self, idx: usize) -> u64 {
         // Ordering: Acquire — committed pointers may be dereferenced (see
         // commit_at).

@@ -56,7 +56,7 @@ pub use approx_len::ApproxLen;
 pub use backoff::Backoff;
 pub use pack::{PackedValue, TAG_LIMIT, VAL_MASK, ValueRepr, pack, unpack_tag, unpack_val};
 pub use padded::CachePadded;
-pub use tagged::{TaggedAtomicU64, ccas_enabled, set_ccas_enabled};
+pub use tagged::TaggedAtomicU64;
 pub use thread_ctx::ThreadCtx;
 pub use tid::ThreadId;
 pub use ttas::TtasLock;

@@ -1,28 +1,7 @@
 //! Atomic cell over tag-packed 64-bit words.
 
-// The CCAS_ENABLED ablation knob stays a plain std atomic: it is test/bench
-// configuration ("not meant to be toggled while operations run"), not
-// protocol state, so the model checker does not turn its reads into
-// scheduling points. The data-carrying cell below uses the shim.
-use std::sync::atomic::AtomicBool;
-
 use crate::atomic::{AtomicU64, Ordering};
 use crate::pack::{pack, unpack_tag, unpack_val};
-
-/// Global switch for the compare-and-compare-and-swap optimization (§6
-/// "Avoiding CASes"). On by default; the ablation benchmark turns it off to
-/// measure its effect. Not meant to be toggled while operations run.
-static CCAS_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable/disable the CAS pre-read (ablation hook).
-pub fn set_ccas_enabled(enabled: bool) {
-    CCAS_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Is the CAS pre-read currently enabled?
-pub fn ccas_enabled() -> bool {
-    CCAS_ENABLED.load(Ordering::Relaxed)
-}
 
 /// An atomic 64-bit word holding a (16-bit tag, 48-bit payload) pair.
 ///
@@ -86,7 +65,7 @@ impl TaggedAtomicU64 {
         // that is the announcement table's job) and the CAS must fail
         // anyway. The SeqCst compare_exchange below is the linearization
         // point when the pre-read matches.
-        if ccas_enabled() && self.word.load(Ordering::Relaxed) != expected {
+        if self.word.load(Ordering::Relaxed) != expected {
             return false;
         }
         self.word
