@@ -365,6 +365,122 @@ mod tests {
         });
     }
 
+    /// Arms `stall` for the victim at its first crossing of
+    /// `LockInstalled`, so that its second crossing parks: a lock set's
+    /// owner crosses the seam once per word it installs on. Records
+    /// whether the victim entered a run (`InThunk`).
+    struct ParkAtSecondInstall {
+        stall: Arc<StallPolicy>,
+        victim: Mutex<Option<ThreadId>>,
+        installs: AtomicUsize,
+        entered_run: AtomicBool,
+    }
+
+    impl ChaosPolicy for ParkAtSecondInstall {
+        fn at(&self, seam: Seam) {
+            if *lock(&self.victim) == Some(std::thread::current().id()) {
+                match seam {
+                    Seam::LockInstalled if self.installs.fetch_add(1, Ordering::AcqRel) == 0 => {
+                        self.stall.arm_current();
+                        return;
+                    }
+                    Seam::InThunk => self.entered_run.store(true, Ordering::Release),
+                    _ => {}
+                }
+            }
+            self.stall.at(seam);
+        }
+    }
+
+    /// A `try_with2` owner parked at `LockInstalled` after its install on
+    /// the second word and before its run holds both words. A contender on
+    /// the second account (`try_with`, then the waiting `with`) finishes
+    /// the transfer by helping — the thunk finds the second word already
+    /// showing its descriptor — while the owner stays parked. Released, the
+    /// owner returns, its stores having landed once, and both words end
+    /// free.
+    #[test]
+    fn set_owner_stalled_after_its_further_install_is_helped() {
+        use flock_core::Locked;
+        exclusive(|| {
+            for contender_waits in [false, true] {
+                let case = format!("contender waits: {contender_waits}");
+                let stall = StallPolicy::bounded(Seam::LockInstalled, Duration::from_secs(10));
+                let policy = Arc::new(ParkAtSecondInstall {
+                    stall: Arc::clone(&stall),
+                    victim: Mutex::new(None),
+                    installs: AtomicUsize::new(0),
+                    entered_run: AtomicBool::new(false),
+                });
+                set_chaos_policy(policy.clone());
+                let a = Arc::new(Locked::new(Mutable::new(100u64)));
+                let b = Arc::new(Locked::new(Mutable::new(0u64)));
+                let (first, second) = if Arc::as_ptr(&a) < Arc::as_ptr(&b) {
+                    (&a, &b)
+                } else {
+                    (&b, &a)
+                };
+                // The transfer's result, plus the contender's update of the
+                // second account once it waited for it.
+                let bonus = if contender_waits { 10 } else { 0 };
+                let want = if Arc::ptr_eq(second, &b) {
+                    (99, 1 + bonus)
+                } else {
+                    (99 + bonus, 1)
+                };
+                std::thread::scope(|s| {
+                    let owner = s.spawn(|| {
+                        *lock(&policy.victim) = Some(std::thread::current().id());
+                        Locked::try_with2(&a, &b, |from, to| {
+                            from.store(from.load() - 1);
+                            to.store(to.load() + 1);
+                        })
+                    });
+                    assert!(
+                        stall.wait_parked(1, Duration::from_secs(10)),
+                        "{case}: owner never parked at its second install"
+                    );
+                    assert!(
+                        first.is_locked() && second.is_locked(),
+                        "{case}: the parked owner does not hold both words"
+                    );
+                    assert!(
+                        !policy.entered_run.load(Ordering::Acquire),
+                        "{case}: the owner parked inside its run, not before it"
+                    );
+                    let add = |v: &Mutable<u64>| {
+                        v.store(v.load() + 10);
+                        true
+                    };
+                    let got = if contender_waits {
+                        Some(second.with(add))
+                    } else {
+                        second.try_with(add)
+                    };
+                    assert_eq!(got.is_some(), contender_waits, "{case}");
+                    assert_eq!(stall.parked_count(), 1, "{case}: owner left the seam");
+                    assert_eq!(
+                        (a.load(), b.load()),
+                        want,
+                        "{case}: the parked owner's transfer was not helped to completion"
+                    );
+                    stall.release_all();
+                    assert_eq!(owner.join().unwrap(), Some(()), "{case}");
+                });
+                assert_eq!(
+                    (a.load(), b.load()),
+                    want,
+                    "{case}: a store did not land exactly once"
+                );
+                assert!(
+                    !first.is_locked() && !second.is_locked(),
+                    "{case}: a word left held"
+                );
+                clear_chaos_policy();
+            }
+        });
+    }
+
     /// Owner panics mid-thunk while helpers race it: every helper operation
     /// still completes exactly once, the lock is never left held, and the
     /// owner observes a panic each round. This is the panic-contract

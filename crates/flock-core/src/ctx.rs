@@ -59,6 +59,17 @@ pub(crate) fn commit_raw_in(tc: &ThreadCtx, val: u64) -> (u64, bool) {
     (committed, first)
 }
 
+/// Where the running thunk's next log commit lands: its log block and the
+/// position within it, as one word (a block is 8-byte aligned and the
+/// position is at most [`LOG_BLOCK_ENTRIES`], so the two never overlap).
+/// Equal cursors at two points of one run mean nothing was committed in
+/// between.
+#[inline(always)]
+pub(crate) fn log_cursor(tc: &ThreadCtx) -> usize {
+    const _: () = assert!(LOG_BLOCK_ENTRIES < std::mem::align_of::<LogBlock>());
+    tc.log_block.get() as usize | tc.log_pos.get()
+}
+
 /// Run descriptor `d`'s thunk under its log (paper Algorithm 2, `run`).
 ///
 /// Saves the caller's context, installs `d`'s log at position 0, runs the
@@ -92,6 +103,7 @@ pub(crate) unsafe fn run_in(tc: &ThreadCtx, d: *const Descriptor, out: *mut u8) 
             self.tc.log_pos.set(self.pos);
             self.tc.descriptor.set(self.descr);
             self.tc.marked.set(self.marked);
+            self.tc.load_cell.set(0);
         }
     }
 
@@ -108,6 +120,9 @@ pub(crate) unsafe fn run_in(tc: &ThreadCtx, d: *const Descriptor, out: *mut u8) 
         .set(dref.first_block() as *const LogBlock as *const ());
     tc.log_pos.set(0);
     tc.descriptor.set(d as *const ());
+    // A load recorded by the enclosing run, or by an earlier run of this
+    // slab, is no load of this run's (`Mutable::store`).
+    tc.load_cell.set(0);
     // Chaos seam: the thunk context is installed and the body is about to
     // execute — a stall here parks this runner mid-critical-section, a
     // panic here unwinds out of "the thunk" (the Restore guard above plus

@@ -49,7 +49,9 @@
 //! * **Lock-set** descriptors (`Lock::try_lock_set`, and `Locked::try_with2`
 //!   on top of it) are top-level or nested like any other, but are
 //!   published on up to three lock words: the owner's install puts one on
-//!   the first, its own thunk puts it on each further word in order.
+//!   the first, and a top-level owner's installs then put it on each
+//!   further word it finds free, in order; its thunk puts it on any
+//!   further word left.
 //!   Nothing else about them differs — no second descriptor, no second
 //!   log. Their owner releases the further words in reverse order and then
 //!   the first, all after `set_done`, and reads `helped` only after every
@@ -300,43 +302,23 @@ impl Descriptor {
     /// The done-check of the announce-then-revalidate protocol
     /// (`Mutable::store`'s ABA defense).
     ///
-    /// Ordering: on TSO this load is `SeqCst` — it is the announcer's side
-    /// of a Dekker pair whose barrier is the `SeqCst` announcement swap
-    /// (see `flock_sync::announce`, "Memory ordering"), and a `SeqCst`
-    /// load is a plain `mov` there. On weakly-ordered targets Acquire
-    /// suffices: the `SeqCst` fence inside `announce` is the barrier.
+    /// Ordering: Acquire. It is the announcer's side of a Dekker pair
+    /// whose barrier is the `SeqCst` fence inside the announcement (see
+    /// `flock_sync::announce`, "Memory ordering").
     pub(crate) fn is_done_announced(&self) -> bool {
-        // `model` builds always take the weak-target arm (the variant x86
-        // CI cannot falsify natively), matching `flock_sync::announce`.
-        const ORDER: Ordering = if cfg!(all(target_arch = "x86_64", not(feature = "model"))) {
-            Ordering::SeqCst
-        } else {
-            Ordering::Acquire
-        };
-        self.done.load(ORDER)
+        self.done.load(Ordering::Acquire)
     }
 
     pub(crate) fn set_done(&self) {
         // Update-once location: a plain store is idempotent (paper §6,
         // "Constants and Update-once Locations").
         //
-        // Ordering: on TSO, SeqCst — the flag participates in the
-        // SC-total-order argument of the announcement protocol (a scanner
-        // that misses an announcement must have its lock acquisition, and
-        // therefore this earlier flag write, SC-ordered before the
-        // announcer's done-read; see `flock_sync::announce`). On
-        // weakly-ordered targets Release suffices: there the announcer is
-        // anchored by announce's SeqCst fence, and the flag reaches the
-        // scanner through the release unlock CAM it already follows. Both
-        // choices keep the thunk's effects ordered before the flag. (The
-        // seed used SeqCst store + a separate announce fence — one more
-        // full barrier per in-thunk store than this split pays.)
-        const ORDER: Ordering = if cfg!(all(target_arch = "x86_64", not(feature = "model"))) {
-            Ordering::SeqCst
-        } else {
-            Ordering::Release
-        };
-        self.done.store(true, ORDER);
+        // Ordering: Release. The announcer is anchored by the `SeqCst`
+        // fence inside its announcement, and the flag reaches a scanner
+        // through the unlock CAM that follows it and the scanner's lock
+        // acquisition (`flock_sync::announce`, "Memory ordering"). Release
+        // also keeps the thunk's effects ordered before the flag.
+        self.done.store(true, Ordering::Release);
     }
 
     /// Did any run of this incarnation's thunk panic instead of completing?

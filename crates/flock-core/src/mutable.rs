@@ -30,7 +30,9 @@
 //!
 //! * `load` — read the packed word, commit it to the thunk log, return the
 //!   payload of whatever got committed first.
-//! * `store(v)` — `load` to agree on the old packed word; pick the next
+//! * `store(v)` — `load` to agree on the old packed word, unless the
+//!   thunk's last logged load was of this cell and nothing was committed
+//!   since: then take that load's committed word (below); pick the next
 //!   tag: `+1`, which every helper derives alike from that old word, or on
 //!   entering a tag window the start of the first window with no
 //!   announcement for this location (`flock_sync::announce`), a choice that
@@ -38,6 +40,14 @@
 //!   announce the expected tag; check the running descriptor is not already
 //!   done; single CAS; clear the announcement. ABA-freedom of tagged words
 //!   means only the first CAS succeeds.
+//!
+//!   The reuse keeps `x.store(x.load() + 1)` at one log entry. The thread
+//!   context records the last logged load (cell, log cursor, committed
+//!   word); every run entry and exit and every in-thunk tagged CAS clears
+//!   it. A second committed load would only agree with the first: the cell
+//!   is lock-protected, so nothing but this thunk's own stores moves it,
+//!   and a store clears the record. The test keys on the cursor, which
+//!   every runner of the thunk reaches alike, so all runners reuse alike.
 //! * `cam(old, new)` — like `store` but aborts (idempotently, after the log
 //!   commit) when the committed old value differs from `old`. CAM returns
 //!   nothing: returning the CAS outcome would externalize a value that can
@@ -59,7 +69,7 @@ use flock_sync::pack::{PackedValue, ValueRepr, next_tag, pack, unpack_tag, unpac
 use flock_sync::tagged::TaggedAtomicU64;
 use flock_sync::{ThreadCtx, thread_ctx};
 
-use crate::ctx::commit_raw_in;
+use crate::ctx::{commit_raw_in, log_cursor};
 use crate::descriptor::Descriptor;
 
 /// Marker committed to the log by the run that wins the retire of a
@@ -183,12 +193,30 @@ impl<V: ValueRepr> Mutable<V> {
         // the decode. Free for inline reprs (compiled out); cheap and
         // reentrant for the already-pinned structure/thunk paths.
         let _g = V::INDIRECT.then(|| flock_epoch::pin_with(tc));
+        let w = self.load_packed_committed_in(tc);
+        if tc.in_thunk() {
+            tc.load_cell.set(self.addr());
+            tc.load_at.set(log_cursor(tc));
+            tc.load_word.set(w);
+        }
         // SAFETY: the committed word's payload is a live encoding — it was
         // installed by `encode` and any displacing store retires it through
         // the epoch collector, which cannot free it while this read is
         // pinned (guard above, plus the owner pin / adopted epoch on
         // in-thunk paths).
-        unsafe { V::decode(unpack_val(self.load_packed_committed_in(tc))) }
+        unsafe { V::decode(unpack_val(w)) }
+    }
+
+    /// The committed old word a store or CAM of this cell goes on from:
+    /// the word of the running thunk's last logged load, if that load was
+    /// of this cell and nothing was committed since (module docs, the
+    /// `store` step), and a fresh committed load otherwise.
+    #[inline(always)]
+    fn load_for_update_in(&self, tc: &ThreadCtx) -> u64 {
+        if tc.load_cell.get() == self.addr() && tc.load_at.get() == log_cursor(tc) {
+            return tc.load_word.get();
+        }
+        self.load_packed_committed_in(tc)
     }
 
     /// Idempotent load returning the full packed word (tag + payload), for
@@ -221,13 +249,17 @@ impl<V: ValueRepr> Mutable<V> {
     ///
     /// Stores and CAMs to the same location must not race (they should be
     /// protected by the location's lock), per the paper's model; concurrent
-    /// loads are fine. For indirect reprs the displaced encoding is retired
-    /// through the epoch collector (exactly once per logical store, even
-    /// under helping) so concurrent readers keep a stable snapshot.
+    /// loads are fine. A racing store is outside that contract, and inside
+    /// a thunk it may be lost outright: a store right after a load of
+    /// the same cell CASes from that load's word (module docs), so a word
+    /// moved on in between makes its CAS fail. For indirect reprs the
+    /// displaced encoding is retired through the epoch collector (exactly
+    /// once per logical store, even under helping) so concurrent readers
+    /// keep a stable snapshot.
     #[inline]
     pub fn store(&self, new: V) {
         thread_ctx::with(|tc| {
-            let old = self.load_packed_committed_in(tc);
+            let old = self.load_for_update_in(tc);
             self.tagged_cas_after_load_in(tc, old, new);
         })
     }
@@ -245,7 +277,7 @@ impl<V: ValueRepr> Mutable<V> {
         // Same unpinned-caller protection as `load_in`: the comparison
         // decodes the committed encoding.
         let _g = V::INDIRECT.then(|| flock_epoch::pin_with(tc));
-        let committed_old = self.load_packed_committed_in(tc);
+        let committed_old = self.load_for_update_in(tc);
         // Inline: value equality *is* bit equality (encode is injective on
         // round-trips), keeping the historical comparison. Indirect: decode
         // and compare by value — distinct allocations of equal values must
@@ -285,7 +317,8 @@ impl<V: ValueRepr> Mutable<V> {
     ///
     /// `committed_old` must be a word this caller's
     /// [`load_packed_in`](Mutable::load_packed_in) returned for this cell in
-    /// the current thunk context, so every runner of the thunk passes the
+    /// the current thunk context (or a load's word reused by
+    /// `load_for_update_in`), so every runner of the thunk passes the
     /// identical word. The lock paths call this directly to CAS from a read
     /// they already committed, where a `cam` would load and commit again.
     ///
@@ -329,6 +362,8 @@ impl<V: ValueRepr> Mutable<V> {
             }
             return;
         }
+        // Inside a thunk (the only place a load is recorded).
+        forget_load(tc);
 
         // Idempotent encode: every run allocates (indirect) or bit-casts
         // (inline) its own encoding; the first commit wins and losers free
@@ -378,7 +413,7 @@ impl<V: ValueRepr> Mutable<V> {
         // is live: owner-held or epoch-protected by the helping protocol.
         // The done read is the revalidation half of announce-then-
         // revalidate; `announce` just issued the announcer-side barrier it
-        // pairs with (SeqCst swap on TSO, SeqCst fence elsewhere).
+        // pairs with (its SeqCst fence).
         let done = unsafe { (*d).is_done_announced() };
         if !done {
             self.cell.ccas(committed_old, new_word);
@@ -402,6 +437,21 @@ impl<V: ValueRepr> Mutable<V> {
             }
         }
     }
+}
+
+/// Clear the thread's record of its last logged load: an in-thunk tagged
+/// CAS moves a cell on, so no later store may reuse a word loaded before it
+/// (`Mutable::load_for_update_in`). A top-level CAS needs no clear: loads
+/// are recorded only inside a thunk, and every run's exit clears.
+#[inline(always)]
+fn forget_load(tc: &ThreadCtx) {
+    // Sanity-mutant hook: the record survives the CAS, and a store of the
+    // same cell at the same cursor CASes from the word this one displaced.
+    #[cfg(feature = "model")]
+    if crate::mutants::reuse_load_across_store() {
+        return;
+    }
+    tc.load_cell.set(0);
 }
 
 impl<V: ValueRepr + std::fmt::Debug> std::fmt::Debug for Mutable<V> {
@@ -787,6 +837,147 @@ mod tests {
             assert_eq!(commits, Some(expected), "store {n}");
             assert_eq!(unpack_tag(m.raw_packed()) as u32, n);
         }
+    }
+
+    /// Entries `body` commits to the log of a top-level lock-free thunk
+    /// that does nothing else.
+    #[cfg(not(feature = "model"))] // bodies stay mid-window at the production width
+    fn commits_in_thunk(body: impl Fn() + Send + Sync + 'static) -> usize {
+        let _guard = crate::lock::TEST_MODE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::set_lock_mode(crate::LockMode::LockFree);
+        let extensions = crate::log::EXTENSIONS_ALLOCATED.get();
+        let commits = crate::Lock::new().try_lock(move || {
+            let before = thread_ctx::with(|tc| tc.log_pos.get());
+            body();
+            thread_ctx::with(|tc| tc.log_pos.get()) - before
+        });
+        assert_eq!(crate::log::EXTENSIONS_ALLOCATED.get(), extensions);
+        commits.expect("a fresh lock is free")
+    }
+
+    /// A store or CAM right after a load of the same cell reuses that
+    /// load's entry: `x.store(x.load() + 1)` commits one entry, not two.
+    #[test]
+    #[cfg(not(feature = "model"))]
+    fn store_after_load_of_the_cell_reuses_its_entry() {
+        use std::sync::Arc;
+        let x = Arc::new(Mutable::new(5u64));
+        let x2 = Arc::clone(&x);
+        assert_eq!(commits_in_thunk(move || x2.store(x2.load() + 1)), 1);
+        assert_eq!(x.load(), 6);
+        let x2 = Arc::clone(&x);
+        assert_eq!(commits_in_thunk(move || x2.cam(x2.load(), 9)), 1);
+        assert_eq!(x.load(), 9);
+    }
+
+    /// Anything committed between the load and the store — a load of
+    /// another cell, a nested acquisition — and the store loads and
+    /// commits its cell again.
+    #[test]
+    #[cfg(not(feature = "model"))]
+    fn store_after_another_commit_loads_again() {
+        use std::sync::Arc;
+        let (x, y) = (Arc::new(Mutable::new(1u64)), Arc::new(Mutable::new(2u64)));
+        let (x2, y2) = (Arc::clone(&x), Arc::clone(&y));
+        let commits = commits_in_thunk(move || {
+            let v = x2.load();
+            let w = y2.load();
+            x2.store(v + w);
+        });
+        assert_eq!(commits, 3, "load x; load y; store x");
+        assert_eq!(x.load(), 3);
+        let inner = Arc::new(crate::Lock::new());
+        let x2 = Arc::clone(&x);
+        let commits = commits_in_thunk(move || {
+            let v = x2.load();
+            assert_eq!(inner.try_lock(|| ()), Some(()));
+            x2.store(v + 1);
+        });
+        // The nested acquisition's four: lock-word read, descriptor,
+        // post-install read, retire marker.
+        assert_eq!(commits, 1 + 4 + 1, "load x; nested try_lock; store x");
+        assert_eq!(x.load(), 4);
+    }
+
+    /// A store clears the record of the load before it: a second store of
+    /// the same cell loads and commits again, after a load or not, and
+    /// lands.
+    #[test]
+    #[cfg(not(feature = "model"))]
+    fn second_store_of_a_cell_commits_its_own_load() {
+        use std::sync::Arc;
+        let x = Arc::new(Mutable::new(0u64));
+        let x2 = Arc::clone(&x);
+        let commits = commits_in_thunk(move || {
+            x2.store(1);
+            x2.store(2);
+        });
+        assert_eq!(commits, 2, "store x; store x");
+        assert_eq!(x.load(), 2);
+        let x2 = Arc::clone(&x);
+        let commits = commits_in_thunk(move || {
+            let v = x2.load();
+            x2.store(v + 1);
+            x2.store(v + 2);
+        });
+        assert_eq!(commits, 2, "load x; store x; store x");
+        assert_eq!(x.load(), 4);
+    }
+
+    /// A helped replay of `x.store(x.load() + 1)`: the owner parks between
+    /// its load and its store, a contender helps the whole thunk (its run
+    /// reuses the load the owner committed), and the owner's own store,
+    /// reusing its own record, then finds the descriptor done. The
+    /// increment applies exactly once.
+    #[test]
+    fn helped_store_after_load_applies_once() {
+        use std::sync::Arc;
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+
+        let _guard = crate::lock::TEST_MODE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::set_lock_mode(crate::LockMode::LockFree);
+        let lock = Arc::new(crate::Lock::new());
+        let x = Arc::new(Mutable::new(10u64));
+        let (parked, go) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let owner = {
+            let (lock, x, parked, go) = (lock.clone(), x.clone(), parked.clone(), go.clone());
+            std::thread::spawn(move || {
+                let me = std::thread::current().id();
+                lock.try_lock(move || {
+                    let v = x.load();
+                    // Only the owner parks; the branch commits nothing, so
+                    // every runner stays on the same log positions.
+                    if std::thread::current().id() == me {
+                        parked.store(true, SeqCst);
+                        while !go.load(SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    x.store(v + 1);
+                    v
+                })
+            })
+        };
+        while !parked.load(SeqCst) {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            lock.try_lock(|| ()),
+            None,
+            "the parked owner holds the lock"
+        );
+        assert_eq!(x.load(), 11, "the contender's help did not apply the store");
+        assert!(!lock.is_locked(), "the helper released the lock");
+        go.store(true, SeqCst);
+        assert_eq!(owner.join().unwrap(), Some(10));
+        assert_eq!(x.load(), 11, "the store applied twice");
     }
 
     /// The announcement table end to end: while another thread holds

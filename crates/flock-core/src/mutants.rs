@@ -97,3 +97,22 @@ pub static WAIT_SKIPS_HELP_IN_THUNK: AtomicBool = AtomicBool::new(false);
 pub(crate) fn wait_skips_help_in_thunk() -> bool {
     WAIT_SKIPS_HELP_IN_THUNK.load(Ordering::Relaxed)
 }
+
+/// A tagged CAS keeps the thread's record of its last logged load: a store
+/// that follows a store of the same cell, with nothing committed in
+/// between, CASes from the word the first store displaced, fails, and is
+/// lost.
+pub static REUSE_LOAD_ACROSS_STORE: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn reuse_load_across_store() -> bool {
+    REUSE_LOAD_ACROSS_STORE.load(Ordering::Relaxed)
+}
+
+/// A lock set's thunk runs its body on a further word that reads locked by
+/// any descriptor, not only its own: the body runs while another critical
+/// section holds that lock.
+pub static SET_TAKES_ANY_LOCKED_WORD: AtomicBool = AtomicBool::new(false);
+
+pub(crate) fn set_takes_any_locked_word() -> bool {
+    SET_TAKES_ANY_LOCKED_WORD.load(Ordering::Relaxed)
+}

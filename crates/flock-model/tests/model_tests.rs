@@ -54,9 +54,8 @@ impl Drop for Knob {
 // ---------------------------------------------------------------- announce
 
 /// The announce/Dekker pair, component level, against the real
-/// `TagAnnouncements` (fence-anchored weak-target variant — the one x86 CI
-/// cannot falsify) with the descriptor's weak-side done orderings mirrored
-/// on a flag cell.
+/// `TagAnnouncements` (its one, fence-anchored variant) with the
+/// descriptor's done orderings mirrored on a flag cell.
 ///
 /// Protocol: the helper announces `(L, tag)` and then reads `done`
 /// (Acquire, as `is_done_announced`); it may CAS only if `done` was false.
@@ -84,15 +83,15 @@ fn dekker_body() {
         let me = tid::current();
         // The helper is mid-`Mutable::store`: announce, then revalidate.
         t2.announce(me, L, TAG);
-        // `is_done_announced`, weak-target variant: Acquire load anchored
-        // by the fence inside `announce`.
+        // `is_done_announced`: Acquire load anchored by the fence inside
+        // `announce`.
         let done_seen = d2.load(Ordering::Acquire) == 1;
         !done_seen // true = helper would issue its CAS
     });
 
     // Owner: finish the thunk, set done, unlock; then (as the next lock
     // holder) pick the next tag for the location.
-    done.store(1, Ordering::Release); // set_done (weak variant)
+    done.store(1, Ordering::Release); // set_done
     lock_word.swap(0, Ordering::SeqCst); // unlock CAM (SeqCst RMW)
     lock_word.swap(1, Ordering::SeqCst); // next holder's acquire (SeqCst RMW)
     let reissued = table.next_free_tag(L, TAG) == TAG;
@@ -157,7 +156,7 @@ fn window_entry_body() {
         !done_seen // true = helper would issue its CAS
     });
 
-    done.store(1, Ordering::Release); // set_done (weak variant)
+    done.store(1, Ordering::Release); // set_done
     lock_word.swap(0, Ordering::SeqCst); // unlock CAM (SeqCst RMW)
     lock_word.swap(1, Ordering::SeqCst); // a later holder's acquire (SeqCst RMW)
     let mut reissued = false;
@@ -1180,6 +1179,226 @@ fn three_lock_mutant_helped_before_third_release_is_caught() {
     assert!(
         f.message.contains("exactly once")
             || f.message.contains("descriptor thunk called before set"),
+        "unexpected failure mode: {}",
+        f.message
+    );
+}
+
+// ------------------------------------------- a lock set's further words
+
+/// A two-lock set whose owner takes the second word before the run
+/// (`flock_core`'s `lock` module docs, "One descriptor on a lock set"): the
+/// owner's top-level install on the second word can come after a helper
+/// has run the whole thunk through the first word — the helper's
+/// committed read of the second word showed it free and its in-thunk
+/// install took it — and, once the helper has also finished the done
+/// descriptor through the second word and released it, after that word is
+/// free again: a late install on a done descriptor, which only the owner's
+/// release step frees. The owner is the spawned thread; the main thread
+/// only helps (observe, then the real help path), through the first word
+/// and then through the second.
+///
+/// **Invariants:** (a) the transfer runs, and each store applies exactly
+/// once; (b) both words are free once it returned; (c) no runner runs a
+/// reset descriptor.
+fn set_late_install_body() {
+    watch_reset_runs();
+    RESET_RUN.store(false, core::sync::atomic::Ordering::SeqCst);
+    let a = Arc::new(Locked::new(Mutable::new(0u64)));
+    let b = Arc::new(Locked::new(Mutable::new(0u64)));
+    let (first, second) = if Arc::as_ptr(&a) < Arc::as_ptr(&b) {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
+    let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+    let owner = flock_model::spawn(move || {
+        let got = Locked::try_with2(&a2, &b2, |x, y| {
+            x.store(x.load() + 1);
+            y.store(y.load() + 1);
+        });
+        let free = !a2.is_locked() && !b2.is_locked();
+        (got, free)
+    });
+    for cell in [first, second] {
+        let seen = flock_core::model_probe::observe(cell.lock_ref());
+        flock_core::model_probe::help_observed(cell.lock_ref(), seen);
+    }
+    let (got, free) = owner.join();
+    assert_eq!(got, Some(()), "a transfer failed on locks nobody acquires");
+    assert!(free, "a word left held after the transfer returned");
+    assert_eq!(
+        (a.load(), b.load()),
+        (1, 1),
+        "transfer not applied exactly once"
+    );
+    assert!(!a.is_locked() && !b.is_locked(), "a lock leaked a hold");
+    assert!(
+        !RESET_RUN.load(core::sync::atomic::Ordering::SeqCst),
+        "a helper ran a reset descriptor: descriptor thunk called before set"
+    );
+}
+
+/// Scope: owner (1 transfer) + 1 helper (through the first word, then the
+/// second), SC, ≤3 preemptions, exhaustive (about 4 000 schedules). One
+/// preemption is all the late install takes: it parks the owner between
+/// its two installs, and the helper then finishes the transfer and
+/// releases both words.
+#[test]
+fn set_owner_preempted_between_installs() {
+    let _g = serial();
+    let report = explore(
+        Config {
+            max_preemptions: 3,
+            max_schedules: 1_000_000,
+            ..Config::sc()
+        },
+        set_late_install_body,
+    );
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 1_000, "space suspiciously small");
+}
+
+/// A two-lock transfer against a contender that acquires one of its words
+/// for an update of its own (`Locked::try_with`). Through the first word
+/// the contender helps a held transfer, and its run's committed read of
+/// the second word races the owner's install there; through the second it
+/// races that install with its own, and the transfer's thunk must help a
+/// word it finds held by the contender, never run its body there.
+///
+/// **Invariants:** (a) each store applies exactly once: each cell counts
+/// the transfer, if it ran, plus the contender's update of it, if that
+/// ran; (b) both words are free at the end; (c) no runner runs a reset
+/// descriptor.
+fn set_further_word_race_body(contend_first: bool) {
+    watch_reset_runs();
+    RESET_RUN.store(false, core::sync::atomic::Ordering::SeqCst);
+    let a = Arc::new(Locked::new(Mutable::new(0u64)));
+    let b = Arc::new(Locked::new(Mutable::new(0u64)));
+    let (first, second) = if Arc::as_ptr(&a) < Arc::as_ptr(&b) {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
+    let on = Arc::clone(if contend_first { first } else { second });
+    let contender = flock_model::spawn(move || on.try_with(|x| x.store(x.load() + 10)).is_some());
+    let transferred = Locked::try_with2(&a, &b, |x, y| {
+        x.store(x.load() + 1);
+        y.store(y.load() + 1);
+    })
+    .is_some();
+    let updated = contender.join();
+    let (mut want_first, mut want_second) = (u64::from(transferred), u64::from(transferred));
+    if updated {
+        *if contend_first {
+            &mut want_first
+        } else {
+            &mut want_second
+        } += 10;
+    }
+    assert_eq!(
+        (first.load(), second.load()),
+        (want_first, want_second),
+        "a store not applied exactly once"
+    );
+    assert!(
+        !first.is_locked() && !second.is_locked(),
+        "a lock leaked a hold"
+    );
+    assert!(
+        !RESET_RUN.load(core::sync::atomic::Ordering::SeqCst),
+        "a runner ran a reset descriptor: descriptor thunk called before set"
+    );
+}
+
+/// Scope: owner (1 transfer) + 1 contender (1 update, on the first word
+/// in one exploration and on the second in the other), SC, ≤2
+/// preemptions, exhaustive.
+#[test]
+fn set_further_word_read_races_owner_install() {
+    let _g = serial();
+    for contend_first in [true, false] {
+        let report = explore(
+            Config {
+                max_schedules: 1_000_000,
+                ..Config::sc()
+            },
+            move || set_further_word_race_body(contend_first),
+        );
+        report.assert_exhaustive_ok();
+        assert!(report.schedules_run > 100, "space suspiciously small");
+    }
+}
+
+/// Sanity mutant: the set's thunk runs its body on a second word that
+/// reads locked by anyone. When the contender holds that word, the
+/// transfer's store races the contender's and one is lost.
+#[test]
+fn set_mutant_takes_any_locked_word_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::SET_TAKES_ANY_LOCKED_WORD);
+    let report = explore(Config::sc(), || set_further_word_race_body(false));
+    let f = report.assert_finds_bug();
+    assert!(
+        f.message.contains("exactly once"),
+        "unexpected failure mode: {}",
+        f.message
+    );
+}
+
+// ------------------------------------------------ a store reusing its load
+
+/// A store that reuses its load's log entry (`Mutable`'s module docs, the
+/// `store` step), under helping. The owner's critical section loads a
+/// cell once and stores it twice; a helper replays it through the lock
+/// word. The first store reuses the load's entry, the second follows a
+/// store of the same cell and must load and commit again.
+///
+/// **Invariants:** (a) the cell ends at the second store's value, which
+/// is lost if the second store CASes from the word the first one
+/// displaced; (b) the lock ends free.
+fn store_reuse_body() {
+    let lock = Arc::new(Lock::new());
+    let x = Arc::new(Mutable::new(0u64));
+    let l2 = Arc::clone(&lock);
+    let helper = flock_model::spawn(move || {
+        let seen = flock_core::model_probe::observe(&l2);
+        flock_core::model_probe::help_observed(&l2, seen);
+    });
+    let x2 = Arc::clone(&x);
+    let got = lock.try_lock(move || {
+        let v = x2.load();
+        x2.store(v + 1);
+        x2.store(v + 2);
+    });
+    helper.join();
+    assert_eq!(got, Some(()), "a try_lock failed on a lock nobody acquires");
+    assert_eq!(x.load(), 2, "a store was lost or applied twice");
+    assert!(!lock.is_locked(), "lock leaked a hold");
+}
+
+/// Scope: owner (1 section) + 1 helper through the lock word, SC, ≤2
+/// preemptions, exhaustive.
+#[test]
+fn store_reuse_exactly_once_under_helping() {
+    let _g = serial();
+    let report = explore(Config::sc(), store_reuse_body);
+    report.assert_exhaustive_ok();
+    assert!(report.schedules_run > 100, "space suspiciously small");
+}
+
+/// Sanity mutant: a tagged CAS keeps the record of the load before it, so
+/// the second store reuses the word the first one displaced and its CAS
+/// fails.
+#[test]
+fn store_reuse_mutant_across_store_is_caught() {
+    let _g = serial();
+    let _k = Knob::set(&flock_core::mutants::REUSE_LOAD_ACROSS_STORE);
+    let f = explore(Config::sc(), store_reuse_body)
+        .assert_finds_bug()
+        .clone();
+    assert!(
+        f.message.contains("a store was lost"),
         "unexpected failure mode: {}",
         f.message
     );

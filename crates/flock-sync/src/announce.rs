@@ -69,40 +69,30 @@
 //!
 //! The protocol needs a store–load (Dekker) barrier on both sides: the
 //! announcer between its announcement store and its done-check load, and
-//! the scanner between its lock acquisition and its slot loads. How that
-//! barrier is cheapest is target-dependent, so there are two audited
-//! variants:
+//! the scanner between its lock acquisition and its slot loads. Both are
+//! `SeqCst` fences — the announcer's right after its announcement, and one
+//! at the start of each entry scan — and the slot accesses are `Release`
+//! stores and `Relaxed` loads. The descriptor's done flag is written with
+//! `Release` and read with `Acquire`. With `F_a` the announcer's fence and
+//! `F_s` the scanner's, the `SeqCst` total order leaves exactly two cases:
 //!
-//! * **TSO targets (`x86_64`)** put the whole Dekker pair in the `SeqCst`
-//!   total order: the announcement write is a `SeqCst` swap (one `xchg` —
-//!   the seed paid an `xchg` *and* an `mfence` here), the done flag is
-//!   written and checked `SeqCst` (plain `mov`s on TSO reads), and the
-//!   per-slot scan loads are `SeqCst` (also plain `mov`s). Soundness in S:
-//!   `set_done <_S unlock CAM <_S entering scanner's lock CAS <_S scan
-//!   load`; if the scan load misses the announcement swap it precedes it in
-//!   S, so the announcer's `SeqCst` done-read (which follows its swap in S)
-//!   must observe `set_done` — the announcer skips its CAS. If the scan load
-//!   follows the swap in S it sees the announcement — the window is not
-//!   entered.
-//! * **Weakly-ordered targets** anchor on two `SeqCst` fences — the
-//!   announcer's (already required for its done-check) and one at the start
-//!   of each entry scan — and make the slot accesses `Relaxed`: one `dmb`
-//!   beats a chain of `ldar`s. With `F_a` the announcer's fence and `F_s`
-//!   the scanner's, the `SeqCst` total order leaves exactly two cases:
+//! * `F_a < F_s`: the scanner's post-fence loads must observe the
+//!   announcer's pre-fence `(tag, loc)` stores (or later values) — the
+//!   announcement is seen and the window is not entered.
+//! * `F_s < F_a`: the scanner may miss the announcement, but then the
+//!   announcer's post-fence done-load observes `done = true` — `set_done`
+//!   happens-before the unlock CAM, which happens-before the scanner's lock
+//!   acquisition (both `SeqCst` RMWs), which is sequenced before `F_s` —
+//!   and the stale CAS is skipped.
 //!
-//!   * `F_a < F_s`: the scanner's post-fence loads must observe the
-//!     announcer's pre-fence `(tag, loc)` stores (or later values) — the
-//!     announcement is seen and the window is not entered.
-//!   * `F_s < F_a`: the scanner may miss the announcement, but then the
-//!     announcer's post-fence done-load observes `done = true` — `set_done`
-//!     happens-before the unlock CAM, which happens-before the scanner's
-//!     lock acquisition (both `SeqCst` RMWs), which is sequenced before
-//!     `F_s` — and the stale CAS is skipped.
+//! A torn read (stale `loc` with a newer `tag`, possible under `Relaxed`)
+//! pairs a location with a tag its announcer never held for it. That can
+//! skip a usable window, or miss an announcement that was already being
+//! overwritten — whose CAS is therefore over.
 //!
-//!   A torn read (stale `loc` with a newer `tag`, possible under `Relaxed`)
-//!   pairs a location with a tag its announcer never held for it. That can
-//!   skip a usable window, or miss an announcement that was already being
-//!   overwritten — whose CAS is therefore over.
+//! This is the one variant on every target, and the one `flock-model`
+//! checks. On x86 the fence is a `lock or`, and `set_done`, a `Release`
+//! store, is a plain `mov`.
 //!
 //! Scans iterate only up to [`tid::scan_bound`] — the live upper bound of
 //! the active-thread registry. A slot above the bound cannot hold a live
@@ -113,27 +103,10 @@
 
 use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Is the swap-based TSO variant compiled in? Under the `model` feature the
-/// fence-anchored weak-target variant is always used, *even on x86_64*:
-/// that is the variant native x86 CI can never falsify, so it is the one
-/// the model checker must exercise (see `flock-model`).
-const TSO_VARIANT: bool = cfg!(all(target_arch = "x86_64", not(feature = "model")));
-
-/// Per-slot scan-load ordering: free-strong on TSO, fence-anchored Relaxed
-/// elsewhere (module docs, "Memory ordering").
-const SCAN_LOAD: Ordering = if TSO_VARIANT {
-    Ordering::SeqCst
-} else {
-    Ordering::Relaxed
-};
-
-/// The scanner-side barrier for the non-TSO variant; a no-op on `x86_64`,
-/// where the `SeqCst` scan loads carry the ordering themselves.
+/// The scanner-side barrier (module docs, "Memory ordering").
 #[inline(always)]
 fn scan_fence() {
-    if !TSO_VARIANT {
-        crate::atomic::fence(Ordering::SeqCst);
-    }
+    crate::atomic::fence(Ordering::SeqCst);
 }
 
 /// Model-only sanity mutants: deliberate protocol weakenings the model
@@ -208,38 +181,25 @@ impl TagAnnouncements {
 
     /// Announce that the calling thread may CAS `loc_addr` expecting `tag`.
     ///
-    /// Includes the announcer-side store–load barrier (a `SeqCst` swap on
-    /// TSO, a `SeqCst` fence elsewhere); the caller must follow with its
-    /// re-validation read (the descriptor done-check, `SeqCst` on TSO)
-    /// before the CAS, and clear with [`TagAnnouncements::clear`]
-    /// afterwards.
+    /// Includes the announcer-side store–load barrier (a `SeqCst` fence);
+    /// the caller must follow with its re-validation read (the descriptor
+    /// done-check) before the CAS, and clear with
+    /// [`TagAnnouncements::clear`] afterwards.
     #[inline]
     pub fn announce(&self, tid: ThreadId, loc_addr: usize, tag: u16) {
         debug_assert_ne!(loc_addr, NONE);
         let slot = &self.slots[tid.0];
-        // Ordering: tag is published by the `loc` write, which keeps the
-        // tag store ordered before it on both variants.
-        //
-        // * x86_64: the loc write is a `SeqCst` *swap* — one `xchg`, which
-        //   is both the publication and the announcer's store–load barrier
-        //   (the caller's done-check is a `SeqCst` load, and `set_done` is
-        //   `SeqCst` there too, so the whole Dekker pair lives in the SC
-        //   total order; see the module docs, "Memory ordering"). This
-        //   replaces the seed's `SeqCst` store + `SeqCst` fence — two full
-        //   barriers — with one.
-        // * elsewhere: a Release store; the `SeqCst` fence is the
-        //   linearization point, pairing with the scanner's fence.
+        // Ordering: the tag is published by the Release `loc` store, which
+        // keeps the tag store ordered before it; the `SeqCst` fence is the
+        // announcer's side of the Dekker pair, pairing with the scanner's
+        // fence (module docs, "Memory ordering").
         slot.tag.store(tag as u64, Ordering::Relaxed);
-        if TSO_VARIANT {
-            slot.loc.swap(loc_addr, Ordering::SeqCst);
-        } else {
-            slot.loc.store(loc_addr, Ordering::Release);
-            #[cfg(feature = "model")]
-            if mutants::skip_announce_fence() {
-                return;
-            }
-            crate::atomic::fence(Ordering::SeqCst);
+        slot.loc.store(loc_addr, Ordering::Release);
+        #[cfg(feature = "model")]
+        if mutants::skip_announce_fence() {
+            return;
         }
+        crate::atomic::fence(Ordering::SeqCst);
     }
 
     /// Clear the calling thread's announcement.
@@ -271,12 +231,10 @@ impl TagAnnouncements {
         // registry raises the bound SeqCst-before a claimer can announce).
         let bound = tid::scan_bound().min(self.slots.len());
         self.slots[..bound].iter().any(|slot| {
-            // Ordering: SCAN_LOAD (per-target, see module docs); the tag
-            // read can always be Relaxed — when the loc read is SeqCst its
-            // release/acquire pairing with the announce store orders the
-            // tag store before it, and a torn (loc, tag) pair is harmless
-            // (module docs, "Memory ordering").
-            slot.loc.load(SCAN_LOAD) == loc_addr && hit(slot.tag.load(Ordering::Relaxed) as u16)
+            // Ordering: Relaxed, anchored by the caller's scan fence; a torn
+            // (loc, tag) pair is harmless (module docs, "Memory ordering").
+            slot.loc.load(Ordering::Relaxed) == loc_addr
+                && hit(slot.tag.load(Ordering::Relaxed) as u16)
         })
     }
 

@@ -5,7 +5,7 @@
 //! thread id (`flock-sync`), the epoch pin depth and collect counter
 //! (`flock-epoch`), and the running-thunk log cursor (`flock-core`) — each
 //! access paying its own lazy-init check and TLS addressing. [`ThreadCtx`]
-//! packs them into one struct behind one `thread_local!` (160 B on x86-64,
+//! packs them into one struct behind one `thread_local!` (184 B on x86-64,
 //! more than a cache line); an operation fetches it with [`with`] and
 //! threads the reference through its internals.
 //!
@@ -68,6 +68,16 @@ pub struct ThreadCtx {
     /// obsolete (`Lock::mark_obsolete`); each run starts it clear and
     /// restores the enclosing run's value when it ends.
     pub marked: Cell<bool>,
+    /// Log layer: the running thunk's last logged `Mutable` load — the
+    /// cell's address (0: none), the log cursor just past its entry, and
+    /// the committed word. A store or CAM of that cell at that same cursor
+    /// reuses the word instead of loading and committing it again. Cleared
+    /// at every run's entry and exit and by every in-thunk tagged CAS.
+    pub load_cell: Cell<usize>,
+    /// Log layer: the log cursor of `load_cell`'s record.
+    pub load_at: Cell<usize>,
+    /// Log layer: the committed word of `load_cell`'s record.
+    pub load_word: Cell<u64>,
     /// Pool layer: per-size-class magazine heads — intrusive free lists of
     /// slab slots (each free slot's first word stores the next pointer).
     /// Null means empty. Owned by the pool layer the same way the `log_*`
@@ -95,6 +105,9 @@ impl ThreadCtx {
             owner_run: Cell::new(false),
             deferred: Cell::new(std::ptr::null_mut()),
             marked: Cell::new(false),
+            load_cell: Cell::new(0),
+            load_at: Cell::new(0),
+            load_word: Cell::new(0),
             pool_heads: [const { Cell::new(std::ptr::null_mut()) }; POOL_CLASSES],
             pool_counts: [const { Cell::new(0) }; POOL_CLASSES],
             pool_hits: Cell::new(0),
@@ -153,6 +166,7 @@ impl ThreadCtx {
         self.owner_run.set(false);
         self.deferred.set(std::ptr::null_mut());
         self.marked.set(false);
+        self.load_cell.set(0);
         // Drain the allocator magazines through the registered exit hook,
         // as a real thread exit would, so pooled workers start every
         // execution with empty magazines.
