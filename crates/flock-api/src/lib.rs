@@ -97,20 +97,21 @@ pub trait Map<K: Key, V: Value>: Send + Sync {
     /// Replace the value stored under an existing `key`. Returns `false`
     /// (inserting nothing) if `key` was absent.
     ///
-    /// The default is the remove-then-insert composite, which is **not
+    /// Every structure in this workspace's registry overrides this with a
+    /// native update that linearizes as one atomic in-place replacement —
+    /// no observable absence window, no lost-update race with a concurrent
+    /// insert: the 7 Flock structures store into a per-node value slot (a
+    /// `flock_core::Mutable`) inside the owning lock's thunk, and the 5
+    /// baselines swap an atomic encoded-value word (or copy-on-write-
+    /// replace the leaf under its lock). The conformance harness checks
+    /// that contract under concurrency for every one of them.
+    ///
+    /// The default, kept for external maps that only need the other
+    /// methods, is the remove-then-insert composite, which is **not
     /// atomic**: a concurrent reader can observe the key absent mid-update,
     /// and a concurrent insert of the same key can win the re-insert race
-    /// (in which case the update is dropped, matching a linearization where
-    /// the remove and the concurrent insert both took effect). Structures
-    /// should override this with a native in-place update where they can —
-    /// and report the stronger contract through
-    /// [`Map::has_atomic_update`]. **Every structure in this workspace's
-    /// registry does**: all 7 Flock structures store into a per-node value
-    /// slot (a `flock_core::Mutable`) inside the owning lock's thunk, and
-    /// all 5 baselines swap an atomic
-    /// encoded-value word (or copy-on-write-replace the leaf under its
-    /// lock) — so the composite below is reachable only from external
-    /// `Map` implementations, never from the registry.
+    /// (the update is then dropped, matching a linearization where the
+    /// remove and the concurrent insert both took effect).
     fn update(&self, key: K, value: V) -> bool {
         if self.remove(key.clone()) {
             let _ = self.insert(key, value);
@@ -118,20 +119,6 @@ pub trait Map<K: Key, V: Value>: Send + Sync {
         } else {
             false
         }
-    }
-
-    /// Capability probe: does [`Map::update`] linearize as a single atomic
-    /// in-place replacement (no observable absence window, no lost-update
-    /// race with concurrent inserts)?
-    ///
-    /// `false` (the default) means the composite contract documented on
-    /// [`Map::update`] applies. Structures overriding `update` with a
-    /// native read-modify-write must override this too; the conformance
-    /// harness verifies the claim under concurrency at all three `(K, V)`
-    /// instantiations. Every registry structure returns `true` (enforced
-    /// by flock-bench's `composite_update_unreachable_from_registry`).
-    fn has_atomic_update(&self) -> bool {
-        false
     }
 
     /// Approximate element count, if the structure offers one.
@@ -163,9 +150,6 @@ impl<K: Key, V: Value, M: Map<K, V> + ?Sized> Map<K, V> for &M {
     fn update(&self, key: K, value: V) -> bool {
         (**self).update(key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        (**self).has_atomic_update()
-    }
     fn len_approx(&self) -> Option<usize> {
         (**self).len_approx()
     }
@@ -189,9 +173,6 @@ impl<K: Key, V: Value, M: Map<K, V> + ?Sized> Map<K, V> for Box<M> {
     }
     fn update(&self, key: K, value: V) -> bool {
         (**self).update(key, value)
-    }
-    fn has_atomic_update(&self) -> bool {
-        (**self).has_atomic_update()
     }
     fn len_approx(&self) -> Option<usize> {
         (**self).len_approx()

@@ -522,9 +522,6 @@ impl<K: Key, V: Value> Map<K, V> for BlockingABTree<K, V> {
     fn update(&self, key: K, value: V) -> bool {
         BlockingABTree::update(self, key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
     fn len_approx(&self) -> Option<usize> {
         Some(self.len.get())
     }

@@ -404,9 +404,6 @@ impl<K: Key, V: Value> Map<K, V> for BlockingBst<K, V> {
     fn update(&self, key: K, value: V) -> bool {
         BlockingBst::update(self, key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
     fn len_approx(&self) -> Option<usize> {
         Some(self.len.get())
     }

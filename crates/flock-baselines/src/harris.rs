@@ -395,9 +395,6 @@ impl<K: Key, V: Value> Map<K, V> for HarrisList<K, V> {
     fn update(&self, key: K, value: V) -> bool {
         HarrisList::update(self, key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
     fn len_approx(&self) -> Option<usize> {
         Some(self.len.get())
     }

@@ -25,9 +25,9 @@
 //! of raw `ValueRepr` payload bits (fat values behind an epoch-retired
 //! pointer) — the pattern `blocking_bst`'s in-place revive pioneered, now
 //! shared via the crate-private `value_cell` module — which is what gives
-//! all five a **native atomic `Map::update`** (`has_atomic_update()` is
-//! true across the whole bench registry; the remove+insert composite is
-//! unreachable from it). All five keep their striped maintained counters
+//! all five a **native atomic `Map::update`** (no registry structure uses
+//! the trait's remove-then-insert default; each conformance suite checks
+//! the atomicity). All five keep their striped maintained counters
 //! (`flock_sync::ApproxLen`, shared with the Flock structures since the
 //! `ValueRepr` refactor) behind `Map::len_approx`.
 //!

@@ -20,10 +20,9 @@
 //! each in **both** lock modes where applicable — at three `(K, V)`
 //! instantiations (`(u64, u64)`, a small-inline combo `(u32, u16)`, and a
 //! heap-indirected fat combo `(u64, Indirect<[u64; 4]>)`), plus a
-//! drop-exactly-once reclamation check for the indirect path and a native
-//! `update` atomicity check (gated on [`Map::has_atomic_update`]) at the
-//! same three instantiations — the fat one exercising the indirect-value
-//! RMW end to end. Structures that ignore the lock mode (the baselines)
+//! drop-exactly-once reclamation check for the indirect path and an
+//! `update` atomicity check at the same three instantiations — the fat one
+//! exercising the indirect-value RMW end to end. Structures that ignore the lock mode (the baselines)
 //! simply run the mode-sensitive suites twice:
 //!
 //! ```ignore
@@ -339,17 +338,14 @@ pub fn default_methods_check<M: Map<u64, u64> + ?Sized>(map: &M) {
     assert!(!map.name().is_empty());
 }
 
-/// Verify a structure's [`Map::has_atomic_update`] claim under
-/// concurrency, at an arbitrary `(K, V)` instantiation (see
-/// [`oracle_check_as`] for the `kf`/`vf` contract — additionally `vf`
-/// must be injective on the value stamps used here, so a torn or stale
-/// decode cannot masquerade as a legal value): while one thread flips a
-/// key's value through `update`, readers must never observe the key
-/// absent nor any value outside the two being written. Structures on
-/// the composite default are skipped — their (non-atomic) contract is
-/// pinned by this crate's own
-/// `default_update_composite_exposes_absence_window` test (and the
-/// bench registry asserts no registry structure falls back to it).
+/// Verify that a structure's [`Map::update`] is atomic under concurrency,
+/// at an arbitrary `(K, V)` instantiation (see [`oracle_check_as`] for the
+/// `kf`/`vf` contract — additionally `vf` must be injective on the value
+/// stamps used here, so a torn or stale decode cannot masquerade as a
+/// legal value): while one thread flips a key's value through `update`,
+/// readers must never observe the key absent nor any value outside the
+/// two being written. A map on the trait's remove-then-insert default
+/// fails it.
 pub fn update_atomicity_check_as<K, V, M, KF, VF>(map: &M, kf: KF, vf: VF)
 where
     K: Key,
@@ -358,9 +354,6 @@ where
     KF: Fn(u64) -> K + Sync,
     VF: Fn(u64) -> V + Sync,
 {
-    if !map.has_atomic_update() {
-        return;
-    }
     const KEY: u64 = 7;
     assert!(map.insert(kf(KEY), vf(1)));
     const READERS: usize = 3;
@@ -988,9 +981,6 @@ mod tests {
                 None => false,
             }
         }
-        fn has_atomic_update(&self) -> bool {
-            true
-        }
         fn len_approx(&self) -> Option<usize> {
             Some(self.0.lock().unwrap().len())
         }
@@ -1021,8 +1011,7 @@ mod tests {
         LostInsert,
         /// `contains` goes through `get`, decoding the value.
         DecodingContains,
-        /// `update` is the remove-then-insert composite, yet claims to be
-        /// atomic.
+        /// `update` is the remove-then-insert composite.
         CompositeUpdate,
         /// A range scan drops its first entry.
         SkippedKey,
@@ -1080,9 +1069,6 @@ mod tests {
             // Hold the absence window open long enough for readers to see it.
             std::thread::sleep(std::time::Duration::from_micros(100));
             self.inner.insert(key, value)
-        }
-        fn has_atomic_update(&self) -> bool {
-            true
         }
     }
 
@@ -1152,15 +1138,10 @@ mod tests {
 
     /// Pin the documented behavior of the **default** `Map::update`: it is
     /// the non-atomic remove-then-insert composite, so the key is
-    /// observably absent in between. This contract now applies only to
-    /// `Map` implementations *outside* this workspace — every structure in
-    /// the bench registry overrides `update` natively and flips
-    /// `has_atomic_update()`, so the composite is unreachable from the
-    /// registry (asserted by flock-bench's
-    /// `composite_update_unreachable_from_registry`); the conformance
-    /// harness's `update_atomicity*` tests assert the negation (no
-    /// observable absence) for them. The probe below keeps the default's
-    /// documented window pinned for external implementors.
+    /// observably absent in between. Only `Map` implementations *outside*
+    /// the registry reach it — every registry structure overrides `update`
+    /// natively, and the `update_atomicity*` checks assert the negation
+    /// (no observable absence) for each.
     #[test]
     fn default_update_composite_exposes_absence_window() {
         use std::sync::atomic::Ordering::SeqCst;
@@ -1168,7 +1149,6 @@ mod tests {
             inner: MutexMap::new(),
             absent_during_reinsert: std::sync::atomic::AtomicBool::new(false),
         };
-        assert!(!probe.has_atomic_update(), "probe uses the composite");
         assert!(probe.insert(9, 90));
         probe.absent_during_reinsert.store(false, SeqCst); // ignore the initial insert
 
@@ -1213,6 +1193,7 @@ mod tests {
         let r: &dyn Map<u64, u64> = &m;
         assert!((&r).insert(5, 6));
         assert_eq!(Map::get(&r, 5), Some(6));
-        assert!((&r).has_atomic_update(), "capability forwards through refs");
+        assert!(Map::update(&r, 5, 7), "update forwards through refs");
+        assert_eq!(Map::get(&r, 5), Some(7));
     }
 }

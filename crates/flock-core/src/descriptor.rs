@@ -82,13 +82,14 @@
 //! onto a later incarnation of a pooled slab. That is harmless on live
 //! memory (at worst the incarnation takes the retire path), which is why a
 //! **published** descriptor — top-level or nested — is never plain-freed:
-//! it leaves the pool only through the epoch collector (`Pool`,
+//! it leaves the pool only through the epoch collector ([`POOL_CAP`],
 //! [`dispose_top_level`]).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 use flock_sync::ThreadCtx;
 use flock_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use flock_sync::thread_ctx::{self, ExitHook};
 
 use crate::log::LogBlock;
 
@@ -241,9 +242,11 @@ pub struct Descriptor {
     generation: AtomicU64,
     /// True when the descriptor was created while running another thunk.
     nested: bool,
-    /// Link of the owner thread's deferred list ([`defer_nested`]). Written
-    /// by the one winner of this descriptor's retire marker and read back by
-    /// that same thread at its drain; no other thread touches it.
+    /// Link of the owner thread's deferred list ([`defer_nested`]), and of
+    /// the owner thread's descriptor pool while the descriptor sits there
+    /// (a pooled descriptor is on no deferred list). Written by the one
+    /// winner of this descriptor's retire marker, or by the thread pooling
+    /// it, and read back by that same thread; no other thread touches it.
     next_deferred: Cell<*mut Descriptor>,
 }
 
@@ -383,11 +386,16 @@ impl Descriptor {
     }
 }
 
-/// Per-thread pool of descriptors (paper §6: "if a descriptor is never
-/// helped, which is the common case, then it can be reused immediately
-/// instead of being retired").
-const POOL_CAP: usize = 32;
-
+/// Capacity of the per-thread descriptor pool (paper §6: "if a descriptor
+/// is never helped, which is the common case, then it can be reused
+/// immediately instead of being retired").
+///
+/// The pool is an intrusive free list on the thread's `ThreadCtx`
+/// (`desc_pool`, `desc_pool_len`), linked through `next_deferred`. Its
+/// entries are raw `flock_epoch::alloc` pointers (not `Box`es): every
+/// descriptor shares the epoch allocator's provenance, so the collector's
+/// pool-aware drop path can return the memory to the slab pool uniformly.
+///
 /// Once a descriptor has been published (installed on a lock word), a stale
 /// helper that read the old lock word may still write its `helped` flag at
 /// any later time, even after the descriptor was recycled. Such writes are
@@ -395,43 +403,26 @@ const POOL_CAP: usize = 32;
 /// the conservative retire path), so published descriptors may be pooled —
 /// but they must never be immediately *freed*: when they leave the pool
 /// (overflow or thread exit) they go through the epoch collector.
-///
-/// Entries are raw `flock_epoch::alloc` pointers (not `Box`es): every
-/// descriptor shares the epoch allocator's provenance, so the collector's
-/// pool-aware drop path can return the memory to the slab pool uniformly.
-struct Pool {
-    items: RefCell<Vec<DescPtr>>,
-}
+const POOL_CAP: u32 = 32;
 
-/// A pooled, fully reset descriptor (thread-local container; never sent).
-struct DescPtr(*mut Descriptor);
-
-impl Pool {
-    /// Empty the pool into the collector's orphan bag: the entries may have
-    /// been published, so even fully reset they are reachable through stale
-    /// helpers' pointers, and the orphan retire defers the free past any
-    /// pinned one. Safe in a TLS destructor.
-    fn drain_to_orphans(&self) {
-        for DescPtr(raw) in self.items.borrow_mut().drain(..) {
-            flock_epoch::debug_track_alloc(raw);
-            // SAFETY: pooled, so reset and owned by nobody; retired once.
-            unsafe { flock_epoch::retire_orphan(raw) };
+/// The log layer's thread-exit hook (`ExitHook::Descriptors`): empty the
+/// pool into the collector's orphan bag. The entries may have been
+/// published, so even fully reset they are reachable through stale helpers'
+/// pointers, and the orphan retire defers the free past any pinned one.
+/// Touches no thread-local, as a TLS destructor must not.
+fn drain_pool(tc: &ThreadCtx) {
+    let mut d: *mut Descriptor = tc.desc_pool.replace(std::ptr::null_mut()).cast();
+    tc.desc_pool_len.set(0);
+    while !d.is_null() {
+        // SAFETY: pooled, so reset and owned by this thread alone; the link
+        // is read before the retire, which happens once.
+        unsafe {
+            let next = (*d).next_deferred.get();
+            flock_epoch::debug_track_alloc(d);
+            flock_epoch::retire_orphan(d);
+            d = next;
         }
     }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.drain_to_orphans();
-    }
-}
-
-thread_local! {
-    static POOL: Pool = const {
-        Pool {
-            items: RefCell::new(Vec::new()),
-        }
-    };
 }
 
 #[cfg(test)]
@@ -449,19 +440,39 @@ fn tally(fresh: usize, retired: usize) {
     TALLY.set((f + fresh, r + retired));
 }
 
-/// Slab addresses in the calling thread's pool, oldest first.
+/// Slab addresses in the calling thread's pool, newest (next to be
+/// reused) first.
 #[cfg(test)]
 pub(crate) fn pooled() -> Vec<usize> {
-    POOL.with(|p| p.items.borrow().iter().map(|d| d.0 as usize).collect())
+    let mut out = Vec::new();
+    let mut d: *mut Descriptor = thread_ctx::with(|tc| tc.desc_pool.get().cast());
+    while !d.is_null() {
+        out.push(d as usize);
+        // SAFETY: pooled descriptors stay live while pooled.
+        d = unsafe { (*d).next_deferred.get() };
+    }
+    out
 }
 
-/// Model-engine worker reset: drain the calling thread's descriptor pool
-/// (as its TLS destructor would), so pooled model workers start every
-/// execution with the same (empty) pool a fresh thread has. The model
-/// engine frees orphans between executions.
-#[cfg(feature = "model")]
-pub fn model_drain_descriptor_pool() {
-    POOL.with(Pool::drain_to_orphans);
+/// [`create_descriptor`] on the calling thread's context.
+#[cfg(test)]
+pub(crate) fn create_here<R, F>(f: F, birth_epoch: u64, nested: bool) -> *mut Descriptor
+where
+    R: Send + 'static,
+    F: Fn() -> R + Send + Sync + 'static,
+{
+    thread_ctx::with(|tc| create_descriptor(tc, f, birth_epoch, nested))
+}
+
+/// [`recycle_unshared`] on the calling thread's context.
+///
+/// # Safety
+///
+/// As for [`recycle_unshared`].
+#[cfg(test)]
+pub(crate) unsafe fn recycle_here(d: *mut Descriptor) {
+    // SAFETY: forwarded contract.
+    thread_ctx::with(|tc| unsafe { recycle_unshared(tc, d) })
 }
 
 /// Create (or recycle) a descriptor holding `f`.
@@ -469,24 +480,31 @@ pub fn model_drain_descriptor_pool() {
 /// The returned pointer is fully initialized but not yet published; the
 /// caller publishes it by CASing it into a lock word or committing it to a
 /// log, both of which order the initialization before any helper's reads.
-pub(crate) fn create_descriptor<R, F>(f: F, birth_epoch: u64, nested: bool) -> *mut Descriptor
+pub(crate) fn create_descriptor<R, F>(
+    tc: &ThreadCtx,
+    f: F,
+    birth_epoch: u64,
+    nested: bool,
+) -> *mut Descriptor
 where
     R: Send + 'static,
     F: Fn() -> R + Send + Sync + 'static,
 {
-    let raw = match POOL.with(|p| p.items.borrow_mut().pop()) {
-        Some(DescPtr(raw)) => {
-            flock_epoch::debug_track_alloc(raw);
-            raw
-        }
+    let pooled: *mut Descriptor = tc.desc_pool.get().cast();
+    let raw = if pooled.is_null() {
         // Fresh slab from the epoch allocator (and through its slab pool
         // when the descriptor fits a size class), so every descriptor has
         // the provenance `flock_epoch::retire` expects.
-        None => {
-            #[cfg(test)]
-            tally(1, 0);
-            flock_epoch::alloc(Descriptor::new())
-        }
+        #[cfg(test)]
+        tally(1, 0);
+        flock_epoch::alloc(Descriptor::new())
+    } else {
+        // SAFETY: pooled, so live and this thread's alone.
+        tc.desc_pool
+            .set(unsafe { (*pooled).next_deferred.get() }.cast());
+        tc.desc_pool_len.set(tc.desc_pool_len.get() - 1);
+        flock_epoch::debug_track_alloc(pooled);
+        pooled
     };
     // SAFETY: pooled entries are unshared-for-writing (stale helpers may
     // still store the atomic flags, which reinitialization below clears);
@@ -524,7 +542,7 @@ where
 /// No other thread may be running `d` or reading its thunk or log (stale
 /// helpers only ever store its atomic flags); `overflow` must be a sound
 /// way to dispose of `d` under that same premise.
-unsafe fn recycle(d: *mut Descriptor, overflow: unsafe fn(*mut Descriptor)) {
+unsafe fn recycle(tc: &ThreadCtx, d: *mut Descriptor, overflow: unsafe fn(*mut Descriptor)) {
     // SAFETY: exclusive access per contract.
     let desc = unsafe { &mut *d };
     desc.thunk.clear();
@@ -533,17 +551,16 @@ unsafe fn recycle(d: *mut Descriptor, overflow: unsafe fn(*mut Descriptor)) {
     desc.done.store(false, Ordering::Relaxed);
     desc.panicked.store(false, Ordering::Relaxed);
     desc.helped.store(false, Ordering::Relaxed);
-    let pooled = POOL.with(|p| {
-        let mut pool = p.items.borrow_mut();
-        if pool.len() < POOL_CAP {
-            flock_epoch::debug_track_dealloc(d, "descriptor-recycle");
-            pool.push(DescPtr(d));
-            true
-        } else {
-            false
-        }
-    });
-    if !pooled {
+    // Read the pool only now: dropping the closure above may have run a
+    // `try_lock` of its own, which pops and pushes.
+    let len = tc.desc_pool_len.get();
+    if len < POOL_CAP {
+        thread_ctx::register_thread_exit_hook(ExitHook::Descriptors, drain_pool);
+        flock_epoch::debug_track_dealloc(d, "descriptor-recycle");
+        desc.next_deferred.set(tc.desc_pool.get().cast());
+        tc.desc_pool.set(d.cast());
+        tc.desc_pool_len.set(len + 1);
+    } else {
         // SAFETY: forwarded contract.
         unsafe { overflow(d) };
     }
@@ -571,9 +588,9 @@ pub(crate) unsafe fn retire_published(d: *mut Descriptor) {
 ///
 /// `d` must come from [`create_descriptor`] and must never have been
 /// published (not CASed into a lock word, not committed to a log).
-pub(crate) unsafe fn recycle_unshared(d: *mut Descriptor) {
+pub(crate) unsafe fn recycle_unshared(tc: &ThreadCtx, d: *mut Descriptor) {
     // SAFETY: unshared per contract; came from `flock_epoch::alloc`.
-    unsafe { recycle(d, flock_epoch::free_now) };
+    unsafe { recycle(tc, d, flock_epoch::free_now) };
 }
 
 /// Defer the disposal of nested descriptor `d` to the end of the calling
@@ -602,7 +619,7 @@ pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
     // stopped referencing it (the helped→revalidate protocol guarantees any
     // running helper's mark is visible by now). A *stale* helper may still
     // mark `helped` later; that is why published descriptors never leave
-    // the pool through a plain free (see `Pool`).
+    // the pool through a plain free (see `POOL_CAP`).
     // SAFETY: `d` is valid; owner-only call.
     let unhelped = !unsafe { (*d).was_helped() };
     let mut deferred: *mut Descriptor = tc.deferred.replace(std::ptr::null_mut()).cast();
@@ -632,14 +649,14 @@ pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
             // SAFETY: unhelped all the way up, so unreachable (module
             // docs); otherwise pinned per contract, retired once (this
             // thread won the retire marker), unreachable for new readers.
-            unsafe { dispose_published(deferred, all_unhelped) };
+            unsafe { dispose_published(tc, deferred, all_unhelped) };
             deferred = next;
         }
     }
     // SAFETY: ownership argument above when unhelped; otherwise pinned per
     // contract, unreachable from the lock word, and stray helpers hold
     // epoch protection.
-    unsafe { dispose_published(d, unhelped) };
+    unsafe { dispose_published(tc, d, unhelped) };
 }
 
 /// Dispose of a **published** descriptor that no lock word references any
@@ -650,11 +667,11 @@ pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
 ///
 /// `reusable` asserts [`recycle`]'s premise; either way
 /// [`retire_published`]'s contract must hold.
-unsafe fn dispose_published(d: *mut Descriptor, reusable: bool) {
+unsafe fn dispose_published(tc: &ThreadCtx, d: *mut Descriptor, reusable: bool) {
     // SAFETY: forwarded contract.
     unsafe {
         if reusable {
-            recycle(d, retire_published);
+            recycle(tc, d, retire_published);
         } else {
             retire_published(d);
         }
@@ -683,35 +700,35 @@ mod tests {
     #[test]
     fn inline_thunk_roundtrip() {
         let x = 41u64;
-        let d = create_descriptor(move || x + 1 == 42, 0, false);
+        let d = create_here(move || x + 1 == 42, 0, false);
         // SAFETY: d is live and unshared.
         unsafe {
             assert!(call_for::<bool>(d));
             assert!(!(*d).is_done());
-            recycle_unshared(d);
+            recycle_here(d);
         }
     }
 
     #[test]
     fn big_thunk_spills_to_box() {
         let big = [7u64; 64]; // 512 bytes of captures
-        let d = create_descriptor(move || big.iter().sum::<u64>() == 7 * 64, 0, false);
+        let d = create_here(move || big.iter().sum::<u64>() == 7 * 64, 0, false);
         // SAFETY: d is live and unshared.
         unsafe {
             assert!(call_for::<bool>(d));
-            recycle_unshared(d);
+            recycle_here(d);
         }
     }
 
     #[test]
     fn non_bool_results_roundtrip() {
-        let d = create_descriptor(|| Some(17u64), 0, false);
+        let d = create_here(|| Some(17u64), 0, false);
         // SAFETY: d is live and unshared; R matches.
         unsafe {
             assert_eq!(call_for::<Option<u64>>(d), Some(17));
             // Helper-style discard run: result dropped in place.
             (*d).call_thunk(std::ptr::null_mut());
-            recycle_unshared(d);
+            recycle_here(d);
         }
     }
 
@@ -725,12 +742,12 @@ mod tests {
         }
         let drops = Arc::new(AtomicUsize::new(0));
         let d2 = Arc::clone(&drops);
-        let d = create_descriptor(move || Probe(Arc::clone(&d2)), 0, false);
+        let d = create_here(move || Probe(Arc::clone(&d2)), 0, false);
         // SAFETY: d is live and unshared.
         unsafe {
             (*d).call_thunk(std::ptr::null_mut());
             assert_eq!(drops.load(Ordering::Relaxed), 1, "discarded result dropped");
-            recycle_unshared(d);
+            recycle_here(d);
         }
     }
 
@@ -744,27 +761,27 @@ mod tests {
         }
         let drops = Arc::new(AtomicUsize::new(0));
         let probe = Probe(Arc::clone(&drops));
-        let d = create_descriptor(move || !std::ptr::eq(&probe.0, std::ptr::null()), 0, false);
+        let d = create_here(move || !std::ptr::eq(&probe.0, std::ptr::null()), 0, false);
         // SAFETY: d is live and unshared.
-        unsafe { recycle_unshared(d) };
+        unsafe { recycle_here(d) };
         assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn pool_reuses_descriptors() {
-        let d1 = create_descriptor(|| true, 0, false);
+        let d1 = create_here(|| true, 0, false);
         let addr1 = d1 as usize;
         // SAFETY: unshared.
-        unsafe { recycle_unshared(d1) };
-        let d2 = create_descriptor(|| false, 0, false);
+        unsafe { recycle_here(d1) };
+        let d2 = create_here(|| false, 0, false);
         assert_eq!(d2 as usize, addr1, "pool should hand back the same slab");
         // SAFETY: unshared.
-        unsafe { recycle_unshared(d2) };
+        unsafe { recycle_here(d2) };
     }
 
     #[test]
     fn flags_roundtrip() {
-        let d = create_descriptor(|| true, 5, true);
+        let d = create_here(|| true, 5, true);
         // SAFETY: d is live and unshared.
         unsafe {
             assert_eq!((*d).birth_epoch(), 5);
@@ -776,7 +793,7 @@ mod tests {
             assert!((*d).is_done());
             // Nothing else saw it, so the unshared path is fine for the
             // teardown (it resets the flags).
-            recycle_unshared(d);
+            recycle_here(d);
         }
     }
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use crate::ctx;
-use crate::descriptor::{create_descriptor, recycle_unshared};
+use crate::descriptor::{create_here, recycle_here};
 use crate::mutable::{Mutable, commit_value};
 use crate::{LockMode, set_lock_mode};
 
@@ -40,7 +40,7 @@ fn sequential_reruns_apply_once() {
     let _m = locked_lf();
     let counter = Arc::new(Mutable::new(0u32));
     let c = Arc::clone(&counter);
-    let d = create_descriptor(
+    let d = create_here(
         move || {
             c.store(c.load() + 1);
             true
@@ -55,7 +55,7 @@ fn sequential_reruns_apply_once() {
     }
     assert_eq!(counter.load(), 1, "increment must apply exactly once");
     // SAFETY: never published to a lock word or log.
-    unsafe { recycle_unshared(d) };
+    unsafe { recycle_here(d) };
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn reruns_agree_on_committed_nondeterminism() {
     let observed = Arc::new(Mutex::new(Vec::new()));
     let ticket = Arc::new(AtomicU64::new(100));
     let (obs, tk) = (Arc::clone(&observed), Arc::clone(&ticket));
-    let d = create_descriptor(
+    let d = create_here(
         move || {
             // A genuinely nondeterministic input (different every call),
             // made deterministic by committing it to the log.
@@ -88,7 +88,7 @@ fn reruns_agree_on_committed_nondeterminism() {
     );
     assert_eq!(seen[0], 100, "the first run's value wins");
     // SAFETY: never published.
-    unsafe { recycle_unshared(d) };
+    unsafe { recycle_here(d) };
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn racing_runs_apply_once() {
         let a = Arc::new(Mutable::new(0u32));
         let b = Arc::new(Mutable::new(1000u32));
         let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-        let d = create_descriptor(
+        let d = create_here(
             move || {
                 // A multi-step critical section with data flow between
                 // locations — the kind of thing naive replay would corrupt.
@@ -127,7 +127,7 @@ fn racing_runs_apply_once() {
         assert_eq!(a.load(), 1, "store to a applied once");
         assert_eq!(b.load(), 1001, "store to b applied once");
         // SAFETY: runs finished (scope joined); never published.
-        unsafe { recycle_unshared(d) };
+        unsafe { recycle_here(d) };
     }
 }
 
@@ -137,7 +137,7 @@ fn racing_alloc_and_retire_exactly_once() {
     for _round in 0..20 {
         let slot: Arc<Mutable<*mut u64>> = Arc::new(Mutable::new(std::ptr::null_mut()));
         let s2 = Arc::clone(&slot);
-        let d = create_descriptor(
+        let d = create_here(
             move || {
                 let fresh = crate::alloc(|| 7u64);
                 s2.store(fresh);
@@ -169,7 +169,7 @@ fn racing_alloc_and_retire_exactly_once() {
         // SAFETY: unlinked here; retired once.
         unsafe { crate::retire(p) };
         // SAFETY: never published.
-        unsafe { recycle_unshared(d) };
+        unsafe { recycle_here(d) };
     }
     flock_epoch::flush_all();
 }
@@ -179,7 +179,7 @@ fn long_thunk_spans_many_log_blocks() {
     let _m = locked_lf();
     let cells: Arc<Vec<Mutable<u32>>> = Arc::new((0..64).map(Mutable::new).collect());
     let c = Arc::clone(&cells);
-    let d = create_descriptor(
+    let d = create_here(
         move || {
             // 64 loads + 64 stores = 192 log entries >> one 7-entry block.
             for m in c.iter() {
@@ -198,7 +198,7 @@ fn long_thunk_spans_many_log_blocks() {
         assert_eq!(m.load(), i as u32 + 1, "cell {i} bumped exactly once");
     }
     // SAFETY: never published (extension blocks freed by recycle).
-    unsafe { recycle_unshared(d) };
+    unsafe { recycle_here(d) };
 }
 
 #[test]
@@ -206,7 +206,7 @@ fn interleaved_runs_of_two_descriptors_stay_isolated() {
     let _m = locked_lf();
     let x = Arc::new(Mutable::new(0u32));
     let (x1, x2) = (Arc::clone(&x), Arc::clone(&x));
-    let d1 = create_descriptor(
+    let d1 = create_here(
         move || {
             x1.store(x1.load() + 1);
             true
@@ -214,7 +214,7 @@ fn interleaved_runs_of_two_descriptors_stay_isolated() {
         0,
         false,
     );
-    let d2 = create_descriptor(
+    let d2 = create_here(
         move || {
             x2.store(x2.load() + 10);
             true
@@ -233,7 +233,7 @@ fn interleaved_runs_of_two_descriptors_stay_isolated() {
     assert_eq!(x.load(), 11);
     // SAFETY: never published.
     unsafe {
-        recycle_unshared(d1);
-        recycle_unshared(d2);
+        recycle_here(d1);
+        recycle_here(d2);
     }
 }

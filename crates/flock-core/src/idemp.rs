@@ -70,11 +70,11 @@ where
     F: Fn() -> R + Send + Sync + 'static,
 {
     debug_assert!(tc.in_thunk());
-    let fresh = descriptor::create_descriptor(thunk, guard.epoch(), true);
+    let fresh = descriptor::create_descriptor(tc, thunk, guard.epoch(), true);
     let (committed, first) = ctx::commit_raw_in(tc, fresh as u64);
     if !first && committed != fresh as u64 {
         // SAFETY: `fresh` lost the race and was never published anywhere.
-        unsafe { descriptor::recycle_unshared(fresh) };
+        unsafe { descriptor::recycle_unshared(tc, fresh) };
     }
     committed as usize as *mut Descriptor
 }

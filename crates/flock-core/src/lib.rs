@@ -66,8 +66,6 @@ pub mod mutants;
 
 pub use config::{lock_mode, set_lock_mode};
 pub use ctx::in_thunk;
-#[cfg(feature = "model")]
-pub use descriptor::model_drain_descriptor_pool;
 pub use idemp::{alloc, retire};
 #[cfg(feature = "model")]
 pub use lock::model_probe;

@@ -775,10 +775,10 @@ impl Lock {
         R: Send + 'static,
         F: Fn() -> R + Send + Sync + 'static,
     {
-        // The whole operation — pin, nested check, loads, commits, announce
-        // — works off one thread-context fetch. The uncontended path's other
-        // TLS accesses are the descriptor pool's pop and push and the
-        // guard's drop, which fetches the context again.
+        // The whole operation — pin, nested check, loads, commits, announce,
+        // descriptor pop and push — works off one thread-context fetch. The
+        // uncontended path's one other TLS access is the guard's drop,
+        // which fetches the context again.
         thread_ctx::with(|tc| {
             let guard = flock_epoch::pin_with(tc);
             let nested = tc.in_thunk();
@@ -804,7 +804,7 @@ impl Lock {
                         d = if nested {
                             idemp::create_descriptor_idempotent(tc, thunk, &guard)
                         } else {
-                            descriptor::create_descriptor(thunk, guard.epoch(), false)
+                            descriptor::create_descriptor(tc, thunk, guard.epoch(), false)
                         };
                     }
                     // Line 19: did we get in?
@@ -973,7 +973,7 @@ impl Lock {
             idemp::retire_descriptor_idempotent(tc, d);
         } else {
             // SAFETY: never published (its install CAS failed or never ran).
-            unsafe { descriptor::recycle_unshared(d) };
+            unsafe { descriptor::recycle_unshared(tc, d) };
         }
     }
 
@@ -2120,7 +2120,7 @@ mod tests {
                 n2.store(n2.load() + 1);
                 n2.load()
             };
-            let d = descriptor::create_descriptor(thunk, guard.epoch(), false);
+            let d = descriptor::create_descriptor(tc, thunk, guard.epoch(), false);
             lock.word
                 .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));
             let installed = lock.word.raw_packed();
@@ -2283,7 +2283,7 @@ mod tests {
                 runs2.fetch_add(1, Ordering::Relaxed);
                 n2.store(n2.load() + 1);
             };
-            let d = descriptor::create_descriptor(thunk, guard.epoch(), false);
+            let d = descriptor::create_descriptor(tc, thunk, guard.epoch(), false);
             let cur_packed = lock.word.load_packed_in(tc);
             lock.word
                 .tagged_cas_after_load_in(tc, cur_packed, LockWord::locked_with(d));

@@ -747,9 +747,6 @@ impl<K: Key + RadixKey, V: Value> Map<K, V> for ArtTree<K, V> {
     fn update(&self, key: K, value: V) -> bool {
         ArtTree::update(self, key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
     fn len_approx(&self) -> Option<usize> {
         Some(self.count.get())
     }

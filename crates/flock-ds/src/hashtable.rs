@@ -21,9 +21,8 @@
 //!   pattern every Flock structure now shares: each node stores its value
 //!   in a lock-word-adjacent [`Mutable<V>`] stored into in-thunk under the
 //!   bucket lock — one idempotent store, no remove/insert
-//!   composite, no observable absence window
-//!   ([`Map::has_atomic_update`] returns `true`; the conformance harness
-//!   verifies the claim). Fat (`Indirect`) values ride behind an
+//!   composite, no observable absence window (the conformance harness
+//!   checks it under concurrency). Fat (`Indirect`) values ride behind an
 //!   epoch-managed pointer the store machinery retires exactly once.
 //!   Because values live in a packed slot, inline `u64`/`usize` values
 //!   inherit the workspace-wide 48-bit payload contract (debug-asserted;
@@ -392,9 +391,6 @@ impl<K: Key, V: Value, S: BuildHasher + Send + Sync + 'static> Map<K, V> for Has
     }
     fn update(&self, key: K, value: V) -> bool {
         HashTable::update(self, key, value)
-    }
-    fn has_atomic_update(&self) -> bool {
-        true
     }
     fn len_approx(&self) -> Option<usize> {
         Some(self.count.get())

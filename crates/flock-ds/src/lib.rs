@@ -30,8 +30,8 @@
 //! behind `Map::len_approx` — bumped *outside* the thunks (a helped thunk
 //! replays, so an in-thunk counter bump would double-count; exactly one
 //! caller observes success per applied operation). All seven also override
-//! `Map::update` with a **native in-place atomic update**
-//! (`has_atomic_update() == true`): each value lives in a per-node value
+//! `Map::update` with a **native in-place atomic update** (each conformance
+//! suite checks the atomicity): each value lives in a per-node value
 //! slot, a `flock_core::Mutable<V>`, that is stored into inside the thunk
 //! of the lock whose holder could remove the node — see each module's
 //! `update` docs for the owning lock and EXPERIMENTS.md §7 for the

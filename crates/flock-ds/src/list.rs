@@ -414,9 +414,6 @@ impl<N: ListNode> flock_api::Map<N::K, N::V> for List<N> {
     fn update(&self, key: N::K, value: N::V) -> bool {
         List::update(self, key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
     fn len_approx(&self) -> Option<usize> {
         Some(self.count.get())
     }

@@ -622,9 +622,6 @@ impl<N: TreeNode> flock_api::Map<N::K, N::V> for Tree<N> {
     fn update(&self, key: N::K, value: N::V) -> bool {
         Tree::update(self, key, value)
     }
-    fn has_atomic_update(&self) -> bool {
-        true
-    }
     fn len_approx(&self) -> Option<usize> {
         Some(self.count.get())
     }

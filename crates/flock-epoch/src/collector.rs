@@ -7,33 +7,11 @@ use std::sync::Mutex;
 use std::sync::atomic::AtomicUsize;
 
 use flock_sync::atomic::{AtomicU64, Ordering, fence};
-use flock_sync::{CachePadded, MAX_THREADS, tid};
+use flock_sync::thread_ctx::{self, ExitHook, Retired};
+use flock_sync::{CachePadded, MAX_THREADS, ThreadCtx, tid};
 
 /// Reservation value meaning "thread not inside any operation".
 pub const QUIESCENT: u64 = u64::MAX;
-
-/// A retired allocation awaiting reclamation.
-pub(crate) struct Retired {
-    pub(crate) ptr: *mut u8,
-    /// Drop glue only (`None` when `T` has none — the free loop then skips
-    /// the indirect call). For pooled items the slot return is driven by
-    /// `class`; for fallback items the dropper frees the heap allocation.
-    pub(crate) dropper: Option<unsafe fn(*mut u8)>,
-    /// Pool size class, or `pool::NO_CLASS` for `Box`-fallback items.
-    /// Freed pooled slots are returned in one batched magazine push per
-    /// collect pass instead of a TLS round-trip per item.
-    pub(crate) class: u8,
-    /// Global epoch at retire time.
-    pub(crate) stamp: u64,
-    /// `size_of` the retired allocation, for the bag-growth accounting in
-    /// [`epoch_stats`] (heap payload only — boxes of a `T` count
-    /// `size_of::<T>()`; any transitive owned memory is not walked).
-    pub(crate) bytes: u32,
-}
-
-// SAFETY: a Retired is an owned, unlinked allocation; the collector is the
-// only holder, and drop_fn is called exactly once on whichever thread frees.
-unsafe impl Send for Retired {}
 
 /// Collect (attempt free) once the local bag exceeds this many items.
 const BAG_COLLECT_THRESHOLD: usize = 64;
@@ -50,9 +28,9 @@ pub(crate) struct Global {
     /// Bytes currently sitting in retire bags (local + orphan), i.e.
     /// retired-not-yet-freed. Grows without bound only while a reservation
     /// is stuck — which is exactly what [`epoch_stats`] exists to report.
-    /// Like `retired_count`, fed from per-bag pending cells at collect
-    /// boundaries (see [`LocalBag`]), so another thread's newest retires
-    /// may lag by up to one collect threshold.
+    /// Like `retired_count`, fed from each thread's pending cells
+    /// (`ThreadCtx::bag_pending_*`) at collect boundaries, so another
+    /// thread's newest retires may lag by up to one collect threshold.
     bag_bytes: AtomicUsize,
 }
 
@@ -135,51 +113,13 @@ pub fn try_advance() -> u64 {
     GLOBAL.epoch.load(Ordering::Relaxed)
 }
 
-thread_local! {
-    static LOCAL_BAG: LocalBag = const {
-        LocalBag {
-            items: std::cell::RefCell::new(Vec::new()),
-            last_failed_safe: std::cell::Cell::new(0),
-            pending_retired: std::cell::Cell::new(0),
-            pending_bytes: std::cell::Cell::new(0),
-            since_advance: std::cell::Cell::new(0),
-        }
-    };
-}
-
-struct LocalBag {
-    items: std::cell::RefCell<Vec<Retired>>,
-    /// Highest `safe_before` for which a full scan of this bag freed
-    /// nothing. While the reservation floor is stuck (a stalled or
-    /// forever-pinned thread), `safe_before` stays at this value and every
-    /// new retire would otherwise rescan the whole growing bag — quadratic
-    /// work for zero frees. Skipping re-scans at an already-failed floor is
-    /// sound: items retire with `stamp >=` the epoch at retire time
-    /// `>= safe_before`, so nothing addable later becomes freeable at the
-    /// same floor.
-    last_failed_safe: std::cell::Cell<u64>,
-    /// Retires (count / bytes) bagged here but not yet published to the
-    /// global counters. The hot retire path only touches these cells; the
-    /// global `fetch_add`s happen at collect boundaries, stats snapshots
-    /// and thread exit, so a retire pays no cross-thread RMW. Items leave
-    /// this bag only through paths that publish first (`collect_local`,
-    /// `Drop`), so the global byte gauge never sees a free before its
-    /// retire.
-    pending_retired: std::cell::Cell<usize>,
-    pending_bytes: std::cell::Cell<usize>,
-    /// Retires since this thread last attempted a global epoch advance
-    /// (the `ADVANCE_PERIOD` cadence, kept thread-local for the same
-    /// no-RMW reason).
-    since_advance: std::cell::Cell<usize>,
-}
-
-/// Move a bag's pending retire counters into the global gauges.
-fn publish_pending(bag: &LocalBag) {
-    let n = bag.pending_retired.replace(0);
+/// Move a thread's pending retire counters into the global gauges.
+fn publish_pending(tc: &ThreadCtx) {
+    let n = tc.bag_pending_retired.replace(0);
     if n > 0 {
         GLOBAL.retired_count.fetch_add(n, Ordering::Relaxed);
     }
-    let b = bag.pending_bytes.replace(0);
+    let b = tc.bag_pending_bytes.replace(0);
     if b > 0 {
         GLOBAL.bag_bytes.fetch_add(b, Ordering::Relaxed);
     }
@@ -188,22 +128,24 @@ fn publish_pending(bag: &LocalBag) {
 /// Publish the *calling thread's* pending retire counters, so stats
 /// snapshots taken on this thread reflect its own retires immediately
 /// (other threads' pending counts drain at their collect boundaries).
-/// TLS-teardown-safe: a dead bag has already published via its `Drop`.
+/// TLS-teardown-safe: a dead context has already published at exit.
 pub(crate) fn publish_local_pending() {
-    let _ = LOCAL_BAG.try_with(publish_pending);
+    let _ = thread_ctx::try_with(publish_pending);
 }
 
-impl Drop for LocalBag {
-    fn drop(&mut self) {
-        publish_pending(self);
-        // Thread exiting: orphan whatever is left so other threads free it.
-        let mut items = self.items.borrow_mut();
-        if !items.is_empty()
-            && let Ok(mut orphans) = GLOBAL.orphans.lock()
-        {
-            orphans.append(&mut items);
-        }
+/// The epoch layer's thread-exit hook (`ExitHook::Epoch`): orphan the
+/// retire bag so other threads free it, and hand the magazines back to
+/// the global pool.
+pub(crate) fn thread_exit(tc: &ThreadCtx) {
+    publish_pending(tc);
+    let mut items = tc.bag.borrow_mut();
+    if !items.is_empty()
+        && let Ok(mut orphans) = GLOBAL.orphans.lock()
+    {
+        orphans.append(&mut items);
     }
+    drop(items);
+    crate::pool::flush_thread_magazines(tc);
 }
 
 #[cfg(debug_assertions)]
@@ -261,22 +203,32 @@ pub(crate) fn bag_retired_global(item: Retired) {
     }
 }
 
+/// Bag a retire on the calling thread, or, once its context is gone (TLS
+/// teardown), in the orphan bag.
 pub(crate) fn bag_retired(item: Retired) {
-    #[cfg(debug_assertions)]
-    debug_track::on_retire(item.ptr as usize);
-    // One TLS access, zero global RMWs: counts accumulate in the bag's
-    // cells and publish at the collect/advance boundaries below.
-    let (should_advance, should_collect) = LOCAL_BAG.with(|bag| {
-        bag.pending_retired.set(bag.pending_retired.get() + 1);
-        bag.pending_bytes
-            .set(bag.pending_bytes.get() + item.bytes as usize);
-        let adv = bag.since_advance.get() + 1;
+    // One TLS access, zero global RMWs: counts accumulate in the context's
+    // bag cells and publish at the collect/advance boundaries below.
+    let due = thread_ctx::try_with(|tc| {
+        #[cfg(debug_assertions)]
+        debug_track::on_retire(item.ptr as usize);
+        // A thread can retire without ever touching a magazine, so the
+        // exit hook that orphans the bag is ensured here too.
+        thread_ctx::register_thread_exit_hook(ExitHook::Epoch, thread_exit);
+        tc.bag_pending_retired.set(tc.bag_pending_retired.get() + 1);
+        tc.bag_pending_bytes
+            .set(tc.bag_pending_bytes.get() + item.bytes as usize);
+        let adv = tc.bag_since_advance.get() + 1;
         let should_advance = adv >= ADVANCE_PERIOD;
-        bag.since_advance.set(if should_advance { 0 } else { adv });
-        let mut items = bag.items.borrow_mut();
+        tc.bag_since_advance
+            .set(if should_advance { 0 } else { adv });
+        let mut items = tc.bag.borrow_mut();
         items.push(item);
         (should_advance, items.len() >= BAG_COLLECT_THRESHOLD)
     });
+    let Some((should_advance, should_collect)) = due else {
+        bag_retired_global(item);
+        return;
+    };
     if should_advance {
         try_advance();
     }
@@ -313,18 +265,20 @@ pub(crate) fn collect_local() {
     let safe_before = min_active_reservation().saturating_sub(1);
     let mut freed = 0usize;
     let mut freed_bytes = 0usize;
-    LOCAL_BAG.with(|bag| {
+    // Once the context is gone (TLS teardown) its bag is already orphaned:
+    // only the orphans are left to scan.
+    let _ = thread_ctx::try_with(|tc| {
         // Publish before anything can be freed (and before the early
         // return, so a stuck floor still reports its growing bag).
-        publish_pending(bag);
+        publish_pending(tc);
         // Stuck-reservation guard: a full scan at this floor (or a higher
         // one) already freed nothing, and nothing retired since can be
         // older — skip the rescan so a stalled pinner costs O(1) per
         // retire instead of O(bag).
-        if safe_before <= bag.last_failed_safe.get() {
+        if safe_before <= tc.bag_failed_safe.get() {
             return;
         }
-        let mut items = bag.items.borrow_mut();
+        let mut items = tc.bag.borrow_mut();
         let before = items.len();
         items.retain(|it| {
             if it.stamp < safe_before {
@@ -339,7 +293,7 @@ pub(crate) fn collect_local() {
             }
         });
         if freed == 0 && before > 0 {
-            bag.last_failed_safe.set(safe_before);
+            tc.bag_failed_safe.set(safe_before);
         }
     });
     // Opportunistically drain orphans too; try_lock so we never spin here.
@@ -370,7 +324,7 @@ pub(crate) fn flush_all() {
         try_advance();
         try_advance();
         collect_local();
-        let empty_local = LOCAL_BAG.with(|b| b.items.borrow().is_empty());
+        let empty_local = thread_ctx::try_with(|tc| tc.bag.borrow().is_empty()).unwrap_or(true);
         let empty_orphans = GLOBAL.orphans.lock().map(|o| o.is_empty()).unwrap_or(true);
         if empty_local && empty_orphans {
             return;
@@ -386,27 +340,10 @@ pub(crate) fn flush_all() {
 /// (`ADVANCE_PERIOD`) would otherwise fire `try_advance` at different
 /// points across executions. Caller contract (upheld by `flock-model`): no
 /// thread is pinned and no model threads exist when this runs, so every
-/// bagged object is force-freeable regardless of stamp.
-/// Model-engine worker reset: move the calling thread's local retire bag to
-/// the orphans (as its TLS destructor would), so pooled model workers start
-/// every execution with an empty bag. The engine's `model_reset` then frees
-/// the orphans.
-#[cfg(feature = "model")]
-pub(crate) fn model_drain_local_bag() {
-    LOCAL_BAG.with(|bag| {
-        publish_pending(bag);
-        // Cadence state must be identical at the start of every execution
-        // (the advance-attempt points are schedule-visible).
-        bag.since_advance.set(0);
-        let mut items = bag.items.borrow_mut();
-        if !items.is_empty()
-            && let Ok(mut orphans) = GLOBAL.orphans.lock()
-        {
-            orphans.append(&mut items);
-        }
-    });
-}
-
+/// bagged object is force-freeable regardless of stamp. The model workers'
+/// own bags are already orphaned (`ThreadCtx::model_reset_thread_state`
+/// runs their exit hooks); this frees the orphans and the calling thread's
+/// bag.
 #[cfg(feature = "model")]
 pub(crate) fn model_reset() {
     fn free_all(items: &mut Vec<Retired>) {
@@ -419,10 +356,10 @@ pub(crate) fn model_reset() {
             unsafe { free_one(&it) };
         }
     }
-    LOCAL_BAG.with(|bag| {
-        publish_pending(bag);
-        bag.since_advance.set(0);
-        free_all(&mut bag.items.borrow_mut());
+    thread_ctx::with(|tc| {
+        publish_pending(tc);
+        tc.bag_since_advance.set(0);
+        free_all(&mut tc.bag.borrow_mut());
     });
     if let Ok(mut orphans) = GLOBAL.orphans.lock() {
         free_all(&mut orphans);

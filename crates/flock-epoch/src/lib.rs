@@ -43,6 +43,7 @@ pub use indirect::Indirect;
 pub use pool::{PoolStats, pool_stats};
 
 use flock_sync::atomic::Ordering;
+use flock_sync::thread_ctx::Retired;
 
 /// Model-checker support (see `flock-model`): reset the collector to a
 /// deterministic state between executions. Caller contract: no thread is
@@ -58,14 +59,6 @@ pub fn model_reset() {
 #[cfg(feature = "model")]
 pub fn collect_now() {
     collector::collect_local();
-}
-
-/// Model-engine worker reset: drain the calling thread's retire bag to the
-/// orphans, as its TLS destructor would. See `model_reset`.
-#[cfg(feature = "model")]
-pub fn model_drain_local_bag() {
-    collector::model_drain_local_bag();
-    pool::model_drain_magazines();
 }
 
 /// Allocate `value` for use with [`retire`].
@@ -147,7 +140,7 @@ pub unsafe fn retire<T>(ptr: *mut T) {
     // exceeds `stamp + 1`, and any thread still holding a reference is
     // reserved at `true retire epoch - 1` or older).
     let stamp = collector::global_epoch().load(Ordering::Relaxed);
-    collector::bag_retired(collector::Retired {
+    collector::bag_retired(Retired {
         ptr: ptr.cast::<u8>(),
         // Drop glue and slot routing are chosen per `T` at compile time:
         // the collector drops in place (when `T` needs it) and returns
@@ -175,7 +168,7 @@ pub unsafe fn retire_orphan<T>(ptr: *mut T) {
     // the coherence argument bounding stamp staleness does not apply; keep
     // the strongest order on this cold (thread-exit) path.
     let stamp = collector::global_epoch().load(Ordering::SeqCst);
-    collector::bag_retired_global(collector::Retired {
+    collector::bag_retired_global(Retired {
         ptr: ptr.cast::<u8>(),
         dropper: const { pool::retired_dropper::<T>() },
         class: const { pool::retired_class::<T>() },

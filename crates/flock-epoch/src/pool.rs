@@ -17,7 +17,7 @@
 //!   next pointer). The steady state is a pure TLS pop/push with zero
 //!   shared-memory traffic; the global pool is touched only in batches of
 //!   [`BATCH`] on magazine underflow/overflow, and a thread's magazines
-//!   are flushed to the global pool when it exits (via the registered
+//!   are flushed to the global pool when it exits (via the epoch layer's
 //!   `thread_ctx` exit hook), so churning threads leak nothing.
 //!
 //! Size classes are selected **at compile time** per `T`
@@ -44,7 +44,9 @@ use std::sync::Mutex;
 use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 use flock_sync::ThreadCtx;
-use flock_sync::thread_ctx::{self, POOL_CLASSES};
+use flock_sync::thread_ctx::{self, ExitHook, POOL_CLASSES};
+
+use crate::collector::thread_exit;
 
 /// Slot sizes in bytes, one global free stack + per-thread magazine each.
 /// Powers of two, so any `T` with `size <= class` also has
@@ -149,7 +151,7 @@ pub(crate) fn free_slot(p: *mut u8, class: usize) {
         // A free-only thread can fill a magazine without ever refilling,
         // so the exit-flush hook must be ensured here too (cheap: one
         // `Relaxed` load once registered).
-        thread_ctx::register_thread_exit_hook(flush_thread_magazines);
+        thread_ctx::register_thread_exit_hook(ExitHook::Epoch, thread_exit);
         let head = tc.pool_heads[class].get();
         // SAFETY: `p` is a dead slot of `class` (caller contract); writing
         // the next pointer into its first word is the intrusive-list link.
@@ -173,7 +175,7 @@ pub(crate) fn free_slot(p: *mut u8, class: usize) {
 /// (carving a page if it runs dry) and hand one slot out.
 #[cold]
 fn refill_and_pop(tc: &ThreadCtx, class: usize) -> *mut u8 {
-    thread_ctx::register_thread_exit_hook(flush_thread_magazines);
+    thread_ctx::register_thread_exit_hook(ExitHook::Epoch, thread_exit);
     MAG_MISSES.fetch_add(1, Ordering::Relaxed);
     GLOBAL_REFILLS.fetch_add(1, Ordering::Relaxed);
     let batch = take_global(class, BATCH as usize + 1);
@@ -251,9 +253,9 @@ fn flush_batch(tc: &ThreadCtx, class: usize) {
         .append(&mut moved);
 }
 
-/// Thread-exit hook (registered with `flock_sync::thread_ctx`): hand every
-/// cached slot back to the global pool so exiting threads leak nothing.
-fn flush_thread_magazines(tc: &ThreadCtx) {
+/// Hand every cached slot back to the global pool, so exiting threads leak
+/// nothing: the magazine half of the epoch layer's thread-exit hook.
+pub(crate) fn flush_thread_magazines(tc: &ThreadCtx) {
     for class in 0..POOL_CLASSES {
         let mut head = tc.pool_heads[class].get();
         if head.is_null() {
@@ -409,14 +411,6 @@ pub fn pool_stats() -> PoolStats {
         magazine_misses: MAG_MISSES.load(Ordering::Relaxed),
         fallback_allocs: FALLBACK_ALLOCS.load(Ordering::Relaxed),
     }
-}
-
-/// Model-engine worker reset: drain the calling thread's magazines to the
-/// global pool (as thread exit would), so every model execution starts
-/// with empty magazines and the DFS replays deterministically.
-#[cfg(feature = "model")]
-pub(crate) fn model_drain_magazines() {
-    let _ = thread_ctx::try_with(flush_thread_magazines);
 }
 
 #[cfg(test)]

@@ -348,12 +348,10 @@ fn worker_loop(slot: Arc<JobSlot>) {
                 slot.state.store(IDLE, Ordering::Release);
             }
             Job::Reset => {
-                // Fresh-thread state: tid released, per-thread pools/bags
-                // drained, cadence counters zeroed. Runs with no model
-                // runtime registered (direct ops).
+                // Fresh-thread state: tid released, descriptor pool, retire
+                // bag and magazines drained, cadence counters zeroed. Runs
+                // with no model runtime registered (direct ops).
                 flock_sync::thread_ctx::with(|tc| tc.model_reset_thread_state());
-                flock_core::model_drain_descriptor_pool();
-                flock_epoch::model_drain_local_bag();
                 slot.state.store(IDLE, Ordering::Release);
             }
             Job::Shutdown => {

@@ -24,6 +24,7 @@
 //! owner instead of sleeping through it.
 
 use crate::cpu_relax;
+use crate::thread_ctx;
 
 /// Exponential backoff with jitter: a spin phase followed by a yield phase.
 ///
@@ -124,37 +125,36 @@ impl Backoff {
     }
 }
 
-thread_local! {
-    /// (thread index, seeds drawn); index 0 means not drawn yet.
-    static SEED_STATE: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
-}
-
 /// The next jitter seed of the calling thread: a hash of (thread index,
-/// per-thread count), so seeds differ across threads and from one
-/// `Backoff` to the next on one thread. Only a thread's first call touches
-/// shared state, to draw its index: one process-wide counter bumped per
-/// call would be a locked RMW on a shared line in every retry loop.
+/// per-thread count), kept in the thread's `ThreadCtx`, so seeds differ
+/// across threads and from one `Backoff` to the next on one thread. Only a
+/// thread's first call touches shared state, to draw its index: one
+/// process-wide counter bumped per call would be a locked RMW on a shared
+/// line in every retry loop. During TLS teardown, with the context gone,
+/// every draw hashes (0, 0): a `Backoff` there still varies its own
+/// successive waits, just not across threads.
 #[cold]
 fn next_seed() -> u32 {
     use std::sync::atomic::{AtomicU32, Ordering};
     static THREADS: AtomicU32 = AtomicU32::new(1);
-    SEED_STATE.with(|s| {
-        let (mut index, count) = s.get();
+    let (index, count) = thread_ctx::try_with(|tc| {
+        let (mut index, count) = tc.backoff_seed.get();
         if index == 0 {
             index = THREADS.fetch_add(1, Ordering::Relaxed);
         }
-        s.set((index, count.wrapping_add(1)));
-        // The 64-bit finalizer of MurmurHash3: every input bit reaches
-        // every output bit, so neighbouring (index, count) pairs start
-        // far apart.
-        let mut x = (u64::from(index) << 32) | u64::from(count);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        x ^= x >> 33;
-        x as u32
+        tc.backoff_seed.set((index, count.wrapping_add(1)));
+        (index, count)
     })
+    .unwrap_or((0, 0));
+    // The 64-bit finalizer of MurmurHash3: every input bit reaches every
+    // output bit, so neighbouring (index, count) pairs start far apart.
+    let mut x = (u64::from(index) << 32) | u64::from(count);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    x ^= x >> 33;
+    x as u32
 }
 
 #[cfg(test)]
@@ -228,7 +228,7 @@ mod tests {
     /// first wait draws exactly one.
     #[test]
     fn seed_is_drawn_on_first_wait() {
-        let drawn = || SEED_STATE.with(|s| s.get().1);
+        let drawn = || thread_ctx::with(|tc| tc.backoff_seed.get().1);
         let before = drawn();
         for _ in 0..10 {
             std::hint::black_box(Backoff::new());

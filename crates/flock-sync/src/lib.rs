@@ -19,11 +19,11 @@
 //! * [`tid`] — small dense per-thread integer ids (reused on thread exit) and
 //!   the active-thread registry ([`tid::scan_bound`]) that keeps per-thread
 //!   array scans proportional to the number of live threads.
-//! * [`thread_ctx`] — one `thread_local!` holding the hot-path per-thread
-//!   variables (id, epoch pin state, thunk-log cursor, allocator
-//!   magazines), fetched once for an operation's work; the descriptor pool
-//!   keeps a `thread_local!` of its own, and the epoch guard's drop fetches
-//!   the context again.
+//! * [`thread_ctx`] — the library's one `thread_local!`, holding every
+//!   per-thread variable (id, epoch pin state and retire bag, thunk-log
+//!   cursor, descriptor pool, allocator magazines, backoff seed), fetched
+//!   once for an operation's work (the epoch guard's drop fetches it
+//!   again), with one thread-exit path: a fixed table of per-layer hooks.
 //! * [`backoff`] — truncated exponential backoff with deterministic jitter
 //!   for contended retry loops.
 //! * [`chaos`] — named fault-injection points at the protocol seams: no-op

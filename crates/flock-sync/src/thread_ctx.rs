@@ -1,31 +1,34 @@
-//! The one per-thread context: every hot-path thread-local in one struct.
+//! The one per-thread context: every per-thread variable of the library in
+//! one struct behind one `thread_local!`, so an access pays one lazy-init
+//! check and one TLS addressing, and thread exit has one destructor.
 //!
-//! Before this module existed, one uncontended lock-free `try_lock` touched
-//! four separate `thread_local!` statics spread over three crates — the
-//! thread id (`flock-sync`), the epoch pin depth and collect counter
-//! (`flock-epoch`), and the running-thunk log cursor (`flock-core`) — each
-//! access paying its own lazy-init check and TLS addressing. [`ThreadCtx`]
-//! packs them into one struct behind one `thread_local!` (184 B on x86-64,
-//! more than a cache line); an operation fetches it with [`with`] and
-//! threads the reference through its internals.
-//!
-//! That fetch is not an operation's only TLS access. A top-level lock-free
-//! `try_lock` also takes the descriptor pool's own `thread_local!` twice
-//! (`flock-core`'s `descriptor.rs`, a pop and a push), and the epoch
-//! guard's `Drop` fetches the context again.
+//! [`ThreadCtx`] holds the thread id, the epoch layer's pin state, retire
+//! bag and slab magazines, the log layer's thunk-log cursor and descriptor
+//! pool, and the backoff jitter seed (272 B on x86-64, over four cache
+//! lines). An operation fetches it with [`with`] and threads the reference
+//! through its internals. On an uncontended lock-free `try_lock` the one
+//! other fetch is the epoch guard's `Drop`; the epoch layer's `alloc` and
+//! `retire` fetch the context on their own.
 //!
 //! Layering: this crate cannot name the upper layers' types, so the fields
-//! are layer-agnostic primitives. The epoch layer owns `pin_depth` and
-//! `ops_since_collect`; the log layer owns the `log_*` and `descriptor`
-//! cells, storing type-erased pointers it alone writes and reads (the cells
-//! are `null` outside a running thunk). This is the same contract the old
-//! per-crate statics had — it just lives in one place now.
+//! are layer-agnostic primitives. The epoch layer owns `pin_depth`,
+//! `ops_since_collect`, `bag` with its `bag_*` cells and the `pool_*`
+//! magazines; the log layer owns the `log_*`, `descriptor` and
+//! `desc_pool*` cells, storing type-erased pointers it alone writes and
+//! reads (the log cells are `null` outside a running thunk).
+//!
+//! **Thread exit** has one path: [`ThreadCtx`]'s `Drop` runs a fixed table
+//! of per-layer hooks in [`ExitHook`] order — the log layer's (pooled
+//! descriptors to the orphan bag), then the epoch layer's (retire bag to
+//! the orphans, magazines to the global pool) — and then releases the
+//! thread id. A layer registers its hook on the first path that fills its
+//! state ([`register_thread_exit_hook`]).
 //!
 //! The context is `Cell`-based and never aliased across threads, so nested
 //! [`with`] calls (e.g. a `Mutable::store` inside a thunk that is already
 //! running under a `with`) are fine.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crate::tid::{self, ThreadId};
@@ -38,8 +41,37 @@ const TID_UNCLAIMED: usize = usize::MAX;
 /// the pool layer asserts its class table matches this length.
 pub const POOL_CLASSES: usize = 7;
 
-/// All of a thread's hot mutable state: id, epoch pinning, log cursor,
-/// allocator magazines.
+/// A retired allocation awaiting reclamation: the record of the epoch
+/// layer's retire bag. It names no epoch-layer type, so it lives here with
+/// the bag.
+#[derive(Clone, Copy)]
+pub struct Retired {
+    /// The allocation.
+    pub ptr: *mut u8,
+    /// Drop glue only (`None` when the type has none — the free loop then
+    /// skips the indirect call). For pooled items the slot return is
+    /// driven by `class`; for fallback items the dropper frees the heap
+    /// allocation.
+    pub dropper: Option<unsafe fn(*mut u8)>,
+    /// Pool size class, or the pool layer's no-class byte for
+    /// `Box`-fallback items. Freed pooled slots go back to the freeing
+    /// thread's magazine.
+    pub class: u8,
+    /// Global epoch at retire time.
+    pub stamp: u64,
+    /// `size_of` the retired allocation, for the bag-growth accounting
+    /// (heap payload only — boxes of a `T` count `size_of::<T>()`; any
+    /// transitive owned memory is not walked).
+    pub bytes: u32,
+}
+
+// SAFETY: a Retired is an owned, unlinked allocation; the collector is the
+// only holder, and the dropper is called exactly once on whichever thread
+// frees.
+unsafe impl Send for Retired {}
+
+/// All of a thread's mutable library state: id, epoch pinning and retire
+/// bag, log cursor, descriptor pool, allocator magazines, backoff seed.
 pub struct ThreadCtx {
     /// Claimed thread id, or [`TID_UNCLAIMED`]. Claimed lazily by
     /// [`ThreadCtx::tid`]; released by `Drop` at thread exit.
@@ -91,6 +123,41 @@ pub struct ThreadCtx {
     /// Pool layer: total cached-slot count this thread last published to
     /// the global gauge (published at the same boundaries as `pool_hits`).
     pub pool_cached_published: Cell<usize>,
+    /// Log layer: head of the descriptor pool (`*mut Descriptor`), an
+    /// intrusive free list of reset descriptors linked through their
+    /// deferred-list link, which no pooled descriptor uses. Null when
+    /// empty.
+    pub desc_pool: Cell<*mut ()>,
+    /// Log layer: number of descriptors chained from `desc_pool`.
+    pub desc_pool_len: Cell<u32>,
+    /// Epoch layer: this thread's retire bag.
+    pub bag: RefCell<Vec<Retired>>,
+    /// Epoch layer: highest `safe_before` for which a full scan of the bag
+    /// freed nothing. While the reservation floor is stuck (a stalled or
+    /// forever-pinned thread), `safe_before` stays at this value and every
+    /// new retire would otherwise rescan the whole growing bag — quadratic
+    /// work for zero frees. Skipping re-scans at an already-failed floor is
+    /// sound: items retire with `stamp >=` the epoch at retire time
+    /// `>= safe_before`, so nothing addable later becomes freeable at the
+    /// same floor.
+    pub bag_failed_safe: Cell<u64>,
+    /// Epoch layer: retires (count) bagged but not yet published to the
+    /// global counters. The hot retire path only touches these cells; the
+    /// global `fetch_add`s happen at collect boundaries, stats snapshots
+    /// and thread exit, so a retire pays no cross-thread RMW. Items leave
+    /// the bag only through paths that publish first, so the global byte
+    /// gauge never sees a free before its retire.
+    pub bag_pending_retired: Cell<usize>,
+    /// Epoch layer: retired bytes bagged but not yet published (see
+    /// `bag_pending_retired`).
+    pub bag_pending_bytes: Cell<usize>,
+    /// Epoch layer: retires since this thread last attempted a global epoch
+    /// advance (the advance cadence, kept per thread for the same no-RMW
+    /// reason).
+    pub bag_since_advance: Cell<usize>,
+    /// `Backoff`'s jitter seed state: (thread index, seeds drawn); index 0
+    /// means not drawn yet.
+    pub(crate) backoff_seed: Cell<(u32, u32)>,
 }
 
 impl ThreadCtx {
@@ -112,6 +179,14 @@ impl ThreadCtx {
             pool_counts: [const { Cell::new(0) }; POOL_CLASSES],
             pool_hits: Cell::new(0),
             pool_cached_published: Cell::new(0),
+            desc_pool: Cell::new(std::ptr::null_mut()),
+            desc_pool_len: Cell::new(0),
+            bag: RefCell::new(Vec::new()),
+            bag_failed_safe: Cell::new(0),
+            bag_pending_retired: Cell::new(0),
+            bag_pending_bytes: Cell::new(0),
+            bag_since_advance: Cell::new(0),
+            backoff_seed: Cell::new((0, 0)),
         }
     }
 
@@ -167,47 +242,66 @@ impl ThreadCtx {
         self.deferred.set(std::ptr::null_mut());
         self.marked.set(false);
         self.load_cell.set(0);
-        // Drain the allocator magazines through the registered exit hook,
-        // as a real thread exit would, so pooled workers start every
-        // execution with empty magazines.
-        run_exit_hook(self);
+        // The bag's cadence state is schedule-visible (the advance-attempt
+        // points), so it must start every execution the same.
+        self.bag_since_advance.set(0);
+        self.bag_failed_safe.set(0);
+        // Drain the descriptor pool, the retire bag and the magazines
+        // through the registered exit hooks, as a real thread exit would.
+        run_exit_hooks(self);
     }
 }
 
-/// Thread-exit hook installed by the pool layer (`flock-epoch`): flushes
-/// the magazines to the global pool when a `ThreadCtx` is dropped. This
-/// crate cannot name the pool, so the hook is registered as a bare fn.
-///
-/// Stored as a raw fn pointer; null means "not registered". `Relaxed` is
-/// sufficient everywhere: the value, once non-null, never changes (the
-/// pool registers one function exactly), a fn pointer carries no data to
-/// synchronize, and any thread whose magazines are non-empty has itself
-/// loaded or stored a non-null hook on the fill path — per-location
+/// The thread-exit hook slots, one per layer that keeps state here, in the
+/// order [`ThreadCtx`]'s `Drop` runs them: the upper layer first, so
+/// whatever its hook hands down meets the lower layer's drain.
+#[derive(Clone, Copy, Debug)]
+pub enum ExitHook {
+    /// The log layer (`flock-core`): pooled descriptors go to the epoch
+    /// collector's orphan bag.
+    Descriptors,
+    /// The epoch layer (`flock-epoch`): the retire bag goes to the orphans
+    /// and the magazines back to the global pool.
+    Epoch,
+}
+
+/// The registered hooks, indexed by [`ExitHook`]. This crate cannot name
+/// the layers above it, so a hook is a bare fn pointer, null until
+/// registered.
+/// `Relaxed` is sufficient everywhere: a slot, once non-null, never changes
+/// (each layer registers one function), a fn pointer carries no data to
+/// synchronize, and any thread whose layer state is non-empty has itself
+/// loaded or stored the non-null hook on the fill path — per-location
 /// coherence then keeps its exit-time load from going back to null.
-static EXIT_HOOK: AtomicPtr<()> = AtomicPtr::new(std::ptr::null_mut());
+static EXIT_HOOKS: [AtomicPtr<()>; 2] = [const { AtomicPtr::new(std::ptr::null_mut()) }; 2];
 
-/// Register `hook` to run when any `ThreadCtx` is dropped (thread exit).
-/// Idempotent and cheap (a `Relaxed` load on the already-registered path),
-/// so callers may invoke it from moderately hot code.
-pub fn register_thread_exit_hook(hook: fn(&ThreadCtx)) {
-    if EXIT_HOOK.load(Ordering::Relaxed).is_null() {
-        EXIT_HOOK.store(hook as *mut (), Ordering::Relaxed);
+/// Register `hook` to run for `slot` when any `ThreadCtx` is dropped
+/// (thread exit). Idempotent and cheap (a `Relaxed` load on the
+/// already-registered path), so callers invoke it from the paths that fill
+/// their state.
+#[inline]
+pub fn register_thread_exit_hook(slot: ExitHook, hook: fn(&ThreadCtx)) {
+    let cell = &EXIT_HOOKS[slot as usize];
+    if cell.load(Ordering::Relaxed).is_null() {
+        cell.store(hook as *mut (), Ordering::Relaxed);
     }
 }
 
-fn run_exit_hook(tc: &ThreadCtx) {
-    let h = EXIT_HOOK.load(Ordering::Relaxed);
-    if !h.is_null() {
-        // SAFETY: `h` was stored from a `fn(&ThreadCtx)` in
-        // `register_thread_exit_hook` and never changes once set.
-        let hook: fn(&ThreadCtx) = unsafe { std::mem::transmute(h) };
-        hook(tc);
+fn run_exit_hooks(tc: &ThreadCtx) {
+    for cell in &EXIT_HOOKS {
+        let h = cell.load(Ordering::Relaxed);
+        if !h.is_null() {
+            // SAFETY: `h` was stored from a `fn(&ThreadCtx)` in
+            // `register_thread_exit_hook` and never changes once set.
+            let hook: fn(&ThreadCtx) = unsafe { std::mem::transmute(h) };
+            hook(tc);
+        }
     }
 }
 
 impl Drop for ThreadCtx {
     fn drop(&mut self) {
-        run_exit_hook(self);
+        run_exit_hooks(self);
         let t = self.tid.get();
         if t != TID_UNCLAIMED {
             tid::release_id(ThreadId(t));
@@ -220,18 +314,18 @@ thread_local! {
 }
 
 /// Run `f` with the calling thread's context: one fetch serves an
-/// operation's work (the module docs list the other TLS accesses). Nesting
-/// is allowed (and happens: thunk-internal `Mutable` operations re-enter
-/// while `try_lock` holds the outer access).
+/// operation's work. Nesting is allowed (and happens: thunk-internal
+/// `Mutable` operations re-enter while `try_lock` holds the outer access).
 #[inline]
 pub fn with<R>(f: impl FnOnce(&ThreadCtx) -> R) -> R {
     CTX.with(|tc| f(tc))
 }
 
 /// Like [`with`], but returns `None` instead of panicking when the
-/// context has already been destroyed (TLS teardown). The pool layer's
-/// free paths can run from other crates' TLS destructors — e.g. the epoch
-/// collector's local-bag drop — and fall back to the global pool then.
+/// context has already been destroyed (TLS teardown), or is being
+/// destroyed (its exit hooks are running). The epoch layer's retire and
+/// free paths can run from other TLS destructors, and fall back to the
+/// orphan bag and the global pool then.
 #[inline]
 pub fn try_with<R>(f: impl FnOnce(&ThreadCtx) -> R) -> Option<R> {
     CTX.try_with(|tc| f(tc)).ok()
@@ -269,6 +363,14 @@ mod tests {
                 assert!(tc.descriptor.get().is_null());
                 assert!(!tc.owner_run.get());
                 assert!(tc.deferred.get().is_null());
+                assert!(tc.desc_pool.get().is_null());
+                assert_eq!(tc.desc_pool_len.get(), 0);
+                assert!(tc.bag.borrow().is_empty());
+                assert_eq!(tc.bag_failed_safe.get(), 0);
+                assert_eq!(tc.bag_pending_retired.get(), 0);
+                assert_eq!(tc.bag_pending_bytes.get(), 0);
+                assert_eq!(tc.bag_since_advance.get(), 0);
+                assert_eq!(tc.backoff_seed.get(), (0, 0));
             });
         })
         .join()

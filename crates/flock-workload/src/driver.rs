@@ -277,6 +277,14 @@ mod tests {
         fn get(&self, key: u64) -> Option<u64> {
             self.inner.lock().unwrap().get(&key).copied()
         }
+        fn update(&self, key: u64, value: u64) -> bool {
+            self.inner
+                .lock()
+                .unwrap()
+                .get_mut(&key)
+                .map(|v| *v = value)
+                .is_some()
+        }
         fn name(&self) -> &'static str {
             "locked_hashmap"
         }
