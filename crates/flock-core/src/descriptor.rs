@@ -542,6 +542,7 @@ where
 /// No other thread may be running `d` or reading its thunk or log (stale
 /// helpers only ever store its atomic flags); `overflow` must be a sound
 /// way to dispose of `d` under that same premise.
+#[inline(always)]
 unsafe fn recycle(tc: &ThreadCtx, d: *mut Descriptor, overflow: unsafe fn(*mut Descriptor)) {
     // SAFETY: exclusive access per contract.
     let desc = unsafe { &mut *d };
@@ -614,6 +615,7 @@ pub(crate) fn defer_nested(tc: &ThreadCtx, d: *const Descriptor) {
 /// Caller must be the unique owner thread of this top-level descriptor, the
 /// lock word must no longer reference it, and the calling thread must be
 /// pinned (for the retire path).
+#[inline(always)]
 pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
     // No helper committed to running this descriptor before the lock word
     // stopped referencing it (the helped→revalidate protocol guarantees any
@@ -667,6 +669,7 @@ pub(crate) unsafe fn dispose_top_level(tc: &ThreadCtx, d: *mut Descriptor) {
 ///
 /// `reusable` asserts [`recycle`]'s premise; either way
 /// [`retire_published`]'s contract must hold.
+#[inline(always)]
 unsafe fn dispose_published(tc: &ThreadCtx, d: *mut Descriptor, reusable: bool) {
     // SAFETY: forwarded contract.
     unsafe {

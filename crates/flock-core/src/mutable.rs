@@ -328,8 +328,32 @@ impl<V: ValueRepr> Mutable<V> {
     /// the tag choice only when the new tag enters a tag window, one store
     /// in `TAG_WINDOW`) — because all branches below depend only on
     /// committed values, never on timing.
-    #[inline]
+    ///
+    /// A top-level call with an inline repr — a lock install, an owner's
+    /// release, a top-level `store` or `cam` — is one short inline arm:
+    /// the next tag from the issuer, then one CAS. Everything else, the
+    /// in-thunk protocol and indirect reprs, is one out-of-line call.
+    #[inline(always)]
     pub(crate) fn tagged_cas_after_load_in(&self, tc: &ThreadCtx, committed_old: u64, new: V) {
+        if V::INDIRECT || tc.in_thunk() {
+            self.tagged_cas_after_load_slow(tc, committed_old, new);
+            return;
+        }
+        // Top level (or blocking mode): no helpers, no replay. A single
+        // tag-bumping CAS; a CAS loop would mask racing stores, which the
+        // model forbids anyway, so one attempt keeps semantics identical to
+        // the logged path. The tag comes from the one issuer for every tag
+        // of every cell, as in the slow path below.
+        let start = next_tag(unpack_tag(committed_old));
+        let candidate = announce::global().next_free_tag(self.addr(), start);
+        self.cell
+            .ccas(committed_old, pack(candidate, V::encode(new)));
+    }
+
+    /// [`Mutable::tagged_cas_after_load_in`] inside a thunk, or for an
+    /// indirect repr.
+    #[inline(never)]
+    fn tagged_cas_after_load_slow(&self, tc: &ThreadCtx, committed_old: u64, new: V) {
         let old_tag = unpack_tag(committed_old);
         // One issuer for every tag of every cell (`flock_sync::announce`,
         // "Window-entry scans"): `+1`, and a table scan one time in

@@ -2,8 +2,8 @@
 //!
 //! The per-thread pin state (`pin_depth`, `ops_since_collect`) lives in
 //! [`flock_sync::ThreadCtx`] — the workspace-wide single thread-local — so
-//! a caller that already holds the context can pin with [`pin_with`]
-//! without another TLS access.
+//! a caller that already holds the context can pin with [`pin_with`] and
+//! unpin with [`EpochGuard::unpin_with`] without another TLS access.
 
 use flock_sync::atomic::{Ordering, fence};
 use flock_sync::{ThreadCtx, thread_ctx, tid};
@@ -152,34 +152,64 @@ impl EpochGuard {
             _not_send: std::marker::PhantomData,
         }
     }
+
+    /// Unpin against the caller's thread context: exactly what dropping
+    /// the guard does, without the guard's own fetch of the context.
+    ///
+    /// `tc` must be the creating thread's context, as [`pin_with`] got it.
+    /// The caller holds `tc` for the guard's whole life, which is what
+    /// makes this sound where `Drop` must fetch: a guard may outlive the
+    /// `thread_ctx::with` call that pinned it, and be dropped during thread
+    /// exit after the context's exit hooks ran, when no context is left to
+    /// borrow. A guard created and unpinned inside one `thread_ctx::with`
+    /// closure cannot: the context stays borrowed, so alive, from the pin
+    /// to the unpin. A guard that unwinds instead still drops through
+    /// `Drop`.
+    #[inline]
+    pub fn unpin_with(self, tc: &ThreadCtx) {
+        let guard = std::mem::ManuallyDrop::new(self);
+        guard.unpin(tc);
+    }
+
+    /// The unpin both [`EpochGuard::unpin_with`] and `Drop` make.
+    #[inline(always)]
+    fn unpin(&self, tc: &ThreadCtx) {
+        debug_assert_eq!(
+            tc.tid(),
+            self.tid,
+            "unpinned against another thread's context"
+        );
+        tc.pin_depth.set(tc.pin_depth.get() - 1);
+        if !self.outermost {
+            return;
+        }
+        // Ordering: Release — the operation's reads and writes of
+        // protected objects are sequenced before this clear; a collector
+        // that observes QUIESCENT acquires them (via the trailing acquire
+        // fence of its scan) before freeing, so no free can race an
+        // in-flight access from this section.
+        collector::reservation_of(self.tid).store(QUIESCENT, Ordering::Release);
+        let v = tc.ops_since_collect.get() + 1;
+        if v >= COLLECT_PERIOD {
+            tc.ops_since_collect.set(0);
+            collect_due();
+        } else {
+            tc.ops_since_collect.set(v);
+        }
+    }
+}
+
+/// Every [`COLLECT_PERIOD`]th outermost unpin: advance and collect.
+#[cold]
+#[inline(never)]
+fn collect_due() {
+    collector::try_advance();
+    collector::collect_local();
 }
 
 impl Drop for EpochGuard {
     fn drop(&mut self) {
-        let due = thread_ctx::with(|tc| {
-            tc.pin_depth.set(tc.pin_depth.get() - 1);
-            if !self.outermost {
-                return false;
-            }
-            // Ordering: Release — the operation's reads and writes of
-            // protected objects are sequenced before this clear; a
-            // collector that observes QUIESCENT acquires them (via the
-            // trailing acquire fence of its scan) before freeing, so no
-            // free can race an in-flight access from this section.
-            collector::reservation_of(self.tid).store(QUIESCENT, Ordering::Release);
-            let v = tc.ops_since_collect.get() + 1;
-            if v >= COLLECT_PERIOD {
-                tc.ops_since_collect.set(0);
-                true
-            } else {
-                tc.ops_since_collect.set(v);
-                false
-            }
-        });
-        if due {
-            collector::try_advance();
-            collector::collect_local();
-        }
+        thread_ctx::with(|tc| self.unpin(tc));
     }
 }
 
@@ -238,6 +268,39 @@ mod tests {
         assert_eq!(pinned_epoch(), Some(g.epoch()));
         drop(g);
         assert!(!is_pinned());
+    }
+
+    /// The state an unpin of a guard on a fresh thread leaves: the pin
+    /// depth, whether the reservation is what it was before the pin (the
+    /// enclosing guard's epoch, or quiescent), and the count toward the
+    /// next collection.
+    fn after_unpin(nested: bool, unpin: fn(EpochGuard, &ThreadCtx)) -> (usize, bool, usize) {
+        std::thread::spawn(move || {
+            thread_ctx::with(|tc| {
+                let outer = nested.then(|| pin_with(tc));
+                let before = outer.as_ref().map_or(QUIESCENT, EpochGuard::epoch);
+                unpin(pin_with(tc), tc);
+                let res = collector::reservation_of(tc.tid()).load(Ordering::Relaxed);
+                (
+                    tc.pin_depth.get(),
+                    res == before,
+                    tc.ops_since_collect.get(),
+                )
+            })
+        })
+        .join()
+        .unwrap()
+    }
+
+    #[test]
+    fn unpin_with_matches_drop() {
+        for nested in [false, true] {
+            let by_drop = after_unpin(nested, |g, _| drop(g));
+            let by_ctx = after_unpin(nested, |g, tc| g.unpin_with(tc));
+            assert_eq!(by_ctx, by_drop, "nested = {nested}");
+            let expect = (usize::from(nested), true, usize::from(!nested));
+            assert_eq!(by_ctx, expect, "nested = {nested}");
+        }
     }
 
     #[test]

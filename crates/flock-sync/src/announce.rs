@@ -162,21 +162,20 @@ struct Slot {
 /// A process-wide singleton is available via [`global`]; separate instances
 /// exist to make unit testing possible.
 pub struct TagAnnouncements {
-    slots: Box<[CachePadded<Slot>]>,
+    slots: [CachePadded<Slot>; MAX_THREADS],
 }
 
 impl TagAnnouncements {
     /// Create a table sized for [`MAX_THREADS`] threads.
-    pub fn new() -> Self {
-        let slots = (0..MAX_THREADS)
-            .map(|_| {
+    pub const fn new() -> Self {
+        Self {
+            slots: [const {
                 CachePadded::new(Slot {
                     loc: AtomicUsize::new(NONE),
                     tag: AtomicU64::new(0),
                 })
-            })
-            .collect();
-        Self { slots }
+            }; MAX_THREADS],
+        }
     }
 
     /// Announce that the calling thread may CAS `loc_addr` expecting `tag`.
@@ -297,15 +296,15 @@ impl Default for TagAnnouncements {
     }
 }
 
-/// The process-wide announcement table used by `flock-core`.
+/// The process-wide announcement table used by `flock-core`: a `static`,
+/// so a tag issue reaches it with no initialization check and no pointer
+/// to follow. Each slot is on cache lines of its own (`CachePadded`), so
+/// no slot shares a line with a static that other threads write,
+/// whichever statics the linker places next to the table.
+#[inline(always)]
 pub fn global() -> &'static TagAnnouncements {
-    use std::sync::OnceLock;
-    // On cache lines of its own: every store of every `Mutable` reads this
-    // handle on its way to `next_free_tag`, so it must not share a line
-    // with a static that other threads write, whichever statics the linker
-    // happens to place next to it.
-    static GLOBAL: CachePadded<OnceLock<TagAnnouncements>> = CachePadded::new(OnceLock::new());
-    GLOBAL.get_or_init(TagAnnouncements::new)
+    static GLOBAL: TagAnnouncements = TagAnnouncements::new();
+    &GLOBAL
 }
 
 /// Model-checker support: clear every slot of the global table.

@@ -22,8 +22,8 @@
 //! * [`thread_ctx`] — the library's one `thread_local!`, holding every
 //!   per-thread variable (id, epoch pin state and retire bag, thunk-log
 //!   cursor, descriptor pool, allocator magazines, backoff seed), fetched
-//!   once for an operation's work (the epoch guard's drop fetches it
-//!   again), with one thread-exit path: a fixed table of per-layer hooks.
+//!   once for an operation's work, with one thread-exit path: a fixed
+//!   table of per-layer hooks.
 //! * [`backoff`] — truncated exponential backoff with deterministic jitter
 //!   for contended retry loops.
 //! * [`chaos`] — named fault-injection points at the protocol seams: no-op

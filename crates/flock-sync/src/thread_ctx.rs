@@ -6,9 +6,10 @@
 //! bag and slab magazines, the log layer's thunk-log cursor and descriptor
 //! pool, and the backoff jitter seed (272 B on x86-64, over four cache
 //! lines). An operation fetches it with [`with`] and threads the reference
-//! through its internals. On an uncontended lock-free `try_lock` the one
-//! other fetch is the epoch guard's `Drop`; the epoch layer's `alloc` and
-//! `retire` fetch the context on their own.
+//! through its internals. An uncontended lock-free `try_lock` fetches it
+//! once: it unpins its epoch guard against the same fetch. The epoch
+//! layer's `alloc` and `retire`, and a guard's `Drop`, fetch the context
+//! on their own.
 //!
 //! Layering: this crate cannot name the upper layers' types, so the fields
 //! are layer-agnostic primitives. The epoch layer owns `pin_depth`,
