@@ -3,8 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::rng::SplitMix64;
-use crate::sparsify;
+use crate::rng::{SplitMix64, sparsify};
 use crate::zipf::Zipfian;
 use flock_api::Map;
 

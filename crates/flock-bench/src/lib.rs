@@ -8,6 +8,24 @@
 //! per panel. The `figures` binary, the crate's only one, is the command
 //! line over those three.
 //!
+//! ## The driver
+//!
+//! [`run_experiment`] follows the paper's workload methodology (§8
+//! "Workloads") over any [`Map`], the Flock structures and the baselines
+//! alike:
+//!
+//! * a key range `[0, r)` prefilled with half the keys;
+//! * each thread performs a mix of lookups and updates, with updates split
+//!   evenly between inserts and deletes, keeping the size stable;
+//! * keys drawn from a [`Zipfian`] distribution with parameter α
+//!   (α = 0 is uniform; 0.75/0.9/0.99 skew toward hot keys, as in YCSB);
+//! * timed runs with a warm-up run discarded and the mean ± σ of the
+//!   remaining runs reported;
+//! * oversubscription simply by requesting more threads than cores.
+//!
+//! [`make_map`] builds any of the registry's structures by name:
+//! [`FLOCK_STRUCTURES`] and [`BASELINES`] list them.
+//!
 //! This crate does not measure the repo's own performance over time — that
 //! is `benchmark/` (see `BENCHMARK.json`).
 //!
@@ -31,7 +49,14 @@ use flock_ds::{
     abtree::ABTree, arttree::ArtTree, dlist::DList, hashtable::HashTable, lazylist::LazyList,
     leaftreap::LeafTreap, leaftree::LeafTree,
 };
-use flock_workload::{Config, Measurement};
+
+pub mod driver;
+pub mod rng;
+pub mod zipf;
+
+pub use driver::{Config, Measurement, run_experiment};
+pub use rng::{SplitMix64, sparsify};
+pub use zipf::Zipfian;
 
 /// A benchmarkable series: a structure plus the lock mode it runs under
 /// (baselines ignore the mode).
@@ -78,6 +103,29 @@ impl Series {
         format!("{}{mode}", self.structure)
     }
 }
+
+/// The registry's Flock structures: each runs in either lock mode.
+pub const FLOCK_STRUCTURES: [&str; 8] = [
+    "dlist",
+    "lazylist",
+    "hashtable",
+    "leaftree",
+    "leaftree-strict",
+    "leaftreap",
+    "abtree",
+    "arttree",
+];
+
+/// The registry's baselines: they bring their own synchronization and
+/// ignore the lock mode.
+pub const BASELINES: [&str; 6] = [
+    "harris_list",
+    "harris_list_opt",
+    "natarajan",
+    "ellen",
+    "bronson_style_bst",
+    "srivastava_abtree",
+];
 
 /// Instantiate every registry structure at a given `(K, V)` pair (all 14
 /// variants are generic since the `ValueRepr` refactor).
@@ -164,7 +212,7 @@ impl Scale {
 pub fn run_point(series: Series, cfg: &Config) -> Measurement {
     flock_core::set_lock_mode(series.mode.unwrap_or(LockMode::LockFree));
     let map = make_map(series.structure, cfg.key_range);
-    let mut m = flock_workload::run_experiment(&*map, cfg);
+    let mut m = run_experiment(&*map, cfg);
     drop(map);
     flock_epoch::flush_all();
     flock_core::set_lock_mode(LockMode::LockFree);
@@ -379,14 +427,16 @@ mod tests {
         registry!(structure, key_range)
     }
 
-    /// Every registry name: between them the figures plot all 14.
+    /// Every registry name; between them the figures plot all 14.
     fn registry() -> Vec<&'static str> {
-        let mut names: Vec<_> = (PANELS.iter().flat_map(|p| p.series))
+        let mut plotted: Vec<_> = (PANELS.iter().flat_map(|p| p.series))
             .map(|s| s.structure)
             .collect();
+        plotted.sort_unstable();
+        plotted.dedup();
+        let mut names: Vec<_> = FLOCK_STRUCTURES.into_iter().chain(BASELINES).collect();
         names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 14);
+        assert_eq!(plotted, names);
         names
     }
 

@@ -1,8 +1,23 @@
-//! Tiny fast PRNG for the benchmark hot path.
+//! Tiny fast PRNG for the driver's hot path, and the key hash built from
+//! the same mixing function.
+
+/// The splitmix64 output function: a bijection on `u64`.
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// splitmix64 finalizer; used to sparsify keys (the paper hashes keys for
+/// the ART benchmark so the trie does not benefit from dense packing).
+#[inline]
+pub fn sparsify(key: u64) -> u64 {
+    mix(key.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
 
 /// splitmix64: one multiply-xor-shift chain per output, passes BigCrush for
-/// this use. The `rand` crate is used only for seeding and shuffles off the
-/// hot path.
+/// this use.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -20,10 +35,7 @@ impl SplitMix64 {
     #[inline(always)]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix(self.state)
     }
 
     /// Uniform in `[0, bound)`.
@@ -70,6 +82,20 @@ mod tests {
         for _ in 0..10_000 {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    /// splitmix64's finalizer is a bijection on `u64`, so distinct keys
+    /// stay distinct.
+    #[test]
+    fn sparsify_is_injective_on_small_ranges() {
+        let mut rng = SplitMix64::new(7);
+        for _ in 0..10_000 {
+            let a = rng.below(1_000_000);
+            let b = rng.below(1_000_000);
+            if a != b {
+                assert_ne!(sparsify(a), sparsify(b));
+            }
         }
     }
 

@@ -153,6 +153,8 @@ mod tests {
         assert!(uni < mid && mid < high, "ordering: {uni} {mid} {high}");
     }
 
+    /// Ranks stay below `n`: at the figures' four α over 1000 ranks, and at
+    /// 64 random `(n, α)` pairs.
     #[test]
     fn ranks_in_range() {
         for alpha in [0.0, 0.75, 0.9, 0.99] {

@@ -26,16 +26,17 @@
 //! serialize (flock-conformance's `exclusive` lock, or any process-global
 //! mutex).
 //!
-//! The crate's `chaos` binary (`src/bin/chaos.rs`) drives these policies
-//! against every Flock structure: progress past stalled lock holders and
-//! the blocking inversion, a panic storm, epoch degradation under a stuck
-//! pin, and thread churn.
+//! The crate's integration tests (`tests/chaos.rs`) drive these policies
+//! against the registry's structures: progress past stalled lock holders
+//! on all eight Flock structures and the blocking inversion on each, a
+//! panic storm, epoch degradation under a stuck pin, and thread churn. Its
+//! unit tests park single lock owners at chosen seams.
 
 #![warn(missing_docs)]
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -226,22 +227,58 @@ impl ChaosPolicy for Composite {
 /// never exercises: tid reclaim, announcement-table scan bounds, and
 /// orphan-bag reclamation.
 ///
-/// Returns the thread-id high-water mark after the churn — a caller
-/// asserting tid *reclaim* checks it stayed close to `batch` (ids were
-/// reused round over round) rather than growing by `rounds * batch`.
-pub fn churn<F>(rounds: usize, batch: usize, work: F) -> usize
+/// After `work`, each worker claims its thread id (if `work` has not) and
+/// waits at a barrier, so a whole batch holds its ids at once before any
+/// of them exits. `work` must not panic: the rest of its batch would wait
+/// at the barrier for good.
+pub fn churn<F>(rounds: usize, batch: usize, work: F) -> Churned
 where
     F: Fn(usize) + Send + Sync,
 {
+    let peak_live = AtomicUsize::new(0);
     for r in 0..rounds {
+        let gate = Barrier::new(batch);
         std::thread::scope(|s| {
-            for i in 0..batch {
-                let work = &work;
-                s.spawn(move || work(r * batch + i));
+            let workers: Vec<_> = (0..batch)
+                .map(|i| {
+                    let (work, gate, peak_live) = (&work, &gate, &peak_live);
+                    s.spawn(move || {
+                        work(r * batch + i);
+                        flock_sync::tid::current();
+                        // Between the two waits every worker of the batch
+                        // is alive and holds its id.
+                        gate.wait();
+                        let live = flock_sync::tid::live_thread_count();
+                        peak_live.fetch_max(live, Ordering::AcqRel);
+                        gate.wait();
+                    })
+                })
+                .collect();
+            // Joined one by one: a join waits for the thread to exit, its
+            // id released, where the scope's own join waits only for the
+            // closure to return.
+            for w in workers {
+                w.join().expect("churn worker panicked");
             }
         });
     }
-    flock_sync::tid::high_water_mark()
+    Churned {
+        peak_live: peak_live.into_inner(),
+        high_water: flock_sync::tid::high_water_mark(),
+    }
+}
+
+/// What [`churn`] saw of the thread-id registry.
+#[derive(Debug, Clone, Copy)]
+pub struct Churned {
+    /// The most thread ids live at once, read while a whole batch held its
+    /// ids: at least `batch`.
+    pub peak_live: usize,
+    /// The thread-id high-water mark after the churn. A caller asserting
+    /// tid *reclaim* checks that it stayed within one batch of where it
+    /// was (ids were reused round over round) rather than growing by
+    /// `rounds * batch`.
+    pub high_water: usize,
 }
 
 #[cfg(test)]
@@ -249,7 +286,7 @@ mod tests {
     use super::*;
     use flock_conformance::exclusive;
     use flock_core::{Lock, Mutable};
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::AtomicBool;
 
     /// A stalled victim parks at the seam and wakes on release; non-victims
     /// pass through untouched.
@@ -598,137 +635,6 @@ mod tests {
             assert!(!l.is_locked(), "lock hung after a helper panic");
             assert_eq!(l.try_lock(|| 2u32), Some(2), "lock unusable afterwards");
             clear_chaos_policy();
-        });
-    }
-
-    /// Churned workers reclaim thread ids: the high-water mark stays near
-    /// one batch's width instead of growing with every round.
-    #[test]
-    fn churn_reclaims_thread_ids() {
-        exclusive(|| {
-            let l = Arc::new(Lock::new());
-            let n = Arc::new(Mutable::new(0u64));
-            const ROUNDS: usize = 10;
-            const BATCH: usize = 6;
-            let before = flock_sync::tid::high_water_mark();
-            let hwm = churn(ROUNDS, BATCH, |_| {
-                for _ in 0..20 {
-                    let n2 = Arc::clone(&n);
-                    l.lock(move || n2.store(n2.load() + 1));
-                }
-            });
-            assert_eq!(n.load(), (ROUNDS * BATCH * 20) as u64);
-            // Reclaim bound: one batch beyond whatever was live before the
-            // churn — NOT rounds * batch (which unreclaimed ids would hit).
-            assert!(
-                hwm <= before + BATCH,
-                "thread ids not reclaimed across churn rounds: high-water {hwm} \
-                 (was {before}, batch {BATCH})"
-            );
-        });
-    }
-    /// Panic storm: a saboteur's seam crossings inject panics while two
-    /// workers race it on the same keys. Every *observed* panic must be an
-    /// expected kind — the saboteur's own unwind or a racing owner's
-    /// "critical section panicked during helped execution" report — and the
-    /// structure must stay fully usable. Observed can be *less* than fired:
-    /// an injection landing in a help run of an operation whose owner
-    /// already completed and returned is swallowed by the helper's recovery
-    /// (the panic aborted only a redundant replay), so it surfaces nowhere.
-    /// The workload alternates insert/remove so presence toggles and every
-    /// thread keeps crossing the lock (an insert of an already-present key
-    /// returns through the outside-the-lock check and never reaches a seam).
-    #[test]
-    fn panic_storm_at_most_once_reporting() {
-        exclusive(|| {
-            fn expected_storm_panic(payload: &(dyn std::any::Any + Send)) -> bool {
-                let msg = if let Some(s) = payload.downcast_ref::<String>() {
-                    s.as_str()
-                } else if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else {
-                    return false;
-                };
-                msg.contains(INJECTED_PANIC)
-                    || msg.contains("critical section panicked during helped execution")
-            }
-            let inject = PanicPolicy::new(Seam::InThunk, 5);
-            set_chaos_policy(Arc::clone(&inject) as Arc<dyn ChaosPolicy>);
-            let map: flock_ds::hashtable::HashTable<u64, u64> =
-                flock_ds::hashtable::HashTable::with_capacity(1024);
-            let observed = AtomicU64::new(0);
-            let unexpected = AtomicU64::new(0);
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                {
-                    let (map, inject, observed, unexpected, stop) =
-                        (&map, &inject, &observed, &unexpected, &stop);
-                    s.spawn(move || {
-                        inject.arm_current();
-                        let mut i = 0u64;
-                        while !stop.load(Ordering::Acquire) {
-                            i += 1;
-                            let key = [3u64, 11][(i % 2) as usize];
-                            let op = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if i.is_multiple_of(2) {
-                                    map.insert(key, i);
-                                } else {
-                                    map.remove(key);
-                                }
-                            }));
-                            if let Err(payload) = op {
-                                if expected_storm_panic(payload.as_ref()) {
-                                    observed.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    unexpected.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    });
-                }
-                for w in 0..2u64 {
-                    let (map, observed, unexpected, stop) = (&map, &observed, &unexpected, &stop);
-                    s.spawn(move || {
-                        let mut i = w;
-                        while !stop.load(Ordering::Acquire) {
-                            i += 1;
-                            let key = [3u64, 11][(i % 2) as usize];
-                            let op = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if i.is_multiple_of(3) {
-                                    map.remove(key);
-                                } else {
-                                    map.insert(key, i);
-                                }
-                            }));
-                            if let Err(payload) = op {
-                                if expected_storm_panic(payload.as_ref()) {
-                                    observed.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    unexpected.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    });
-                }
-                let t0 = Instant::now();
-                while inject.remaining() > 0 && t0.elapsed() < Duration::from_secs(20) {
-                    std::thread::yield_now();
-                }
-                stop.store(true, Ordering::Release);
-            });
-            clear_chaos_policy();
-            assert_eq!(inject.remaining(), 0, "storm never fired all injections");
-            assert_eq!(
-                unexpected.load(Ordering::Relaxed),
-                0,
-                "a panic with an unrecognized payload escaped the storm"
-            );
-            let n = observed.load(Ordering::Relaxed);
-            assert!(n <= 5, "more panics observed ({n}) than injected (5)");
-            assert!(n >= 1, "no injected panic was ever observed");
-            assert!(map.insert(99, 1), "map unusable after the storm");
-            assert_eq!(map.get(99), Some(1));
-            flock_epoch::flush_all();
         });
     }
 }

@@ -3,7 +3,7 @@
 //! evaluation mimics.
 //!
 //! The tree implements `flock_api::Map` directly, so it plugs into the
-//! workload driver with no adapter.
+//! figure harness's driver (`flock_bench::run_experiment`) with no adapter.
 //!
 //! ```sh
 //! cargo run --release --example kv_store
@@ -11,7 +11,7 @@
 
 use flock::core::{LockMode, set_lock_mode};
 use flock::ds::abtree::ABTree;
-use flock::workload::{Config, SplitMix64, Zipfian, run_experiment};
+use flock_bench::{Config, SplitMix64, Zipfian, run_experiment};
 use std::time::Duration;
 
 fn main() {

@@ -27,7 +27,9 @@
 //!   first lock-free adaptive radix tree.
 //! * [`baselines`] ([`flock_baselines`]) — hand-crafted lock-free and blocking
 //!   comparators used by the paper's evaluation.
-//! * [`workload`] ([`flock_workload`]) — the YCSB-style benchmark driver.
+//!
+//! The paper's figures, with the YCSB-style driver that measures them, are
+//! the `flock-bench` crate, which this facade does not re-export either.
 //!
 //! ## Quickstart: a map, through the one interface
 //!
@@ -74,4 +76,3 @@ pub use flock_core as core;
 pub use flock_ds as ds;
 pub use flock_epoch as epoch;
 pub use flock_sync as sync;
-pub use flock_workload as workload;

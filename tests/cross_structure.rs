@@ -5,30 +5,15 @@
 
 use flock::api::Map;
 use flock::core::LockMode;
+use flock_bench::{BASELINES, FLOCK_STRUCTURES, make_map};
 use flock_conformance::{default_methods_check, partition_stress, with_mode};
 
 fn flock_structures() -> Vec<Box<dyn Map<u64, u64>>> {
-    vec![
-        Box::new(flock::ds::dlist::DList::new()),
-        Box::new(flock::ds::lazylist::LazyList::new()),
-        Box::new(flock::ds::hashtable::HashTable::with_capacity(1024)),
-        Box::new(flock::ds::leaftree::LeafTree::new()),
-        Box::new(flock::ds::leaftree::LeafTree::new_strict()),
-        Box::new(flock::ds::leaftreap::LeafTreap::new()),
-        Box::new(flock::ds::abtree::ABTree::new()),
-        Box::new(flock::ds::arttree::ArtTree::new()),
-    ]
+    FLOCK_STRUCTURES.map(|name| make_map(name, 1024)).into()
 }
 
 fn baseline_structures() -> Vec<Box<dyn Map<u64, u64>>> {
-    vec![
-        Box::new(flock::baselines::HarrisList::new()),
-        Box::new(flock::baselines::HarrisList::new_opt()),
-        Box::new(flock::baselines::NatarajanBst::new()),
-        Box::new(flock::baselines::EllenBst::new()),
-        Box::new(flock::baselines::BlockingBst::new()),
-        Box::new(flock::baselines::BlockingABTree::new()),
-    ]
+    BASELINES.map(|name| make_map(name, 1024)).into()
 }
 
 #[test]

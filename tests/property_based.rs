@@ -3,14 +3,17 @@
 //! splitmix64 sweep rather than proptest — many seeds, deterministic
 //! replay by seed):
 //!
-//! * arbitrary op sequences on every structure match a `BTreeMap` oracle;
+//! * arbitrary op sequences on every structure match a `BTreeMap` oracle,
+//!   at inline and at fat, heap-indirected values;
 //! * packed-word encodings round-trip;
 //! * the zipfian generator stays in range;
 //! * `Mutable` agrees with a plain variable under arbitrary histories;
 //! * structure-specific shape invariants hold after arbitrary histories.
+//!
+//! The key hash's injectivity is a flock-bench unit test.
 
 use flock::api::{Indirect, Map, Value};
-use flock::workload::SplitMix64;
+use flock_bench::SplitMix64;
 use flock_conformance::{exclusive, oracle_check_as};
 
 /// One seeded history of `ops` operations over keys `0..48`, checked
@@ -92,7 +95,7 @@ oracle_prop!(
 #[test]
 fn fat_value_histories_match_oracle() {
     fn fat(stamp: u64) -> Indirect<[u64; 4]> {
-        let v = flock::workload::sparsify(stamp);
+        let v = flock_bench::sparsify(stamp);
         Indirect([v, !v, v ^ 0xABCD, v.rotate_left(9)])
     }
     exclusive(|| {
@@ -149,24 +152,10 @@ fn zipfian_in_range() {
     for _ in 0..64 {
         let n = 1 + rng.below(100_000);
         let alpha = (rng.below(999) as f64) / 1000.0;
-        let z = flock::workload::Zipfian::new(n, alpha);
-        let mut zrng = flock::workload::SplitMix64::new(rng.next_u64());
+        let z = flock_bench::Zipfian::new(n, alpha);
+        let mut zrng = SplitMix64::new(rng.next_u64());
         for _ in 0..64 {
             assert!(z.next(&mut zrng) < n, "n={n} alpha={alpha}");
-        }
-    }
-}
-
-#[test]
-fn sparsify_is_injective_on_small_ranges() {
-    // splitmix64's finalizer is a bijection on u64, so distinct keys must
-    // stay distinct.
-    let mut rng = SplitMix64::new(7);
-    for _ in 0..10_000 {
-        let a = rng.below(1_000_000);
-        let b = rng.below(1_000_000);
-        if a != b {
-            assert_ne!(flock::workload::sparsify(a), flock::workload::sparsify(b));
         }
     }
 }
