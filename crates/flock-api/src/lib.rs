@@ -2,9 +2,9 @@
 //!
 //! Every concurrent map in this workspace — the seven Flock structures in
 //! `flock-ds` and the five hand-crafted comparators in `flock-baselines` —
-//! implements the single [`Map`] trait defined here. The benchmark driver
-//! (`flock-workload`), the figure harness (`flock-bench`), the examples and
-//! the integration tests are all written against this trait, so adding a
+//! implements the single [`Map`] trait defined here. The figure harness
+//! and its workload driver (`flock-bench`), the examples and the
+//! integration tests are all written against this trait, so adding a
 //! structure means implementing one interface, once.
 //!
 //! The trait is generic over [`Key`] and [`Value`], and — since the

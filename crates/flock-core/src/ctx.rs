@@ -70,6 +70,25 @@ pub(crate) fn log_cursor(tc: &ThreadCtx) -> usize {
     tc.log_block.get() as usize | tc.log_pos.get()
 }
 
+/// Entries the running thunk has committed so far, counted across its
+/// log's blocks: a reused descriptor's log spills into a kept block without
+/// allocating, so a count of allocations cannot tell a spill.
+#[cfg(test)]
+pub(crate) fn entries_committed(tc: &ThreadCtx) -> usize {
+    let d = tc.descriptor.get() as *const Descriptor;
+    assert!(!d.is_null(), "no thunk is running");
+    // SAFETY: the running descriptor and its chain are live for the run.
+    let mut block = unsafe { (*d).first_block() } as *const LogBlock;
+    let mut entries = tc.log_pos.get();
+    while block != tc.log_block.get() as *const LogBlock {
+        assert!(!block.is_null(), "the running block is not in the chain");
+        entries += LOG_BLOCK_ENTRIES;
+        // SAFETY: as above.
+        block = unsafe { (*block).next_block() };
+    }
+    entries
+}
+
 /// Run descriptor `d`'s thunk under its log (paper Algorithm 2, `run`).
 ///
 /// Saves the caller's context, installs `d`'s log at position 0, runs the

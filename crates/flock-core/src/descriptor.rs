@@ -403,6 +403,17 @@ impl Descriptor {
 /// the conservative retire path), so published descriptors may be pooled —
 /// but they must never be immediately *freed*: when they leave the pool
 /// (overflow or thread exit) they go through the epoch collector.
+///
+/// A pooled descriptor holds its slab, an empty thunk slot, and its whole
+/// log chain with every entry `EMPTY`: the extension blocks a long log
+/// linked stay linked (the `log` module docs, "A chain lives as long as its
+/// descriptor"), so the next long log runs with no allocation. The same
+/// argument that lets the head block be reused covers them: no validated
+/// helper can reach a pooled descriptor, and the next install CAS publishes
+/// the whole chain as it publishes the head. The memory bound: at most
+/// `POOL_CAP` pooled descriptors per thread, each keeping one 64-byte block
+/// per [`LOG_BLOCK_ENTRIES`](crate::LOG_BLOCK_ENTRIES) entries of the
+/// longest log it has run, past the inline block.
 const POOL_CAP: u32 = 32;
 
 /// The log layer's thread-exit hook (`ExitHook::Descriptors`): empty the
@@ -547,6 +558,7 @@ unsafe fn recycle(tc: &ThreadCtx, d: *mut Descriptor, overflow: unsafe fn(*mut D
     // SAFETY: exclusive access per contract.
     let desc = unsafe { &mut *d };
     desc.thunk.clear();
+    // Clears the committed entries and keeps the chain's blocks.
     // SAFETY: exclusive access; stale helpers never touch the log.
     unsafe { desc.first_block.reset() };
     desc.done.store(false, Ordering::Relaxed);

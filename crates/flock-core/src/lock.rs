@@ -254,6 +254,24 @@
 //!
 //! The protocol is the same: the same atomics run, with the same orderings,
 //! in the same order.
+//!
+//! A descriptor then came to keep its log's extension blocks through the
+//! pool, and its reset to clear only the committed prefix of its log (the
+//! `log` module docs, "A chain lives as long as its descriptor"). Before
+//! that and after, on the same example:
+//!
+//! | operation | lock-free | blocking |
+//! |---|---|---|
+//! | empty `try_lock` | 308 (3) → 291 (3) | 57 (2) → 57 (2) |
+//! | `try_lock`, load + store | 438 (6) → 424 (6) | 123 (3) → 123 (3) |
+//! | `HashTable::update` | 639 (7) → 623 (7) | 287 (4) → 287 (4) |
+//! | `Locked::try_with2` | 762 (16) → 751 (16) | 288 (10) → 288 (10) |
+//! | `HashTable::get` | 155 (1) → 155 (1) | 155 (1) → 155 (1) |
+//! | `LeafTree` insert + remove | 2 548 (30) → 2 365 (28) | 1 455 (13) → 1 455 (13) |
+//!
+//! A lock-free `LeafTree` remove commits eight entries, one more than the
+//! inline block holds; before, every such remove allocated an extension
+//! block, linked it with a CAS, and freed it at the recycle.
 
 use std::sync::atomic::Ordering;
 
@@ -1812,17 +1830,14 @@ mod tests {
     #[cfg(not(feature = "model"))] // pins the production window width
     fn nested_commits(outer: &Lock, inner: &Arc<Lock>) -> usize {
         let inner = Arc::clone(inner);
-        let extensions = crate::log::EXTENSIONS_ALLOCATED.get();
         let observed = outer.try_lock(move || {
-            let before = thread_ctx::with(|tc| tc.log_pos.get());
+            let before = thread_ctx::with(crate::ctx::entries_committed);
             let got = inner.try_lock(|| 7u32);
-            (got, thread_ctx::with(|tc| tc.log_pos.get()) - before)
+            (
+                got,
+                thread_ctx::with(crate::ctx::entries_committed) - before,
+            )
         });
-        assert_eq!(
-            crate::log::EXTENSIONS_ALLOCATED.get(),
-            extensions,
-            "the outer thunk left its descriptor's inline block"
-        );
         let (got, commits) = observed.expect("outer lock is free");
         assert_eq!(got, Some(7));
         commits

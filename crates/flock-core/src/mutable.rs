@@ -871,13 +871,11 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         crate::set_lock_mode(crate::LockMode::LockFree);
-        let extensions = crate::log::EXTENSIONS_ALLOCATED.get();
         let commits = crate::Lock::new().try_lock(move || {
-            let before = thread_ctx::with(|tc| tc.log_pos.get());
+            let before = thread_ctx::with(crate::ctx::entries_committed);
             body();
-            thread_ctx::with(|tc| tc.log_pos.get()) - before
+            thread_ctx::with(crate::ctx::entries_committed) - before
         });
-        assert_eq!(crate::log::EXTENSIONS_ALLOCATED.get(), extensions);
         commits.expect("a fresh lock is free")
     }
 

@@ -155,9 +155,19 @@ pub(crate) mod debug_track {
     pub(crate) static LIVE_RETIRED: Mutex<Option<HashSet<usize>>> = Mutex::new(None);
     pub(crate) static LIVE_ALLOCS: Mutex<Option<HashSet<usize>>> = Mutex::new(None);
 
+    /// A tracking set, made on first use with room for this many
+    /// addresses. Past a high-water mark a growing set reallocates at a
+    /// moment its random hash seed picks; sized up front, a test's steady
+    /// workload never grows it, and a test that counts the heap
+    /// allocations of warm operations (flock-ds `write_path_alloc`) reads
+    /// none of the tracker's.
+    fn tracked(set: &mut Option<HashSet<usize>>) -> &mut HashSet<usize> {
+        set.get_or_insert_with(|| HashSet::with_capacity(1 << 14))
+    }
+
     pub(crate) fn on_retire(ptr: usize) {
         let mut g = LIVE_RETIRED.lock().unwrap_or_else(|e| e.into_inner());
-        let set = g.get_or_insert_with(HashSet::new);
+        let set = tracked(&mut g);
         assert!(
             set.insert(ptr),
             "flock-epoch: double retire of {ptr:#x} detected"
@@ -177,12 +187,12 @@ pub(crate) mod debug_track {
 
     pub(crate) fn on_alloc(ptr: usize) {
         let mut g = LIVE_ALLOCS.lock().unwrap_or_else(|e| e.into_inner());
-        g.get_or_insert_with(HashSet::new).insert(ptr);
+        tracked(&mut g).insert(ptr);
     }
 
     pub(crate) fn on_dealloc(ptr: usize, who: &str) {
         let mut g = LIVE_ALLOCS.lock().unwrap_or_else(|e| e.into_inner());
-        let set = g.get_or_insert_with(HashSet::new);
+        let set = tracked(&mut g);
         assert!(
             set.remove(&ptr),
             "flock-epoch: {who} freeing {ptr:#x} which is not a live epoch allocation (double free or foreign pointer)"

@@ -178,36 +178,40 @@ fn refill_and_pop(tc: &ThreadCtx, class: usize) -> *mut u8 {
     thread_ctx::register_thread_exit_hook(ExitHook::Epoch, thread_exit);
     MAG_MISSES.fetch_add(1, Ordering::Relaxed);
     GLOBAL_REFILLS.fetch_add(1, Ordering::Relaxed);
-    let batch = take_global(class, BATCH as usize + 1);
-    debug_assert!(!batch.is_empty());
-    let mut out: *mut u8 = std::ptr::null_mut();
+    let mut free = global_free(class, BATCH as usize + 1);
+    let Ptr(out) = free.pop().expect("a fresh page holds slots");
     let mut cached = 0u32;
-    for Ptr(slot) in batch {
-        if out.is_null() {
-            out = slot;
-            continue;
-        }
+    while cached < BATCH
+        && let Some(Ptr(slot)) = free.pop()
+    {
         // SAFETY: free slot owned by us; first word is the list link.
         unsafe { slot.cast::<*mut u8>().write(tc.pool_heads[class].get()) };
         tc.pool_heads[class].set(slot);
         cached += 1;
     }
+    drop(free);
     tc.pool_counts[class].set(tc.pool_counts[class].get() + cached);
     publish_counters(tc);
     out
 }
 
-/// Pop up to `want` slots from the global free stack, carving a fresh
-/// page into it first when it holds fewer.
-fn take_global(class: usize, want: usize) -> Vec<Ptr> {
+/// Lock the global free stack of `class`, carving a fresh page into it
+/// first when it holds fewer than `want` slots.
+fn global_free(class: usize, want: usize) -> std::sync::MutexGuard<'static, Vec<Ptr>> {
     let mut free = GLOBAL_POOL.free[class]
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     if free.len() < want {
         carve_page(class, &mut free);
     }
-    let n = want.min(free.len());
-    let at = free.len() - n;
+    free
+}
+
+/// Pop up to `want` slots from the global free stack, carving a fresh
+/// page into it first when it holds fewer.
+fn take_global(class: usize, want: usize) -> Vec<Ptr> {
+    let mut free = global_free(class, want);
+    let at = free.len() - want.min(free.len());
     free.split_off(at)
 }
 
@@ -236,21 +240,22 @@ fn carve_page(class: usize, free: &mut Vec<Ptr>) {
 /// Flush one [`BATCH`] of slots from a magazine to the global pool.
 #[cold]
 fn flush_batch(tc: &ThreadCtx, class: usize) {
-    let mut moved = Vec::with_capacity(BATCH as usize);
     let mut head = tc.pool_heads[class].get();
-    while moved.len() < BATCH as usize && !head.is_null() {
+    let mut moved = 0u32;
+    let mut free = GLOBAL_POOL.free[class]
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    while moved < BATCH && !head.is_null() {
         // SAFETY: chained free slot; first word is the list link.
         let next = unsafe { head.cast::<*mut u8>().read() };
-        moved.push(Ptr(head));
+        free.push(Ptr(head));
         head = next;
+        moved += 1;
     }
+    drop(free);
     tc.pool_heads[class].set(head);
-    tc.pool_counts[class].set(tc.pool_counts[class].get() - moved.len() as u32);
+    tc.pool_counts[class].set(tc.pool_counts[class].get() - moved);
     publish_counters(tc);
-    GLOBAL_POOL.free[class]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .append(&mut moved);
 }
 
 /// Hand every cached slot back to the global pool, so exiting threads leak

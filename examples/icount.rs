@@ -38,12 +38,13 @@ fn main() {
 
 /// The operations counted, in the order the child runs them.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-const SCENARIOS: [&str; 5] = [
+const SCENARIOS: [&str; 6] = [
     "try_lock, empty thunk",
     "try_lock, load + store",
     "HashTable::update",
     "Locked::try_with2",
     "HashTable::get",
+    "LeafTree insert+remove",
 ];
 
 /// Modes each scenario runs in, in order.
@@ -62,6 +63,7 @@ mod tracee {
 
     use flock::core::{LockMode, Locked, Mutable, set_lock_mode};
     use flock::ds::hashtable::HashTable;
+    use flock::ds::leaftree::LeafTree;
 
     use super::{MODES, SAMPLES, SCENARIOS};
 
@@ -93,8 +95,12 @@ mod tracee {
         let lock: &'static flock::core::Lock = Box::leak(Box::new(flock::core::Lock::new()));
         let v: &'static Mutable<u64> = Box::leak(Box::new(Mutable::new(0)));
         let table = HashTable::<u64, u64>::with_capacity(1024);
-        for k in 0..1024 {
+        // Even keys in bit-reversed order: the unbalanced tree comes out
+        // balanced, of depth 10.
+        let tree = LeafTree::<u64, u64>::new();
+        for k in 0..1024u64 {
             table.insert(k, k);
+            tree.insert(2 * (k.reverse_bits() >> 54), k);
         }
         let (a, b) = (
             Arc::new(Locked::new(Mutable::new(1u64 << 40))),
@@ -126,8 +132,14 @@ mod tracee {
                             true
                         }));
                     }),
-                    _ => measure(|| {
+                    4 => measure(|| {
                         black_box(table.get(black_box(17)));
+                    }),
+                    _ => measure(|| {
+                        // An absent (odd) key: the insert splits a leaf
+                        // and the remove splices it out again.
+                        black_box(tree.insert(black_box(1001), 1));
+                        black_box(tree.remove(black_box(1001)));
                     }),
                 }
             }
