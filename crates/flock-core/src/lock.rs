@@ -272,6 +272,16 @@
 //! A lock-free `LeafTree` remove commits eight entries, one more than the
 //! inline block holds; before, every such remove allocated an extension
 //! block, linked it with a CAS, and freed it at the recycle.
+//!
+//! `LeafTree`'s leaves and internal nodes then came to share one 32-byte
+//! layout (flock-ds `leaftree.rs`, "Layout"), its descent to start below
+//! the anchor, and the example to count a `LeafTree::get` of a present
+//! key. No lock code changed; before and after:
+//!
+//! | operation | lock-free | blocking |
+//! |---|---|---|
+//! | `LeafTree` insert + remove | 2 365 (28) → 2 393 (28) | 1 455 (13) → 1 468 (13) |
+//! | `LeafTree::get` | 250 (1) → 237 (1) | 250 (1) → 237 (1) |
 
 use std::sync::atomic::Ordering;
 

@@ -63,9 +63,14 @@ pub trait TreeNode: Sized + 'static {
 
     /// The lock that owns this node's child cells and its leaves' slots.
     fn lock(&self) -> &Lock;
-    /// Is this node a leaf?
+    /// Is this node a leaf? A node's kind never changes during its life,
+    /// so a thunk may read it without logging the read: every run of the
+    /// thunk reads the same answer.
     fn is_leaf(&self) -> bool;
-    /// An internal node's separators (module docs, "Routing").
+    /// An internal node's separators (module docs, "Routing"). Like its
+    /// kind, a node's separators never change during its life, so a thunk
+    /// may read them without logging the reads: every run of the thunk
+    /// routes alike.
     fn seps(&self) -> &[Self::K];
     /// Child cell `i` of an internal node, `i <= seps().len()`.
     fn child(&self, i: usize) -> &Mutable<*mut Self>;
@@ -87,6 +92,21 @@ pub trait TreeNode: Sized + 'static {
     #[inline]
     fn route(&self, k: &Self::K) -> usize {
         self.seps().partition_point(|s| s <= k)
+    }
+
+    /// An internal node's separators, or `None` at a leaf. A node type
+    /// whose kind costs a read overrides it to answer from one read.
+    #[inline]
+    fn routing(&self) -> Option<&[Self::K]> {
+        (!self.is_leaf()).then(|| self.seps())
+    }
+
+    /// The child of an internal node that covers `k`, or `None` at a
+    /// leaf: one step of the descent. A node type whose kind costs a read
+    /// overrides it to route an internal node on that one read.
+    #[inline]
+    fn step(&self, k: &Self::K) -> Option<usize> {
+        (!self.is_leaf()).then(|| self.route(k))
     }
 
     /// `k`'s value slot in this leaf.
@@ -171,21 +191,24 @@ impl<N: TreeNode> Tree<N> {
         load: impl Fn(&Mutable<*mut N>) -> *mut N,
         mut visit: impl FnMut(*mut N),
     ) -> Path<N> {
-        let null = std::ptr::null_mut();
+        // The anchor's one child covers every key: no step reads the
+        // anchor.
+        // SAFETY: the anchor lives as long as the tree.
+        let top = load(unsafe { &*self.anchor }.child(0));
+        visit(top);
         let mut at = Path {
-            g: null,
+            g: std::ptr::null_mut(),
             gi: 0,
-            p: null,
+            p: self.anchor,
             pi: 0,
-            l: self.anchor,
+            l: top,
         };
         loop {
             // SAFETY: the caller is pinned; nodes are epoch-reclaimed.
             let n = unsafe { &*at.l };
-            if n.is_leaf() {
+            let Some(i) = n.step(k) else {
                 return at;
-            }
-            let i = n.route(k);
+            };
             (at.g, at.gi, at.p, at.pi) = (at.p, at.pi, at.l, i);
             at.l = load(n.child(i));
             visit(at.l);
@@ -456,7 +479,7 @@ impl<N: TreeNode> Tree<N> {
     ) -> ControlFlow<()> {
         // SAFETY: pinned per caller.
         let node = unsafe { &*n };
-        if node.is_leaf() {
+        let Some(seps) = node.routing() else {
             let in_range = |(k, _): &(&N::K, &Mutable<N::V>)| key_in_range(*k, lo, hi);
             if !node.entries().any(|e| in_range(&e)) {
                 return ControlFlow::Continue(());
@@ -476,8 +499,8 @@ impl<N: TreeNode> Tree<N> {
                 return ControlFlow::Break(());
             }
             return ControlFlow::Continue(());
-        }
-        if let [x] = node.seps() {
+        };
+        if let [x] = seps {
             // A binary node, unrolled: through the loop below, leaftree's
             // 64-key scan measured about 30 % slower.
             if key_above_lower(x, lo) {
@@ -490,7 +513,6 @@ impl<N: TreeNode> Tree<N> {
             }
             return ControlFlow::Continue(());
         }
-        let seps = node.seps();
         for c in 0..=seps.len() {
             if c < seps.len() && !key_above_lower(&seps[c], lo) {
                 continue; // everything in child c is < seps[c] <= lo
@@ -738,7 +760,8 @@ pub(crate) mod tests {
     #[test]
     fn node_sizes() {
         use std::mem::size_of;
-        assert_eq!(size_of::<crate::leaftree::Node<u64, u64>>(), 64);
+        assert_eq!(size_of::<crate::leaftree::Node<u64, u64>>(), 32);
+        assert!(size_of::<crate::leaftree::Node<u32, u16>>() <= 32);
         assert_eq!(size_of::<crate::leaftreap::Node<u64, u64>>(), 80);
         assert_eq!(size_of::<crate::abtree::Node<u64, u64>>(), 168);
     }

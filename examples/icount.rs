@@ -38,13 +38,14 @@ fn main() {
 
 /// The operations counted, in the order the child runs them.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-const SCENARIOS: [&str; 6] = [
+const SCENARIOS: [&str; 7] = [
     "try_lock, empty thunk",
     "try_lock, load + store",
     "HashTable::update",
     "Locked::try_with2",
     "HashTable::get",
     "LeafTree insert+remove",
+    "LeafTree::get",
 ];
 
 /// Modes each scenario runs in, in order.
@@ -135,11 +136,15 @@ mod tracee {
                     4 => measure(|| {
                         black_box(table.get(black_box(17)));
                     }),
-                    _ => measure(|| {
+                    5 => measure(|| {
                         // An absent (odd) key: the insert splits a leaf
                         // and the remove splices it out again.
                         black_box(tree.insert(black_box(1001), 1));
                         black_box(tree.remove(black_box(1001)));
+                    }),
+                    _ => measure(|| {
+                        // A present (even) key, ten levels down.
+                        black_box(tree.get(black_box(1000)));
                     }),
                 }
             }
